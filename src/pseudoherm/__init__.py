@@ -13,7 +13,7 @@ from .chain import (
     next_eta,
     shift_for_invertibility,
 )
-from .errors import CheckError, InputError
+from .errors import Check, CheckError, InputError
 from .metric import (
     DEFAULT_TOL,
     MetricBasis,
@@ -39,16 +39,14 @@ from .weyl import (
     RationalComplex,
     ShiftedPotentialSpec,
     WeylPolynomial,
-    boost_conjugate,
     build_shifted_hamiltonian,
     check_symbolic,
-    normal_multiply,
-    weyl_adjoint,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "Check",
     "CheckError",
     "DEFAULT_TOL",
     "EtaChain",
@@ -62,7 +60,6 @@ __all__ = [
     "ShiftedPotentialSpec",
     "WeylPolynomial",
     "auto_K",
-    "boost_conjugate",
     "build_chain",
     "build_shifted_hamiltonian",
     "catalog_oscillator",
@@ -78,10 +75,8 @@ __all__ = [
     "matrix_poly",
     "metric_sqrt",
     "next_eta",
-    "normal_multiply",
     "perturb",
     "residual",
     "shift_for_invertibility",
     "solve_metric_space",
-    "weyl_adjoint",
 ]

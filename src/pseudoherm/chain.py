@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import Check, CheckError, InputError
 from .metric import (
     DEFAULT_TOL,
     NULLSPACE_RTOL,
     MetricClass,
     adjoint,
     as_matrix,
+    check_scale,
     classify_metric,
     frobenius,
     hermiticity_defect,
@@ -144,7 +145,8 @@ def shift_for_invertibility(H, tol: float = DEFAULT_TOL) -> tuple[float, np.ndar
 
     Candidates come from the deterministic ladder
     ``{1, -1, 2, -2, ...} * (1 + |H|_F)``, so no eigensolve is needed; any
-    real alpha off the finite spectrum works.
+    real alpha off the finite spectrum works.  Raises CheckError
+    ``"no invertible shift"`` when every rung fails the invertibility test.
     """
     H = as_matrix(H, "H")
     if tol <= 0:
@@ -152,7 +154,7 @@ def shift_for_invertibility(H, tol: float = DEFAULT_TOL) -> tuple[float, np.ndar
 
     def invertible(m: np.ndarray) -> bool:
         svals = np.linalg.svd(m, compute_uv=False)
-        return svals[-1] > tol * max(1.0, frobenius(m))
+        return svals[-1] > tol * check_scale(frobenius(m))
 
     if invertible(H):
         return 0.0, H
@@ -165,8 +167,10 @@ def shift_for_invertibility(H, tol: float = DEFAULT_TOL) -> tuple[float, np.ndar
         shifted = H + alpha * eye
         if invertible(shifted):
             return alpha, shifted
-    raise RuntimeError("shift ladder exhausted; no invertible shift found "
-                       f"in {SHIFT_LADDER_RUNGS} rungs")
+    rungs = float(SHIFT_LADDER_RUNGS)
+    raise CheckError("no invertible shift", "shift ladder exhausted; no invertible "
+                     f"shift found in {SHIFT_LADDER_RUNGS} rungs", value=rungs,
+                     checks=(Check("invertible_shift_found", False, rungs),))
 
 
 def chain_via_shift(H, eta0, k_max: int, normalize: bool = False,

@@ -21,26 +21,27 @@ import numpy as np
 
 from . import io
 from .chain import build_chain, chain_via_shift
-from .errors import CheckError, InputError
+from .errors import Check, CheckError, InputError
 from .metric import (
+    adjoint,
     catalog_oscillator,
     catalog_two_point,
+    check_scale,
     classify_metric,
     find_metric,
     frobenius,
-    hermiticity_defect,
     residual,
     solve_metric_space,
 )
-from .perturbation import RealPolynomial, commutator_defect, matrix_poly
+from .perturbation import RealPolynomial, perturb
 from .quasi import induced_hamiltonian, metric_sqrt
 from .weyl import build_shifted_hamiltonian, check_symbolic
 
 
-def _check(name: str, passed: bool, value=None, threshold=None) -> dict:
-    entry = {"name": name, "passed": bool(passed)}
-    entry["value"] = None if value is None else float(value)
-    entry["threshold"] = None if threshold is None else float(threshold)
+def _check_entry(check: Check) -> dict:
+    entry = {"name": check.name, "passed": bool(check.passed)}
+    entry["value"] = None if check.value is None else float(check.value)
+    entry["threshold"] = None if check.threshold is None else float(check.threshold)
     return entry
 
 
@@ -138,139 +139,117 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_verify(args):
+def _cmd_verify(args, inputs):
     H = io.parse_matrix(args.hamiltonian)
     eta = io.parse_matrix(args.eta)
-    inputs = {"hamiltonian": _matrix_digest(args.hamiltonian, H),
-              "eta": _matrix_digest(args.eta, eta)}
-    defect = hermiticity_defect(eta)
+    inputs.update(hamiltonian=_matrix_digest(args.hamiltonian, H),
+                  eta=_matrix_digest(args.eta, eta))
     r = residual(H, eta)
     cls = classify_metric(eta, args.tol)
+    defect = cls.hermiticity_defect
     checks = [
-        _check("eta_hermitian", defect <= args.tol, defect, args.tol),
-        _check("intertwining_residual", r <= args.tol, r, args.tol),
+        Check("eta_hermitian", defect <= args.tol, defect, args.tol),
+        Check("intertwining_residual", r <= args.tol, r, args.tol),
     ]
     results = {"residual": r, "eta_classification": io.classification_to_dict(cls)}
-    return inputs, results, checks
+    return results, checks
 
 
-def _cmd_solve(args):
+def _cmd_solve(args, inputs):
     H = io.parse_matrix(args.hamiltonian)
-    inputs = {"hamiltonian": _matrix_digest(args.hamiltonian, H)}
+    inputs["hamiltonian"] = _matrix_digest(args.hamiltonian, H)
     basis = solve_metric_space(H, args.tol)
     representative = find_metric(basis, want_positive=args.positive,
                                  tol=args.tol, seed=args.seed)
     max_residual = max((residual(H, b) for b in basis.basis), default=0.0)
     checks = [
-        _check("basis_residual_max", max_residual <= args.tol, max_residual, args.tol),
-        _check("metric_found", representative is not None),
+        Check("basis_residual_max", max_residual <= args.tol, max_residual, args.tol),
+        Check("metric_found", representative is not None),
     ]
     results = io.basis_to_dict(basis)
     results["metric"] = None if representative is None else io.matrix_to_dict(representative)
     results["metric_classification"] = (
         None if representative is None
         else io.classification_to_dict(classify_metric(representative, args.tol)))
-    return inputs, results, checks
+    return results, checks
 
 
-def _cmd_chain(args):
+def _cmd_chain(args, inputs):
     H = io.parse_matrix(args.hamiltonian)
     eta0 = io.parse_matrix(args.eta0)
-    inputs = {"hamiltonian": _matrix_digest(args.hamiltonian, H),
-              "eta0": _matrix_digest(args.eta0, eta0)}
+    inputs.update(hamiltonian=_matrix_digest(args.hamiltonian, H),
+                  eta0=_matrix_digest(args.eta0, eta0))
     builder = chain_via_shift if args.via_shift else build_chain
     chain = builder(H, eta0, args.k_max, normalize=not args.no_normalize,
                     tol=args.tol)
     max_residual = max(chain.residuals)
-    max_defect = max(hermiticity_defect(e) for e in chain.etas)
+    max_defect = max(c.hermiticity_defect for c in chain.classes)
     degenerate = chain.degenerate_indices
     checks = [
-        _check("chain_residual_max", max_residual <= args.tol, max_residual, args.tol),
-        _check("all_elements_hermitian", max_defect <= args.tol, max_defect, args.tol),
-        _check("all_elements_invertible", not degenerate, float(len(degenerate)), 0.0),
+        Check("chain_residual_max", max_residual <= args.tol, max_residual, args.tol),
+        Check("all_elements_hermitian", max_defect <= args.tol, max_defect, args.tol),
+        Check("all_elements_invertible", not degenerate, float(len(degenerate)), 0.0),
     ]
     results = io.chain_to_dict(chain)
     results["degenerate_indices"] = degenerate
-    return inputs, results, checks
+    return results, checks
 
 
-def _cmd_perturb(args):
+def _cmd_perturb(args, inputs):
     H = io.parse_matrix(args.hamiltonian)
     eta = io.parse_matrix(args.eta)
     f = RealPolynomial.parse(args.poly)
-    inputs = {"hamiltonian": _matrix_digest(args.hamiltonian, H),
-              "eta": _matrix_digest(args.eta, eta),
-              "poly": str(f)}
+    inputs.update(hamiltonian=_matrix_digest(args.hamiltonian, H),
+                  eta=_matrix_digest(args.eta, eta), poly=str(f))
+    K = eta
     if args.k is not None:
         K = io.parse_matrix(args.k)
         inputs["k"] = _matrix_digest(args.k, K)
-    else:
-        K = eta
-    if not (H.shape == eta.shape == K.shape):
-        raise InputError("H, eta and K must share one dimension")
-
-    defect_eta = hermiticity_defect(eta)
-    r0 = residual(H, eta)
-    defect_K = hermiticity_defect(K)
-    cd = commutator_defect(K, eta)
-    defect_H = hermiticity_defect(H)
-    checks = [
-        _check("eta_hermitian", defect_eta <= args.tol, defect_eta, args.tol),
-        _check("eta_is_metric", r0 <= args.tol, r0, args.tol),
-        _check("k_hermitian", defect_K <= args.tol, defect_K, args.tol),
-        _check("k_commutes_with_eta", cd <= args.tol, cd, args.tol),
-    ]
-    if not args.allow_hermitian:
-        checks.append(_check("hamiltonian_non_hermitian", defect_H > args.tol,
-                             defect_H, args.tol))
-    results = {"commutator_defect": cd}
-    if all(c["passed"] for c in checks):
-        H_tilde = H + matrix_poly(K, f)
-        r = residual(H_tilde, eta)
-        drift = frobenius((H_tilde - H_tilde.conj().T) - (H - H.conj().T))
-        drift /= max(1.0, frobenius(H))
-        checks.append(_check("perturbed_residual", r <= args.tol, r, args.tol))
-        checks.append(_check("anti_hermitian_part_preserved", drift <= args.tol,
-                             drift, args.tol))
-        results["hamiltonian_tilde"] = io.matrix_to_dict(H_tilde)
-        results["residual"] = r
-    return inputs, results, checks
+    out = perturb(H, eta, K, f, args.tol, allow_hermitian=args.allow_hermitian)
+    drift = frobenius((out.H_tilde - adjoint(out.H_tilde)) - (out.H - adjoint(out.H)))
+    drift /= check_scale(frobenius(out.H))
+    checks = [*out.checks, Check("anti_hermitian_part_preserved", drift <= args.tol,
+                                 drift, args.tol)]
+    results = {"commutator_defect": out.commutator_defect,
+               "hamiltonian_tilde": io.matrix_to_dict(out.H_tilde),
+               "residual": out.residual}
+    return results, checks
 
 
-def _cmd_quasi(args):
+def _cmd_quasi(args, inputs):
     H = io.parse_matrix(args.hamiltonian)
     eta = io.parse_matrix(args.eta)
-    inputs = {"hamiltonian": _matrix_digest(args.hamiltonian, H),
-              "eta": _matrix_digest(args.eta, eta)}
+    inputs.update(hamiltonian=_matrix_digest(args.hamiltonian, H),
+                  eta=_matrix_digest(args.eta, eta))
     cls = classify_metric(eta, args.tol)
     r0 = residual(H, eta)
     checks = [
-        _check("eta_positive", cls.positive,
-               cls.min_eigenvalue_of_hermitian_part, args.tol),
-        _check("eta_is_metric", r0 <= args.tol, r0, args.tol),
+        Check("eta_positive", cls.positive,
+              cls.min_eigenvalue_of_hermitian_part, args.tol),
+        Check("eta_is_metric", r0 <= args.tol, r0, args.tol),
     ]
     results = {"eta_classification": io.classification_to_dict(cls), "residual": r0}
     if cls.positive and r0 <= args.tol:
         form = metric_sqrt(eta, args.tol)
         H_eta = induced_hamiltonian(H, form, args.tol)
-        scale = max(1.0, frobenius(H))
+        scale = check_scale(frobenius(H))
         defect = frobenius(H_eta - H_eta.conj().T) / scale
         eigvals = np.sort_complex(np.linalg.eigvals(H_eta))
         max_imag = float(np.max(np.abs(eigvals.imag))) if eigvals.size else 0.0
-        checks.append(_check("induced_hermitian", defect <= args.tol, defect, args.tol))
-        checks.append(_check("spectrum_real", max_imag <= args.tol * scale,
-                             max_imag, args.tol * scale))
+        checks.append(Check("induced_hermitian", defect <= args.tol, defect, args.tol))
+        checks.append(Check("spectrum_real", max_imag <= args.tol * scale,
+                            max_imag, args.tol * scale))
         results["sqrt_eta"] = io.matrix_to_dict(form.sqrt_eta)
         results["induced_hamiltonian"] = io.matrix_to_dict(H_eta)
         results["eigenvalues"] = [[float(z.real), float(z.imag)] for z in eigvals]
-    return inputs, results, checks
+    return results, checks
 
 
-def _cmd_weyl(args):
+def _cmd_weyl(args, inputs):
     spec = io.parse_weyl_spec(args.spec)
-    inputs = {"spec": {"path": str(args.spec), "potential_degree": spec.V.degree,
-                       "momentum_degree": spec.f.degree, "alpha": spec.alpha,
-                       "beta": spec.beta, "gamma": spec.gamma}}
+    inputs["spec"] = {"path": str(args.spec), "potential_degree": spec.V.degree,
+                      "momentum_degree": spec.f.degree, "alpha": spec.alpha,
+                      "beta": spec.beta, "gamma": spec.gamma}
     theta = args.theta if args.theta is not None else spec.theta
     H = build_shifted_hamiltonian(spec)
     residual_poly = check_symbolic(spec, theta_override=args.theta)
@@ -283,16 +262,16 @@ def _cmd_weyl(args):
         value = residual_poly.max_coefficient()
         threshold = args.tol
         passed = value <= threshold
-    checks = [_check("residual_zero", passed, value, threshold)]
+    checks = [Check("residual_zero", passed, value, threshold)]
     results = {
         "theta": theta,
         "hamiltonian_terms": io.weyl_terms_to_list(H, exact=exact),
         "residual_terms": io.weyl_terms_to_list(residual_poly, exact=exact),
     }
-    return inputs, results, checks
+    return results, checks
 
 
-def _cmd_example(args):
+def _cmd_example(args, inputs):
     if args.name == "two-point":
         if args.x is None:
             raise InputError("example two-point requires --x")
@@ -312,11 +291,11 @@ def _cmd_example(args):
     io.write_matrix(h_path, H)
     io.write_matrix(eta_path, eta)
     r = residual(H, eta)
-    inputs = {"example": args.name, "params": params}
-    checks = [_check("intertwining_residual", r <= args.tol, r, args.tol)]
+    inputs.update(example=args.name, params=params)
+    checks = [Check("intertwining_residual", r <= args.tol, r, args.tol)]
     results = {"hamiltonian_path": h_path, "eta_path": eta_path, "residual": r,
                "hamiltonian": io.matrix_to_dict(H), "eta": io.matrix_to_dict(eta)}
-    return inputs, results, checks
+    return results, checks
 
 
 _HANDLERS = {
@@ -332,34 +311,35 @@ _HANDLERS = {
 
 def run(args: argparse.Namespace) -> tuple[dict, int]:
     """Execute one parsed command; returns (report, exit_code) and never raises
-    on malformed input."""
+    on malformed input.
+
+    A handler fills ``inputs`` as it parses them and returns (results, checks).
+    A CheckError from the library becomes a failing report that keeps those
+    inputs and lists ``exc.checks``; a LinAlgError counts as an input error.
+    """
     report = {
         "command": args.command,
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "tol": args.tol,
         "seed": args.seed,
     }
+    inputs = {}
+    error = None
     try:
-        inputs, results, checks = _HANDLERS[args.command](args)
+        results, checks = _HANDLERS[args.command](args, inputs)
     except CheckError as exc:
-        report["inputs"] = {}
-        report["results"] = {}
-        report["checks"] = [_check(exc.check, False, exc.value, exc.threshold)]
-        report["status"] = "fail"
-        report["error"] = str(exc)
-        return report, 1
-    except InputError as exc:
-        report["inputs"] = {}
-        report["results"] = {}
-        report["checks"] = []
-        report["status"] = "input_error"
-        report["error"] = str(exc)
+        results, checks, error = {}, exc.checks, str(exc)
+    except (InputError, np.linalg.LinAlgError) as exc:
+        report.update(inputs={}, results={}, checks=[], status="input_error",
+                      error=str(exc))
         return report, 2
     report["inputs"] = inputs
     report["results"] = results
-    report["checks"] = checks
-    passed = all(c["passed"] for c in checks)
+    report["checks"] = [_check_entry(c) for c in checks]
+    passed = error is None and all(c.passed for c in checks)
     report["status"] = "pass" if passed else "fail"
+    if error is not None:
+        report["error"] = error
     return report, 0 if passed else 1
 
 

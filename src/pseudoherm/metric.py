@@ -60,10 +60,18 @@ def frobenius(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
+def check_scale(norm: float) -> float:
+    """Scale a relative check divides by: the norm floored at 1.
+
+    Below unit norm the floor makes every check absolute.
+    """
+    return max(1.0, norm)
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
     """Relative deviation from Hermiticity, ``|m - m^dag|_F / max(1, |m|_F)``."""
     m = np.asarray(m, dtype=complex)
-    return frobenius(m - adjoint(m)) / max(1.0, frobenius(m))
+    return frobenius(m - adjoint(m)) / check_scale(frobenius(m))
 
 
 def residual(H, eta) -> float:
@@ -78,7 +86,7 @@ def residual(H, eta) -> float:
         raise InputError(f"dimension mismatch: H is {H.shape[0]}x{H.shape[0]}, "
                          f"eta is {eta.shape[0]}x{eta.shape[0]}")
     num = frobenius(eta @ H - adjoint(H) @ eta)
-    return num / max(1.0, frobenius(H) * frobenius(eta))
+    return num / check_scale(frobenius(H) * frobenius(eta))
 
 
 @dataclass(frozen=True)
@@ -121,7 +129,7 @@ def classify_metric(eta, tol: float = DEFAULT_TOL) -> MetricClass:
         positive=positive,
         min_singular_value=min_sv,
         min_eigenvalue_of_hermitian_part=min_eig,
-        hermiticity_defect=defect_abs / max(1.0, norm),
+        hermiticity_defect=defect_abs / check_scale(norm),
     )
 
 

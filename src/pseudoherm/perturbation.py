@@ -3,7 +3,7 @@
 If eta is a metric for H and K is Hermitian and commutes with eta, then eta
 is still a metric for H + f(K) for any real polynomial f, and the
 anti-Hermitian part of the Hamiltonian is untouched.  The hypotheses are
-enforced with named errors rather than trusted, because silent misuse
+enforced as named checks rather than trusted, because silent misuse
 produces plausible-looking garbage.
 """
 
@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckError, InputError
+from .errors import Check, CheckError, InputError
 from .metric import (
     DEFAULT_TOL,
     as_matrix,
+    check_scale,
     frobenius,
     hermiticity_defect,
     residual,
@@ -77,7 +78,10 @@ class RealPolynomial:
 
 @dataclass(frozen=True)
 class PerturbedHamiltonian:
-    """Result of a verified perturbation ``H_tilde = H + f(K)``."""
+    """Result of a verified perturbation ``H_tilde = H + f(K)``.
+
+    ``checks`` are the hypotheses perturb verified, then perturbed_residual.
+    """
 
     H: np.ndarray
     K: np.ndarray
@@ -86,6 +90,7 @@ class PerturbedHamiltonian:
     eta: np.ndarray
     residual: float
     commutator_defect: float
+    checks: tuple[Check, ...]
 
 
 def commutator_defect(A, B) -> float:
@@ -95,7 +100,7 @@ def commutator_defect(A, B) -> float:
     if A.shape != B.shape:
         raise InputError(f"dimension mismatch: A is {A.shape[0]}x{A.shape[0]}, "
                          f"B is {B.shape[0]}x{B.shape[0]}")
-    return frobenius(A @ B - B @ A) / max(1.0, frobenius(A) * frobenius(B))
+    return frobenius(A @ B - B @ A) / check_scale(frobenius(A) * frobenius(B))
 
 
 def matrix_poly(K, f: RealPolynomial) -> np.ndarray:
@@ -131,11 +136,12 @@ def perturb(H, eta, K, f: RealPolynomial, tol: float = DEFAULT_TOL,
             allow_hermitian: bool = False) -> PerturbedHamiltonian:
     """Form ``H_tilde = H + f(K)`` after verifying every hypothesis by name.
 
-    Checks, in order: eta Hermitian; eta a metric for H; K Hermitian;
-    K commutes with eta; H non-Hermitian (skippable via allow_hermitian,
-    every step stays valid for Hermitian H).  Violations raise CheckError
-    with the offending quantity.  On success the result's residual is
-    verified and the anti-Hermitian part of H is preserved exactly.
+    Evaluates, in order: eta_hermitian; eta_is_metric (eta intertwines H);
+    k_hermitian; k_commutes_with_eta; hamiltonian_non_hermitian (skipped via
+    allow_hermitian, every step stays valid for Hermitian H).  If any fails,
+    CheckError names the first failure and carries all of them in ``checks``.
+    On success the perturbed residual is verified as a sixth check, and the
+    anti-Hermitian part of H is preserved exactly.
     """
     H = as_matrix(H, "H")
     eta = as_matrix(eta, "eta")
@@ -145,36 +151,35 @@ def perturb(H, eta, K, f: RealPolynomial, tol: float = DEFAULT_TOL,
                          f"{H.shape[0]}, {eta.shape[0]}, {K.shape[0]}")
 
     defect_eta = hermiticity_defect(eta)
-    if defect_eta > tol:
-        raise CheckError("non-hermitian eta",
-                         f"eta is not Hermitian (defect {defect_eta:.3e})",
-                         value=defect_eta, threshold=tol)
     r0 = residual(H, eta)
-    if r0 > tol:
-        raise CheckError("eta not a metric for H",
-                         f"eta does not intertwine H (residual {r0:.3e})",
-                         value=r0, threshold=tol)
     defect_K = hermiticity_defect(K)
-    if defect_K > tol:
-        raise CheckError("non-hermitian K",
-                         f"K is not Hermitian (defect {defect_K:.3e})",
-                         value=defect_K, threshold=tol)
     cd = commutator_defect(K, eta)
-    if cd > tol:
-        raise CheckError("non-commuting K",
-                         f"K does not commute with eta (defect {cd:.3e})",
-                         value=cd, threshold=tol)
-    defect_H = hermiticity_defect(H)
-    if defect_H <= tol and not allow_hermitian:
-        raise CheckError("hermitian H",
-                         "H is Hermitian; pass allow_hermitian=True to proceed",
-                         value=defect_H, threshold=tol)
+    # (check, CheckError id, message) per hypothesis, in reporting order
+    hypotheses = [
+        (Check("eta_hermitian", defect_eta <= tol, defect_eta, tol), "non-hermitian eta",
+         f"eta is not Hermitian (defect {defect_eta:.3e})"),
+        (Check("eta_is_metric", r0 <= tol, r0, tol), "eta not a metric for H",
+         f"eta does not intertwine H (residual {r0:.3e})"),
+        (Check("k_hermitian", defect_K <= tol, defect_K, tol), "non-hermitian K",
+         f"K is not Hermitian (defect {defect_K:.3e})"),
+        (Check("k_commutes_with_eta", cd <= tol, cd, tol), "non-commuting K",
+         f"K does not commute with eta (defect {cd:.3e})"),
+    ]
+    if not allow_hermitian:
+        defect_H = hermiticity_defect(H)
+        hypotheses.append((Check("hamiltonian_non_hermitian", defect_H > tol, defect_H, tol),
+                           "hermitian H", "H is Hermitian; pass allow_hermitian=True to proceed"))
+    checks = tuple(check for check, _, _ in hypotheses)
+    for check, check_id, message in hypotheses:
+        if not check.passed:
+            raise CheckError(check_id, message, check.value, tol, checks)
 
     H_tilde = H + matrix_poly(K, f)
     r = residual(H_tilde, eta)
+    checks += (Check("perturbed_residual", r <= tol, r, tol),)
     if r > tol:
         raise CheckError("perturbed residual",
                          f"perturbed Hamiltonian failed verification (residual {r:.3e})",
-                         value=r, threshold=tol)
+                         value=r, threshold=tol, checks=checks)
     return PerturbedHamiltonian(H=H, K=K, f=f, H_tilde=H_tilde, eta=eta,
-                                residual=r, commutator_defect=cd)
+                                residual=r, commutator_defect=cd, checks=checks)

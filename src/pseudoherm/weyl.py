@@ -209,6 +209,7 @@ class WeylPolynomial:
         return WeylPolynomial({k: c * value for k, c in self.terms.items()})
 
     def __mul__(self, other) -> "WeylPolynomial":
+        """Exact normal-ordered product (associative, bilinear); scalars scale."""
         if not isinstance(other, WeylPolynomial):
             return self.scale(other)
         acc: dict[tuple[int, int], RationalComplex] = {}
@@ -292,21 +293,6 @@ class WeylPolynomial:
                 factors.append("p" if b == 1 else f"p^{b}")
             pieces.append(" ".join(factors))
         return "WeylPolynomial(" + " + ".join(pieces) + ")"
-
-
-def normal_multiply(A: WeylPolynomial, B: WeylPolynomial) -> WeylPolynomial:
-    """Exact normal-ordered product; associative and bilinear."""
-    return A * B
-
-
-def weyl_adjoint(A: WeylPolynomial) -> WeylPolynomial:
-    """Operator adjoint; an involution and product anti-homomorphism."""
-    return A.adjoint()
-
-
-def boost_conjugate(A: WeylPolynomial, theta) -> WeylPolynomial:
-    """Conjugate A by the momentum boost ``exp(-theta p)``."""
-    return A.boost(theta)
 
 
 @dataclass(frozen=True)

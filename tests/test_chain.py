@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pseudoherm import (
+    CheckError,
     InputError,
     build_chain,
     catalog_two_point,
@@ -129,6 +130,14 @@ class TestShiftForInvertibility:
         alpha, shifted = shift_for_invertibility(np.zeros((2, 2)))
         assert alpha == pytest.approx(1.0)
         assert np.allclose(shifted, np.eye(2), atol=0)
+
+    def test_exhausted_ladder_is_named_check(self):
+        # sigma_min <= |m|_F / sqrt(n), so tol = 0.5 rejects every rung for n >= 4
+        with pytest.raises(CheckError) as info:
+            shift_for_invertibility(np.diag(np.arange(8.0)), tol=0.5)
+        assert info.value.check == "no invertible shift"
+        assert [c.name for c in info.value.checks] == ["invertible_shift_found"]
+        assert info.value.checks[0].value == 100.0
 
 
 class TestChainViaShift:

@@ -25,6 +25,7 @@ def fixtures(tmp_path):
         "weyl": tmp_path / "harmonic_gamma1.json",
         "nilpotent_H": tmp_path / "nilpotent.json",
         "sigma_x": tmp_path / "sigma_x.json",
+        "nilpotent_K": tmp_path / "nilpotent_K.json",
     }
     write_matrix(paths["H"], H)
     write_matrix(paths["eta"], eta)
@@ -33,6 +34,7 @@ def fixtures(tmp_path):
     write_matrix(paths["diag12"], np.diag([1.0, 2.0]))
     write_matrix(paths["nilpotent_H"], np.array([[1j, 1.0], [1.0, -1j]]))
     write_matrix(paths["sigma_x"], np.array([[0.0, 1.0], [1.0, 0.0]]))
+    write_matrix(paths["nilpotent_K"], np.array([[0.0, 1.0], [0.0, 0.0]]))
     paths["weyl"].write_text(json.dumps(
         {"V": [0, 0, 1], "alpha": 1, "beta": 0, "gamma": 1, "f": []}))
     return paths
@@ -144,6 +146,32 @@ class TestChain:
         assert code == 2
         assert "intertwining" in report["error"]
 
+    def test_exhausted_shift_ladder_is_failed_check(self, tmp_path):
+        write_matrix(tmp_path / "h.json", np.diag(np.arange(8.0)))
+        write_matrix(tmp_path / "i.json", np.eye(8))
+        out = tmp_path / "report.json"
+        code = main(["chain", "--hamiltonian", str(tmp_path / "h.json"), "--eta0",
+                     str(tmp_path / "i.json"), "--via-shift", "--tol", "0.5", "--out", str(out)])
+        assert code == 1
+        report = json.loads(out.read_text())
+        assert report["status"] == "fail"
+        assert report["checks"] == [{"name": "invertible_shift_found", "passed": False,
+                                     "value": 100.0, "threshold": None}]
+        assert set(report["inputs"]) == {"hamiltonian", "eta0"}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_linalg_error_is_input_error(self, tmp_path):
+        # the Frobenius norm overflows, so the shift ladder feeds inf to the SVD
+        write_matrix(tmp_path / "h.json", 1e200 * np.diag([0.0, 1.0, 2.0]))
+        write_matrix(tmp_path / "i.json", np.eye(3))
+        out = tmp_path / "report.json"
+        code = main(["chain", "--hamiltonian", str(tmp_path / "h.json"), "--eta0",
+                     str(tmp_path / "i.json"), "--via-shift", "--out", str(out)])
+        assert code == 2
+        report = json.loads(out.read_text())
+        assert report["status"] == "input_error"
+        assert "SVD did not converge" in report["error"]
+
 
 class TestPerturb:
     def test_default_K_is_eta(self, fixtures, capsys):
@@ -160,6 +188,19 @@ class TestPerturb:
         assert code == 1
         by_name = {c["name"]: c for c in report["checks"]}
         assert by_name["k_commutes_with_eta"]["passed"] is False
+
+    def test_failed_hypotheses_all_listed(self, fixtures, capsys):
+        code, report = run_cli(capsys, "perturb", "--hamiltonian", fixtures["H"],
+                               "--eta", fixtures["eta"], "--poly", "0,1",
+                               "--k", fixtures["nilpotent_K"])
+        assert code == 1
+        assert [c["name"] for c in report["checks"]] == [
+            "eta_hermitian", "eta_is_metric", "k_hermitian", "k_commutes_with_eta",
+            "hamiltonian_non_hermitian"]
+        failed = [c["name"] for c in report["checks"] if not c["passed"]]
+        assert failed == ["k_hermitian", "k_commutes_with_eta"]
+        assert set(report["inputs"]) == {"hamiltonian", "eta", "poly", "k"}
+        assert report["error"] and report["results"] == {}
 
     def test_hermitian_H_needs_flag(self, fixtures, capsys):
         code, report = run_cli(capsys, "perturb", "--hamiltonian", fixtures["diag12"],

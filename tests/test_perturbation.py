@@ -17,6 +17,8 @@ from pseudoherm import (
 )
 
 SY = np.array([[0.0, 1j], [-1j, 0.0]])
+HYPOTHESES = ["eta_hermitian", "eta_is_metric", "k_hermitian", "k_commutes_with_eta",
+              "hamiltonian_non_hermitian"]
 
 
 class TestRealPolynomial:
@@ -127,6 +129,8 @@ class TestPerturb:
         out = perturb(H, eta, K=eta, f=RealPolynomial([0.0, 3.0]))
         assert np.allclose(out.H_tilde, np.array([[0.0, 4j], [-7j, 0.0]]), atol=1e-15)
         assert out.residual <= 1e-12
+        assert [c.name for c in out.checks] == HYPOTHESES + ["perturbed_residual"]
+        assert all(c.passed for c in out.checks)
 
     def test_zero_polynomial_is_identity_perturbation(self, two_point_xi):
         H, eta = two_point_xi
@@ -144,6 +148,16 @@ class TestPerturb:
         with pytest.raises(CheckError) as info:
             perturb(H, eta, K=np.array([[0.0, 1.0], [0.0, 0.0]]), f=RealPolynomial([0.0, 1.0]))
         assert info.value.check == "non-hermitian K"
+
+    def test_every_hypothesis_evaluated_before_raise(self, osc2):
+        # K is neither Hermitian nor commuting with eta: both failures are listed
+        H, eta = osc2
+        with pytest.raises(CheckError) as info:
+            perturb(H, eta, K=np.array([[0.0, 1.0], [0.0, 0.0]]), f=RealPolynomial([0.0, 1.0]))
+        assert info.value.check == "non-hermitian K"
+        assert [c.name for c in info.value.checks] == HYPOTHESES
+        failed = [c.name for c in info.value.checks if not c.passed]
+        assert failed == ["k_hermitian", "k_commutes_with_eta"]
 
     def test_bad_metric_named(self, osc2):
         H, _ = osc2
