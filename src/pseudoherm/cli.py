@@ -4,9 +4,9 @@ Subcommands: verify, solve, chain, perturb, quasi, weyl, example.  Every run
 emits one report (JSON by default, ``--format text`` for humans) containing a
 ``checks`` array of named pass/fail entries, so CI can assert on named checks
 instead of parsing prose.  Exit codes: 0 all checks pass, 1 a mathematical
-check failed, 2 input error.  Runs are deterministic given the flags, the
-input files and the seed; the only non-deterministic report field is the
-``generated_at`` timestamp.
+check failed, 2 input error.  Runs are deterministic given the flags and the
+input files; the only non-deterministic report field is the ``generated_at``
+timestamp.
 """
 
 from __future__ import annotations
@@ -63,8 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=_positive_float, default=1e-10,
                         help="relative tolerance for all checks (default 1e-10)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized searches (default 0)")
     common.add_argument("--out", default=None, metavar="PATH",
                         help="write the report here instead of stdout")
     common.add_argument("--format", choices=("json", "text"), default="json",
@@ -159,8 +157,7 @@ def _cmd_solve(args, inputs):
     H = io.parse_matrix(args.hamiltonian)
     inputs["hamiltonian"] = _matrix_digest(args.hamiltonian, H)
     basis = solve_metric_space(H, args.tol)
-    representative = find_metric(basis, want_positive=args.positive,
-                                 tol=args.tol, seed=args.seed)
+    representative = find_metric(basis, want_positive=args.positive, tol=args.tol)
     max_residual = max((residual(H, b) for b in basis.basis), default=0.0)
     checks = [
         Check("basis_residual_max", max_residual <= args.tol, max_residual, args.tol),
@@ -321,7 +318,6 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
         "command": args.command,
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "tol": args.tol,
-        "seed": args.seed,
     }
     inputs = {}
     error = None

@@ -22,9 +22,6 @@ DEFAULT_TOL = 1e-10
 # when extracting nullspaces and numerical ranks.
 NULLSPACE_RTOL = 1e-8
 
-# Search budget of find_metric, counting basis elements and random trials.
-SEARCH_BUDGET = 1000
-
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
     """Validate and coerce to a square, finite complex matrix."""
@@ -57,7 +54,17 @@ def adjoint(m: np.ndarray) -> np.ndarray:
 
 
 def frobenius(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
+    """Frobenius norm that neither overflows nor underflows for finite m.
+
+    np.linalg.norm squares the entries; a result out of its range is recomputed
+    on m divided by the power of two at its largest entry, an exact scaling.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(np.linalg.norm(m))
+        if np.isinf(norm) or norm < 1e-150:
+            k = int(np.frexp(np.max(np.abs(m), initial=0.0))[1])
+            norm = float(np.ldexp(np.linalg.norm(m * np.ldexp(1.0, -k)), k))
+    return norm
 
 
 def check_scale(norm: float) -> float:
@@ -147,24 +154,22 @@ class MetricBasis:
     classifications: list[MetricClass]
 
 
-def _hermitian_frame(n: int) -> list[np.ndarray]:
-    """Orthonormal basis of the n^2-dimensional real space of Hermitian matrices."""
-    frame = []
-    for i in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[i, i] = 1.0
-        frame.append(e)
+def _hermitian_frame(n: int) -> np.ndarray:
+    """Orthonormal basis of the n^2-dimensional real space of Hermitian matrices.
+
+    Stacked as an (n^2, n, n) array: the n diagonal units, then for each
+    i < j in row-major order the real and the imaginary off-diagonal element.
+    """
+    frame = np.zeros((n * n, n, n), dtype=complex)
+    d = np.arange(n)
+    frame[d, d, d] = 1.0
+    i, j = np.triu_indices(n, 1)
+    k = n + 2 * np.arange(i.size)
     s = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = s
-            e[j, i] = s
-            frame.append(e)
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1j * s
-            e[j, i] = -1j * s
-            frame.append(e)
+    frame[k, i, j] = s
+    frame[k, j, i] = s
+    frame[k + 1, i, j] = 1j * s
+    frame[k + 1, j, i] = -1j * s
     return frame
 
 
@@ -182,8 +187,8 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
     """Compute every Hermitian solution of ``eta H = H^dag eta``.
 
     The map ``eta -> eta H - H^dag eta`` is real-linear on the space of
-    Hermitian matrices; its realified matrix is assembled column by column
-    over an orthonormal Hermitian frame and the nullspace is read off an SVD.
+    Hermitian matrices; its realified matrix is assembled from the images of
+    an orthonormal Hermitian frame and the nullspace is read off an SVD.
     Singular values below ``NULLSPACE_RTOL`` times the largest count as zero.
 
     Returns a MetricBasis with orthonormal Hermitian basis elements, ordered
@@ -196,62 +201,61 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
         raise InputError("tol must be positive")
     n = H.shape[0]
     frame = _hermitian_frame(n)
-    Hd = adjoint(H)
-    cols = np.empty((2 * n * n, n * n), dtype=float)
-    for k, b in enumerate(frame):
-        image = b @ H - Hd @ b
-        cols[: n * n, k] = image.real.ravel()
-        cols[n * n:, k] = image.imag.ravel()
+    images = (frame @ H - adjoint(H) @ frame).reshape(n * n, n * n)
+    cols = np.concatenate((images.real, images.imag), axis=1).T
     _, svals, vt = np.linalg.svd(cols, full_matrices=False)
     cutoff = NULLSPACE_RTOL * (svals[0] if svals[0] > 0 else 1.0)
-    null_rows = [k for k in range(vt.shape[0]) if svals[k] <= cutoff]
-    basis = []
-    for k in reversed(null_rows):  # smallest singular value first
-        coords = vt[k]
-        b = np.zeros((n, n), dtype=complex)
-        for c, e in zip(coords, frame):
-            b += c * e
-        basis.append(_fix_sign(b))
+    null = vt[svals <= cutoff][::-1]  # smallest singular value first
+    basis = [_fix_sign(b) for b in np.tensordot(null, frame, axes=1)]
     classifications = [classify_metric(b, tol) for b in basis]
     return MetricBasis(H=H, dimension=len(basis), basis=basis,
                        classifications=classifications)
 
 
-def find_metric(basis: MetricBasis, want_positive: bool = False,
-                tol: float = DEFAULT_TOL, seed: int = 0) -> np.ndarray | None:
-    """Search the solution space for an invertible (optionally positive) metric.
+def _spectral_metric(H: np.ndarray) -> np.ndarray | None:
+    """``V^{-dag} V^{-1}`` at unit norm for ``H = V diag(lambda) V^{-1}``, or None.
 
-    Tries each basis element first, then seeded random unit combinations,
-    within a fixed budget of SEARCH_BUDGET trials.  Deterministic given the
-    seed.  Returns a unit-Frobenius-norm Hermitian matrix, or None when the
-    search fails; None is a result, not an error.
+    Positive by construction; a metric when the spectrum is real.  Formed as
+    ``U diag((s_min / s)^2) U^dag`` from ``V = U diag(s) W^dag``, so nothing is
+    inverted and nothing overflows.
     """
-    if seed < 0:
-        raise InputError("seed must be a nonnegative integer")
+    _, V = np.linalg.eig(H)
+    u, s, _ = np.linalg.svd(V)
+    if not s[-1] > 0:
+        return None
+    d = (s[-1] / s) ** 2
+    eta = (u * d) @ adjoint(u)
+    eta = eta + adjoint(eta)
+    return eta / frobenius(eta)
+
+
+def _metric_candidates(basis: MetricBasis, tol: float):
+    """The candidates of find_metric, in order, each computed when reached."""
+    yield from basis.basis
+    spectral = _spectral_metric(basis.H)
+    if spectral is not None and residual(basis.H, spectral) <= tol:
+        yield spectral
+    # Distinct weights make the combination generic: unit weights cancel on
+    # structured bases and miss invertible members that exist.
+    weights = np.sqrt(np.arange(basis.dimension) + 2.0)
+    combination = np.tensordot(weights, basis.basis, axes=1)
+    yield combination / frobenius(combination)
+
+
+def find_metric(basis: MetricBasis, want_positive: bool = False,
+                tol: float = DEFAULT_TOL) -> np.ndarray | None:
+    """Pick an invertible (optionally positive) metric from the solution space.
+
+    Candidates, in order: each basis element; ``_spectral_metric(H)`` when its
+    residual is at most tol; the fixed combination ``sum_k sqrt(k + 2) b_k``.
+    Returns the first one classified as wanted, a unit-Frobenius-norm
+    Hermitian matrix, or None; None is a result, not an error.
+    """
     if basis.dimension == 0:
         return None
-
-    def accept(candidate: np.ndarray) -> bool:
+    for candidate in _metric_candidates(basis, tol):
         cls = classify_metric(candidate, tol)
-        return cls.positive if want_positive else cls.invertible
-
-    trials = 0
-    for b in basis.basis:
-        trials += 1
-        if accept(b):
-            return b
-    rng = np.random.default_rng(seed)
-    while trials < SEARCH_BUDGET:
-        trials += 1
-        coeffs = rng.standard_normal(basis.dimension)
-        norm = np.linalg.norm(coeffs)
-        if norm == 0.0:
-            continue
-        coeffs /= norm
-        candidate = np.zeros_like(basis.basis[0])
-        for c, b in zip(coeffs, basis.basis):
-            candidate = candidate + c * b
-        if accept(candidate):
+        if cls.positive if want_positive else cls.invertible:
             return candidate
     return None
 

@@ -97,17 +97,9 @@ class TestSolve:
         code, report = run_cli(capsys, "solve", "--hamiltonian", "missing.json")
         assert code == 2
 
-    def test_negative_seed_is_input_error(self, fixtures, capsys):
-        code, report = run_cli(capsys, "solve", "--hamiltonian", fixtures["H"],
-                               "--seed", "-1")
-        assert code == 2
-        assert "seed" in report["error"]
-
-    def test_seed_is_reproducible(self, fixtures, capsys):
-        _, first = run_cli(capsys, "solve", "--hamiltonian", fixtures["H"],
-                           "--positive", "--seed", "7")
-        _, second = run_cli(capsys, "solve", "--hamiltonian", fixtures["H"],
-                            "--positive", "--seed", "7")
+    def test_positive_pick_is_reproducible(self, fixtures, capsys):
+        _, first = run_cli(capsys, "solve", "--hamiltonian", fixtures["H"], "--positive")
+        _, second = run_cli(capsys, "solve", "--hamiltonian", fixtures["H"], "--positive")
         assert first["results"]["metric"] == second["results"]["metric"]
 
 
@@ -159,18 +151,57 @@ class TestChain:
                                      "value": 100.0, "threshold": None}]
         assert set(report["inputs"]) == {"hamiltonian", "eta0"}
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_linalg_error_is_input_error(self, tmp_path):
-        # the Frobenius norm overflows, so the shift ladder feeds inf to the SVD
-        write_matrix(tmp_path / "h.json", 1e200 * np.diag([0.0, 1.0, 2.0]))
-        write_matrix(tmp_path / "i.json", np.eye(3))
+    def test_linalg_error_is_input_error(self, fixtures, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr("pseudoherm.cli.chain_via_shift", fail)
         out = tmp_path / "report.json"
-        code = main(["chain", "--hamiltonian", str(tmp_path / "h.json"), "--eta0",
-                     str(tmp_path / "i.json"), "--via-shift", "--out", str(out)])
+        code = main(["chain", "--hamiltonian", str(fixtures["nilpotent_H"]), "--eta0",
+                     str(fixtures["sigma_x"]), "--via-shift", "--out", str(out)])
         assert code == 2
         report = json.loads(out.read_text())
         assert report["status"] == "input_error"
         assert "SVD did not converge" in report["error"]
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not valid JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestHugeScale:
+    """Entries near 1e200 overflow a plain Frobenius norm; reports stay valid JSON."""
+
+    @pytest.fixture
+    def huge(self, tmp_path):
+        write_matrix(tmp_path / "h.json", 1e200 * np.diag([0.0, 1.0, 2.0]))
+        write_matrix(tmp_path / "i.json", np.eye(3))
+        write_matrix(tmp_path / "p.json", np.eye(3)[[1, 0, 2]])
+        return tmp_path
+
+    def test_verify_reports_finite_residual(self, huge, capsys):
+        code = main(["verify", "--hamiltonian", str(huge / "h.json"),
+                     "--eta", str(huge / "p.json")])
+        report = _strict_json(capsys.readouterr().out)
+        assert code == 1
+        by_name = {c["name"]: c for c in report["checks"]}
+        # |P D - D P|_F / (|D|_F |P|_F) = sqrt(2) / (sqrt(5) sqrt(3))
+        assert by_name["intertwining_residual"]["value"] == pytest.approx(
+            np.sqrt(2.0 / 15.0), rel=1e-12)
+        assert report["inputs"]["hamiltonian"]["frobenius_norm"] == pytest.approx(
+            np.sqrt(5.0) * 1e200, rel=1e-12)
+
+    def test_chain_via_shift_passes(self, huge, capsys):
+        code = main(["chain", "--hamiltonian", str(huge / "h.json"),
+                     "--eta0", str(huge / "i.json"), "--via-shift"])
+        report = _strict_json(capsys.readouterr().out)
+        assert code == 0
+        assert report["status"] == "pass"
+        assert report["results"]["shift_alpha"] == pytest.approx(np.sqrt(5.0) * 1e200,
+                                                                 rel=1e-12)
 
 
 class TestPerturb:

@@ -13,6 +13,7 @@ from pseudoherm import (
     residual,
     solve_metric_space,
 )
+from pseudoherm.metric import _hermitian_frame, frobenius
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -66,6 +67,22 @@ class TestResidual:
         assert r_conj <= r_mult / svals[-1] * (1 + slack) + 1e-12
 
 
+class TestFrobenius:
+    def test_in_range_matches_numpy(self):
+        rng = np.random.default_rng(3)
+        for scale in (1e-140, 1e-6, 1.0, 1e6, 1e140):
+            m = scale * (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+            assert frobenius(m) == float(np.linalg.norm(m))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
+    def test_exact_beyond_squaring_range(self, scale):
+        norm = frobenius(scale * np.diag([3.0, 4.0j]))
+        assert norm == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
+
+    def test_zero(self):
+        assert frobenius(np.zeros((3, 3), dtype=complex)) == 0.0
+
+
 class TestClassify:
     def test_indefinite_hermitian(self):
         cls = classify_metric(np.array([[0.0, 1j], [-1j, 0.0]]))
@@ -99,7 +116,30 @@ class TestClassify:
             assert not cls.invertible or cls.hermitian
 
 
+def loop_frame(n):
+    """Reference Hermitian frame: diagonal units, then each i < j pair."""
+    frame = []
+    for i in range(n):
+        e = np.zeros((n, n), dtype=complex)
+        e[i, i] = 1.0
+        frame.append(e)
+    s = 1.0 / np.sqrt(2.0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = np.zeros((n, n), dtype=complex)
+            e[i, j] = e[j, i] = s
+            frame.append(e)
+            e = np.zeros((n, n), dtype=complex)
+            e[i, j], e[j, i] = 1j * s, -1j * s
+            frame.append(e)
+    return np.array(frame)
+
+
 class TestSolveMetricSpace:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_frame_matches_loop_reference(self, n):
+        assert np.array_equal(_hermitian_frame(n), loop_frame(n))
+
     def test_oscillator_solution_space(self, osc2):
         H, eta_paper = osc2
         basis = solve_metric_space(H)
@@ -202,10 +242,43 @@ class TestFindMetric:
         assert find_metric(basis, want_positive=True) is None
         assert find_metric(basis, want_positive=False) is not None
 
-    def test_deterministic_given_seed(self, osc2):
+    @pytest.mark.parametrize("n", [4, 6, 7, 8, 16])
+    def test_positive_for_generic_quasi_hermitian(self, n):
+        # S diag(1..n) S^-1 always has the positive metric S^-dag S^-1
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            S = rng.standard_normal((n, n))
+            H = S @ np.diag(np.arange(1.0, n + 1)) @ np.linalg.inv(S)
+            eta = find_metric(solve_metric_space(H), want_positive=True)
+            assert eta is not None
+            assert residual(H, eta) <= 1e-10
+            assert classify_metric(eta).positive
+
+    @pytest.mark.parametrize("H", [
+        np.diag([1 + 1j, 1 - 1j, 3]),
+        np.diag([1, 1, 1 + 1j, 1 - 1j]),
+        np.block([[np.array([[1, 1], [0, 1]]), np.zeros((2, 2))],
+                  [np.zeros((2, 2)), np.diag([1j, -1j])]]),
+    ])
+    def test_invertible_when_every_basis_element_is_singular(self, H):
+        basis = solve_metric_space(H)
+        assert not any(cls.invertible for cls in basis.classifications)
+        eta = find_metric(basis)
+        assert eta is not None
+        assert classify_metric(eta).invertible
+        assert residual(H, eta) <= 1e-10
+
+    @pytest.mark.parametrize("H", [[[1j, 1], [1, -1j]], [[0, 1], [0, 0]], [[1, 1], [0, 1]]])
+    def test_defective_hamiltonian(self, H):
+        # no positive metric exists; any warning from the eigenvector step fails
+        basis = solve_metric_space(H)
+        assert find_metric(basis, want_positive=True) is None
+        assert classify_metric(find_metric(basis)).invertible
+
+    def test_deterministic(self, osc2):
         basis = solve_metric_space(osc2[0])
-        first = find_metric(basis, want_positive=True, seed=3)
-        second = find_metric(basis, want_positive=True, seed=3)
+        first = find_metric(basis, want_positive=True)
+        second = find_metric(basis, want_positive=True)
         assert np.array_equal(first, second)
 
 

@@ -179,7 +179,7 @@ class TestPerturb:
             n = int(rng.integers(2, 6))
             H = random_pseudo_hermitian(n, rng)
             basis = solve_metric_space(H)
-            eta = find_metric(basis, seed=5)
+            eta = find_metric(basis)
             assert eta is not None
             f = RealPolynomial(rng.uniform(-1, 1, size=4))
             out = perturb(H, eta, K=auto_K(eta, f), f=RealPolynomial([0.0, 1.0]), tol=1e-8)

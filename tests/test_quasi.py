@@ -83,9 +83,8 @@ class TestInducedHamiltonian:
             b = (raw + raw.conj().T) / 2
             H = np.linalg.solve(eta0, b)
             basis = solve_metric_space(H, tol=1e-8)
-            eta = find_metric(basis, want_positive=True, tol=1e-8, seed=done)
-            if eta is None:
-                continue
+            eta = find_metric(basis, want_positive=True, tol=1e-8)
+            assert eta is not None
             form = metric_sqrt(eta, tol=1e-8)
             H_eta = induced_hamiltonian(H, form, tol=1e-8)
             scale = max(1.0, np.linalg.norm(H))
