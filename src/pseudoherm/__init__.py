@@ -39,6 +39,7 @@ from .weyl import (
     RationalComplex,
     ShiftedPotentialSpec,
     WeylPolynomial,
+    boost_residual,
     build_shifted_hamiltonian,
     check_symbolic,
 )
@@ -60,6 +61,7 @@ __all__ = [
     "ShiftedPotentialSpec",
     "WeylPolynomial",
     "auto_K",
+    "boost_residual",
     "build_chain",
     "build_shifted_hamiltonian",
     "catalog_oscillator",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
 from typing import Any
 
 import numpy as np
@@ -162,14 +161,11 @@ def weyl_spec_to_dict(spec: ShiftedPotentialSpec) -> dict:
 
 def weyl_terms_to_list(poly: WeylPolynomial, exact: bool = True) -> list[dict]:
     """Serialize term map; exact mode formats coefficients as rational strings."""
-    out = []
-    for (a, b), c in poly.sorted_terms():
-        if exact:
-            out.append({"a": a, "b": b, "re": str(Fraction(c.re)), "im": str(Fraction(c.im))})
-        else:
-            z = complex(c)
-            out.append({"a": a, "b": b, "re": z.real, "im": z.imag})
-    return out
+    if exact:
+        return [{"a": a, "b": b, "re": str(c.re), "im": str(c.im)}
+                for (a, b), c in poly.sorted_terms()]
+    return [{"a": a, "b": b, "re": z.real, "im": z.imag}
+            for (a, b), z in sorted(poly.to_float_terms().items())]
 
 
 def classification_to_dict(cls: MetricClass) -> dict:

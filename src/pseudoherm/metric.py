@@ -62,9 +62,15 @@ def frobenius(m: np.ndarray) -> float:
     with np.errstate(over="ignore", under="ignore"):
         norm = float(np.linalg.norm(m))
         if np.isinf(norm) or norm < 1e-150:
-            k = int(np.frexp(np.max(np.abs(m), initial=0.0))[1])
-            norm = float(np.ldexp(np.linalg.norm(m * np.ldexp(1.0, -k)), k))
+            scaled, k = _unit_peak(m)
+            norm = float(np.ldexp(np.linalg.norm(scaled), k))
     return norm
+
+
+def _unit_peak(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """m divided by the power of two k at its largest entry (exact), and k."""
+    k = int(np.frexp(np.max(np.abs(m), initial=0.0))[1])
+    return m * np.ldexp(1.0, -k), k
 
 
 def check_scale(norm: float) -> float:
@@ -92,8 +98,14 @@ def residual(H, eta) -> float:
     if H.shape != eta.shape:
         raise InputError(f"dimension mismatch: H is {H.shape[0]}x{H.shape[0]}, "
                          f"eta is {eta.shape[0]}x{eta.shape[0]}")
-    num = frobenius(eta @ H - adjoint(H) @ eta)
-    return num / check_scale(frobenius(H) * frobenius(eta))
+    scale = frobenius(H) * frobenius(eta)
+    if scale > 1e300:
+        # Entries of eta H, bounded by |H| |eta|, could overflow: take the same
+        # ratio on H and eta scaled exactly to a unit peak entry (no floor
+        # applies this far above 1).
+        (H, _), (eta, _) = _unit_peak(H), _unit_peak(eta)
+        return frobenius(eta @ H - adjoint(H) @ eta) / (frobenius(H) * frobenius(eta))
+    return frobenius(eta @ H - adjoint(H) @ eta) / check_scale(scale)
 
 
 @dataclass(frozen=True)

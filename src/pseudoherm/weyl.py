@@ -7,24 +7,29 @@ maps coincide.  Reordering uses
 
     p^b x^c = sum_k  C(b, k) C(c, k) k! (-i)^k  x^(c-k) p^(b-k).
 
-Coefficients are exact complex rationals (a pair of ``fractions.Fraction``),
-so "residual is zero" is a statement about integers, not floating point.
+Coefficients are exact complex rationals.  A polynomial keeps them as
+Gaussian-integer numerators ``(re, im)`` over one positive common
+denominator, reduced so that no factor divides the denominator and every
+numerator; equality is then a comparison of integers, and "residual is zero"
+is a statement about integers, not floating point.  ``RationalComplex`` (a
+pair of ``fractions.Fraction``) is how single coefficients enter and leave.
 Floats entering through parameters are converted exactly to their binary
 rational value.
 
 Conjugation by the momentum boost ``exp(-theta p)`` fixes p and constants and
 shifts x to x + i theta; on polynomials this substitution is an exact algebra
-homomorphism.  That is what certifies Hamiltonians
-``p^2 + f(p) + alpha V(x - beta - i gamma)`` as pseudo-Hermitian with boost
-parameter theta = 2 gamma: the boosted Hamiltonian equals its adjoint
-coefficient by coefficient.
+homomorphism, computed as a Taylor shift of the integer numerators.  That is
+what certifies Hamiltonians ``p^2 + f(p) + alpha V(x - beta - i gamma)`` as
+pseudo-Hermitian with boost parameter theta = 2 gamma: the boosted
+Hamiltonian equals its adjoint coefficient by coefficient.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 from numbers import Rational
 
 import numpy as np
@@ -32,10 +37,10 @@ import numpy as np
 from .errors import InputError
 from .perturbation import RealPolynomial
 
-# i^k and (-i)^k as (real, imag) rational pairs, indexed by k mod 4
-_I_POW = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)),
-          (Fraction(-1), Fraction(0)), (Fraction(0), Fraction(-1)))
-_NEG_I_POW = (_I_POW[0], _I_POW[3], _I_POW[2], _I_POW[1])
+# (-i)^k as a Gaussian integer (re, im), indexed by k mod 4
+_NEG_I_POW = ((1, 0), (0, -1), (-1, 0), (0, 1))
+
+_BEYOND_DOUBLE = "a coefficient is beyond the double range and has no float value"
 
 
 def _to_fraction(value) -> Fraction:
@@ -43,7 +48,7 @@ def _to_fraction(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, float):
         if not np.isfinite(value):
-            raise InputError("coefficients must be finite")
+            raise InputError(f"exact values must be finite, got {value!r}")
         return Fraction(value)
     if isinstance(value, (int, np.integer)):
         return Fraction(int(value))
@@ -130,37 +135,110 @@ class RationalComplex:
 
 
 _ZERO = RationalComplex(0, 0)
-_ONE = RationalComplex(1, 0)
+
+
+def _numerator(value: Fraction, den: int) -> int:
+    """Numerator of value over den, a multiple of its own denominator."""
+    return value.numerator * (den // value.denominator)
+
+
+def _gmul(z: tuple[int, int], w: tuple[int, int]) -> tuple[int, int]:
+    """Product of two Gaussian integers given as (re, im) pairs."""
+    return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
+
+
+def _add_to(acc: dict, key: tuple[int, int], re: int, im: int) -> None:
+    old = acc.get(key)
+    acc[key] = (re, im) if old is None else (old[0] + re, old[1] + im)
+
+
+def _canonical(num: dict, den: int) -> tuple[dict, int]:
+    """Drop zero numerators and divide out the common factor of den and the rest.
+
+    The zero polynomial comes out as ``({}, 1)``.
+    """
+    num = {key: c for key, c in num.items() if c[0] or c[1]}
+    g = gcd(den, *(part for c in num.values() for part in c))
+    if g > 1:
+        den //= g
+        num = {key: (re // g, im // g) for key, (re, im) in num.items()}
+    return num, den
 
 
 def _reorder(b: int, c: int):
-    """Normal-order p^b x^c as ``[(k_drop, coefficient)]`` over x^(c-k) p^(b-k)."""
+    """Normal-order p^b x^c as ``[(k_drop, w)]`` over x^(c-k) p^(b-k).
+
+    Each w = C(b, k) C(c, k) k! (-i)^k is a Gaussian integer.
+    """
     for k in range(min(b, c) + 1):
         re, im = _NEG_I_POW[k % 4]
         scale = comb(b, k) * comb(c, k) * factorial(k)
-        yield k, RationalComplex(re * scale, im * scale)
+        yield k, (re * scale, im * scale)
+
+
+class _TermView(Mapping):
+    """Read-only term map ``{(a, b): RationalComplex}`` of a polynomial.
+
+    A coefficient is converted when it is read, so length, keys and
+    membership cost no conversion.
+    """
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num: dict, den: int):
+        self._num, self._den = num, den
+
+    def __getitem__(self, key) -> RationalComplex:
+        re, im = self._num[key]
+        return RationalComplex(Fraction(re, self._den), Fraction(im, self._den))
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __len__(self) -> int:
+        return len(self._num)
+
+    def __contains__(self, key) -> bool:
+        return key in self._num
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 class WeylPolynomial:
     """Normal-ordered polynomial ``sum c_ab x^a p^b`` with exact coefficients.
 
-    The term map never stores zero coefficients, so equality of term maps is
-    equality of operators.  Instances are treated as immutable; all arithmetic
-    returns new polynomials.
+    Stored as Gaussian-integer numerators ``{(a, b): (re, im)}`` over one
+    positive common denominator, in canonical form: no zero numerator, no
+    factor shared by the denominator and every numerator, denominator 1 for
+    the zero polynomial.  Equality of that form is equality of operators.
+    Instances are treated as immutable; all arithmetic returns new
+    polynomials.  Coefficients enter and leave as ``RationalComplex``.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms=None):
-        cleaned: dict[tuple[int, int], RationalComplex] = {}
+        coeffs: dict[tuple[int, int], RationalComplex] = {}
         for key, coeff in (terms or {}).items():
             a, b = key
             if a < 0 or b < 0 or int(a) != a or int(b) != b:
                 raise InputError(f"exponents must be nonnegative integers, got {key}")
-            coeff = RationalComplex.from_value(coeff)
-            if not coeff.is_zero():
-                cleaned[(int(a), int(b))] = coeff
-        object.__setattr__(self, "terms", cleaned)
+            coeffs[(int(a), int(b))] = RationalComplex.from_value(coeff)
+        den = lcm(*(part.denominator for c in coeffs.values() for part in (c.re, c.im)))
+        self._set(*_canonical({key: (_numerator(c.re, den), _numerator(c.im, den))
+                               for key, c in coeffs.items()}, den))
+
+    @classmethod
+    def _from(cls, num: dict, den: int) -> "WeylPolynomial":
+        """Polynomial from Gaussian-integer numerators over den > 0."""
+        self = object.__new__(cls)
+        self._set(*_canonical(num, den))
+        return self
+
+    def _set(self, num: dict, den: int) -> None:
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, _value):
         raise AttributeError(f"WeylPolynomial is immutable, cannot set {name!r}")
@@ -173,53 +251,55 @@ class WeylPolynomial:
 
     @classmethod
     def constant(cls, value) -> "WeylPolynomial":
-        return cls({(0, 0): RationalComplex.from_value(value)})
+        return cls({(0, 0): value})
 
     @classmethod
     def position(cls, power: int = 1) -> "WeylPolynomial":
-        return cls({(power, 0): _ONE})
+        return cls({(power, 0): 1})
 
     @classmethod
     def momentum(cls, power: int = 1) -> "WeylPolynomial":
-        return cls({(0, power): _ONE})
+        return cls({(0, power): 1})
 
     @classmethod
     def monomial(cls, a: int, b: int, coeff=1) -> "WeylPolynomial":
-        return cls({(a, b): RationalComplex.from_value(coeff)})
+        return cls({(a, b): coeff})
 
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other: "WeylPolynomial") -> "WeylPolynomial":
-        acc = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc[key] = acc.get(key, _ZERO) + coeff
-        return WeylPolynomial(acc)
+        den = lcm(self._den, other._den)
+        f, g = den // self._den, den // other._den
+        acc = {key: (re * f, im * f) for key, (re, im) in self._num.items()}
+        for key, (re, im) in other._num.items():
+            _add_to(acc, key, re * g, im * g)
+        return WeylPolynomial._from(acc, den)
 
     def __sub__(self, other: "WeylPolynomial") -> "WeylPolynomial":
-        acc = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc[key] = acc.get(key, _ZERO) - coeff
-        return WeylPolynomial(acc)
+        return self + -other
 
     def __neg__(self) -> "WeylPolynomial":
-        return WeylPolynomial({k: -c for k, c in self.terms.items()})
+        return WeylPolynomial._from({k: (-re, -im) for k, (re, im) in self._num.items()},
+                                    self._den)
 
     def scale(self, value) -> "WeylPolynomial":
         value = RationalComplex.from_value(value)
-        return WeylPolynomial({k: c * value for k, c in self.terms.items()})
+        den = lcm(value.re.denominator, value.im.denominator)
+        w = (_numerator(value.re, den), _numerator(value.im, den))
+        return WeylPolynomial._from({k: _gmul(c, w) for k, c in self._num.items()},
+                                    self._den * den)
 
     def __mul__(self, other) -> "WeylPolynomial":
         """Exact normal-ordered product (associative, bilinear); scalars scale."""
         if not isinstance(other, WeylPolynomial):
             return self.scale(other)
-        acc: dict[tuple[int, int], RationalComplex] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                c12 = c1 * c2
-                for k, reorder_coeff in _reorder(b1, a2):
-                    key = (a1 + a2 - k, b1 + b2 - k)
-                    acc[key] = acc.get(key, _ZERO) + c12 * reorder_coeff
-        return WeylPolynomial(acc)
+        acc: dict[tuple[int, int], tuple[int, int]] = {}
+        for (a1, b1), c1 in self._num.items():
+            for (a2, b2), c2 in other._num.items():
+                c12 = _gmul(c1, c2)
+                for k, w in _reorder(b1, a2):
+                    _add_to(acc, (a1 + a2 - k, b1 + b2 - k), *_gmul(c12, w))
+        return WeylPolynomial._from(acc, self._den * other._den)
 
     def __rmul__(self, other) -> "WeylPolynomial":
         # only scalars reach here; scalars commute with everything
@@ -227,45 +307,67 @@ class WeylPolynomial:
 
     def adjoint(self) -> "WeylPolynomial":
         """Operator adjoint: ``(c x^a p^b)^dag = conj(c) p^b x^a``, renormal-ordered."""
-        acc: dict[tuple[int, int], RationalComplex] = {}
-        for (a, b), c in self.terms.items():
-            cc = c.conjugate()
-            for k, reorder_coeff in _reorder(b, a):
-                key = (a - k, b - k)
-                acc[key] = acc.get(key, _ZERO) + cc * reorder_coeff
-        return WeylPolynomial(acc)
+        acc: dict[tuple[int, int], tuple[int, int]] = {}
+        for (a, b), (re, im) in self._num.items():
+            for k, w in _reorder(b, a):
+                _add_to(acc, (a - k, b - k), *_gmul((re, -im), w))
+        return WeylPolynomial._from(acc, self._den)
 
     def boost(self, theta) -> "WeylPolynomial":
         """Conjugation by ``exp(-theta p)``: substitute x -> x + i theta, keep p.
 
         An exact algebra homomorphism on polynomials; invertible via -theta.
         """
-        t = _to_fraction(theta)
-        if t == 0:
+        return self._shift_x(RationalComplex(0, theta))
+
+    def _shift_x(self, shift: RationalComplex) -> "WeylPolynomial":
+        """Substitute x -> x + shift for a constant shift; p and normal order stay.
+
+        With shift = s/v, s a Gaussian integer, and top the highest x power,
+        each p^b part q(x) becomes ``v^-top r(v x + s)`` with
+        ``r(y) = v^top q(y/v)``: a Taylor shift of Gaussian integers by s.
+        """
+        if shift.is_zero() or not self._num:
             return self
-        acc: dict[tuple[int, int], RationalComplex] = {}
-        for (a, b), c in self.terms.items():
-            for j in range(a + 1):
-                m = a - j
-                re, im = _I_POW[m % 4]
-                shift = RationalComplex(re * comb(a, j) * t ** m,
-                                        im * comb(a, j) * t ** m)
-                key = (j, b)
-                acc[key] = acc.get(key, _ZERO) + c * shift
-        return WeylPolynomial(acc)
+        v = lcm(shift.re.denominator, shift.im.denominator)
+        sr, si = _numerator(shift.re, v), _numerator(shift.im, v)
+        top = max(a for a, _ in self._num)
+        v_pow = [1]
+        for _ in range(top):
+            v_pow.append(v_pow[-1] * v)
+        acc: dict[tuple[int, int], tuple[int, int]] = {}
+        for b in {b for _, b in self._num}:
+            degree = max(a for a, b_ in self._num if b_ == b)
+            r = []
+            for a in range(degree + 1):
+                re, im = self._num.get((a, b), (0, 0))
+                r.append((re * v_pow[top - a], im * v_pow[top - a]))
+            # Horner's Taylor shift r(y) -> r(y + s)
+            for i in range(degree):
+                for j in range(degree - 1, i - 1, -1):
+                    (re, im), (re1, im1) = r[j], r[j + 1]
+                    r[j] = (re + sr * re1 - si * im1, im + sr * im1 + si * re1)
+            for j, (re, im) in enumerate(r):
+                acc[(j, b)] = (re * v_pow[j], im * v_pow[j])
+        return WeylPolynomial._from(acc, self._den * v_pow[top])
 
     # -- inspection --------------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[tuple[int, int], RationalComplex]:
+        """Term map ``{(a, b): coefficient}``; it never holds a zero coefficient."""
+        return _TermView(self._num, self._den)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeylPolynomial):
             return NotImplemented
-        return self.terms == other.terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash((self._den, frozenset(self._num.items())))
 
     def sorted_terms(self) -> list[tuple[tuple[int, int], RationalComplex]]:
         """Terms sorted by (x power, p power); a deterministic presentation."""
@@ -275,11 +377,24 @@ class WeylPolynomial:
         return self.terms.get((a, b), _ZERO)
 
     def max_coefficient(self) -> float:
-        """Largest coefficient magnitude, for float-tolerance comparisons."""
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        """Largest coefficient magnitude, for float-tolerance comparisons.
+
+        Raises InputError when it is beyond the double range.
+        """
+        try:
+            return max(map(abs, self.to_float_terms().values()), default=0.0)
+        except OverflowError:
+            raise InputError(_BEYOND_DOUBLE) from None
 
     def to_float_terms(self) -> dict[tuple[int, int], complex]:
-        return {key: complex(c) for key, c in self.terms.items()}
+        """Term map with Python complex coefficients.
+
+        Raises InputError when a coefficient is beyond the double range.
+        """
+        try:
+            return {key: complex(c) for key, c in self.terms.items()}
+        except OverflowError:
+            raise InputError(_BEYOND_DOUBLE) from None
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -338,32 +453,25 @@ def build_shifted_hamiltonian(spec: ShiftedPotentialSpec) -> WeylPolynomial:
         if c != 0.0:
             H = H + WeylPolynomial.monomial(0, degree, c)
     if not spec.V.is_zero and spec.alpha != 0.0:
-        alpha = RationalComplex(spec.alpha, 0)
-        shift = RationalComplex(-Fraction(spec.beta), -Fraction(spec.gamma))
-        x_shifted = WeylPolynomial({(1, 0): _ONE, (0, 0): shift})
-        power = WeylPolynomial.constant(1)
-        potential = WeylPolynomial.zero()
-        for degree, c in enumerate(spec.V.coeffs):
-            if degree > 0:
-                power = power * x_shifted
-            if c != 0.0:
-                potential = potential + power.scale(c)
-        H = H + potential.scale(alpha)
+        V = WeylPolynomial({(degree, 0): c for degree, c in enumerate(spec.V.coeffs)})
+        H = H + V._shift_x(-RationalComplex(spec.beta, spec.gamma)).scale(spec.alpha)
     return H
+
+
+def boost_residual(H: WeylPolynomial, theta) -> WeylPolynomial:
+    """Residual ``boost(H, theta) - adjoint(H)``: zero exactly when the momentum
+    boost ``exp(-theta p)`` intertwines H with its adjoint."""
+    return H.boost(theta) - H.adjoint()
 
 
 def check_symbolic(spec: ShiftedPotentialSpec,
                    theta_override: float | None = None) -> WeylPolynomial:
-    """Residual ``boost(H, theta) - adjoint(H)`` for the shifted-potential Hamiltonian.
+    """Boost residual of the shifted-potential Hamiltonian (see ``boost_residual``).
 
     With the derived theta = 2 gamma the residual is exactly zero, which
     certifies pseudo-Hermiticity under the momentum boost.  A nonzero
     residual (e.g. under ``theta_override``) is a result, not an error; its
     terms identify exactly where the identity fails.
     """
-    H = build_shifted_hamiltonian(spec)
-    if theta_override is None:
-        theta = 2 * Fraction(spec.gamma)
-    else:
-        theta = _to_fraction(theta_override)
-    return H.boost(theta) - H.adjoint()
+    theta = (2 * RationalComplex(spec.gamma)).re if theta_override is None else theta_override
+    return boost_residual(build_shifted_hamiltonian(spec), theta)

@@ -4,9 +4,14 @@ These deliberately avoid the library's own machinery: the nullspace oracle
 parametrizes a general complex matrix by its 2n^2 real unknowns and imposes
 hermiticity as extra linear constraints, and the operator-algebra oracle
 represents x and p as matrices on a truncated harmonic-oscillator basis.
+The Fraction Weyl reference works term by term on ``{(a, b): (re, im)}``
+maps of ``fractions.Fraction`` pairs, one coefficient product at a time.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import comb, factorial
 
 import numpy as np
 
@@ -83,3 +88,57 @@ def random_pseudo_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     raw_b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     b = (raw_b + raw_b.conj().T) / 2.0
     return np.linalg.solve(eta0, b)
+
+
+def _cmul(z, w):
+    return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
+
+
+def _accumulate(acc, key, z):
+    old = acc.get(key, (Fraction(0), Fraction(0)))
+    acc[key] = (old[0] + z[0], old[1] + z[1])
+
+
+def _nonzero(acc):
+    return {key: z for key, z in acc.items() if z[0] or z[1]}
+
+
+def _reorder(b: int, c: int):
+    """p^b x^c = sum_k C(b, k) C(c, k) k! (-i)^k x^(c-k) p^(b-k), as (k, coefficient)."""
+    for k in range(min(b, c) + 1):
+        s = Fraction(comb(b, k) * comb(c, k) * factorial(k))
+        re, im = ((1, 0), (0, -1), (-1, 0), (0, 1))[k % 4]
+        yield k, (re * s, im * s)
+
+
+def fraction_weyl_mul(A: dict, B: dict) -> dict:
+    """Normal-ordered product of two Fraction term maps."""
+    acc = {}
+    for (a1, b1), c1 in A.items():
+        for (a2, b2), c2 in B.items():
+            c12 = _cmul(c1, c2)
+            for k, w in _reorder(b1, a2):
+                _accumulate(acc, (a1 + a2 - k, b1 + b2 - k), _cmul(c12, w))
+    return _nonzero(acc)
+
+
+def fraction_weyl_adjoint(A: dict) -> dict:
+    """(c x^a p^b)^dag = conj(c) p^b x^a, normal-ordered."""
+    acc = {}
+    for (a, b), (re, im) in A.items():
+        for k, w in _reorder(b, a):
+            _accumulate(acc, (a - k, b - k), _cmul((re, -im), w))
+    return _nonzero(acc)
+
+
+def fraction_weyl_boost(A: dict, theta) -> dict:
+    """Substitute x -> x + i theta by the binomial theorem, one power of theta per term."""
+    t = Fraction(theta)
+    acc = {}
+    for (a, b), c in A.items():
+        for j in range(a + 1):
+            m = a - j
+            re, im = ((1, 0), (0, 1), (-1, 0), (0, -1))[m % 4]
+            s = comb(a, j) * t ** m
+            _accumulate(acc, (j, b), _cmul(c, (re * s, im * s)))
+    return _nonzero(acc)

@@ -180,6 +180,7 @@ class TestHugeScale:
         write_matrix(tmp_path / "h.json", 1e200 * np.diag([0.0, 1.0, 2.0]))
         write_matrix(tmp_path / "i.json", np.eye(3))
         write_matrix(tmp_path / "p.json", np.eye(3)[[1, 0, 2]])
+        write_matrix(tmp_path / "p_huge.json", 1e200 * np.eye(3)[[1, 0, 2]])
         return tmp_path
 
     def test_verify_reports_finite_residual(self, huge, capsys):
@@ -193,6 +194,16 @@ class TestHugeScale:
             np.sqrt(2.0 / 15.0), rel=1e-12)
         assert report["inputs"]["hamiltonian"]["frobenius_norm"] == pytest.approx(
             np.sqrt(5.0) * 1e200, rel=1e-12)
+
+    def test_verify_huge_eta_reports_finite_residual(self, huge, capsys):
+        # eta H overflows before any norm is taken
+        code = main(["verify", "--hamiltonian", str(huge / "h.json"),
+                     "--eta", str(huge / "p_huge.json")])
+        report = _strict_json(capsys.readouterr().out)
+        assert code == 1
+        by_name = {c["name"]: c for c in report["checks"]}
+        assert by_name["intertwining_residual"]["value"] == pytest.approx(
+            np.sqrt(2.0 / 15.0), rel=1e-12)
 
     def test_chain_via_shift_passes(self, huge, capsys):
         code = main(["chain", "--hamiltonian", str(huge / "h.json"),
@@ -285,6 +296,27 @@ class TestWeyl:
                                "--theta", "0", "--float")
         assert code == 1
         assert report["results"]["residual_terms"][0]["im"] == -4.0
+
+    @pytest.mark.parametrize("spec, theta", [
+        # residual (2i theta - 2i) x + theta - theta^2: beyond doubles at 1e200
+        ({"V": [0, 0, 1], "alpha": 1, "beta": 0, "gamma": 0.5, "f": [0]}, "1e200"),
+        # H itself holds -beta^2 = -1e400
+        ({"V": [0, 0, 1], "alpha": 1, "beta": 1e200, "gamma": 0.5, "f": [0]}, None),
+    ])
+    def test_float_mode_beyond_double_range_is_input_error(self, tmp_path, capsys,
+                                                           spec, theta):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = ["weyl", "--spec", str(path)] + ([] if theta is None else ["--theta", theta])
+        code = main(argv + ["--float"])
+        report = _strict_json(capsys.readouterr().out)
+        assert code == 2
+        assert report["status"] == "input_error"
+        assert "double range" in report["error"]
+        # the exact report holds the same coefficients as rational strings
+        code = main(argv)
+        report = _strict_json(capsys.readouterr().out)
+        assert code == (0 if theta is None else 1)
 
 
 class TestExample:

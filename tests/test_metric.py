@@ -52,6 +52,23 @@ class TestResidual:
         with pytest.raises(InputError):
             residual(bad, np.eye(2))
 
+    def test_finite_when_product_overflows(self):
+        # eta H has entries near 1e400: the plain product overflows to inf - inf
+        H = 1e200 * np.diag([0.0, 1.0, 2.0])
+        P = np.eye(3)[[1, 0, 2]]
+        # |P D - D P|_F / (|D|_F |P|_F) = sqrt(2) / (sqrt(5) sqrt(3)), at any scale
+        assert residual(H, 1e200 * P) == pytest.approx(np.sqrt(2.0 / 15.0), rel=1e-12)
+        assert residual(H, 1e200 * np.eye(3)) == 0.0
+
+    def test_in_range_is_the_plain_ratio(self):
+        # 1e151: |H| |eta| > 1e300 takes the rescaled path, exact in range
+        rng = np.random.default_rng(5)
+        for scale in (1e-6, 1.0, 1e100, 1e151):
+            H = scale * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+            eta = scale * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+            plain = frobenius(eta @ H - H.conj().T @ eta)
+            assert residual(H, eta) == plain / max(1.0, frobenius(H) * frobenius(eta))
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=4))
     def test_multiplied_form_consistent_with_conjugated_form(self, seed, n):

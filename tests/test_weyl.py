@@ -1,15 +1,25 @@
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import oscillator_basis_matrices, weyl_terms_to_matrix
+from oracles import (
+    fraction_weyl_adjoint,
+    fraction_weyl_boost,
+    fraction_weyl_mul,
+    oscillator_basis_matrices,
+    weyl_terms_to_matrix,
+)
 from pseudoherm import (
     InputError,
     RationalComplex,
     RealPolynomial,
     ShiftedPotentialSpec,
     WeylPolynomial,
+    boost_residual,
     build_shifted_hamiltonian,
     check_symbolic,
 )
@@ -31,6 +41,47 @@ def random_poly(rng, max_degree=4, span=5):
 def spec_of(V, alpha=1.0, beta=0.0, gamma=1.0, f=()):
     return ShiftedPotentialSpec(V=RealPolynomial(V), alpha=alpha, beta=beta,
                                 gamma=gamma, f=RealPolynomial(f))
+
+
+# Rationals with non-dyadic denominators, so a common denominator is not
+# always a power of two.
+rationals = st.one_of(st.sampled_from([Fraction(1, 3), Fraction(-5, 7), Fraction(0)]),
+                      st.fractions(min_value=-4, max_value=4, max_denominator=15))
+polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                        st.builds(RationalComplex, rationals, rationals),
+                        max_size=4).map(WeylPolynomial)
+nonzero = rationals.filter(lambda q: q != 0)
+
+
+def fraction_terms(poly):
+    return {key: (c.re, c.im) for key, c in poly.terms.items()}
+
+
+def fraction_sub(A, B):
+    out = dict(A)
+    for key, (re, im) in B.items():
+        old = out.get(key, (0, 0))
+        out[key] = (old[0] - re, old[1] - im)
+    return {key: z for key, z in out.items() if z[0] or z[1]}
+
+
+def fraction_shifted_hamiltonian(spec):
+    """p^2 + f(p) + alpha V(x - beta - i gamma) by term-by-term Fraction products."""
+    one = (Fraction(1), Fraction(0))
+    terms = {(0, 2): one}
+    for degree, c in enumerate(spec.f.coeffs):
+        old = terms.get((0, degree), (Fraction(0), Fraction(0)))
+        terms[(0, degree)] = (old[0] + Fraction(c), old[1])
+    x_shifted = {(1, 0): one, (0, 0): (-Fraction(spec.beta), -Fraction(spec.gamma))}
+    power = {(0, 0): one}
+    for degree, c in enumerate(spec.V.coeffs):
+        if degree > 0:
+            power = fraction_weyl_mul(power, x_shifted)
+        for key, (re, im) in power.items():
+            old = terms.get(key, (Fraction(0), Fraction(0)))
+            scale = Fraction(spec.alpha) * Fraction(c)
+            terms[key] = (old[0] + scale * re, old[1] + scale * im)
+    return {key: z for key, z in terms.items() if z[0] or z[1]}
 
 
 class TestRationalComplex:
@@ -240,3 +291,90 @@ class TestWeylPolynomialBasics:
     def test_scalar_multiplication(self):
         assert (2 * X).coefficient(1, 0) == RationalComplex(2)
         assert (X * Fraction(1, 2)).coefficient(1, 0) == RationalComplex(Fraction(1, 2))
+
+
+class TestExactProperties:
+    """Algebra laws on coefficients whose common denominator is not dyadic."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(polys, polys, polys)
+    def test_product_associative(self, A, B, C):
+        assert (A * B) * C == A * (B * C)
+
+    @settings(max_examples=60, deadline=None)
+    @given(polys)
+    def test_adjoint_involution(self, A):
+        assert A.adjoint().adjoint() == A
+
+    @settings(max_examples=60, deadline=None)
+    @given(polys, rationals)
+    def test_boost_inverse(self, A, theta):
+        assert A.boost(theta).boost(-theta) == A
+
+    @settings(max_examples=60, deadline=None)
+    @given(polys, nonzero)
+    def test_built_two_ways_equal_and_hash_equal(self, A, q):
+        for B in (A.scale(3).scale(Fraction(1, 3)), A.scale(q).scale(1 / q),
+                  sum((WeylPolynomial.monomial(a, b, c) for (a, b), c in A.terms.items()),
+                      WeylPolynomial.zero())):
+            assert B == A
+            assert hash(B) == hash(A)
+            assert B.terms == A.terms
+
+    @settings(max_examples=60, deadline=None)
+    @given(polys, polys)
+    def test_stored_form_is_canonical(self, A, B):
+        for poly in (A * B, A + B, A - A, A.adjoint(), A.boost(Fraction(2, 3))):
+            parts = [part for c in poly._num.values() for part in c]
+            assert poly._den > 0
+            assert all(c != (0, 0) for c in poly._num.values())
+            assert gcd(poly._den, *parts) == 1
+            if not parts:
+                assert poly._den == 1
+
+
+class TestFractionReference:
+    """The integer representation against term-by-term Fraction arithmetic."""
+
+    @pytest.fixture(params=[0, 1, 2])
+    def spec(self, request):
+        rng = np.random.default_rng([43, request.param])
+        return spec_of(rng.standard_normal(17).tolist(), alpha=float(rng.uniform(0.5, 2)),
+                       beta=float(rng.standard_normal()), gamma=float(rng.uniform(0.25, 1)),
+                       f=rng.standard_normal(request.param + 1).tolist())
+
+    def test_build_matches(self, spec):
+        assert fraction_terms(build_shifted_hamiltonian(spec)) == \
+            fraction_shifted_hamiltonian(spec)
+
+    def test_boost_adjoint_and_product_match(self, spec):
+        H = build_shifted_hamiltonian(spec)
+        ref = fraction_terms(H)
+        wrong = Fraction(spec.theta) + Fraction(1, 3)
+        for theta in (Fraction(spec.theta), wrong):
+            assert fraction_terms(H.boost(theta)) == fraction_weyl_boost(ref, theta)
+        assert fraction_terms(H.adjoint()) == fraction_weyl_adjoint(ref)
+        assert fraction_terms(H * H.adjoint()) == \
+            fraction_weyl_mul(ref, fraction_weyl_adjoint(ref))
+
+    def test_residual_matches(self, spec):
+        H = build_shifted_hamiltonian(spec)
+        ref = fraction_terms(H)
+        assert check_symbolic(spec).is_zero()
+        for theta in (Fraction(spec.theta), Fraction(spec.theta) + Fraction(1, 3)):
+            expected = fraction_sub(fraction_weyl_boost(ref, theta), fraction_weyl_adjoint(ref))
+            assert fraction_terms(boost_residual(H, theta)) == expected
+
+
+class TestFloatBoundary:
+    def test_beyond_double_range_is_input_error(self):
+        poly = WeylPolynomial.constant(Fraction(10) ** 400)
+        with pytest.raises(InputError, match="double range"):
+            poly.to_float_terms()
+        with pytest.raises(InputError, match="double range"):
+            poly.max_coefficient()
+
+    def test_magnitude_beyond_double_range_is_input_error(self):
+        big = 1.5e308
+        with pytest.raises(InputError, match="double range"):
+            WeylPolynomial.constant(RationalComplex(big, big)).max_coefficient()
