@@ -182,6 +182,7 @@ def classification_to_dict(cls: MetricClass) -> dict:
 def basis_to_dict(basis: MetricBasis) -> dict:
     return {
         "dimension": basis.dimension,
+        "solver": basis.solver,
         "basis": [matrix_to_dict(b) for b in basis.basis],
         "classifications": [classification_to_dict(c) for c in basis.classifications],
     }

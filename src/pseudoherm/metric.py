@@ -18,8 +18,9 @@ from .errors import InputError
 # Relative tolerance used by every verification predicate unless overridden.
 DEFAULT_TOL = 1e-10
 
-# Singular values below NULLSPACE_RTOL times the largest one count as zero
-# when extracting nullspaces and numerical ranks.
+# Singular values below NULLSPACE_RTOL times the largest one count as zero.
+# Only the realified fallback of solve_metric_space and chain._real_rank use
+# it; the spectral solver links eigenvalues at a radius derived from tol.
 NULLSPACE_RTOL = 1e-8
 
 
@@ -70,6 +71,8 @@ def frobenius(m: np.ndarray) -> float:
 def _unit_peak(m: np.ndarray) -> tuple[np.ndarray, int]:
     """m divided by the power of two k at its largest entry (exact), and k."""
     k = int(np.frexp(np.max(np.abs(m), initial=0.0))[1])
+    if k < -1000:  # 2^-k overflows for a subnormal peak: scale up in two exact steps
+        return m * np.ldexp(1.0, 1000) * np.ldexp(1.0, -k - 1000), k
     return m * np.ldexp(1.0, -k), k
 
 
@@ -157,13 +160,21 @@ class MetricBasis:
     """Real-linear basis of the Hermitian solutions of ``eta H = H^dag eta``.
 
     Basis elements are Hermitian, have unit Frobenius norm and are pairwise
-    orthogonal under the real inner product ``Re tr(A^dag B)``.
+    orthogonal under the real inner product ``Re tr(A^dag B)``;
+    ``classifications[k]`` is ``classify_metric(basis[k], tol)``.  ``solver``
+    names the path that produced the basis, ``"spectral"`` or ``"realified"``,
+    which also fixes the order of the elements (see solve_metric_space).
+    ``eigenvectors`` is the V of ``H = V diag(lambda) V^{-1}`` computed by the
+    solve on either path, columns in the order of the sorted eigenvalues.
     """
 
     H: np.ndarray
     dimension: int
     basis: list[np.ndarray]
     classifications: list[MetricClass]
+    solver: str
+    eigenvectors: np.ndarray
+    tol: float
 
 
 def _hermitian_frame(n: int) -> np.ndarray:
@@ -195,43 +206,123 @@ def _fix_sign(b: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     return b
 
 
-def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
-    """Compute every Hermitian solution of ``eta H = H^dag eta``.
+def _realified_basis(H: np.ndarray) -> list[np.ndarray]:
+    """Nullspace of the realified map ``eta -> eta H - H^dag eta``, by SVD.
 
-    The map ``eta -> eta H - H^dag eta`` is real-linear on the space of
-    Hermitian matrices; its realified matrix is assembled from the images of
-    an orthonormal Hermitian frame and the nullspace is read off an SVD.
-    Singular values below ``NULLSPACE_RTOL`` times the largest count as zero.
-
-    Returns a MetricBasis with orthonormal Hermitian basis elements, ordered
-    from most nearly null (smallest singular value) to least, with the sign
-    of the first significant entry made positive.  Dimension 0 is a valid
-    outcome meaning no Hermitian metric exists.
+    The map is assembled from the images of an orthonormal Hermitian frame.
+    Singular values below ``NULLSPACE_RTOL`` times the largest count as zero;
+    the elements come smallest singular value first, sign-fixed.
     """
-    H = as_matrix(H, "H")
-    if tol <= 0:
-        raise InputError("tol must be positive")
     n = H.shape[0]
     frame = _hermitian_frame(n)
     images = (frame @ H - adjoint(H) @ frame).reshape(n * n, n * n)
     cols = np.concatenate((images.real, images.imag), axis=1).T
-    _, svals, vt = np.linalg.svd(cols, full_matrices=False)
+    # R of the tall cols = QR has the singular values and the right singular
+    # vectors of cols, at half the rows.
+    _, svals, vt = np.linalg.svd(np.linalg.qr(cols, mode="r"))
     cutoff = NULLSPACE_RTOL * (svals[0] if svals[0] > 0 else 1.0)
     null = vt[svals <= cutoff][::-1]  # smallest singular value first
-    basis = [_fix_sign(b) for b in np.tensordot(null, frame, axes=1)]
+    return [_fix_sign(b) for b in np.tensordot(null, frame, axes=1)]
+
+
+def _spectral_untrusted(tol: float, cond_v: float, radius: float,
+                        unlinked_min: float, residual_max: float = 0.0) -> bool:
+    """True when the spectral basis cannot be trusted, so the realified SVD runs.
+
+    The conditions, for ``H = V diag(lambda) V^{-1}`` linked at ``radius``:
+    V is singular (``cond_v`` infinite); ``tol * cond_v >= 1``, a radius of
+    the spectral norm of H, so the eigenvalues carry no information (Jordan
+    blocks); the links are ambiguous, some unlinked distance
+    ``|lambda_j - conj(lambda_i)|`` lying within ten radii; or a basis
+    element has a relative residual above tol (``residual_max``, 0 before
+    the basis is built).
+    """
+    return not (tol * cond_v < 1.0 and unlinked_min > 10.0 * radius
+                and residual_max <= tol)
+
+
+def _spectral_basis(W: np.ndarray, linked: np.ndarray) -> np.ndarray:
+    """Orthonormal (k, n, n) stack spanning ``W M W^dag``, M Hermitian on the links.
+
+    Link i <= j contributes ``w_i w_i^dag`` when i = j, else
+    ``w_i w_j^dag + w_j w_i^dag`` and ``i (w_i w_j^dag - w_j w_i^dag)``; QR
+    under ``Re tr(A^dag B)`` orthonormalizes them in that order.
+    """
+    n = W.shape[0]
+    i, j = np.nonzero(np.triu(linked))
+    outer = W.T[i][:, :, None] * W.T[j].conj()[:, None, :]  # w_i w_j^dag
+    outer_h = outer.conj().transpose(0, 2, 1)
+    pairs = np.stack((outer + outer_h, 1j * (outer - outer_h)), axis=1)
+    # i (w_i w_i^dag - w_i w_i^dag) = 0: a self-link gives one element.
+    elements = pairs[np.stack((np.full(i.size, True), i != j), axis=1)]
+    flat = elements.reshape(-1, n * n)
+    q, _ = np.linalg.qr(np.concatenate((flat.real, flat.imag), axis=1).T)
+    q = (q[:n * n] + 1j * q[n * n:]).T.reshape(-1, n, n)
+    return (q + q.conj().transpose(0, 2, 1)) / 2.0
+
+
+def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
+    """Compute every Hermitian solution of ``eta H = H^dag eta``.
+
+    Spectral path: with ``H = V diag(lambda) V^{-1}`` and ``W = V^{-dag}``,
+    the solutions are ``W M W^dag`` for Hermitian M with ``M_ij = 0`` unless
+    ``lambda_j = conj(lambda_i)`` (Mostafazadeh, J. Math. Phys. 43, 205
+    (2002)).  Eigenvalues i and j are linked when
+    ``|lambda_j - conj(lambda_i)| <= tol cond(V) |H|_2``, the Bauer-Fike
+    bound on how far a perturbation of H by tol |H|_2 moves an eigenvalue.
+    Each link i <= j gives one element (i = j) or two (i < j), see
+    _spectral_basis; the elements are orthonormalized in link order, links
+    ordered by (i, j) over the eigenvalues sorted by real, then imaginary
+    part.  Every element is verified to have a relative residual
+    ``|b H - H^dag b|_F / |H|_F`` at most tol.
+
+    Realified path, run when the spectral answer cannot be trusted (V
+    singular, ``tol cond(V) >= 1``, ambiguous links or a failed residual;
+    see _spectral_untrusted): the nullspace of the realified map read off an
+    SVD, singular values below ``NULLSPACE_RTOL`` times the largest counting
+    as zero, ordered smallest singular value first.
+
+    On both paths the sign of each element's first significant entry is made
+    positive, and ``MetricBasis.solver`` names the path.  Dimension 0 is a
+    valid outcome meaning no Hermitian metric exists.
+    """
+    H = as_matrix(H, "H")
+    if tol <= 0:
+        raise InputError("tol must be positive")
+    unit, _ = _unit_peak(H)  # exact scaling: the same eigenvectors and solutions
+    lam, V = np.linalg.eig(unit)
+    order = np.lexsort((lam.imag, lam.real))
+    lam, V = lam[order], V[:, order]
+    u, s, xh = np.linalg.svd(V)
+    with np.errstate(divide="ignore", over="ignore"):
+        cond = s[0] / s[-1]
+        radius = tol * cond * np.linalg.norm(unit, 2)
+    dist = np.abs(lam[None, :] - lam.conj()[:, None])  # |lambda_j - conj(lambda_i)|
+    linked = dist <= radius
+    unlinked = np.min(dist[~linked], initial=np.inf)
+    basis, solver = None, "realified"
+    if not _spectral_untrusted(tol, cond, radius, unlinked):
+        stack = _spectral_basis((u / s) @ xh, linked)  # W = V^{-dag} = U S^-1 X^dag
+        images = stack @ unit - adjoint(unit) @ stack
+        norms = np.linalg.norm(images.reshape(len(stack), unit.size), axis=1)
+        residual_max = np.max(norms, initial=0.0) / (frobenius(unit) or 1.0)
+        if not _spectral_untrusted(tol, cond, radius, unlinked, residual_max):
+            basis, solver = [_fix_sign(b) for b in stack], "spectral"
+    if basis is None:
+        basis = _realified_basis(H)
     classifications = [classify_metric(b, tol) for b in basis]
     return MetricBasis(H=H, dimension=len(basis), basis=basis,
-                       classifications=classifications)
+                       classifications=classifications, solver=solver,
+                       eigenvectors=V, tol=tol)
 
 
-def _spectral_metric(H: np.ndarray) -> np.ndarray | None:
-    """``V^{-dag} V^{-1}`` at unit norm for ``H = V diag(lambda) V^{-1}``, or None.
+def _spectral_metric(V: np.ndarray) -> np.ndarray | None:
+    """``V^{-dag} V^{-1}`` at unit norm for the eigenvectors V of H, or None.
 
-    Positive by construction; a metric when the spectrum is real.  Formed as
-    ``U diag((s_min / s)^2) U^dag`` from ``V = U diag(s) W^dag``, so nothing is
-    inverted and nothing overflows.
+    Positive by construction; a metric when H is diagonalizable with real
+    spectrum.  Formed as ``U diag((s_min / s)^2) U^dag`` from
+    ``V = U diag(s) X^dag``, so nothing is inverted and nothing overflows.
     """
-    _, V = np.linalg.eig(H)
     u, s, _ = np.linalg.svd(V)
     if not s[-1] > 0:
         return None
@@ -242,31 +333,35 @@ def _spectral_metric(H: np.ndarray) -> np.ndarray | None:
 
 
 def _metric_candidates(basis: MetricBasis, tol: float):
-    """The candidates of find_metric, in order, each computed when reached."""
-    yield from basis.basis
-    spectral = _spectral_metric(basis.H)
+    """The candidates of find_metric, each with its classification at tol when
+    the solve already made it (else None), in order, each computed when reached."""
+    known = basis.classifications if tol == basis.tol else [None] * basis.dimension
+    yield from zip(basis.basis, known)
+    spectral = _spectral_metric(basis.eigenvectors)
     if spectral is not None and residual(basis.H, spectral) <= tol:
-        yield spectral
+        yield spectral, None
     # Distinct weights make the combination generic: unit weights cancel on
     # structured bases and miss invertible members that exist.
     weights = np.sqrt(np.arange(basis.dimension) + 2.0)
     combination = np.tensordot(weights, basis.basis, axes=1)
-    yield combination / frobenius(combination)
+    yield combination / frobenius(combination), None
 
 
 def find_metric(basis: MetricBasis, want_positive: bool = False,
                 tol: float = DEFAULT_TOL) -> np.ndarray | None:
     """Pick an invertible (optionally positive) metric from the solution space.
 
-    Candidates, in order: each basis element; ``_spectral_metric(H)`` when its
-    residual is at most tol; the fixed combination ``sum_k sqrt(k + 2) b_k``.
-    Returns the first one classified as wanted, a unit-Frobenius-norm
-    Hermitian matrix, or None; None is a result, not an error.
+    Candidates, in order: each basis element; the spectral metric
+    ``V^{-dag} V^{-1}`` of the solve's eigenvectors when its residual is at
+    most tol; the fixed combination ``sum_k sqrt(k + 2) b_k``.  Returns the
+    first one classified as wanted, a unit-Frobenius-norm Hermitian matrix, or
+    None; None is a result, not an error.  Basis elements are not classified
+    again when tol is the tol of the solve.
     """
     if basis.dimension == 0:
         return None
-    for candidate in _metric_candidates(basis, tol):
-        cls = classify_metric(candidate, tol)
+    for candidate, cls in _metric_candidates(basis, tol):
+        cls = cls or classify_metric(candidate, tol)
         if cls.positive if want_positive else cls.invertible:
             return candidate
     return None

@@ -11,6 +11,7 @@ from pseudoherm import (
     residual,
     shift_for_invertibility,
 )
+from pseudoherm.chain import _real_rank
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -54,6 +55,15 @@ class TestBuildChain:
         for k in range(3):
             assert np.allclose(chain.etas[k + 2], 4.0 * chain.etas[k], rtol=1e-14, atol=0)
         assert chain.rank == 2
+
+    def test_real_rank_matches_loop_reference(self):
+        # real combinations of 3 complex matrices, and i times one of them
+        rng = np.random.default_rng(4)
+        base = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
+        etas = list(np.tensordot(rng.standard_normal((7, 3)), base, axes=1)) + [1j * base[0]]
+        rows = np.array([np.concatenate([e.real.ravel(), e.imag.ravel()]) for e in etas])
+        svals = np.linalg.svd(rows, compute_uv=False)
+        assert _real_rank(etas) == int(np.sum(svals > 1e-8 * svals[0])) == 4
 
     def test_recursion_is_exact(self, osc2):
         H, eta0 = osc2

@@ -83,6 +83,7 @@ class TestSolve:
                                "--positive")
         assert code == 0
         assert report["results"]["dimension"] == 2
+        assert report["results"]["solver"] == "spectral"
         assert report["results"]["metric_classification"]["positive"] is True
 
     def test_no_metric_is_a_failed_check(self, tmp_path, capsys):

@@ -10,12 +10,24 @@ from pseudoherm import (
     catalog_two_point,
     classify_metric,
     find_metric,
+    metric,
     residual,
     solve_metric_space,
 )
-from pseudoherm.metric import _hermitian_frame, frobenius
+from pseudoherm.metric import (
+    _hermitian_frame,
+    _realified_basis,
+    _spectral_untrusted,
+    frobenius,
+)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def projector(elements):
+    """Orthogonal projector onto the real span of orthonormal Hermitian elements."""
+    rows = np.array([np.concatenate([b.real.ravel(), b.imag.ravel()]) for b in elements])
+    return rows.T @ rows
 
 
 def project_onto_basis(basis, target):
@@ -202,16 +214,75 @@ class TestSolveMetricSpace:
             first = next(p for p in parts if abs(p) > 1e-12)
             assert first > 0
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_dimension_matches_brute_force_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 5))
-        if seed % 2 == 0:
-            H = random_pseudo_hermitian(n, rng)
-        else:
-            H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    @pytest.mark.parametrize("case", range(8))
+    def test_dimension_matches_brute_force_oracle(self, case):
+        # n = case + 1 runs through 1..8, ten seeds each, pseudo-Hermitian
+        # and general complex H
+        n = case + 1
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            for H in (random_pseudo_hermitian(n, rng),
+                      rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))):
+                basis = solve_metric_space(H)
+                assert basis.dimension == intertwiner_nullspace_dimension(H), (n, seed)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_spectral_span_matches_realified(self, n):
+        # compared as orthogonal projectors on the realified Hermitian space
+        for seed in range(5):
+            H = random_pseudo_hermitian(n, np.random.default_rng(seed))
+            basis = solve_metric_space(H)
+            assert basis.solver == "spectral"
+            reference = _realified_basis(H)
+            assert basis.dimension == len(reference)
+            assert np.abs(projector(basis.basis) - projector(reference)).max() <= 1e-8
+
+    @pytest.mark.parametrize("H, solver", [
+        (np.diag([1, 1, 1 + 1j, 1 - 1j]), "spectral"),
+        (np.diag([1 + 1j, 1 - 1j, 3]), "spectral"),
+        (np.block([[np.array([[1, 1], [0, 1]]), np.zeros((2, 2))],
+                   [np.zeros((2, 2)), np.diag([1j, -1j])]]), "realified"),
+        (np.array([[0, 1], [0, 0]]), "realified"),
+        (0.3 * np.eye(16) + np.diag(np.ones(15), 1), "realified"),
+        # eigenvalues 1 +- 1e-6 lie within the link radius (cond(V) = 1e6):
+        # the false link fails the residual check
+        (np.array([[1, 1], [1e-12, 1]]), "realified"),
+    ])
+    def test_solver_path(self, H, solver):
         basis = solve_metric_space(H)
+        assert basis.solver == solver
         assert basis.dimension == intertwiner_nullspace_dimension(H)
+        assert max(residual(H, b) for b in basis.basis) <= 1e-10
+
+    def test_fallback_conditions(self):
+        # trusted: V well conditioned, links clear, residuals within tol
+        assert not _spectral_untrusted(1e-10, 10.0, 1e-9, 0.5, 1e-15)
+        assert _spectral_untrusted(1e-10, np.inf, np.inf, np.inf)  # V singular
+        assert _spectral_untrusted(1e-10, 1e10, 1.0, np.inf)  # radius spans |H|_2
+        assert _spectral_untrusted(1e-10, 10.0, 1e-9, 5e-9)  # ambiguous links
+        assert _spectral_untrusted(1e-10, 10.0, 1e-9, 0.5, 2e-10)  # residual fails
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_large_quasi_hermitian_is_spectral(self, n):
+        rng = np.random.default_rng(n)
+        S = rng.standard_normal((n, n))
+        H = S @ np.diag(np.arange(1.0, n + 1)) @ np.linalg.inv(S)
+        basis = solve_metric_space(H)
+        assert basis.solver == "spectral"
+        assert basis.dimension == n
+        eta = find_metric(basis, want_positive=True)
+        assert eta is not None
+        assert residual(H, eta) <= 1e-10
+        assert classify_metric(eta).positive
+
+    @pytest.mark.parametrize("scale", [1e-310, 1e-300, 1e300])
+    def test_extreme_scales(self, scale):
+        # a subnormal peak entry too: the solution space does not change with scale
+        H = random_pseudo_hermitian(4, np.random.default_rng(0))
+        basis = solve_metric_space(scale * H)
+        assert basis.solver == "spectral"
+        assert basis.dimension == solve_metric_space(H).dimension
+        assert max(residual(scale * H, b) for b in basis.basis) <= 1e-10
 
     def test_one_by_one_systems(self):
         real_scalar = solve_metric_space(np.array([[3.0]]))
@@ -291,6 +362,26 @@ class TestFindMetric:
         basis = solve_metric_space(H)
         assert find_metric(basis, want_positive=True) is None
         assert classify_metric(find_metric(basis)).invertible
+
+    def test_reuses_the_solve(self, monkeypatch):
+        # no second eig, and no basis element classified again at the solve's tol
+        n = 8
+        S = np.random.default_rng(3).standard_normal((n, n))
+        basis = solve_metric_space(S @ np.diag(np.arange(1.0, n + 1)) @ np.linalg.inv(S))
+        calls = {"eig": 0, "classify": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
+        monkeypatch.setattr(metric, "classify_metric", counted("classify", metric.classify_metric))
+        assert find_metric(basis, want_positive=True) is not None
+        assert calls == {"eig": 0, "classify": 1}
+        assert find_metric(basis, want_positive=True, tol=1e-9) is not None
+        assert calls == {"eig": 0, "classify": 1 + n + 1}
 
     def test_deterministic(self, osc2):
         basis = solve_metric_space(osc2[0])
