@@ -18,11 +18,9 @@ import numpy as np
 from .errors import Check, CheckError, InputError
 from .metric import (
     DEFAULT_TOL,
-    NULLSPACE_RTOL,
     MetricClass,
     adjoint,
     as_matrix,
-    check_scale,
     classify_metric,
     frobenius,
     hermiticity_defect,
@@ -74,13 +72,12 @@ def next_eta(H, eta) -> np.ndarray:
     return adjoint(H) @ eta
 
 
-def _real_rank(etas: list[np.ndarray]) -> int:
+def _real_rank(etas: list[np.ndarray], tol: float) -> int:
+    """Real-linear rank: singular values of the stack above ``tol |stack|_F``."""
     flat = np.asarray(etas).reshape(len(etas), -1)
     # The (2n^2, k) transpose has the same singular values and is faster to factor.
     svals = np.linalg.svd(np.concatenate((flat.real, flat.imag), axis=1).T, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
-    return int(np.sum(svals > NULLSPACE_RTOL * svals[0]))
+    return int(np.sum(svals > tol * frobenius(flat)))
 
 
 def _validate_start(H: np.ndarray, eta0: np.ndarray, tol: float) -> None:
@@ -138,7 +135,7 @@ def build_chain(H, eta0, k_max: int, normalize: bool = False,
     residuals = [residual(H, e) for e in etas]
     classes = [classify_metric(e, tol) for e in etas]
     return EtaChain(H=H, etas=etas, residuals=residuals, classes=classes,
-                    normalized=normalize, shift_alpha=0.0, rank=_real_rank(etas))
+                    normalized=normalize, shift_alpha=0.0, rank=_real_rank(etas, tol))
 
 
 def shift_for_invertibility(H, tol: float = DEFAULT_TOL) -> tuple[float, np.ndarray]:
@@ -150,12 +147,12 @@ def shift_for_invertibility(H, tol: float = DEFAULT_TOL) -> tuple[float, np.ndar
     ``"no invertible shift"`` when every rung fails the invertibility test.
     """
     H = as_matrix(H, "H")
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise InputError("tol must be positive and finite")
 
     def invertible(m: np.ndarray) -> bool:
         svals = np.linalg.svd(m, compute_uv=False)
-        return svals[-1] > tol * check_scale(frobenius(m))
+        return svals[-1] > tol * frobenius(m)
 
     if invertible(H):
         return 0.0, H

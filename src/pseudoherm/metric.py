@@ -18,11 +18,6 @@ from .errors import InputError
 # Relative tolerance used by every verification predicate unless overridden.
 DEFAULT_TOL = 1e-10
 
-# Singular values below NULLSPACE_RTOL times the largest one count as zero.
-# Only the realified fallback of solve_metric_space and chain._real_rank use
-# it; the spectral solver links eigenvalues at a radius derived from tol.
-NULLSPACE_RTOL = 1e-8
-
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
     """Validate and coerce to a square, finite complex matrix."""
@@ -62,7 +57,7 @@ def frobenius(m: np.ndarray) -> float:
     """
     with np.errstate(over="ignore", under="ignore"):
         norm = float(np.linalg.norm(m))
-        if np.isinf(norm) or norm < 1e-150:
+        if np.isinf(norm) or (norm < 1e-150 and m.any()):
             scaled, k = _unit_peak(m)
             norm = float(np.ldexp(np.linalg.norm(scaled), k))
     return norm
@@ -76,39 +71,40 @@ def _unit_peak(m: np.ndarray) -> tuple[np.ndarray, int]:
     return m * np.ldexp(1.0, -k), k
 
 
-def check_scale(norm: float) -> float:
-    """Scale a relative check divides by: the norm floored at 1.
+def _bilinear_ratio(form, A, B, names: tuple[str, str]) -> float:
+    """``|form(A, B)|_F / (|A|_F |B|_F)`` for a bilinear form; a zero numerator gives 0.
 
-    Below unit norm the floor makes every check absolute.
+    A and B are validated as same-size matrices, named in errors by names.
+    The denominator bounds the entries of the form.  Outside about [1e-290,
+    1e300] they could overflow or underflow, so A and B are first scaled
+    exactly to a unit peak entry, which leaves the ratio unchanged.
     """
-    return max(1.0, norm)
+    A, B = as_matrix(A, names[0]), as_matrix(B, names[1])
+    if A.shape != B.shape:
+        raise InputError(f"dimension mismatch: {names[0]} is {A.shape[0]}x{A.shape[0]}, "
+                         f"{names[1]} is {B.shape[0]}x{B.shape[0]}")
+    scale = frobenius(A) * frobenius(B)
+    if not 1e-290 <= scale <= 1e300:
+        (A, _), (B, _) = _unit_peak(A), _unit_peak(B)
+        scale = frobenius(A) * frobenius(B)
+    defect = frobenius(form(A, B))
+    return defect / scale if defect else 0.0
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Relative deviation from Hermiticity, ``|m - m^dag|_F / max(1, |m|_F)``."""
+    """Relative deviation from Hermiticity, ``|m - m^dag|_F / |m|_F`` (0 for m = 0)."""
     m = np.asarray(m, dtype=complex)
-    return frobenius(m - adjoint(m)) / check_scale(frobenius(m))
+    defect = frobenius(m - adjoint(m))
+    return defect / frobenius(m) if defect else 0.0
 
 
 def residual(H, eta) -> float:
-    """Intertwining residual ``|eta H - H^dag eta|_F / max(1, |H|_F |eta|_F)``.
+    """Intertwining residual ``|eta H - H^dag eta|_F / (|H|_F |eta|_F)``, 0 if either is 0.
 
     Zero (up to floating-point error) exactly when eta intertwines H with its
-    adjoint.  The multiplied-through form needs no invertibility of eta.
+    adjoint, at every scale of H and eta.  No invertibility of eta is needed.
     """
-    H = as_matrix(H, "H")
-    eta = as_matrix(eta, "eta")
-    if H.shape != eta.shape:
-        raise InputError(f"dimension mismatch: H is {H.shape[0]}x{H.shape[0]}, "
-                         f"eta is {eta.shape[0]}x{eta.shape[0]}")
-    scale = frobenius(H) * frobenius(eta)
-    if scale > 1e300:
-        # Entries of eta H, bounded by |H| |eta|, could overflow: take the same
-        # ratio on H and eta scaled exactly to a unit peak entry (no floor
-        # applies this far above 1).
-        (H, _), (eta, _) = _unit_peak(H), _unit_peak(eta)
-        return frobenius(eta @ H - adjoint(H) @ eta) / (frobenius(H) * frobenius(eta))
-    return frobenius(eta @ H - adjoint(H) @ eta) / check_scale(scale)
+    return _bilinear_ratio(lambda h, e: e @ h - adjoint(h) @ e, H, eta, ("H", "eta"))
 
 
 @dataclass(frozen=True)
@@ -134,15 +130,14 @@ def classify_metric(eta, tol: float = DEFAULT_TOL) -> MetricClass:
     invariant under positive rescaling.
     """
     eta = as_matrix(eta, "eta")
-    if tol <= 0:
-        raise InputError("tol must be positive")
-    norm = frobenius(eta)
-    scale = tol * norm
-    defect_abs = frobenius(eta - adjoint(eta))
+    if not 0 < tol < np.inf:
+        raise InputError("tol must be positive and finite")
+    scale = tol * frobenius(eta)
+    defect = hermiticity_defect(eta)
     svals = np.linalg.svd(eta, compute_uv=False)
     min_sv = float(svals[-1]) if svals.size else 0.0
     min_eig = float(np.linalg.eigvalsh((eta + adjoint(eta)) / 2.0)[0])
-    hermitian = defect_abs <= scale
+    hermitian = defect <= tol
     invertible = hermitian and min_sv > scale
     positive = invertible and min_eig > scale
     return MetricClass(
@@ -151,7 +146,7 @@ def classify_metric(eta, tol: float = DEFAULT_TOL) -> MetricClass:
         positive=positive,
         min_singular_value=min_sv,
         min_eigenvalue_of_hermitian_part=min_eig,
-        hermiticity_defect=defect_abs / check_scale(norm),
+        hermiticity_defect=defect,
     )
 
 
@@ -206,12 +201,13 @@ def _fix_sign(b: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     return b
 
 
-def _realified_basis(H: np.ndarray) -> list[np.ndarray]:
+def _realified_basis(H: np.ndarray, tol: float) -> list[np.ndarray]:
     """Nullspace of the realified map ``eta -> eta H - H^dag eta``, by SVD.
 
-    The map is assembled from the images of an orthonormal Hermitian frame.
-    Singular values below ``NULLSPACE_RTOL`` times the largest count as zero;
-    the elements come smallest singular value first, sign-fixed.
+    The map is assembled from the images of an orthonormal Hermitian frame, so
+    a unit element b has singular value ``|b H - H^dag b|_F``: those at most
+    ``tol |H|_F`` count as zero, the spectral path's residual test.  The
+    elements come smallest singular value first, sign-fixed.
     """
     n = H.shape[0]
     frame = _hermitian_frame(n)
@@ -220,8 +216,7 @@ def _realified_basis(H: np.ndarray) -> list[np.ndarray]:
     # R of the tall cols = QR has the singular values and the right singular
     # vectors of cols, at half the rows.
     _, svals, vt = np.linalg.svd(np.linalg.qr(cols, mode="r"))
-    cutoff = NULLSPACE_RTOL * (svals[0] if svals[0] > 0 else 1.0)
-    null = vt[svals <= cutoff][::-1]  # smallest singular value first
+    null = vt[svals <= tol * frobenius(H)][::-1]  # smallest singular value first
     return [_fix_sign(b) for b in np.tensordot(null, frame, axes=1)]
 
 
@@ -279,16 +274,16 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
     Realified path, run when the spectral answer cannot be trusted (V
     singular, ``tol cond(V) >= 1``, ambiguous links or a failed residual;
     see _spectral_untrusted): the nullspace of the realified map read off an
-    SVD, singular values below ``NULLSPACE_RTOL`` times the largest counting
-    as zero, ordered smallest singular value first.
+    SVD, keeping the elements whose residual is at most tol as the spectral
+    path does, ordered smallest singular value first.
 
     On both paths the sign of each element's first significant entry is made
     positive, and ``MetricBasis.solver`` names the path.  Dimension 0 is a
     valid outcome meaning no Hermitian metric exists.
     """
     H = as_matrix(H, "H")
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise InputError("tol must be positive and finite")
     unit, _ = _unit_peak(H)  # exact scaling: the same eigenvectors and solutions
     lam, V = np.linalg.eig(unit)
     order = np.lexsort((lam.imag, lam.real))
@@ -309,7 +304,7 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
         if not _spectral_untrusted(tol, cond, radius, unlinked, residual_max):
             basis, solver = [_fix_sign(b) for b in stack], "spectral"
     if basis is None:
-        basis = _realified_basis(H)
+        basis = _realified_basis(H, tol)
     classifications = [classify_metric(b, tol) for b in basis]
     return MetricBasis(H=H, dimension=len(basis), basis=basis,
                        classifications=classifications, solver=solver,

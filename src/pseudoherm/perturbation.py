@@ -17,8 +17,9 @@ import numpy as np
 from .errors import Check, CheckError, InputError
 from .metric import (
     DEFAULT_TOL,
+    _bilinear_ratio,
+    adjoint,
     as_matrix,
-    check_scale,
     frobenius,
     hermiticity_defect,
     residual,
@@ -80,7 +81,8 @@ class RealPolynomial:
 class PerturbedHamiltonian:
     """Result of a verified perturbation ``H_tilde = H + f(K)``.
 
-    ``checks`` are the hypotheses perturb verified, then perturbed_residual.
+    ``checks`` are the hypotheses perturb verified, then perturbed_residual
+    and anti_hermitian_part_preserved.
     """
 
     H: np.ndarray
@@ -94,13 +96,8 @@ class PerturbedHamiltonian:
 
 
 def commutator_defect(A, B) -> float:
-    """Size of [A, B]: ``|AB - BA|_F / max(1, |A|_F |B|_F)``."""
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    if A.shape != B.shape:
-        raise InputError(f"dimension mismatch: A is {A.shape[0]}x{A.shape[0]}, "
-                         f"B is {B.shape[0]}x{B.shape[0]}")
-    return frobenius(A @ B - B @ A) / check_scale(frobenius(A) * frobenius(B))
+    """Relative size of [A, B]: ``|AB - BA|_F / (|A|_F |B|_F)``, 0 if either is 0."""
+    return _bilinear_ratio(lambda a, b: a @ b - b @ a, A, B, ("A", "B"))
 
 
 def matrix_poly(K, f: RealPolynomial) -> np.ndarray:
@@ -132,6 +129,15 @@ def auto_K(eta, f: RealPolynomial, tol: float = DEFAULT_TOL) -> np.ndarray:
     return matrix_poly(eta, f)
 
 
+def _require(outcomes, tol: float, checks: tuple[Check, ...] = ()) -> tuple[Check, ...]:
+    """checks plus those of the (check, CheckError id, message) outcomes; raise at a failure."""
+    checks += tuple(check for check, _, _ in outcomes)
+    for check, check_id, message in outcomes:
+        if not check.passed:
+            raise CheckError(check_id, message, check.value, tol, checks)
+    return checks
+
+
 def perturb(H, eta, K, f: RealPolynomial, tol: float = DEFAULT_TOL,
             allow_hermitian: bool = False) -> PerturbedHamiltonian:
     """Form ``H_tilde = H + f(K)`` after verifying every hypothesis by name.
@@ -140,8 +146,8 @@ def perturb(H, eta, K, f: RealPolynomial, tol: float = DEFAULT_TOL,
     k_hermitian; k_commutes_with_eta; hamiltonian_non_hermitian (skipped via
     allow_hermitian, every step stays valid for Hermitian H).  If any fails,
     CheckError names the first failure and carries all of them in ``checks``.
-    On success the perturbed residual is verified as a sixth check, and the
-    anti-Hermitian part of H is preserved exactly.
+    Then H_tilde must pass perturbed_residual and anti_hermitian_part_preserved
+    (the change of the anti-Hermitian part over ``max(|H|_F, |H_tilde|_F)``).
     """
     H = as_matrix(H, "H")
     eta = as_matrix(eta, "eta")
@@ -154,7 +160,6 @@ def perturb(H, eta, K, f: RealPolynomial, tol: float = DEFAULT_TOL,
     r0 = residual(H, eta)
     defect_K = hermiticity_defect(K)
     cd = commutator_defect(K, eta)
-    # (check, CheckError id, message) per hypothesis, in reporting order
     hypotheses = [
         (Check("eta_hermitian", defect_eta <= tol, defect_eta, tol), "non-hermitian eta",
          f"eta is not Hermitian (defect {defect_eta:.3e})"),
@@ -169,17 +174,18 @@ def perturb(H, eta, K, f: RealPolynomial, tol: float = DEFAULT_TOL,
         defect_H = hermiticity_defect(H)
         hypotheses.append((Check("hamiltonian_non_hermitian", defect_H > tol, defect_H, tol),
                            "hermitian H", "H is Hermitian; pass allow_hermitian=True to proceed"))
-    checks = tuple(check for check, _, _ in hypotheses)
-    for check, check_id, message in hypotheses:
-        if not check.passed:
-            raise CheckError(check_id, message, check.value, tol, checks)
+    checks = _require(hypotheses, tol)
 
     H_tilde = H + matrix_poly(K, f)
     r = residual(H_tilde, eta)
-    checks += (Check("perturbed_residual", r <= tol, r, tol),)
-    if r > tol:
-        raise CheckError("perturbed residual",
-                         f"perturbed Hamiltonian failed verification (residual {r:.3e})",
-                         value=r, threshold=tol, checks=checks)
+    drift = frobenius((H_tilde - adjoint(H_tilde)) - (H - adjoint(H)))
+    drift = drift / max(frobenius(H), frobenius(H_tilde)) if drift else 0.0
+    checks = _require([
+        (Check("perturbed_residual", r <= tol, r, tol), "perturbed residual",
+         f"perturbed Hamiltonian failed verification (residual {r:.3e})"),
+        (Check("anti_hermitian_part_preserved", drift <= tol, drift, tol),
+         "anti-hermitian part changed",
+         f"f(K) changed the anti-Hermitian part of H (drift {drift:.3e})"),
+    ], tol, checks)
     return PerturbedHamiltonian(H=H, K=K, f=f, H_tilde=H_tilde, eta=eta,
                                 residual=r, commutator_defect=cd, checks=checks)

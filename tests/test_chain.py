@@ -63,7 +63,7 @@ class TestBuildChain:
         etas = list(np.tensordot(rng.standard_normal((7, 3)), base, axes=1)) + [1j * base[0]]
         rows = np.array([np.concatenate([e.real.ravel(), e.imag.ravel()]) for e in etas])
         svals = np.linalg.svd(rows, compute_uv=False)
-        assert _real_rank(etas) == int(np.sum(svals > 1e-8 * svals[0])) == 4
+        assert _real_rank(etas, 1e-10) == int(np.sum(svals > 1e-10 * np.linalg.norm(rows))) == 4
 
     def test_recursion_is_exact(self, osc2):
         H, eta0 = osc2

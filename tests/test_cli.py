@@ -6,9 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from pseudoherm import catalog_oscillator, catalog_two_point
+from pseudoherm import catalog_oscillator, catalog_two_point, hermiticity_defect
 from pseudoherm.cli import main
-from pseudoherm.io import parse_matrix, write_matrix
+from pseudoherm.io import matrix_from_dict, parse_matrix, write_matrix
 
 TIMESTAMP = re.compile(r'^\s*"generated_at".*$', re.MULTILINE)
 
@@ -75,6 +75,25 @@ class TestVerify:
                                "--eta", fixtures["eta"])
         assert code == 2
         assert report["status"] == "input_error"
+
+
+    def test_small_norm_is_relative(self, tmp_path, capsys):
+        # the same pair at unit scale has residual 1.0
+        write_matrix(tmp_path / "tiny.json", 1e-12 * np.array([[0.0, 1.0], [0.0, 0.0]]))
+        write_matrix(tmp_path / "identity.json", np.eye(2))
+        code, report = run_cli(capsys, "verify", "--hamiltonian", tmp_path / "tiny.json",
+                               "--eta", tmp_path / "identity.json")
+        assert code == 1
+        by_name = {c["name"]: c for c in report["checks"]}
+        assert by_name["intertwining_residual"]["value"] == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "1e400", "0", "-1e-10"])
+    def test_tol_must_be_positive_and_finite(self, fixtures, tol, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--hamiltonian", str(fixtures["H"]),
+                  "--eta", str(fixtures["identity"]), f"--tol={tol}"])
+        assert info.value.code == 2
+        assert "must be positive and finite" in capsys.readouterr().err
 
 
 class TestSolve:
@@ -182,6 +201,9 @@ class TestHugeScale:
         write_matrix(tmp_path / "i.json", np.eye(3))
         write_matrix(tmp_path / "p.json", np.eye(3)[[1, 0, 2]])
         write_matrix(tmp_path / "p_huge.json", 1e200 * np.eye(3)[[1, 0, 2]])
+        H, eta = catalog_oscillator(2.0)
+        write_matrix(tmp_path / "osc.json", H)
+        write_matrix(tmp_path / "osc_eta_huge.json", 1e200 * eta)
         return tmp_path
 
     def test_verify_reports_finite_residual(self, huge, capsys):
@@ -214,6 +236,16 @@ class TestHugeScale:
         assert report["status"] == "pass"
         assert report["results"]["shift_alpha"] == pytest.approx(np.sqrt(5.0) * 1e200,
                                                                  rel=1e-12)
+
+
+    def test_perturb_with_huge_eta_passes(self, huge, capsys):
+        # K defaults to eta, whose plain self-commutator overflows to inf - inf
+        code = main(["perturb", "--hamiltonian", str(huge / "osc.json"),
+                     "--eta", str(huge / "osc_eta_huge.json"), "--poly", "0,1"])
+        report = _strict_json(capsys.readouterr().out)
+        assert code == 0
+        by_name = {c["name"]: c for c in report["checks"]}
+        assert by_name["k_commutes_with_eta"]["value"] == 0.0
 
 
 class TestPerturb:
@@ -267,6 +299,10 @@ class TestQuasi:
         assert code == 0
         eigs = np.array(report["results"]["eigenvalues"])
         assert np.allclose(eigs, [[-2.0, 0.0], [2.0, 0.0]], atol=1e-10)
+        induced = matrix_from_dict(report["results"]["induced_hamiltonian"])
+        by_name = {c["name"]: c for c in report["checks"]}
+        assert by_name["induced_hermitian"]["value"] == pytest.approx(
+            hermiticity_defect(induced), rel=1e-12)
 
     def test_indefinite_metric_fails(self, fixtures, capsys):
         code, report = run_cli(capsys, "quasi", "--hamiltonian", fixtures["H"],

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import intertwiner_nullspace_dimension, random_pseudo_hermitian
@@ -9,9 +9,12 @@ from pseudoherm import (
     catalog_oscillator,
     catalog_two_point,
     classify_metric,
+    commutator_defect,
     find_metric,
+    hermiticity_defect,
     metric,
     residual,
+    shift_for_invertibility,
     solve_metric_space,
 )
 from pseudoherm.metric import (
@@ -50,7 +53,7 @@ class TestResidual:
     def test_identity_is_not_a_metric_for_oscillator(self, osc2):
         H, _ = osc2
         # hand oracle: ||I H - H^dag I||_F = ||[[0,-3i],[-3i,0]]||_F = 3*sqrt(2),
-        # denominator max(1, sqrt(17)*sqrt(2)) -> residual = 3/sqrt(17)
+        # denominator |H|_F |I|_F = sqrt(17)*sqrt(2) -> residual = 3/sqrt(17)
         value = residual(H, np.eye(2))
         assert value == pytest.approx(3.0 / np.sqrt(17.0), rel=1e-12)
         assert value > 0.5
@@ -72,6 +75,18 @@ class TestResidual:
         assert residual(H, 1e200 * P) == pytest.approx(np.sqrt(2.0 / 15.0), rel=1e-12)
         assert residual(H, 1e200 * np.eye(3)) == 0.0
 
+    def test_small_norm_is_relative(self):
+        # |H - H^dag|_F = |H|_F sqrt(2) and |I|_F = sqrt(2): 1.0 at every scale
+        H = 1e-12 * np.array([[0.0, 1.0], [0.0, 0.0]])
+        assert residual(H, np.eye(2)) == pytest.approx(1.0, rel=1e-15)
+        assert residual(1e-200 * H, 1e-200 * np.eye(2)) == pytest.approx(1.0, rel=1e-15)
+
+    def test_zero_operand_gives_zero(self):
+        H = np.array([[1.0, 2.0], [0.0, 1j]])
+        assert residual(H, np.zeros((2, 2))) == 0.0
+        assert residual(np.zeros((2, 2)), H) == 0.0
+        assert hermiticity_defect(np.zeros((2, 2))) == 0.0
+
     def test_in_range_is_the_plain_ratio(self):
         # 1e151: |H| |eta| > 1e300 takes the rescaled path, exact in range
         rng = np.random.default_rng(5)
@@ -79,7 +94,7 @@ class TestResidual:
             H = scale * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
             eta = scale * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
             plain = frobenius(eta @ H - H.conj().T @ eta)
-            assert residual(H, eta) == plain / max(1.0, frobenius(H) * frobenius(eta))
+            assert residual(H, eta) == plain / (frobenius(H) * frobenius(eta))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=4))
@@ -111,6 +126,71 @@ class TestFrobenius:
     def test_zero(self):
         assert frobenius(np.zeros((3, 3), dtype=complex)) == 0.0
 
+    def test_zero_is_not_rescaled(self, monkeypatch):
+        def fail(m):
+            raise AssertionError("an exact zero needs no rescale")
+
+        monkeypatch.setattr(metric, "_unit_peak", fail)
+        assert frobenius(np.zeros((3, 3), dtype=complex)) == 0.0
+
+
+def _scaled_pairs(seed, n):
+    """(H, eta) pairs whose unit-scale residuals lie far from 1e-10 on either side."""
+    rng = np.random.default_rng(seed)
+    H = random_pseudo_hermitian(n, rng)
+    eta = solve_metric_space(H).basis[0]
+    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return [(H, eta), (H, (G + G.conj().T) / 2), (G, np.eye(n))]
+
+
+def _scaled_metrics(seed, n):
+    """Positive, indefinite, singular Hermitian and non-Hermitian candidates."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    spectra = (rng.uniform(0.5, 2.0, n), np.r_[-1.0, rng.uniform(0.5, 2.0, n - 1)],
+               np.r_[0.0, rng.uniform(0.5, 2.0, n - 1)])
+    candidates = [(q * d) @ q.conj().T for d in spectra]
+    return candidates + [candidates[0] + np.triu(np.ones((n, n)), 1)]
+
+
+class TestScaleInvariance:
+    """Every verdict is unchanged under H -> c H and eta -> c' eta."""
+
+    scales = st.floats(min_value=-12.0, max_value=12.0).map(lambda e: 10.0 ** e)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(2, 5), scales, scales)
+    @example(0, 3, 1e-12, 1e-12)
+    @example(0, 3, 1e12, 1e12)
+    def test_residual_and_commutator(self, seed, n, c, c_eta):
+        tol = 1e-10
+        for H, eta in _scaled_pairs(seed, n):
+            assert (residual(c * H, c_eta * eta) <= tol) == (residual(H, eta) <= tol)
+            K = eta @ eta  # commutes with eta; H does not
+            for A in (K, H):
+                assert ((commutator_defect(c * A, c_eta * eta) <= tol)
+                        == (commutator_defect(A, eta) <= tol))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(2, 5), scales)
+    @example(0, 3, 1e-12)
+    @example(0, 3, 1e12)
+    def test_hermiticity_and_classification(self, seed, n, c):
+        tol = 1e-10
+        flags = ("hermitian", "invertible", "positive")
+        for eta in _scaled_metrics(seed, n):
+            assert ((hermiticity_defect(c * eta) <= tol)
+                    == (hermiticity_defect(eta) <= tol))
+            unit, scaled = classify_metric(eta, tol), classify_metric(c * eta, tol)
+            assert [getattr(scaled, f) for f in flags] == [getattr(unit, f) for f in flags]
+
+    def test_classes_are_distinct(self):
+        # the candidates cover every flag combination the invariance test compares
+        flags = [(m.hermitian, m.invertible, m.positive)
+                 for m in map(classify_metric, _scaled_metrics(0, 4))]
+        assert flags == [(True, True, True), (True, True, False),
+                         (True, False, False), (False, False, False)]
+
 
 class TestClassify:
     def test_indefinite_hermitian(self):
@@ -127,6 +207,13 @@ class TestClassify:
         cls = classify_metric(np.array([[0.0, 1.0], [0.0, 0.0]]))
         assert not cls.hermitian
         assert not cls.invertible and not cls.positive
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, np.inf, np.nan])
+    @pytest.mark.parametrize("call", [classify_metric, solve_metric_space,
+                                      shift_for_invertibility])
+    def test_tol_must_be_positive_and_finite(self, call, tol):
+        with pytest.raises(InputError):
+            call(np.eye(2), tol=tol)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_identity_every_dimension(self, n):
@@ -223,8 +310,9 @@ class TestSolveMetricSpace:
             rng = np.random.default_rng(seed)
             for H in (random_pseudo_hermitian(n, rng),
                       rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))):
-                basis = solve_metric_space(H)
-                assert basis.dimension == intertwiner_nullspace_dimension(H), (n, seed)
+                expected = intertwiner_nullspace_dimension(H)
+                assert solve_metric_space(H).dimension == expected, (n, seed)
+                assert len(_realified_basis(H, 1e-10)) == expected, (n, seed)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_spectral_span_matches_realified(self, n):
@@ -233,7 +321,7 @@ class TestSolveMetricSpace:
             H = random_pseudo_hermitian(n, np.random.default_rng(seed))
             basis = solve_metric_space(H)
             assert basis.solver == "spectral"
-            reference = _realified_basis(H)
+            reference = _realified_basis(H, 1e-10)
             assert basis.dimension == len(reference)
             assert np.abs(projector(basis.basis) - projector(reference)).max() <= 1e-8
 

@@ -63,10 +63,19 @@ class TestCommutatorDefect:
 
     def test_known_noncommuting_pair(self):
         # hand oracle: [sigma_x, diag(1,2)] = [[0,1],[-1,0]],
-        # defect = sqrt(2)/max(1, sqrt(2)*sqrt(5)) = 1/sqrt(5)
+        # defect = sqrt(2)/(sqrt(2)*sqrt(5)) = 1/sqrt(5)
         value = commutator_defect(np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, 2.0]))
         assert value == pytest.approx(np.sqrt(2.0 / 10.0), rel=1e-12)
         assert value > 0.3
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_finite_beyond_squaring_range(self, scale):
+        # at 1e200 the plain products overflow to inf - inf
+        eta = scale * SY
+        assert commutator_defect(eta, eta) == 0.0
+        value = commutator_defect(scale * np.array([[0.0, 1.0], [1.0, 0.0]]),
+                                  scale * np.diag([1.0, 2.0]))
+        assert value == pytest.approx(np.sqrt(2.0 / 10.0), rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
@@ -129,7 +138,8 @@ class TestPerturb:
         out = perturb(H, eta, K=eta, f=RealPolynomial([0.0, 3.0]))
         assert np.allclose(out.H_tilde, np.array([[0.0, 4j], [-7j, 0.0]]), atol=1e-15)
         assert out.residual <= 1e-12
-        assert [c.name for c in out.checks] == HYPOTHESES + ["perturbed_residual"]
+        assert [c.name for c in out.checks] == HYPOTHESES + [
+            "perturbed_residual", "anti_hermitian_part_preserved"]
         assert all(c.passed for c in out.checks)
 
     def test_zero_polynomial_is_identity_perturbation(self, two_point_xi):
@@ -186,6 +196,21 @@ class TestPerturb:
             drift = (out.H_tilde - out.H_tilde.conj().T) - (H - H.conj().T)
             assert np.linalg.norm(drift) <= 1e-12 * max(1.0, np.linalg.norm(H))
             assert out.residual <= 1e-8
+
+    def test_changed_anti_hermitian_part_fails(self):
+        # K passes k_hermitian (defect 0.63 eps), but K^2 has an anti-Hermitian
+        # part of 1.03 eps relative to |K^2|_F; with eta = I the perturbed
+        # residual is that over sqrt(2), so it still passes.
+        eps = 1.2e-10
+        K = np.array([[2.0, eps], [0.0, 1.0]])
+        with pytest.raises(CheckError) as info:
+            perturb(np.zeros((2, 2)), np.eye(2), K, RealPolynomial([0.0, 0.0, 1.0]),
+                    allow_hermitian=True)
+        assert info.value.check == "anti-hermitian part changed"
+        *_, residual_check, drift = info.value.checks
+        assert residual_check.name == "perturbed_residual" and residual_check.passed
+        assert drift.name == "anti_hermitian_part_preserved" and not drift.passed
+        assert drift.value == pytest.approx(3.0 * np.sqrt(2.0) * eps / np.sqrt(17.0), rel=1e-6)
 
     def test_positive_metric_survives_perturbation(self, osc2):
         H, _ = osc2
