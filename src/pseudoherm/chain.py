@@ -11,7 +11,7 @@ Hamiltonian is validated directly against the original one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,10 +21,12 @@ from .metric import (
     MetricClass,
     adjoint,
     as_matrix,
+    check_tol,
     classify_metric,
     frobenius,
     hermiticity_defect,
     residual,
+    same_size,
 )
 
 # Number of rungs tried by the deterministic shift ladder 1, -1, 2, -2, ...
@@ -36,10 +38,10 @@ class EtaChain:
     """A sequence eta_0 .. eta_K of intertwiners for H with per-element diagnostics.
 
     ``residuals`` are intertwining residuals against H (the original,
-    unshifted Hamiltonian).  ``rank`` is the real-linear rank of the chain
-    elements viewed as vectors, which makes periodicity up to scalars
-    visible.  ``shift_alpha`` is 0 unless the chain was built via a spectrum
-    shift.
+    unshifted Hamiltonian) and ``classes`` the classifications at ``tol``.
+    ``rank`` is the real-linear rank of the chain elements viewed as vectors,
+    which makes periodicity up to scalars visible.  ``shift_alpha`` is 0
+    unless the chain was built via a spectrum shift.
     """
 
     H: np.ndarray
@@ -47,13 +49,24 @@ class EtaChain:
     residuals: list[float]
     classes: list[MetricClass]
     normalized: bool
-    shift_alpha: float = 0.0
-    rank: int = field(default=0)
+    shift_alpha: float
+    rank: int
+    tol: float
 
     @property
     def degenerate_indices(self) -> list[int]:
         """Positions whose element is singular (Theorem hypotheses fail there)."""
         return [k for k, c in enumerate(self.classes) if not c.invertible]
+
+    @property
+    def checks(self) -> tuple[Check, ...]:
+        """chain_residual_max, all_elements_hermitian and all_elements_invertible."""
+        max_residual = max(self.residuals)
+        max_defect = max(c.hermiticity_defect for c in self.classes)
+        degenerate = float(len(self.degenerate_indices))
+        return (Check("chain_residual_max", max_residual <= self.tol, max_residual, self.tol),
+                Check("all_elements_hermitian", max_defect <= self.tol, max_defect, self.tol),
+                Check("all_elements_invertible", not degenerate, degenerate, 0.0))
 
     def __len__(self) -> int:
         return len(self.etas)
@@ -64,11 +77,8 @@ def next_eta(H, eta) -> np.ndarray:
 
     If eta is Hermitian and intertwines H, the result is Hermitian again.
     """
-    H = as_matrix(H, "H")
-    eta = as_matrix(eta, "eta")
-    if H.shape != eta.shape:
-        raise InputError(f"dimension mismatch: H is {H.shape[0]}x{H.shape[0]}, "
-                         f"eta is {eta.shape[0]}x{eta.shape[0]}")
+    H, eta = as_matrix(H, "H"), as_matrix(eta, "eta")
+    same_size(H, eta, ("H", "eta"))
     return adjoint(H) @ eta
 
 
@@ -80,7 +90,13 @@ def _real_rank(etas: list[np.ndarray], tol: float) -> int:
     return int(np.sum(svals > tol * frobenius(flat)))
 
 
-def _validate_start(H: np.ndarray, eta0: np.ndarray, tol: float) -> None:
+def _validate_start(H, eta0, k_max: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """H and eta0 as matrices, after InputError checks of tol, sizes, k_max and eta0 vs H."""
+    check_tol(tol)
+    H, eta0 = as_matrix(H, "H"), as_matrix(eta0, "eta0")
+    same_size(H, eta0, ("H", "eta0"))
+    if k_max < 0 or int(k_max) != k_max:
+        raise InputError("k_max must be a nonnegative integer")
     defect = hermiticity_defect(eta0)
     if defect > tol:
         raise InputError(f"eta0 failed the hermiticity check: defect {defect:.3e} "
@@ -89,6 +105,25 @@ def _validate_start(H: np.ndarray, eta0: np.ndarray, tol: float) -> None:
     if r > tol:
         raise InputError(f"eta0 failed the intertwining check: residual {r:.3e} "
                          f"exceeds tolerance {tol:.3e}")
+    return H, eta0
+
+
+def _chain(H: np.ndarray, G: np.ndarray, eta0: np.ndarray, k_max: int,
+           normalize: bool, tol: float, alpha: float) -> EtaChain:
+    """The chain ``(G^dag)^k eta0`` for ``G = H + alpha I``, measured once against H."""
+
+    def scaled(e: np.ndarray) -> np.ndarray:
+        norm = frobenius(e) if normalize else 0.0
+        return e / norm if norm > 0.0 else e
+
+    Gd = adjoint(G)
+    etas = [scaled(eta0)]
+    for _ in range(int(k_max)):
+        etas.append(scaled(Gd @ etas[-1]))
+    return EtaChain(H=H, etas=etas, residuals=[residual(H, e) for e in etas],
+                    classes=[classify_metric(e, tol) for e in etas],
+                    normalized=normalize, shift_alpha=alpha,
+                    rank=_real_rank(etas, tol), tol=tol)
 
 
 def build_chain(H, eta0, k_max: int, normalize: bool = False,
@@ -113,29 +148,8 @@ def build_chain(H, eta0, k_max: int, normalize: bool = False,
     singular value falls below threshold are flagged via their
     classification (this happens exactly when H^dag is singular).
     """
-    H = as_matrix(H, "H")
-    eta0 = as_matrix(eta0, "eta0")
-    if H.shape != eta0.shape:
-        raise InputError(f"dimension mismatch: H is {H.shape[0]}x{H.shape[0]}, "
-                         f"eta0 is {eta0.shape[0]}x{eta0.shape[0]}")
-    if k_max < 0 or int(k_max) != k_max:
-        raise InputError("k_max must be a nonnegative integer")
-    _validate_start(H, eta0, tol)
-
-    def scaled(e: np.ndarray) -> np.ndarray:
-        if not normalize:
-            return e
-        norm = frobenius(e)
-        return e / norm if norm > 0.0 else e
-
-    Hd = adjoint(H)
-    etas = [scaled(eta0)]
-    for _ in range(int(k_max)):
-        etas.append(scaled(Hd @ etas[-1]))
-    residuals = [residual(H, e) for e in etas]
-    classes = [classify_metric(e, tol) for e in etas]
-    return EtaChain(H=H, etas=etas, residuals=residuals, classes=classes,
-                    normalized=normalize, shift_alpha=0.0, rank=_real_rank(etas, tol))
+    H, eta0 = _validate_start(H, eta0, k_max, tol)
+    return _chain(H, H, eta0, k_max, normalize, tol, 0.0)
 
 
 def shift_for_invertibility(H, tol: float = DEFAULT_TOL) -> tuple[float, np.ndarray]:
@@ -147,8 +161,7 @@ def shift_for_invertibility(H, tol: float = DEFAULT_TOL) -> tuple[float, np.ndar
     ``"no invertible shift"`` when every rung fails the invertibility test.
     """
     H = as_matrix(H, "H")
-    if not 0 < tol < np.inf:
-        raise InputError("tol must be positive and finite")
+    check_tol(tol)
 
     def invertible(m: np.ndarray) -> bool:
         svals = np.linalg.svd(m, compute_uv=False)
@@ -178,17 +191,8 @@ def chain_via_shift(H, eta0, k_max: int, normalize: bool = False,
     eta intertwines H exactly when it intertwines H + alpha I for real
     alpha (the shift is Hermitian and commutes with everything), so the
     chain generated for the shifted, invertible Hamiltonian works for H.
-    Residuals in the returned chain are computed against the original H.
+    eta0 is checked, and the chain's residuals are computed, against H alone.
     """
-    H = as_matrix(H, "H")
-    eta0 = as_matrix(eta0, "eta0")
-    if H.shape != eta0.shape:
-        raise InputError(f"dimension mismatch: H is {H.shape[0]}x{H.shape[0]}, "
-                         f"eta0 is {eta0.shape[0]}x{eta0.shape[0]}")
-    _validate_start(H, eta0, tol)
+    H, eta0 = _validate_start(H, eta0, k_max, tol)
     alpha, shifted = shift_for_invertibility(H, tol)
-    chain = build_chain(shifted, eta0, k_max, normalize=normalize, tol=tol)
-    residuals = [residual(H, e) for e in chain.etas]
-    return EtaChain(H=H, etas=chain.etas, residuals=residuals,
-                    classes=chain.classes, normalized=normalize,
-                    shift_alpha=alpha, rank=chain.rank)
+    return _chain(H, shifted, eta0, k_max, normalize, tol, alpha)

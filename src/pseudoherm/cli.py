@@ -44,8 +44,13 @@ def _check_entry(check: Check) -> dict:
     return entry
 
 
-def _matrix_digest(path, m: np.ndarray) -> dict:
-    return {"path": str(path), "n": int(m.shape[0]), "frobenius_norm": frobenius(m)}
+def _read(args, inputs, *flags) -> list[np.ndarray]:
+    """Parse the matrix file named by each flag, recording its digest in inputs."""
+    paths = [getattr(args, flag) for flag in flags]
+    matrices = [io.parse_matrix(path) for path in paths]
+    for flag, path, m in zip(flags, paths, matrices):
+        inputs[flag] = {"path": str(path), "n": int(m.shape[0]), "frobenius_norm": frobenius(m)}
+    return matrices
 
 
 def _positive_float(text: str) -> float:
@@ -137,10 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args, inputs):
-    H = io.parse_matrix(args.hamiltonian)
-    eta = io.parse_matrix(args.eta)
-    inputs.update(hamiltonian=_matrix_digest(args.hamiltonian, H),
-                  eta=_matrix_digest(args.eta, eta))
+    H, eta = _read(args, inputs, "hamiltonian", "eta")
     r = residual(H, eta)
     cls = classify_metric(eta, args.tol)
     defect = cls.hermiticity_defect
@@ -153,15 +155,10 @@ def _cmd_verify(args, inputs):
 
 
 def _cmd_solve(args, inputs):
-    H = io.parse_matrix(args.hamiltonian)
-    inputs["hamiltonian"] = _matrix_digest(args.hamiltonian, H)
+    (H,) = _read(args, inputs, "hamiltonian")
     basis = solve_metric_space(H, args.tol)
     representative = find_metric(basis, want_positive=args.positive, tol=args.tol)
-    max_residual = max((residual(H, b) for b in basis.basis), default=0.0)
-    checks = [
-        Check("basis_residual_max", max_residual <= args.tol, max_residual, args.tol),
-        Check("metric_found", representative is not None),
-    ]
+    checks = [*basis.checks, Check("metric_found", representative is not None)]
     results = io.basis_to_dict(basis)
     results["metric"] = None if representative is None else io.matrix_to_dict(representative)
     results["metric_classification"] = (
@@ -171,36 +168,18 @@ def _cmd_solve(args, inputs):
 
 
 def _cmd_chain(args, inputs):
-    H = io.parse_matrix(args.hamiltonian)
-    eta0 = io.parse_matrix(args.eta0)
-    inputs.update(hamiltonian=_matrix_digest(args.hamiltonian, H),
-                  eta0=_matrix_digest(args.eta0, eta0))
+    H, eta0 = _read(args, inputs, "hamiltonian", "eta0")
     builder = chain_via_shift if args.via_shift else build_chain
     chain = builder(H, eta0, args.k_max, normalize=not args.no_normalize,
                     tol=args.tol)
-    max_residual = max(chain.residuals)
-    max_defect = max(c.hermiticity_defect for c in chain.classes)
-    degenerate = chain.degenerate_indices
-    checks = [
-        Check("chain_residual_max", max_residual <= args.tol, max_residual, args.tol),
-        Check("all_elements_hermitian", max_defect <= args.tol, max_defect, args.tol),
-        Check("all_elements_invertible", not degenerate, float(len(degenerate)), 0.0),
-    ]
-    results = io.chain_to_dict(chain)
-    results["degenerate_indices"] = degenerate
-    return results, checks
+    return io.chain_to_dict(chain), chain.checks
 
 
 def _cmd_perturb(args, inputs):
-    H = io.parse_matrix(args.hamiltonian)
-    eta = io.parse_matrix(args.eta)
+    H, eta = _read(args, inputs, "hamiltonian", "eta")
     f = RealPolynomial.parse(args.poly)
-    inputs.update(hamiltonian=_matrix_digest(args.hamiltonian, H),
-                  eta=_matrix_digest(args.eta, eta), poly=str(f))
-    K = eta
-    if args.k is not None:
-        K = io.parse_matrix(args.k)
-        inputs["k"] = _matrix_digest(args.k, K)
+    inputs["poly"] = str(f)
+    K = eta if args.k is None else _read(args, inputs, "k")[0]
     out = perturb(H, eta, K, f, args.tol, allow_hermitian=args.allow_hermitian)
     results = {"commutator_defect": out.commutator_defect,
                "hamiltonian_tilde": io.matrix_to_dict(out.H_tilde),
@@ -209,10 +188,7 @@ def _cmd_perturb(args, inputs):
 
 
 def _cmd_quasi(args, inputs):
-    H = io.parse_matrix(args.hamiltonian)
-    eta = io.parse_matrix(args.eta)
-    inputs.update(hamiltonian=_matrix_digest(args.hamiltonian, H),
-                  eta=_matrix_digest(args.eta, eta))
+    H, eta = _read(args, inputs, "hamiltonian", "eta")
     cls = classify_metric(eta, args.tol)
     r0 = residual(H, eta)
     checks = [

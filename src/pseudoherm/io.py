@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import asdict
 from typing import Any
 
 import numpy as np
@@ -169,14 +170,7 @@ def weyl_terms_to_list(poly: WeylPolynomial, exact: bool = True) -> list[dict]:
 
 
 def classification_to_dict(cls: MetricClass) -> dict:
-    return {
-        "hermitian": cls.hermitian,
-        "invertible": cls.invertible,
-        "positive": cls.positive,
-        "min_singular_value": cls.min_singular_value,
-        "min_eigenvalue_of_hermitian_part": cls.min_eigenvalue_of_hermitian_part,
-        "hermiticity_defect": cls.hermiticity_defect,
-    }
+    return asdict(cls)
 
 
 def basis_to_dict(basis: MetricBasis) -> dict:
@@ -196,4 +190,5 @@ def chain_to_dict(chain: EtaChain) -> dict:
         "residuals": list(chain.residuals),
         "classes": [classification_to_dict(c) for c in chain.classes],
         "rank": chain.rank,
+        "degenerate_indices": chain.degenerate_indices,
     }

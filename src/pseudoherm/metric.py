@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import Check, InputError
 
 # Relative tolerance used by every verification predicate unless overridden.
 DEFAULT_TOL = 1e-10
@@ -45,6 +45,19 @@ def as_vector(value, name: str = "vector") -> np.ndarray:
     return v
 
 
+def check_tol(tol: float) -> None:
+    """Reject a tolerance that is not positive and finite (nan included)."""
+    if not 0 < tol < np.inf:
+        raise InputError("tol must be positive and finite")
+
+
+def same_size(A: np.ndarray, B: np.ndarray, names: tuple[str, str]) -> None:
+    """Reject two square matrices of different sizes, named in the error by names."""
+    if A.shape != B.shape:
+        raise InputError(f"dimension mismatch: {names[0]} is {A.shape[0]}x{A.shape[0]}, "
+                         f"{names[1]} is {B.shape[0]}x{B.shape[0]}")
+
+
 def adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
@@ -71,6 +84,17 @@ def _unit_peak(m: np.ndarray) -> tuple[np.ndarray, int]:
     return m * np.ldexp(1.0, -k), k
 
 
+def _without_overflow(norm_of, *ms: np.ndarray) -> tuple[float, tuple[np.ndarray, ...]]:
+    """``norm_of(*ms)`` and the operands it was taken on: ms as given, or, when the
+    value overflows, ms scaled by one exact power of two to a unit peak entry."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = norm_of(*ms)
+    if not value < np.inf:
+        ms = tuple(_unit_peak(np.stack(ms))[0])
+        value = norm_of(*ms)
+    return value, ms
+
+
 def _bilinear_ratio(form, A, B, names: tuple[str, str]) -> float:
     """``|form(A, B)|_F / (|A|_F |B|_F)`` for a bilinear form; a zero numerator gives 0.
 
@@ -80,9 +104,7 @@ def _bilinear_ratio(form, A, B, names: tuple[str, str]) -> float:
     exactly to a unit peak entry, which leaves the ratio unchanged.
     """
     A, B = as_matrix(A, names[0]), as_matrix(B, names[1])
-    if A.shape != B.shape:
-        raise InputError(f"dimension mismatch: {names[0]} is {A.shape[0]}x{A.shape[0]}, "
-                         f"{names[1]} is {B.shape[0]}x{B.shape[0]}")
+    same_size(A, B, names)
     scale = frobenius(A) * frobenius(B)
     if not 1e-290 <= scale <= 1e300:
         (A, _), (B, _) = _unit_peak(A), _unit_peak(B)
@@ -93,8 +115,8 @@ def _bilinear_ratio(form, A, B, names: tuple[str, str]) -> float:
 
 def hermiticity_defect(m: np.ndarray) -> float:
     """Relative deviation from Hermiticity, ``|m - m^dag|_F / |m|_F`` (0 for m = 0)."""
-    m = np.asarray(m, dtype=complex)
-    defect = frobenius(m - adjoint(m))
+    defect, (m,) = _without_overflow(lambda a: frobenius(a - adjoint(a)),
+                                     np.asarray(m, dtype=complex))
     return defect / frobenius(m) if defect else 0.0
 
 
@@ -130,8 +152,7 @@ def classify_metric(eta, tol: float = DEFAULT_TOL) -> MetricClass:
     invariant under positive rescaling.
     """
     eta = as_matrix(eta, "eta")
-    if not 0 < tol < np.inf:
-        raise InputError("tol must be positive and finite")
+    check_tol(tol)
     scale = tol * frobenius(eta)
     defect = hermiticity_defect(eta)
     svals = np.linalg.svd(eta, compute_uv=False)
@@ -155,21 +176,29 @@ class MetricBasis:
     """Real-linear basis of the Hermitian solutions of ``eta H = H^dag eta``.
 
     Basis elements are Hermitian, have unit Frobenius norm and are pairwise
-    orthogonal under the real inner product ``Re tr(A^dag B)``;
-    ``classifications[k]`` is ``classify_metric(basis[k], tol)``.  ``solver``
-    names the path that produced the basis, ``"spectral"`` or ``"realified"``,
-    which also fixes the order of the elements (see solve_metric_space).
-    ``eigenvectors`` is the V of ``H = V diag(lambda) V^{-1}`` computed by the
-    solve on either path, columns in the order of the sorted eigenvalues.
+    orthogonal under the real inner product ``Re tr(A^dag B)``.  Element k
+    has the relative residual ``residuals[k] = |b H - H^dag b|_F / |H|_F``
+    and ``classifications[k] = classify_metric(b, tol)``.  ``solver`` names
+    the path, ``"spectral"`` or ``"realified"``, which also fixes the order of
+    the elements (see solve_metric_space).  ``spectral_metric`` is the
+    unit-norm ``V^{-dag} V^{-1}`` of the solve's ``H = V diag(lambda) V^{-1}``,
+    or None when V is singular.
     """
 
     H: np.ndarray
     dimension: int
     basis: list[np.ndarray]
+    residuals: list[float]
     classifications: list[MetricClass]
     solver: str
-    eigenvectors: np.ndarray
+    spectral_metric: np.ndarray | None
     tol: float
+
+    @property
+    def checks(self) -> tuple[Check, ...]:
+        """``basis_residual_max``: the largest element residual, held to tol."""
+        worst = max(self.residuals, default=0.0)
+        return (Check("basis_residual_max", worst <= self.tol, worst, self.tol),)
 
 
 def _hermitian_frame(n: int) -> np.ndarray:
@@ -236,6 +265,13 @@ def _spectral_untrusted(tol: float, cond_v: float, radius: float,
                 and residual_max <= tol)
 
 
+def _residuals(H: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """``|b H - H^dag b|_F / |H|_F`` for each unit-norm b of a (k, n, n) stack."""
+    images = stack @ H - adjoint(H) @ stack
+    norms = np.linalg.norm(images.reshape(len(stack), H.size), axis=1)
+    return norms / (frobenius(H) or 1.0)
+
+
 def _spectral_basis(W: np.ndarray, linked: np.ndarray) -> np.ndarray:
     """Orthonormal (k, n, n) stack spanning ``W M W^dag``, M Hermitian on the links.
 
@@ -282,9 +318,8 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
     valid outcome meaning no Hermitian metric exists.
     """
     H = as_matrix(H, "H")
-    if not 0 < tol < np.inf:
-        raise InputError("tol must be positive and finite")
-    unit, _ = _unit_peak(H)  # exact scaling: the same eigenvectors and solutions
+    check_tol(tol)
+    unit, _ = _unit_peak(H)  # exact scaling: the same eigenvector matrix and solutions
     lam, V = np.linalg.eig(unit)
     order = np.lexsort((lam.imag, lam.real))
     lam, V = lam[order], V[:, order]
@@ -298,33 +333,24 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
     basis, solver = None, "realified"
     if not _spectral_untrusted(tol, cond, radius, unlinked):
         stack = _spectral_basis((u / s) @ xh, linked)  # W = V^{-dag} = U S^-1 X^dag
-        images = stack @ unit - adjoint(unit) @ stack
-        norms = np.linalg.norm(images.reshape(len(stack), unit.size), axis=1)
-        residual_max = np.max(norms, initial=0.0) / (frobenius(unit) or 1.0)
-        if not _spectral_untrusted(tol, cond, radius, unlinked, residual_max):
+        residuals = _residuals(unit, stack)
+        if not _spectral_untrusted(tol, cond, radius, unlinked,
+                                   np.max(residuals, initial=0.0)):
             basis, solver = [_fix_sign(b) for b in stack], "spectral"
     if basis is None:
         basis = _realified_basis(H, tol)
+        residuals = _residuals(unit, np.reshape(basis, (-1,) + H.shape))
+    # V^{-dag} V^{-1} = U diag(1/s^2) U^dag, scaled by s_min^2 so that nothing
+    # is inverted and nothing overflows.
+    spectral = None
+    if s[-1] > 0:
+        spectral = (u * (s[-1] / s) ** 2) @ adjoint(u)
+        spectral = spectral + adjoint(spectral)
+        spectral = spectral / frobenius(spectral)
     classifications = [classify_metric(b, tol) for b in basis]
     return MetricBasis(H=H, dimension=len(basis), basis=basis,
-                       classifications=classifications, solver=solver,
-                       eigenvectors=V, tol=tol)
-
-
-def _spectral_metric(V: np.ndarray) -> np.ndarray | None:
-    """``V^{-dag} V^{-1}`` at unit norm for the eigenvectors V of H, or None.
-
-    Positive by construction; a metric when H is diagonalizable with real
-    spectrum.  Formed as ``U diag((s_min / s)^2) U^dag`` from
-    ``V = U diag(s) X^dag``, so nothing is inverted and nothing overflows.
-    """
-    u, s, _ = np.linalg.svd(V)
-    if not s[-1] > 0:
-        return None
-    d = (s[-1] / s) ** 2
-    eta = (u * d) @ adjoint(u)
-    eta = eta + adjoint(eta)
-    return eta / frobenius(eta)
+                       residuals=residuals.tolist(), classifications=classifications,
+                       solver=solver, spectral_metric=spectral, tol=tol)
 
 
 def _metric_candidates(basis: MetricBasis, tol: float):
@@ -332,9 +358,8 @@ def _metric_candidates(basis: MetricBasis, tol: float):
     the solve already made it (else None), in order, each computed when reached."""
     known = basis.classifications if tol == basis.tol else [None] * basis.dimension
     yield from zip(basis.basis, known)
-    spectral = _spectral_metric(basis.eigenvectors)
-    if spectral is not None and residual(basis.H, spectral) <= tol:
-        yield spectral, None
+    if basis.spectral_metric is not None and residual(basis.H, basis.spectral_metric) <= tol:
+        yield basis.spectral_metric, None
     # Distinct weights make the combination generic: unit weights cancel on
     # structured bases and miss invertible members that exist.
     weights = np.sqrt(np.arange(basis.dimension) + 2.0)
@@ -346,13 +371,14 @@ def find_metric(basis: MetricBasis, want_positive: bool = False,
                 tol: float = DEFAULT_TOL) -> np.ndarray | None:
     """Pick an invertible (optionally positive) metric from the solution space.
 
-    Candidates, in order: each basis element; the spectral metric
-    ``V^{-dag} V^{-1}`` of the solve's eigenvectors when its residual is at
-    most tol; the fixed combination ``sum_k sqrt(k + 2) b_k``.  Returns the
-    first one classified as wanted, a unit-Frobenius-norm Hermitian matrix, or
-    None; None is a result, not an error.  Basis elements are not classified
-    again when tol is the tol of the solve.
+    Candidates, in order: each basis element; the solve's spectral metric
+    ``V^{-dag} V^{-1}`` when its residual is at most tol; the fixed
+    combination ``sum_k sqrt(k + 2) b_k``.  Returns the first one classified
+    as wanted, a unit-Frobenius-norm Hermitian matrix, or None; None is a
+    result, not an error.  Basis elements are not classified again when tol
+    is the tol of the solve.
     """
+    check_tol(tol)
     if basis.dimension == 0:
         return None
     for candidate, cls in _metric_candidates(basis, tol):

@@ -18,11 +18,14 @@ from .errors import Check, CheckError, InputError
 from .metric import (
     DEFAULT_TOL,
     _bilinear_ratio,
+    _without_overflow,
     adjoint,
     as_matrix,
+    check_tol,
     frobenius,
     hermiticity_defect,
     residual,
+    same_size,
 )
 
 _NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
@@ -121,6 +124,7 @@ def auto_K(eta, f: RealPolynomial, tol: float = DEFAULT_TOL) -> np.ndarray:
     Such K is Hermitian and commutes with eta by construction, so it always
     satisfies the perturbation hypotheses for that eta.
     """
+    check_tol(tol)
     eta = as_matrix(eta, "eta")
     defect = hermiticity_defect(eta)
     if defect > tol:
@@ -149,12 +153,12 @@ def perturb(H, eta, K, f: RealPolynomial, tol: float = DEFAULT_TOL,
     Then H_tilde must pass perturbed_residual and anti_hermitian_part_preserved
     (the change of the anti-Hermitian part over ``max(|H|_F, |H_tilde|_F)``).
     """
+    check_tol(tol)
     H = as_matrix(H, "H")
     eta = as_matrix(eta, "eta")
     K = as_matrix(K, "K")
-    if not (H.shape == eta.shape == K.shape):
-        raise InputError("H, eta and K must share one dimension, got "
-                         f"{H.shape[0]}, {eta.shape[0]}, {K.shape[0]}")
+    same_size(H, eta, ("H", "eta"))
+    same_size(H, K, ("H", "K"))
 
     defect_eta = hermiticity_defect(eta)
     r0 = residual(H, eta)
@@ -178,8 +182,9 @@ def perturb(H, eta, K, f: RealPolynomial, tol: float = DEFAULT_TOL,
 
     H_tilde = H + matrix_poly(K, f)
     r = residual(H_tilde, eta)
-    drift = frobenius((H_tilde - adjoint(H_tilde)) - (H - adjoint(H)))
-    drift = drift / max(frobenius(H), frobenius(H_tilde)) if drift else 0.0
+    drift, (A, B) = _without_overflow(
+        lambda a, b: frobenius((b - adjoint(b)) - (a - adjoint(a))), H, H_tilde)
+    drift = drift / max(frobenius(A), frobenius(B)) if drift else 0.0
     checks = _require([
         (Check("perturbed_residual", r <= tol, r, tol), "perturbed residual",
          f"perturbed Hamiltonian failed verification (residual {r:.3e})"),

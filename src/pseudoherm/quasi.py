@@ -19,6 +19,7 @@ from .metric import (
     adjoint,
     as_matrix,
     as_vector,
+    check_tol,
     classify_metric,
     residual,
 )
@@ -64,6 +65,7 @@ def induced_hamiltonian(H, form: InducedForm, tol: float = DEFAULT_TOL) -> np.nd
     Requires the form's metric to intertwine H; the result is then Hermitian
     within tolerance and shares the (hence real) spectrum of H.
     """
+    check_tol(tol)
     H = as_matrix(H, "H")
     r = residual(H, form.eta)
     if r > tol:
@@ -82,6 +84,7 @@ def induced_inner(phi, psi, eta, allow_indefinite: bool = False,
     definite).  Indefinite eta is allowed behind ``allow_indefinite``; the
     result is then only a sesquilinear form.
     """
+    check_tol(tol)
     phi = as_vector(phi, "phi")
     psi = as_vector(psi, "psi")
     eta = as_matrix(eta, "eta")

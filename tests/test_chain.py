@@ -11,6 +11,7 @@ from pseudoherm import (
     residual,
     shift_for_invertibility,
 )
+from pseudoherm import chain as chain_module
 from pseudoherm.chain import _real_rank
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -121,6 +122,23 @@ class TestBuildChain:
         with pytest.raises(InputError):
             build_chain(H, eta0, k_max=-1)
 
+    def test_checks_of_a_passing_chain(self, osc2):
+        H, eta0 = osc2
+        chain = build_chain(H, eta0, k_max=4, tol=1e-9)
+        assert [c.name for c in chain.checks] == [
+            "chain_residual_max", "all_elements_hermitian", "all_elements_invertible"]
+        assert all(c.passed for c in chain.checks)
+        residual_max, hermitian, invertible = chain.checks
+        assert (residual_max.value, residual_max.threshold) == (max(chain.residuals), 1e-9)
+        assert hermitian.value == max(c.hermiticity_defect for c in chain.classes)
+        assert (invertible.value, invertible.threshold) == (0.0, 0.0)
+
+    def test_checks_of_a_degenerate_chain(self, nilpotent):
+        H, eta0 = nilpotent
+        residual_max, hermitian, invertible = build_chain(H, eta0, k_max=3).checks
+        assert residual_max.passed and hermitian.passed
+        assert not invertible.passed and invertible.value == 3.0
+
 
 class TestShiftForInvertibility:
     def test_invertible_matrix_untouched(self):
@@ -180,3 +198,35 @@ class TestChainViaShift:
         H, _ = nilpotent
         with pytest.raises(InputError, match="intertwining"):
             chain_via_shift(H, np.eye(2), k_max=2)
+
+    def test_checks_of_a_shifted_chain(self, nilpotent):
+        H, eta0 = nilpotent
+        chain = chain_via_shift(H, eta0, k_max=3)
+        assert [(c.name, c.passed) for c in chain.checks] == [
+            ("chain_residual_max", True), ("all_elements_hermitian", True),
+            ("all_elements_invertible", True)]
+        assert chain.checks[0].value == max(chain.residuals)
+
+    def test_each_residual_measured_once(self, nilpotent, monkeypatch):
+        # eta0 once, then each of the k_max + 1 elements once, all against H
+        calls = []
+
+        def counted(H, eta):
+            calls.append(H)
+            return residual(H, eta)
+
+        monkeypatch.setattr(chain_module, "residual", counted)
+        H, eta0 = nilpotent
+        chain = chain_via_shift(H, eta0, k_max=5)
+        assert chain.shift_alpha != 0.0
+        assert len(calls) == 5 + 2
+        assert all(np.array_equal(h, H) for h in calls)
+
+    def test_k_max_checked_before_the_shift_ladder(self, nilpotent, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("shift ladder ran")
+
+        monkeypatch.setattr(chain_module, "shift_for_invertibility", fail)
+        H, eta0 = nilpotent
+        with pytest.raises(InputError, match="k_max"):
+            chain_via_shift(H, eta0, k_max=-1)

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from pseudoherm import catalog_oscillator, catalog_two_point, hermiticity_defect
+from oracles import random_pseudo_hermitian
+from pseudoherm import catalog_oscillator, catalog_two_point, hermiticity_defect, residual
 from pseudoherm.cli import main
 from pseudoherm.io import matrix_from_dict, parse_matrix, write_matrix
 
@@ -116,6 +117,20 @@ class TestSolve:
     def test_missing_file(self, capsys):
         code, report = run_cli(capsys, "solve", "--hamiltonian", "missing.json")
         assert code == 2
+
+    @pytest.mark.parametrize("H, solver", [
+        (random_pseudo_hermitian(5, np.random.default_rng(2)), "spectral"),
+        (np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]]), "realified"),
+    ])
+    def test_basis_residual_max_recomputed(self, tmp_path, capsys, H, solver):
+        write_matrix(tmp_path / "h.json", H)
+        _, report = run_cli(capsys, "solve", "--hamiltonian", tmp_path / "h.json")
+        assert report["results"]["solver"] == solver
+        H = parse_matrix(tmp_path / "h.json")
+        recomputed = max(residual(H, matrix_from_dict(b)) for b in report["results"]["basis"])
+        (check,) = [c for c in report["checks"] if c["name"] == "basis_residual_max"]
+        assert abs(check["value"] - recomputed) <= 1e-15
+        assert [c["name"] for c in report["checks"]] == ["basis_residual_max", "metric_found"]
 
     def test_positive_pick_is_reproducible(self, fixtures, capsys):
         _, first = run_cli(capsys, "solve", "--hamiltonian", fixtures["H"], "--positive")
@@ -237,6 +252,17 @@ class TestHugeScale:
         assert report["results"]["shift_alpha"] == pytest.approx(np.sqrt(5.0) * 1e200,
                                                                  rel=1e-12)
 
+
+    def test_verify_eta_near_the_double_limit(self, tmp_path, capsys):
+        # eta - eta^dag has entries 2e308, beyond the double range
+        write_matrix(tmp_path / "i.json", np.eye(2))
+        write_matrix(tmp_path / "e.json", np.array([[0.0, 1e308], [-1e308, 0.0]]))
+        code = main(["verify", "--hamiltonian", str(tmp_path / "i.json"),
+                     "--eta", str(tmp_path / "e.json")])
+        report = _strict_json(capsys.readouterr().out)
+        assert code == 1
+        failed = [(c["name"], c["value"]) for c in report["checks"] if not c["passed"]]
+        assert failed == [("eta_hermitian", 2.0)]
 
     def test_perturb_with_huge_eta_passes(self, huge, capsys):
         # K defaults to eta, whose plain self-commutator overflows to inf - inf

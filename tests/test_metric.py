@@ -6,13 +6,21 @@ from hypothesis import strategies as st
 from oracles import intertwiner_nullspace_dimension, random_pseudo_hermitian
 from pseudoherm import (
     InputError,
+    RealPolynomial,
+    auto_K,
+    build_chain,
     catalog_oscillator,
     catalog_two_point,
+    chain_via_shift,
     classify_metric,
     commutator_defect,
     find_metric,
     hermiticity_defect,
+    induced_hamiltonian,
+    induced_inner,
     metric,
+    metric_sqrt,
+    perturb,
     residual,
     shift_for_invertibility,
     solve_metric_space,
@@ -80,6 +88,12 @@ class TestResidual:
         H = 1e-12 * np.array([[0.0, 1.0], [0.0, 0.0]])
         assert residual(H, np.eye(2)) == pytest.approx(1.0, rel=1e-15)
         assert residual(1e-200 * H, 1e-200 * np.eye(2)) == pytest.approx(1.0, rel=1e-15)
+
+    def test_hermiticity_defect_beyond_half_the_double_range(self):
+        # m - m^dag has entries 2e308, beyond the double range
+        eta = np.array([[0.0, 1e308], [-1e308, 0.0]])
+        assert hermiticity_defect(eta) == 2.0
+        assert hermiticity_defect(1e-300 * eta) == 2.0
 
     def test_zero_operand_gives_zero(self):
         H = np.array([[1.0, 2.0], [0.0, 1j]])
@@ -232,6 +246,37 @@ class TestClassify:
             assert not cls.invertible or cls.hermitian
 
 
+class TestTolGuard:
+    """A tol that is not positive and finite is rejected by every public function
+    that takes one (TestClassify covers classify_metric, solve_metric_space and
+    shift_for_invertibility); most of these calls would otherwise return an answer."""
+
+    H, ETA = catalog_oscillator(2.0)
+    CALLS = {
+        "find_metric": lambda tol: find_metric(solve_metric_space(np.diag([1j, 2j])),
+                                               tol=tol),
+        "build_chain": lambda tol: build_chain(TestTolGuard.H, TestTolGuard.ETA, 2, tol=tol),
+        "chain_via_shift": lambda tol: chain_via_shift(TestTolGuard.H, TestTolGuard.ETA, 2,
+                                                       tol=tol),
+        "auto_K": lambda tol: auto_K(np.array([[0.0, 1.0], [0.0, 0.0]]),
+                                     RealPolynomial([0.0, 1.0]), tol),
+        # I is no metric for the oscillator H
+        "perturb": lambda tol: perturb(TestTolGuard.H, np.eye(2), np.eye(2),
+                                       RealPolynomial([1.0]), tol, allow_hermitian=True),
+        "metric_sqrt": lambda tol: metric_sqrt(np.eye(2), tol),
+        "induced_hamiltonian": lambda tol: induced_hamiltonian(
+            TestTolGuard.H, metric_sqrt(np.eye(2)), tol),
+        "induced_inner": lambda tol: induced_inner(np.ones(2), np.ones(2), -np.eye(2),
+                                                   allow_indefinite=True, tol=tol),
+    }
+
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1e-10])
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_rejected(self, name, tol):
+        with pytest.raises(InputError, match="^tol must be positive and finite$"):
+            self.CALLS[name](tol)
+
+
 def loop_frame(n):
     """Reference Hermitian frame: diagonal units, then each i < j pair."""
     frame = []
@@ -377,6 +422,58 @@ class TestSolveMetricSpace:
         assert real_scalar.dimension == 1
         imaginary_scalar = solve_metric_space(np.array([[1j]]))
         assert imaginary_scalar.dimension == 0
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_residuals_spectral_path(self, n):
+        for seed in range(5):
+            H = random_pseudo_hermitian(n, np.random.default_rng(seed))
+            basis = solve_metric_space(H)
+            assert basis.solver == "spectral"
+            assert len(basis.residuals) == basis.dimension
+            for r, b in zip(basis.residuals, basis.basis):
+                assert abs(r - residual(H, b)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_residuals_realified_path(self, n):
+        # S J S^-1 with a 2x2 Jordan block: V is singular to working precision
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            J = np.diag(np.r_[1.0, np.arange(1.0, n)])
+            J[0, 1] = 1.0
+            S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            H = S @ J @ np.linalg.inv(S)
+            basis = solve_metric_space(H)
+            assert basis.solver == "realified"
+            assert basis.dimension == intertwiner_nullspace_dimension(H) > 0
+            assert len(basis.residuals) == basis.dimension
+            for r, b in zip(basis.residuals, basis.basis):
+                assert abs(r - residual(H, b)) <= 1e-15
+
+    def test_checks(self, osc2):
+        basis = solve_metric_space(osc2[0])
+        (check,) = basis.checks
+        assert check.name == "basis_residual_max"
+        assert check.passed and check.threshold == basis.tol
+        assert check.value == max(basis.residuals)
+        empty = solve_metric_space(np.diag([1j, 2j]))
+        assert empty.residuals == [] and empty.checks[0].value == 0.0
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_spectral_metric_for_real_spectrum(self, n):
+        S = np.random.default_rng(n).standard_normal((n, n))
+        H = S @ np.diag(np.arange(1.0, n + 1)) @ np.linalg.inv(S)
+        eta = solve_metric_space(H).spectral_metric
+        assert hermiticity_defect(eta) <= 1e-15
+        assert classify_metric(eta).positive
+        assert np.linalg.norm(eta) == pytest.approx(1.0, abs=1e-15)
+        assert residual(H, eta) <= 1e-10
+
+    def test_spectral_metric_for_complex_spectrum(self):
+        # conjugate pair 1 +- i: every metric is indefinite, V^-dag V^-1 is none
+        H, _ = catalog_two_point(1 + 1j, 0.5)
+        eta = solve_metric_space(H).spectral_metric
+        assert classify_metric(eta).positive
+        assert residual(H, eta) > 0.1
 
     def test_classifications_aligned(self, osc2):
         basis = solve_metric_space(osc2[0])

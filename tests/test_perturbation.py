@@ -212,6 +212,16 @@ class TestPerturb:
         assert drift.name == "anti_hermitian_part_preserved" and not drift.passed
         assert drift.value == pytest.approx(3.0 * np.sqrt(2.0) * eps / np.sqrt(17.0), rel=1e-6)
 
+    def test_anti_hermitian_part_beyond_half_the_double_range(self):
+        # H - H^dag = 2H has entries 2e308; sigma_z anticommutes with H
+        H = 1e308 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        sz = np.diag([1.0, -1.0])
+        out = perturb(H, sz, sz, RealPolynomial([0.0, 1.0]))
+        by_name = {c.name: c for c in out.checks}
+        assert all(c.passed for c in out.checks)
+        assert by_name["hamiltonian_non_hermitian"].value == 2.0
+        assert by_name["anti_hermitian_part_preserved"].value == 0.0
+
     def test_positive_metric_survives_perturbation(self, osc2):
         H, _ = osc2
         eta = np.diag([4.0, 1.0]) / np.sqrt(17.0)

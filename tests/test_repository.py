@@ -1,5 +1,7 @@
+import importlib
 import pathlib
 import subprocess
+import sys
 
 import pytest
 
@@ -17,3 +19,27 @@ def test_no_tracked_file_is_ignored():
     listed = subprocess.run(["git", "ls-files", "--cached", "--ignored", "--exclude-standard"],
                             cwd=ROOT, capture_output=True, text=True, check=True)
     assert listed.stdout == ""
+
+
+def test_benchmark_tracer_binds_every_layer(monkeypatch):
+    # perfbench/run.py --trace 1 looks every traced function up by name
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    importlib.import_module("pseudoherm.cli")
+    tracer = importlib.import_module("tracer")
+
+    def functions():
+        return {layer: [getattr(owner, attr) for owner, attr in targets]
+                for layer, targets in tracer.LAYERS.items()}
+
+    originals = functions()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        patched = [value for _, _, value in t._patched]
+    finally:
+        t.uninstall()
+    unbound = [layer for layer, fns in originals.items()
+               if not any(fn is value for fn in fns for value in patched)]
+    assert unbound == []
+    assert functions() == originals
