@@ -45,11 +45,14 @@ def _check_entry(check: Check) -> dict:
 
 
 def _read(args, inputs, *flags) -> list[np.ndarray]:
-    """Parse the matrix file named by each flag, recording its digest in inputs."""
+    """Parse the matrix file named by each flag into inputs; an infinite norm is an InputError."""
     paths = [getattr(args, flag) for flag in flags]
     matrices = [io.parse_matrix(path) for path in paths]
     for flag, path, m in zip(flags, paths, matrices):
-        inputs[flag] = {"path": str(path), "n": int(m.shape[0]), "frobenius_norm": frobenius(m)}
+        norm = frobenius(m)
+        if norm == np.inf:
+            raise InputError(f"--{flag}: the Frobenius norm is beyond the double range")
+        inputs[flag] = {"path": str(path), "n": int(m.shape[0]), "frobenius_norm": norm}
     return matrices
 
 

@@ -77,8 +77,9 @@ def frobenius(m: np.ndarray) -> float:
 
 
 def _unit_peak(m: np.ndarray) -> tuple[np.ndarray, int]:
-    """m divided by the power of two k at its largest entry (exact), and k."""
-    k = int(np.frexp(np.max(np.abs(m), initial=0.0))[1])
+    """m / 2^k (exact) for k the exponent of its largest real or imaginary part, and k."""
+    peak = max(np.max(np.abs(m.real), initial=0.0), np.max(np.abs(m.imag), initial=0.0))
+    k = int(np.frexp(peak)[1])
     if k < -1000:  # 2^-k overflows for a subnormal peak: scale up in two exact steps
         return m * np.ldexp(1.0, 1000) * np.ldexp(1.0, -k - 1000), k
     return m * np.ldexp(1.0, -k), k
@@ -149,11 +150,16 @@ def classify_metric(eta, tol: float = DEFAULT_TOL) -> MetricClass:
     """Classify eta as hermitian / invertible / positive.
 
     Thresholds are relative to the Frobenius norm of eta, so the flags are
-    invariant under positive rescaling.
+    invariant under positive rescaling.  From norm 1e300 on, eta / 2^k from
+    _unit_peak is classified and the two reported values are scaled back.
     """
     eta = as_matrix(eta, "eta")
     check_tol(tol)
-    scale = tol * frobenius(eta)
+    norm, k = frobenius(eta), 0
+    if norm >= 1e300:
+        eta, k = _unit_peak(eta)
+        norm = frobenius(eta)
+    scale = tol * norm
     defect = hermiticity_defect(eta)
     svals = np.linalg.svd(eta, compute_uv=False)
     min_sv = float(svals[-1]) if svals.size else 0.0
@@ -165,8 +171,8 @@ def classify_metric(eta, tol: float = DEFAULT_TOL) -> MetricClass:
         hermitian=hermitian,
         invertible=invertible,
         positive=positive,
-        min_singular_value=min_sv,
-        min_eigenvalue_of_hermitian_part=min_eig,
+        min_singular_value=float(np.ldexp(min_sv, k)),
+        min_eigenvalue_of_hermitian_part=float(np.ldexp(min_eig, k)),
         hermiticity_defect=defect,
     )
 

@@ -39,6 +39,7 @@ from pseudoherm import (
 )
 from pseudoherm.cli import main
 from pseudoherm.io import write_matrix
+from test_cli import _strict_json
 
 
 def conclude(number: int, title: str, failures: list[str]) -> None:
@@ -273,7 +274,7 @@ def test_criterion_9_cli_contract(tmp_path, capsys):
                  "--out", str(tmp_path / "err.json")])
     if code != 2:
         failures.append(f"input error exited {code}")
-    if json.loads((tmp_path / "err.json").read_text())["status"] != "input_error":
+    if _strict_json((tmp_path / "err.json").read_text())["status"] != "input_error":
         failures.append("input_error status missing from report")
 
     stamp = re.compile(r'^\s*"generated_at".*$', re.MULTILINE)

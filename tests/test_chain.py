@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pseudoherm import (
-    CheckError,
     InputError,
     build_chain,
     catalog_two_point,
@@ -13,6 +12,7 @@ from pseudoherm import (
 )
 from pseudoherm import chain as chain_module
 from pseudoherm.chain import _real_rank
+from pseudoherm.metric import frobenius
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -150,9 +150,9 @@ class TestShiftForInvertibility:
     def test_nilpotent_shifted_on_first_rung(self, nilpotent):
         H, _ = nilpotent
         alpha, shifted = shift_for_invertibility(H)
-        # ladder step is 1 + ||H||_F = 3; det(H + 3I) = 9 by hand
-        assert alpha == pytest.approx(3.0)
-        assert abs(np.linalg.det(shifted)) > 1.0
+        # alpha = 2 ||H||_F = 4; det(H + 4I) = (4 + i)(4 - i) - 1 = 16 by hand
+        assert alpha == pytest.approx(4.0)
+        assert np.linalg.det(shifted) == pytest.approx(16.0)
 
     def test_zero_matrix(self):
         alpha, shifted = shift_for_invertibility(np.zeros((2, 2)))
@@ -160,12 +160,46 @@ class TestShiftForInvertibility:
         assert np.allclose(shifted, np.eye(2), atol=0)
 
     def test_exhausted_ladder_is_named_check(self):
-        # sigma_min <= |m|_F / sqrt(n), so tol = 0.5 rejects every rung for n >= 4
-        with pytest.raises(CheckError) as info:
-            shift_for_invertibility(np.diag(np.arange(8.0)), tol=0.5)
-        assert info.value.check == "no invertible shift"
-        assert [c.name for c in info.value.checks] == ["invertible_shift_found"]
-        assert info.value.checks[0].value == 100.0
+        # sigma_min <= |m|_F / sqrt(n), so tol = 0.5 rejects every matrix for n >= 4;
+        # the closed-form shift needs no test on H + alpha I
+        H = np.diag(np.arange(8.0))
+        alpha, shifted = shift_for_invertibility(H, tol=0.5)
+        assert alpha == 2.0 * np.sqrt(140.0)
+        assert np.array_equal(shifted, H + alpha * np.eye(8))
+        assert np.linalg.svd(shifted, compute_uv=False)[-1] == pytest.approx(alpha)
+
+    def test_one_svd_for_a_singular_matrix(self, nilpotent, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        alpha, _ = shift_for_invertibility(nilpotent[0])
+        assert alpha == 4.0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    def test_shift_bound_on_random_singular(self, n):
+        # sigma_min(H + alpha I) >= alpha - |H|_2 >= |H|_F for alpha = 2 |H|_F
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            H[:, 0] = H[:, 1:].sum(axis=1)
+            norm = np.linalg.norm(H)
+            alpha, shifted = shift_for_invertibility(H)
+            assert alpha == 2.0 * frobenius(H)
+            assert np.linalg.svd(shifted, compute_uv=False)[-1] >= norm * (1.0 - 1e-12)
+
+    def test_beyond_the_double_range_is_input_error(self):
+        # alpha = 2 |H|_F overflows from |H|_F near 9e307, H + alpha I from about 6e307
+        with pytest.raises(InputError, match="beyond the double range"):
+            shift_for_invertibility(1.5e308 * np.diag([0.0, 1.0]))
+        alpha, shifted = shift_for_invertibility(1e307 * np.diag([0.0, 1.0]))
+        assert alpha == 2e307
+        assert np.isfinite(shifted).all()
 
 
 class TestChainViaShift:
@@ -230,3 +264,41 @@ class TestChainViaShift:
         H, eta0 = nilpotent
         with pytest.raises(InputError, match="k_max"):
             chain_via_shift(H, eta0, k_max=-1)
+
+
+class TestScaleCovariance:
+    """chain_via_shift(c H) is the unit-scale chain at every c: alpha = 2 |c H|_F."""
+
+    SCALES = (1e-300, 1e-12, 1.0, 1e12, 1e300)
+
+    @staticmethod
+    def singular_pair():
+        rng = np.random.default_rng(11)
+        n = 8
+        S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        S_inv = np.linalg.inv(S)
+        spectrum = rng.uniform(0.5, 3.0, n)
+        spectrum[3] = 0.0
+        H = S @ np.diag(spectrum) @ S_inv
+        eta0 = S_inv.conj().T @ S_inv
+        eta0 = (eta0 + eta0.conj().T) / 2.0
+        return H / np.linalg.norm(H), eta0 / np.linalg.norm(eta0)
+
+    @staticmethod
+    def rank_one_pair():
+        # H = -u u^dag with unit u is Hermitian, so eta0 = I is a metric
+        u = np.random.default_rng(12).standard_normal(8)
+        u /= np.linalg.norm(u)
+        return -np.outer(u, u), np.eye(8)
+
+    @pytest.mark.parametrize("pair", ["singular_pair", "rank_one_pair"])
+    def test_same_chain_at_every_scale(self, pair):
+        H, eta0 = getattr(self, pair)()
+        base = chain_via_shift(H, eta0, 8, normalize=True)
+        for c in self.SCALES:
+            chain = chain_via_shift(c * H, eta0, 8, normalize=True)
+            assert chain.shift_alpha == 2.0 * frobenius(chain.H)
+            assert chain.rank == base.rank
+            assert chain.degenerate_indices == []
+            for a, b in zip(chain.etas, base.etas):
+                assert np.abs(a - b).max() <= 1e-14

@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,13 @@ from pseudoherm.cli import main
 from pseudoherm.io import matrix_from_dict, parse_matrix, write_matrix
 
 TIMESTAMP = re.compile(r'^\s*"generated_at".*$', re.MULTILINE)
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not valid JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 @pytest.fixture
@@ -44,7 +52,7 @@ def fixtures(tmp_path):
 def run_cli(capsys, *argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr().out
-    return code, (json.loads(out) if out.lstrip().startswith("{") else out)
+    return code, (_strict_json(out) if out.lstrip().startswith("{") else out)
 
 
 class TestVerify:
@@ -174,16 +182,21 @@ class TestChain:
         assert "intertwining" in report["error"]
 
     def test_exhausted_shift_ladder_is_failed_check(self, tmp_path):
+        # sigma_min <= |m|_F / sqrt(n): at tol 0.5 no element of the shifted chain
+        # counts as invertible, so the chain fails that check
         write_matrix(tmp_path / "h.json", np.diag(np.arange(8.0)))
         write_matrix(tmp_path / "i.json", np.eye(8))
         out = tmp_path / "report.json"
         code = main(["chain", "--hamiltonian", str(tmp_path / "h.json"), "--eta0",
                      str(tmp_path / "i.json"), "--via-shift", "--tol", "0.5", "--out", str(out)])
         assert code == 1
-        report = json.loads(out.read_text())
+        report = _strict_json(out.read_text())
         assert report["status"] == "fail"
-        assert report["checks"] == [{"name": "invertible_shift_found", "passed": False,
-                                     "value": 100.0, "threshold": None}]
+        assert [(c["name"], c["passed"]) for c in report["checks"]] == [
+            ("chain_residual_max", True), ("all_elements_hermitian", True),
+            ("all_elements_invertible", False)]
+        assert report["checks"][2]["value"] == 5.0
+        assert report["results"]["shift_alpha"] == 2.0 * np.sqrt(140.0)
         assert set(report["inputs"]) == {"hamiltonian", "eta0"}
 
     def test_linalg_error_is_input_error(self, fixtures, tmp_path, monkeypatch):
@@ -195,16 +208,9 @@ class TestChain:
         code = main(["chain", "--hamiltonian", str(fixtures["nilpotent_H"]), "--eta0",
                      str(fixtures["sigma_x"]), "--via-shift", "--out", str(out)])
         assert code == 2
-        report = json.loads(out.read_text())
+        report = _strict_json(out.read_text())
         assert report["status"] == "input_error"
         assert "SVD did not converge" in report["error"]
-
-
-def _strict_json(text):
-    def reject(constant):
-        raise ValueError(f"{constant} is not valid JSON")
-
-    return json.loads(text, parse_constant=reject)
 
 
 class TestHugeScale:
@@ -249,8 +255,51 @@ class TestHugeScale:
         report = _strict_json(capsys.readouterr().out)
         assert code == 0
         assert report["status"] == "pass"
-        assert report["results"]["shift_alpha"] == pytest.approx(np.sqrt(5.0) * 1e200,
+        assert report["results"]["shift_alpha"] == pytest.approx(2.0 * np.sqrt(5.0) * 1e200,
                                                                  rel=1e-12)
+
+    def test_chain_via_shift_beyond_the_double_range_is_input_error(self, tmp_path, capsys):
+        # alpha = 2 |H|_F = 3e308 overflows
+        write_matrix(tmp_path / "h.json", 1.5e308 * np.diag([0.0, 1.0]))
+        write_matrix(tmp_path / "i.json", np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["chain", "--hamiltonian", str(tmp_path / "h.json"),
+                         "--eta0", str(tmp_path / "i.json"), "--via-shift"])
+        report = _strict_json(capsys.readouterr().out)
+        assert code == 2
+        assert report["status"] == "input_error"
+        assert report["error"] == "H + alpha I is beyond the double range"
+
+    def test_chain_via_shift_below_the_double_limit_passes(self, tmp_path, capsys):
+        write_matrix(tmp_path / "h.json", 1e307 * np.diag([0.0, 1.0]))
+        write_matrix(tmp_path / "i.json", np.eye(2))
+        code = main(["chain", "--hamiltonian", str(tmp_path / "h.json"),
+                     "--eta0", str(tmp_path / "i.json"), "--via-shift"])
+        report = _strict_json(capsys.readouterr().out)
+        assert code == 0
+        assert report["results"]["shift_alpha"] == 2e307
+
+    def test_verify_eta_norm_near_the_double_limit(self, tmp_path, capsys):
+        # |eta|_F = 1.4e308 is finite, eta + eta^dag is not
+        write_matrix(tmp_path / "i.json", np.eye(2))
+        write_matrix(tmp_path / "e.json", np.diag([1e308, 1e308]))
+        code = main(["verify", "--hamiltonian", str(tmp_path / "i.json"),
+                     "--eta", str(tmp_path / "e.json")])
+        report = _strict_json(capsys.readouterr().out)
+        assert code == 0
+        cls = report["results"]["eta_classification"]
+        assert cls["positive"] and cls["min_eigenvalue_of_hermitian_part"] == 1e308
+
+    def test_input_norm_beyond_the_double_range_is_input_error(self, tmp_path, capsys):
+        write_matrix(tmp_path / "i.json", np.eye(2))
+        write_matrix(tmp_path / "e.json", np.diag([1e308, 1.5e308]))
+        code = main(["verify", "--hamiltonian", str(tmp_path / "i.json"),
+                     "--eta", str(tmp_path / "e.json")])
+        report = _strict_json(capsys.readouterr().out)
+        assert code == 2
+        assert report["status"] == "input_error"
+        assert report["error"].startswith("--eta:")
 
 
     def test_verify_eta_near_the_double_limit(self, tmp_path, capsys):
@@ -432,7 +481,7 @@ class TestReportContract:
         code = main(["verify", "--hamiltonian", str(fixtures["H"]),
                      "--eta", str(fixtures["eta"]), "--out", str(out_path)])
         assert code == 0
-        report = json.loads(out_path.read_text())
+        report = _strict_json(out_path.read_text())
         assert report["status"] == "pass"
 
     def test_status_matches_checks(self, fixtures, capsys):
@@ -447,4 +496,4 @@ class TestReportContract:
              "--hamiltonian", str(fixtures["H"]), "--eta", str(fixtures["eta"])],
             capture_output=True, text=True)
         assert proc.returncode == 0
-        assert json.loads(proc.stdout)["status"] == "pass"
+        assert _strict_json(proc.stdout)["status"] == "pass"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -94,6 +96,13 @@ class TestResidual:
         eta = np.array([[0.0, 1e308], [-1e308, 0.0]])
         assert hermiticity_defect(eta) == 2.0
         assert hermiticity_defect(1e-300 * eta) == 2.0
+
+    def test_hermiticity_defect_complex_peak_beyond_the_double_range(self):
+        # |1.5e308 + 1.5e308i| overflows, its real and imaginary parts do not
+        m = np.array([[1.5e308 + 1.5e308j, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hermiticity_defect(m) == pytest.approx(np.sqrt(2.0), rel=1e-15)
 
     def test_zero_operand_gives_zero(self):
         H = np.array([[1.0, 2.0], [0.0, 1j]])
@@ -228,6 +237,16 @@ class TestClassify:
     def test_tol_must_be_positive_and_finite(self, call, tol):
         with pytest.raises(InputError):
             call(np.eye(2), tol=tol)
+
+    @pytest.mark.parametrize("diagonal", [(1e308, 1e308), (1e308, 1.5e308)])
+    def test_norm_beyond_the_double_range(self, diagonal):
+        # |eta|_F is 1.4e308 and inf, and eta + eta^dag overflows in both
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cls = classify_metric(np.diag(diagonal))
+        assert cls.hermitian and cls.invertible and cls.positive
+        assert cls.min_singular_value == pytest.approx(1e308, rel=1e-15)
+        assert cls.min_eigenvalue_of_hermitian_part == pytest.approx(1e308, rel=1e-15)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_identity_every_dimension(self, n):
