@@ -28,7 +28,6 @@ from .metric import (
 )
 from .perturbation import (
     PerturbedHamiltonian,
-    RealPolynomial,
     auto_K,
     commutator_defect,
     matrix_poly,
@@ -37,6 +36,7 @@ from .perturbation import (
 from .quasi import InducedForm, induced_hamiltonian, induced_inner, metric_sqrt
 from .weyl import (
     RationalComplex,
+    RealPolynomial,
     ShiftedPotentialSpec,
     WeylPolynomial,
     boost_residual,

@@ -18,6 +18,7 @@ from .errors import Check, InputError
 from .metric import (
     DEFAULT_TOL,
     MetricClass,
+    _unit_peak,
     adjoint,
     as_matrix,
     check_tol,
@@ -80,9 +81,13 @@ def next_eta(H, eta) -> np.ndarray:
 def _real_rank(etas: list[np.ndarray], tol: float) -> int:
     """Real-linear rank: singular values of the stack above ``tol |stack|_F``."""
     flat = np.asarray(etas).reshape(len(etas), -1)
+    norm = frobenius(flat)
+    if norm == np.inf:  # finite elements, joint norm beyond the double range: rescale exactly
+        flat, _ = _unit_peak(flat)
+        norm = frobenius(flat)
     # The (2n^2, k) transpose has the same singular values and is faster to factor.
     svals = np.linalg.svd(np.concatenate((flat.real, flat.imag), axis=1).T, compute_uv=False)
-    return int(np.sum(svals > tol * frobenius(flat)))
+    return int(np.sum(svals > tol * norm))
 
 
 def _validate_start(H, eta0, k_max: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -106,15 +111,14 @@ def _validate_start(H, eta0, k_max: int, tol: float) -> tuple[np.ndarray, np.nda
 def _chain(H: np.ndarray, G: np.ndarray, eta0: np.ndarray, k_max: int,
            normalize: bool, tol: float, alpha: float) -> EtaChain:
     """The chain ``(G^dag)^k eta0`` for ``G = H + alpha I``, measured once against H."""
-
-    def scaled(e: np.ndarray) -> np.ndarray:
-        norm = frobenius(e) if normalize else 0.0
-        return e / norm if norm > 0.0 else e
-
-    Gd = adjoint(G)
-    etas = [scaled(eta0)]
-    for _ in range(int(k_max)):
-        etas.append(scaled(Gd @ etas[-1]))
+    Gd, etas = adjoint(G), []
+    for k in range(int(k_max) + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = Gd @ etas[-1] if etas else eta0
+        norm = frobenius(e)
+        if not norm < np.inf:
+            raise InputError(f"eta_{k} is beyond the double range")
+        etas.append(e / norm if normalize and norm > 0.0 else e)
     return EtaChain(H=H, etas=etas, residuals=[residual(H, e) for e in etas],
                     classes=[classify_metric(e, tol) for e in etas],
                     normalized=normalize, shift_alpha=alpha,

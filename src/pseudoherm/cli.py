@@ -16,6 +16,7 @@ import datetime
 import json
 import os
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -32,9 +33,9 @@ from .metric import (
     residual,
     solve_metric_space,
 )
-from .perturbation import RealPolynomial, perturb
+from .perturbation import perturb
 from .quasi import induced_hamiltonian, metric_sqrt
-from .weyl import boost_residual, build_shifted_hamiltonian
+from .weyl import RealPolynomial, _finite_real, boost_residual, build_shifted_hamiltonian
 
 
 def _check_entry(check: Check) -> dict:
@@ -234,7 +235,8 @@ def _cmd_weyl(args, inputs):
         passed = value <= threshold
     checks = [Check("residual_zero", passed, value, threshold)]
     results = {
-        "theta": theta,
+        # exact mode reports the checked theta as an exact rational, like the terms
+        "theta": str(Fraction(theta)) if exact else _finite_real(theta, "theta"),
         "hamiltonian_terms": io.weyl_terms_to_list(H, exact=exact),
         "residual_terms": io.weyl_terms_to_list(residual_poly, exact=exact),
     }

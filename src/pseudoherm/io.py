@@ -22,8 +22,7 @@ import numpy as np
 from .chain import EtaChain
 from .errors import InputError
 from .metric import MetricBasis, MetricClass, as_matrix, as_vector
-from .perturbation import RealPolynomial
-from .weyl import ShiftedPotentialSpec, WeylPolynomial
+from .weyl import RealPolynomial, ShiftedPotentialSpec, WeylPolynomial, _finite_real
 
 
 def load_json(path) -> Any:
@@ -39,10 +38,9 @@ def load_json(path) -> Any:
 
 
 def _complex_from_pair(pair, where: str) -> complex:
-    if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)):
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise InputError(f"{where}: expected a [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    return complex(_finite_real(pair[0], f"{where}: re"), _finite_real(pair[1], f"{where}: im"))
 
 
 def matrix_from_dict(obj, where: str = "matrix") -> np.ndarray:
@@ -118,32 +116,21 @@ def parse_complex_scalar(text: str) -> complex:
     return value
 
 
-def _real_coeff_list(values, where: str) -> RealPolynomial:
-    if not isinstance(values, list):
-        raise InputError(f"{where}: expected a list of real coefficients")
-    for v in values:
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise InputError(f"{where}: coefficient {v!r} is not a real number")
-    return RealPolynomial(values)
-
-
 def weyl_spec_from_dict(obj, where: str = "spec") -> ShiftedPotentialSpec:
     if not isinstance(obj, dict):
         raise InputError(f"{where}: expected a JSON object")
     missing = [k for k in ("V", "alpha", "beta", "gamma", "f") if k not in obj]
     if missing:
         raise InputError(f"{where}: missing keys {missing}")
-    for name in ("alpha", "beta", "gamma"):
-        v = obj[name]
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise InputError(f"{where}: {name} must be a real number, got {v!r}")
-    return ShiftedPotentialSpec(
-        V=_real_coeff_list(obj["V"], f"{where}: V"),
-        alpha=float(obj["alpha"]),
-        beta=float(obj["beta"]),
-        gamma=float(obj["gamma"]),
-        f=_real_coeff_list(obj["f"], f"{where}: f"),
-    )
+    for name in ("V", "f"):
+        if not isinstance(obj[name], list):
+            raise InputError(f"{where}: {name}: expected a list of real coefficients")
+    try:
+        return ShiftedPotentialSpec(V=RealPolynomial(obj["V"]), alpha=obj["alpha"],
+                                    beta=obj["beta"], gamma=obj["gamma"],
+                                    f=RealPolynomial(obj["f"]))
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from None
 
 
 def parse_weyl_spec(path) -> ShiftedPotentialSpec:

@@ -23,7 +23,7 @@ def as_matrix(value, name: str = "matrix") -> np.ndarray:
     """Validate and coerce to a square, finite complex matrix."""
     try:
         m = np.asarray(value, dtype=complex)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{name}: entries are not complex numbers ({exc})") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise InputError(f"{name}: expected a square matrix, got shape {m.shape}")
@@ -36,7 +36,7 @@ def as_vector(value, name: str = "vector") -> np.ndarray:
     """Validate and coerce to a finite complex vector."""
     try:
         v = np.asarray(value, dtype=complex)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{name}: entries are not complex numbers ({exc})") from None
     if v.ndim != 1 or v.size == 0:
         raise InputError(f"{name}: expected a nonempty vector, got shape {v.shape}")

@@ -9,7 +9,6 @@ produces plausible-looking garbage.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,57 +26,7 @@ from .metric import (
     residual,
     same_size,
 )
-
-_NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
-
-
-@dataclass(frozen=True)
-class RealPolynomial:
-    """Polynomial with real coefficients, constant term first.
-
-    Trailing zero coefficients are stripped on construction; the zero
-    polynomial has an empty coefficient tuple and degree -1.  Complex or
-    non-finite coefficients are rejected.
-    """
-
-    coeffs: tuple[float, ...]
-
-    def __init__(self, coeffs=()):
-        cleaned = []
-        for c in coeffs:
-            if isinstance(c, complex) or not isinstance(c, (int, float, np.integer, np.floating)):
-                raise InputError(f"polynomial coefficients must be real, got {c!r}")
-            c = float(c)
-            if not np.isfinite(c):
-                raise InputError("polynomial coefficients must be finite")
-            cleaned.append(c)
-        while cleaned and cleaned[-1] == 0.0:
-            cleaned.pop()
-        object.__setattr__(self, "coeffs", tuple(cleaned))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @classmethod
-    def parse(cls, text: str) -> "RealPolynomial":
-        """Parse the comma-separated flag format, e.g. ``"0,3"`` for 3x."""
-        parts = [p.strip() for p in str(text).split(",")]
-        coeffs = []
-        for p in parts:
-            if not p:
-                raise InputError(f"empty coefficient in polynomial {text!r}")
-            if not _NUMBER.match(p):
-                raise InputError(f"polynomial coefficient {p!r} is not a real number")
-            coeffs.append(float(p))
-        return cls(coeffs)
-
-    def __str__(self) -> str:
-        return ",".join(repr(c) for c in self.coeffs) if self.coeffs else "0"
+from .weyl import RealPolynomial
 
 
 @dataclass(frozen=True)

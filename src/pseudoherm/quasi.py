@@ -16,6 +16,7 @@ import numpy as np
 from .errors import CheckError, InputError
 from .metric import (
     DEFAULT_TOL,
+    _unit_peak,
     adjoint,
     as_matrix,
     as_vector,
@@ -73,7 +74,12 @@ def induced_hamiltonian(H, form: InducedForm, tol: float = DEFAULT_TOL) -> np.nd
                          f"eta does not intertwine H (residual {r:.3e} exceeds "
                          f"tolerance {tol:.3e})",
                          value=r, threshold=tol)
-    return form.sqrt_eta @ H @ form.inv_sqrt_eta
+    # On H / 2^k with a unit peak entry the product is bounded by cond(sqrt_eta),
+    # whatever the scales of H and eta.  2^k overflows at k = 1024, so the
+    # exact scale back takes two halves.
+    unit, k = _unit_peak(H)
+    core = form.sqrt_eta @ unit @ form.inv_sqrt_eta
+    return core * np.ldexp(1.0, k // 2) * np.ldexp(1.0, k - k // 2)
 
 
 def induced_inner(phi, psi, eta, allow_indefinite: bool = False,

@@ -14,7 +14,9 @@ numerator; equality is then a comparison of integers, and "residual is zero"
 is a statement about integers, not floating point.  ``RationalComplex`` (a
 pair of ``fractions.Fraction``) is how single coefficients enter and leave.
 Floats entering through parameters are converted exactly to their binary
-rational value.
+rational value.  ``RealPolynomial``, the real coefficient list of the
+potential and of f, lives here too, so this module needs nothing beyond the
+standard library.
 
 Conjugation by the momentum boost ``exp(-theta p)`` fixes p and constants and
 shifts x to x + i theta; on polynomials this substitution is an exact algebra
@@ -26,35 +28,87 @@ Hamiltonian equals its adjoint coefficient by coefficient.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
-from numbers import Rational
-
-import numpy as np
+from math import comb, factorial, gcd, inf, isfinite, lcm
+from numbers import Rational, Real
 
 from .errors import InputError
-from .perturbation import RealPolynomial
 
 # (-i)^k as a Gaussian integer (re, im), indexed by k mod 4
 _NEG_I_POW = ((1, 0), (0, -1), (-1, 0), (0, 1))
 
 _BEYOND_DOUBLE = "a coefficient is beyond the double range and has no float value"
 
+_NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
+def _finite_real(value, name: str) -> float:
+    """value as a float, for any ``numbers.Real`` but a bool.
+
+    Raises InputError naming name for anything else, and for inf, nan or a
+    value beyond the double range.
+    """
+    if not isinstance(value, Real) or isinstance(value, bool):
+        raise InputError(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int or Fraction beyond the double range
+        number = inf
+    if not isfinite(number):
+        raise InputError(f"{name} must be finite and within the double range")
+    return number
+
 
 def _to_fraction(value) -> Fraction:
     if isinstance(value, Rational):
-        return Fraction(value)
-    if isinstance(value, float):
-        if not np.isfinite(value):
-            raise InputError(f"exact values must be finite, got {value!r}")
-        return Fraction(value)
-    if isinstance(value, (int, np.integer)):
-        return Fraction(int(value))
-    if isinstance(value, np.floating):
-        return Fraction(float(value))
-    raise InputError(f"cannot interpret {value!r} as an exact real number")
+        # int() keeps fixed-width integers, which wrap around, out of the exact arithmetic
+        return Fraction(int(value.numerator), int(value.denominator))
+    return Fraction(_finite_real(value, "an exact value"))
+
+
+@dataclass(frozen=True)
+class RealPolynomial:
+    """Polynomial with real coefficients, constant term first.
+
+    Trailing zero coefficients are stripped on construction; the zero
+    polynomial has an empty coefficient tuple and degree -1.  A bool, complex
+    or non-finite coefficient is rejected (the rule of ``_finite_real``).
+    """
+
+    coeffs: tuple[float, ...]
+
+    def __init__(self, coeffs=()):
+        cleaned = [_finite_real(c, "a polynomial coefficient") for c in coeffs]
+        while cleaned and cleaned[-1] == 0.0:
+            cleaned.pop()
+        object.__setattr__(self, "coeffs", tuple(cleaned))
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @classmethod
+    def parse(cls, text: str) -> "RealPolynomial":
+        """Parse the comma-separated flag format, e.g. ``"0,3"`` for 3x."""
+        parts = [p.strip() for p in str(text).split(",")]
+        coeffs = []
+        for p in parts:
+            if not p:
+                raise InputError(f"empty coefficient in polynomial {text!r}")
+            if not _NUMBER.match(p):
+                raise InputError(f"polynomial coefficient {p!r} is not a real number")
+            coeffs.append(float(p))
+        return cls(coeffs)
+
+    def __str__(self) -> str:
+        return ",".join(repr(c) for c in self.coeffs) if self.coeffs else "0"
 
 
 class RationalComplex:
@@ -414,9 +468,10 @@ class WeylPolynomial:
 class ShiftedPotentialSpec:
     """Data for ``H = p^2 + f(p) + alpha V(x - beta - i gamma)``.
 
-    The boost parameter is always ``theta = 2 gamma``, recomputed on access
-    and never stored independently.  V and f must have real coefficients;
-    alpha, beta, gamma must be finite reals.
+    The boost parameter is always ``theta = 2 gamma``, recomputed exactly on
+    access and never stored independently.  V and f must have real
+    coefficients; alpha, beta, gamma must pass the finite-real rule of
+    ``_finite_real`` and are stored as floats.
     """
 
     V: RealPolynomial
@@ -427,19 +482,14 @@ class ShiftedPotentialSpec:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
-            value = getattr(self, name)
-            if isinstance(value, complex) or not isinstance(
-                    value, (int, float, np.integer, np.floating)):
-                raise InputError(f"{name} must be a real number, got {value!r}")
-            if not np.isfinite(float(value)):
-                raise InputError(f"{name} must be finite")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, _finite_real(getattr(self, name), name))
         if not isinstance(self.V, RealPolynomial) or not isinstance(self.f, RealPolynomial):
             raise InputError("V and f must be RealPolynomial instances")
 
     @property
-    def theta(self) -> float:
-        return 2.0 * self.gamma
+    def theta(self) -> Fraction:
+        """The exact rational 2 gamma; it may lie beyond the double range."""
+        return 2 * Fraction(self.gamma)
 
 
 def build_shifted_hamiltonian(spec: ShiftedPotentialSpec) -> WeylPolynomial:
@@ -473,5 +523,5 @@ def check_symbolic(spec: ShiftedPotentialSpec,
     residual (e.g. under ``theta_override``) is a result, not an error; its
     terms identify exactly where the identity fails.
     """
-    theta = (2 * RationalComplex(spec.gamma)).re if theta_override is None else theta_override
+    theta = spec.theta if theta_override is None else theta_override
     return boost_residual(build_shifted_hamiltonian(spec), theta)

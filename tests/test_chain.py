@@ -202,6 +202,26 @@ class TestShiftForInvertibility:
         assert np.isfinite(shifted).all()
 
 
+class TestBeyondTheDoubleRange:
+    # eta_3 = H^3 = 2 c^2 H has entries 2 c^3 = 1.5e308 and |eta_3|_F near 3e308
+    H = 4.2e102 * np.array([[1.0, 1.0], [1.0, -1.0]])
+
+    @pytest.mark.parametrize("k_max", [3, 6])
+    @pytest.mark.parametrize("builder", [build_chain, chain_via_shift])
+    def test_unnormalized_element_is_input_error(self, builder, k_max):
+        with pytest.raises(InputError, match="^eta_3 is beyond the double range$"):
+            builder(self.H, np.eye(2), k_max)
+
+    def test_normalized_chain_passes(self):
+        chain = build_chain(self.H, np.eye(2), 6, normalize=True)
+        assert all(check.passed for check in chain.checks)
+        assert chain.rank == 2
+
+    def test_rank_of_a_stack_beyond_the_double_range(self):
+        # each element 1.2e308 I has a finite norm, the stack of two has not
+        assert build_chain(np.eye(2), 1.2e308 * np.eye(2), 1).rank == 1
+
+
 class TestChainViaShift:
     def test_nilpotent_chain_validates_against_original(self, nilpotent):
         H, eta0 = nilpotent

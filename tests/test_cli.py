@@ -3,14 +3,25 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from oracles import random_pseudo_hermitian
-from pseudoherm import catalog_oscillator, catalog_two_point, hermiticity_defect, residual
+from pseudoherm import (
+    catalog_oscillator,
+    catalog_two_point,
+    find_metric,
+    hermiticity_defect,
+    residual,
+    solve_metric_space,
+)
 from pseudoherm.cli import main
 from pseudoherm.io import matrix_from_dict, parse_matrix, write_matrix
+
+# (H scale, eta scale) pairs; sqrt(eta) H alone leaves the double range at 1e+-300
+EXTREME_SCALES = [(1.0, 1.0), (1e300, 1e300), (1e300, 1e-300), (1e-300, 1e300), (1e-300, 1e-300)]
 
 TIMESTAMP = re.compile(r'^\s*"generated_at".*$', re.MULTILINE)
 
@@ -271,6 +282,22 @@ class TestHugeScale:
         assert report["status"] == "input_error"
         assert report["error"] == "H + alpha I is beyond the double range"
 
+    @pytest.mark.parametrize("k_max", [3, 6])
+    def test_chain_element_beyond_the_double_range_is_input_error(self, tmp_path, capsys,
+                                                                  k_max):
+        # eta_3 = 2 c^3 [[1, 1], [1, -1]] has finite entries but |eta_3|_F near 3e308
+        write_matrix(tmp_path / "h.json", 4.2e102 * np.array([[1.0, 1.0], [1.0, -1.0]]))
+        write_matrix(tmp_path / "i.json", np.eye(2))
+        argv = ["chain", "--hamiltonian", tmp_path / "h.json", "--eta0", tmp_path / "i.json",
+                "--k-max", k_max]
+        code, report = run_cli(capsys, *argv, "--no-normalize")
+        assert code == 2
+        assert report["status"] == "input_error"
+        assert report["error"] == "eta_3 is beyond the double range"
+        code, report = run_cli(capsys, *argv)
+        assert code == 0
+        assert report["results"]["rank"] == 2
+
     def test_chain_via_shift_below_the_double_limit_passes(self, tmp_path, capsys):
         write_matrix(tmp_path / "h.json", 1e307 * np.diag([0.0, 1.0]))
         write_matrix(tmp_path / "i.json", np.eye(2))
@@ -386,12 +413,24 @@ class TestQuasi:
         by_name = {c["name"]: c for c in report["checks"]}
         assert by_name["eta_positive"]["passed"] is False
 
+    @pytest.mark.parametrize("c_H, c_eta", EXTREME_SCALES)
+    def test_extreme_scales(self, tmp_path, capsys, c_H, c_eta):
+        H, _ = catalog_oscillator(2.0)
+        eta = find_metric(solve_metric_space(H), want_positive=True)
+        write_matrix(tmp_path / "h.json", c_H * H)
+        write_matrix(tmp_path / "e.json", c_eta * eta)
+        code, report = run_cli(capsys, "quasi", "--hamiltonian", tmp_path / "h.json",
+                               "--eta", tmp_path / "e.json")
+        assert code == 0
+        eigs = np.array(report["results"]["eigenvalues"])
+        assert np.allclose(eigs[:, 0], [-2.0 * c_H, 2.0 * c_H], rtol=1e-12, atol=0)
+
 
 class TestWeyl:
     def test_derived_theta_passes(self, fixtures, capsys):
         code, report = run_cli(capsys, "weyl", "--spec", fixtures["weyl"])
         assert code == 0
-        assert report["results"]["theta"] == 2.0
+        assert report["results"]["theta"] == "2"
         assert report["results"]["residual_terms"] == []
 
     def test_theta_zero_fails_with_terms(self, fixtures, capsys):
@@ -429,6 +468,61 @@ class TestWeyl:
         code = main(argv)
         report = _strict_json(capsys.readouterr().out)
         assert code == (0 if theta is None else 1)
+
+
+    def test_derived_theta_beyond_the_double_range_is_exact(self, tmp_path, capsys):
+        # theta = 2 gamma = 2e308 has no float value, but certifies exactly
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"V": [0, 0, 1], "alpha": 1, "beta": 0, "gamma": 1e308,
+                                    "f": [0]}))
+        code, report = run_cli(capsys, "weyl", "--spec", path)
+        assert code == 0
+        assert report["results"]["theta"] == str(2 * Fraction(1e308))
+        assert report["results"]["residual_terms"] == []
+
+    def test_float_mode_theta_beyond_the_double_range_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"V": [0, 1], "alpha": 1, "beta": 0, "gamma": 1e308,
+                                    "f": [0]}))
+        code, report = run_cli(capsys, "weyl", "--spec", path, "--float")
+        assert code == 2
+        assert report["status"] == "input_error"
+        assert "double range" in report["error"]
+
+    def test_theta_flag_reported_exactly(self, fixtures, capsys):
+        _, report = run_cli(capsys, "weyl", "--spec", fixtures["weyl"], "--theta", "0")
+        assert report["results"]["theta"] == "0"
+        _, report = run_cli(capsys, "weyl", "--spec", fixtures["weyl"], "--theta", "0.1")
+        assert report["results"]["theta"] == str(Fraction(0.1))
+        _, report = run_cli(capsys, "weyl", "--spec", fixtures["weyl"], "--theta", "0.1",
+                            "--float")
+        assert report["results"]["theta"] == 0.1
+
+
+class TestHugeJsonIntegers:
+    """JSON integers have no size limit; one beyond the double range is an input error."""
+
+    @pytest.mark.parametrize("field, value", [("alpha", 10**400), ("V", [0, 10**400])],
+                             ids=["alpha", "V"])
+    def test_weyl_spec(self, tmp_path, capsys, field, value):
+        spec = {"V": [0, 0, 1], "alpha": 1, "beta": 0, "gamma": 1, "f": [0]}
+        spec[field] = value
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, report = run_cli(capsys, "weyl", "--spec", path)
+        assert code == 2
+        assert report["status"] == "input_error"
+        assert str(path) in report["error"]
+
+    def test_matrix_entry(self, fixtures, tmp_path, capsys):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"n": 2, "entries": [[[10**400, 0], [0, 0]],
+                                                        [[0, 0], [1, 0]]]}))
+        code, report = run_cli(capsys, "verify", "--hamiltonian", path,
+                               "--eta", fixtures["identity"])
+        assert code == 2
+        assert report["status"] == "input_error"
+        assert "entry (0,0)" in report["error"]
 
 
 class TestExample:

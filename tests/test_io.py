@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -134,6 +135,21 @@ class TestWeylSpecFiles:
                     {"V": [1], "alpha": "1+1i", "beta": 0, "gamma": 0, "f": []})
         with pytest.raises(InputError):
             parse_weyl_spec(path)
+
+    @pytest.mark.parametrize("field, value", [("alpha", True), ("gamma", 1e999), ("V", [True]),
+                                              ("f", [10**400]), ("V", 1)],
+                             ids=["bool", "inf", "bool-coefficient", "huge-integer", "not-a-list"])
+    def test_rejection_names_the_file(self, tmp_path, field, value):
+        obj = {"V": [1], "alpha": 1, "beta": 0, "gamma": 0, "f": []}
+        obj[field] = value
+        path = dump(tmp_path, "w.json", obj)
+        with pytest.raises(InputError, match="^" + re.escape(str(path))):
+            parse_weyl_spec(path)
+
+    def test_bool_matrix_entry_rejected(self, tmp_path):
+        path = dump(tmp_path, "h.json", {"n": 1, "entries": [[[True, 0]]]})
+        with pytest.raises(InputError, match=r"entry \(0,0\): re must be a real number"):
+            parse_matrix(path)
 
 
 class TestMatrixToDict:

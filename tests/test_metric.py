@@ -77,6 +77,12 @@ class TestResidual:
         with pytest.raises(InputError):
             residual(bad, np.eye(2))
 
+    def test_integer_beyond_the_double_range_rejected(self):
+        for call in (lambda: metric.as_matrix([[10**400]]), lambda: classify_metric([[10**400]]),
+                     lambda: metric.as_vector([10**400, 0])):
+            with pytest.raises(InputError, match="not complex numbers"):
+                call()
+
     def test_finite_when_product_overflows(self):
         # eta H has entries near 1e400: the plain product overflows to inf - inf
         H = 1e200 * np.diag([0.0, 1.0, 2.0])

@@ -9,6 +9,7 @@ from pseudoherm import (
     InputError,
     classify_metric,
     find_metric,
+    hermiticity_defect,
     induced_hamiltonian,
     induced_inner,
     metric_sqrt,
@@ -59,6 +60,18 @@ class TestInducedHamiltonian:
         assert np.allclose(H_eta, H_eta.conj().T, atol=1e-13)
         eigvals = np.sort(np.linalg.eigvalsh(H_eta))
         assert np.allclose(eigvals, [-2.0, 2.0], atol=1e-12)
+
+    @pytest.mark.parametrize("c_H, c_eta", [(1.0, 1.0), (1e300, 1e300), (1e300, 1e-300),
+                                            (1e-300, 1e300), (1e-300, 1e-300)])
+    def test_extreme_scales(self, osc2, c_H, c_eta):
+        # sqrt(eta) H alone overflows at 1e300 and underflows to 0 at 1e-300
+        H, _ = osc2
+        eta = find_metric(solve_metric_space(H), want_positive=True)
+        H_eta = induced_hamiltonian(c_H * H, metric_sqrt(c_eta * eta))
+        assert hermiticity_defect(H_eta) <= 1e-10
+        eigvals = np.linalg.eigvals(H_eta)
+        assert np.allclose(np.sort(eigvals.real), [-2.0 * c_H, 2.0 * c_H], rtol=1e-12, atol=0)
+        assert np.max(np.abs(eigvals.imag)) <= 1e-10 * c_H
 
     def test_identity_metric_fixes_hermitian(self):
         H = np.array([[1.0, 2.0], [2.0, 5.0]])

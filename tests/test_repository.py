@@ -3,6 +3,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -43,3 +44,20 @@ def test_benchmark_tracer_binds_every_layer(monkeypatch):
                if not any(fn is value for fn in fns for value in patched)]
     assert unbound == []
     assert functions() == originals
+
+
+def test_benchmark_oracles_accept_library_answers(monkeypatch, tmp_path):
+    # one problem of every kind of every perfbench workload, run in-process and
+    # judged by the workload's own oracle
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    workloads = importlib.import_module("workloads")
+    verdicts = {}
+    for index, (name, workload) in enumerate(workloads.WORKLOADS.items()):
+        work_dir = tmp_path / name
+        work_dir.mkdir()
+        for p in workload.generate(np.random.default_rng([7, index]), str(work_dir)):
+            if (name, p.kind) not in verdicts:
+                verdicts[name, p.kind] = workload.check(p, workload.run(p, in_process=True))
+    assert len(verdicts) == 16
+    assert {key: v for key, v in verdicts.items() if v != "ok"} == {}

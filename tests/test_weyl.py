@@ -1,5 +1,8 @@
+import ast
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from pseudoherm import (
     boost_residual,
     build_shifted_hamiltonian,
     check_symbolic,
+    weyl,
 )
 
 X = WeylPolynomial.position()
@@ -266,6 +270,12 @@ class TestShiftedPotentialSpec:
         spec = spec_of([1], gamma=1.25)
         assert spec.theta == 2.5
 
+    def test_theta_is_exact_beyond_the_double_range(self):
+        spec = spec_of([0, 0, 1], gamma=1e308)
+        assert spec.theta == 2 * Fraction(1e308)
+        assert isinstance(spec.theta, Fraction)
+        assert check_symbolic(spec).is_zero()
+
     def test_complex_parameter_rejected(self):
         with pytest.raises(InputError):
             ShiftedPotentialSpec(V=RealPolynomial([1]), alpha=1j, beta=0.0,
@@ -274,6 +284,68 @@ class TestShiftedPotentialSpec:
     def test_non_finite_rejected(self):
         with pytest.raises(InputError):
             spec_of([1], gamma=np.inf)
+
+
+# (value, its exact rational) for every kind of real the finite-real rule accepts
+ACCEPTED_REALS = [(3, Fraction(3)), (2.5, Fraction(5, 2)), (Fraction(1, 3), Fraction(1, 3)),
+                  (np.int64(3), Fraction(3)), (np.float32(0.5), Fraction(1, 2))]
+REJECTED_REALS = [True, 1j, np.complex128(1), "1", np.inf, np.nan,
+                  pytest.param(10**400, id="10**400")]
+REAL_PARAMETERS = {
+    "RealPolynomial": lambda v: RealPolynomial([0, v]).coeffs[1],
+    "alpha": lambda v: spec_of([1], alpha=v).alpha,
+    "beta": lambda v: spec_of([1], beta=v).beta,
+    "gamma": lambda v: spec_of([1], gamma=v).gamma,
+}
+
+
+class TestFiniteRealRule:
+    @pytest.mark.parametrize("value, exact", ACCEPTED_REALS)
+    @pytest.mark.parametrize("parameter", list(REAL_PARAMETERS))
+    def test_accepted_as_float(self, parameter, value, exact):
+        stored = REAL_PARAMETERS[parameter](value)
+        assert type(stored) is float
+        assert stored == float(exact)
+
+    @pytest.mark.parametrize("value", REJECTED_REALS)
+    @pytest.mark.parametrize("parameter", list(REAL_PARAMETERS))
+    def test_rejected(self, parameter, value):
+        with pytest.raises(InputError):
+            REAL_PARAMETERS[parameter](value)
+
+    @pytest.mark.parametrize("value, exact", ACCEPTED_REALS)
+    def test_constant_is_exact(self, value, exact):
+        assert WeylPolynomial.constant(value).coefficient(0, 0) == RationalComplex(exact)
+
+    @pytest.mark.parametrize("value", ["1", np.inf, np.nan], ids=repr)
+    def test_constant_rejects_non_finite_and_non_numbers(self, value):
+        with pytest.raises(InputError):
+            WeylPolynomial.constant(value)
+
+    def test_constant_takes_any_rational_and_complex_values(self):
+        # exact coefficients have no double range; complex values are split into parts
+        assert WeylPolynomial.constant(10**400).coefficient(0, 0) == RationalComplex(10**400)
+        assert WeylPolynomial.constant(np.complex128(1)) == WeylPolynomial.constant(1)
+        assert WeylPolynomial.constant(1j) == WeylPolynomial.constant(RationalComplex(0, 1))
+
+    def test_fixed_width_integers_become_python_integers(self):
+        # an int64 numerator would wrap around on the first sum
+        big = WeylPolynomial.constant(np.int64(2**62))
+        assert big + big == WeylPolynomial.constant(2**63)
+        assert big.scale(Fraction(1, 3**50)).coefficient(0, 0) == \
+            RationalComplex(Fraction(2**62, 3**50))
+
+
+def test_weyl_module_needs_only_the_standard_library():
+    tree = ast.parse(Path(weyl.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or "") if node.level
+                         else node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) == {".errors"}
 
 
 class TestWeylPolynomialBasics:
