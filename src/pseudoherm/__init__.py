@@ -10,7 +10,6 @@ from .chain import (
     EtaChain,
     build_chain,
     chain_via_shift,
-    next_eta,
     shift_for_invertibility,
 )
 from .errors import Check, CheckError, InputError
@@ -76,7 +75,6 @@ __all__ = [
     "induced_inner",
     "matrix_poly",
     "metric_sqrt",
-    "next_eta",
     "perturb",
     "residual",
     "shift_for_invertibility",

@@ -68,16 +68,6 @@ class EtaChain:
         return len(self.etas)
 
 
-def next_eta(H, eta) -> np.ndarray:
-    """One chain step: ``H^dag @ eta``.
-
-    If eta is Hermitian and intertwines H, the result is Hermitian again.
-    """
-    H, eta = as_matrix(H, "H"), as_matrix(eta, "eta")
-    same_size(H, eta, ("H", "eta"))
-    return adjoint(H) @ eta
-
-
 def _real_rank(etas: list[np.ndarray], tol: float) -> int:
     """Real-linear rank: singular values of the stack above ``tol |stack|_F``."""
     flat = np.asarray(etas).reshape(len(etas), -1)
@@ -143,9 +133,9 @@ def build_chain(H, eta0, k_max: int, normalize: bool = False,
         intertwining relation are unaffected.
 
     Unnormalized chains satisfy ``etas[k+1] == H^dag @ etas[k]`` exactly;
-    normalized ones up to a positive scalar.  Elements whose smallest
-    singular value falls below threshold are flagged via their
-    classification (this happens exactly when H^dag is singular).
+    normalized ones up to a positive scalar.  Elements that classify as not
+    invertible are flagged via their classification (this happens exactly
+    when H^dag is singular).
     """
     H, eta0 = _validate_start(H, eta0, k_max, tol)
     return _chain(H, H, eta0, k_max, normalize, tol, 0.0)

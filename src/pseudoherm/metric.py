@@ -135,23 +135,27 @@ class MetricClass:
     """Classification of a metric candidate at a given relative tolerance.
 
     The boolean flags are consistent by construction:
-    positive implies invertible implies hermitian.
+    positive implies invertible implies hermitian.  The two values are the
+    smallest |eigenvalue| and the smallest eigenvalue of ``(eta + eta^dag) / 2``.
     """
 
     hermitian: bool
     invertible: bool
     positive: bool
-    min_singular_value: float
+    min_abs_eigenvalue_of_hermitian_part: float
     min_eigenvalue_of_hermitian_part: float
     hermiticity_defect: float
 
 
 def classify_metric(eta, tol: float = DEFAULT_TOL) -> MetricClass:
-    """Classify eta as hermitian / invertible / positive.
+    """Classify eta as hermitian / invertible / positive by one ``eigvalsh``.
 
-    Thresholds are relative to the Frobenius norm of eta, so the flags are
-    invariant under positive rescaling.  From norm 1e300 on, eta / 2^k from
-    _unit_peak is classified and the two reported values are scaled back.
+    The threshold is ``tol |eta|_F``, so the flags are invariant under positive
+    rescaling.  Invertible: hermitian, and the smallest |eigenvalue| of the
+    Hermitian part above it (for a hermitian eta within ``(tol / 2) |eta|_F`` of
+    sigma_min, by Weyl's inequality).  Positive: the smallest eigenvalue too.
+    From norm 1e300 on, eta / 2^k from _unit_peak is classified and the values
+    scaled back; InputError if they leave the double range.
     """
     eta = as_matrix(eta, "eta")
     check_tol(tol)
@@ -161,18 +165,21 @@ def classify_metric(eta, tol: float = DEFAULT_TOL) -> MetricClass:
         norm = frobenius(eta)
     scale = tol * norm
     defect = hermiticity_defect(eta)
-    svals = np.linalg.svd(eta, compute_uv=False)
-    min_sv = float(svals[-1]) if svals.size else 0.0
-    min_eig = float(np.linalg.eigvalsh((eta + adjoint(eta)) / 2.0)[0])
+    eigs = np.linalg.eigvalsh((eta + adjoint(eta)) / 2.0)
+    min_abs, min_eig = float(np.min(np.abs(eigs))), float(eigs[0])
     hermitian = defect <= tol
-    invertible = hermitian and min_sv > scale
+    invertible = hermitian and min_abs > scale
     positive = invertible and min_eig > scale
+    with np.errstate(over="ignore"):
+        min_abs, min_eig = np.ldexp([min_abs, min_eig], k).tolist()
+    if np.isinf(min_eig):  # min_abs <= |min_eig|
+        raise InputError("eta: an eigenvalue of its Hermitian part is beyond the double range")
     return MetricClass(
         hermitian=hermitian,
         invertible=invertible,
         positive=positive,
-        min_singular_value=float(np.ldexp(min_sv, k)),
-        min_eigenvalue_of_hermitian_part=float(np.ldexp(min_eig, k)),
+        min_abs_eigenvalue_of_hermitian_part=min_abs,
+        min_eigenvalue_of_hermitian_part=min_eig,
         hermiticity_defect=defect,
     )
 
@@ -425,10 +432,10 @@ def catalog_oscillator(omega: float) -> tuple[np.ndarray, np.ndarray]:
     machinery instead).
     """
     omega = float(omega)
-    if not np.isfinite(omega):
-        raise InputError("omega must be finite")
+    if not np.isfinite(omega * omega):  # float * float gives inf, where ** raises
+        raise InputError("omega must be finite, with omega^2 within the double range")
     if omega == 0.0:
         raise InputError("oscillator constructor requires omega != 0")
-    H = np.array([[0.0, 1j], [-1j * omega ** 2, 0.0]], dtype=complex)
+    H = np.array([[0.0, 1j], [-1j * (omega * omega), 0.0]], dtype=complex)
     eta = np.array([[0.0, 1j], [-1j, 0.0]], dtype=complex)
     return H, eta

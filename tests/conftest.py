@@ -22,3 +22,17 @@ def nilpotent():
     H = np.array([[1j, 1.0], [1.0, -1j]])
     eta0 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     return H, eta0
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The argument tuples of every np.linalg.svd call made during the test."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls

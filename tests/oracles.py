@@ -49,6 +49,15 @@ def intertwiner_nullspace_dimension(H: np.ndarray, rtol: float = 1e-8) -> int:
     return int(np.sum(svals <= rtol * svals[0]))
 
 
+def svd_invertible(eta: np.ndarray, tol: float) -> bool:
+    """The invertibility verdict by singular values: eta is Hermitian within tol,
+    ``|eta - eta^dag|_F <= tol |eta|_F``, and ``sigma_min(eta) > tol |eta|_F``."""
+    eta = np.asarray(eta, dtype=complex)
+    norm = np.linalg.norm(eta)
+    hermitian = np.linalg.norm(eta - eta.conj().T) <= tol * norm
+    return bool(hermitian and np.linalg.svd(eta, compute_uv=False)[-1] > tol * norm)
+
+
 def oscillator_basis_matrices(levels: int) -> tuple[np.ndarray, np.ndarray]:
     """Truncated matrix representations of x and p with [x, p] = i.
 

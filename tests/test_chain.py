@@ -6,34 +6,31 @@ from pseudoherm import (
     build_chain,
     catalog_two_point,
     chain_via_shift,
-    next_eta,
     residual,
     shift_for_invertibility,
 )
 from pseudoherm import chain as chain_module
 from pseudoherm.chain import _real_rank
-from pseudoherm.metric import frobenius
+from pseudoherm.metric import adjoint, frobenius
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 class TestNextEta:
+    """One chain step, ``H^dag eta``."""
+
     def test_two_point_step(self):
         H = np.diag([1 + 1j, 1 - 1j])
-        out = next_eta(H, SX)
+        out = adjoint(H) @ SX
         assert np.allclose(out, np.array([[0.0, 1 - 1j], [1 + 1j, 0.0]]), atol=0)
 
     def test_oscillator_step(self, osc2):
         H, eta = osc2
-        assert np.allclose(next_eta(H, eta), np.diag([4.0, 1.0]), atol=1e-15)
+        assert np.allclose(adjoint(H) @ eta, np.diag([4.0, 1.0]), atol=1e-15)
 
     def test_hermitian_identity(self):
         H = np.array([[1.0, 2.0], [2.0, 5.0]])
-        assert np.array_equal(next_eta(H, np.eye(2)), H)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            next_eta(np.eye(2), np.eye(3))
+        assert np.array_equal(adjoint(H) @ np.eye(2), H)
 
 
 class TestBuildChain:
@@ -117,6 +114,15 @@ class TestBuildChain:
         with pytest.raises(InputError, match="intertwining"):
             build_chain(H, np.eye(2), k_max=2)
 
+    def test_rejects_dimension_mismatch(self):
+        with pytest.raises(InputError, match="dimension mismatch"):
+            build_chain(np.eye(2), np.eye(3), k_max=1)
+
+    def test_at_most_one_svd(self, osc2, svd_calls):
+        # the rank SVD of _real_rank; classification takes none
+        build_chain(*osc2, k_max=8)
+        assert len(svd_calls) <= 1
+
     def test_rejects_negative_k_max(self, osc2):
         H, eta0 = osc2
         with pytest.raises(InputError):
@@ -168,18 +174,10 @@ class TestShiftForInvertibility:
         assert np.array_equal(shifted, H + alpha * np.eye(8))
         assert np.linalg.svd(shifted, compute_uv=False)[-1] == pytest.approx(alpha)
 
-    def test_one_svd_for_a_singular_matrix(self, nilpotent, monkeypatch):
-        calls = []
-        svd = np.linalg.svd
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counted)
+    def test_one_svd_for_a_singular_matrix(self, nilpotent, svd_calls):
         alpha, _ = shift_for_invertibility(nilpotent[0])
         assert alpha == 4.0
-        assert len(calls) == 1
+        assert len(svd_calls) == 1
 
     @pytest.mark.parametrize("n", [2, 8, 64])
     def test_shift_bound_on_random_singular(self, n):

@@ -552,6 +552,14 @@ class TestExample:
                           "--out-dir", tmp_path)
         assert code == 2
 
+    def test_omega_squared_beyond_the_double_range(self, tmp_path, capsys):
+        code, report = run_cli(capsys, "example", "oscillator", "--omega", "1e200",
+                               "--out-dir", tmp_path)
+        assert code == 2
+        assert report["status"] == "input_error"
+        assert "double range" in report["error"]
+        assert not list(tmp_path.iterdir())
+
 
 class TestReportContract:
     def test_reports_are_deterministic_modulo_timestamp(self, fixtures, tmp_path, capsys):

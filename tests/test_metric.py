@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import intertwiner_nullspace_dimension, random_pseudo_hermitian
+from oracles import intertwiner_nullspace_dimension, random_pseudo_hermitian, svd_invertible
 from pseudoherm import (
     InputError,
     RealPolynomial,
@@ -230,7 +230,7 @@ class TestClassify:
     def test_positive_diagonal(self):
         cls = classify_metric(np.diag([4.0, 1.0]))
         assert cls.hermitian and cls.invertible and cls.positive
-        assert cls.min_singular_value == pytest.approx(1.0)
+        assert cls.min_abs_eigenvalue_of_hermitian_part == pytest.approx(1.0)
 
     def test_non_hermitian(self):
         cls = classify_metric(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -251,8 +251,21 @@ class TestClassify:
             warnings.simplefilter("error")
             cls = classify_metric(np.diag(diagonal))
         assert cls.hermitian and cls.invertible and cls.positive
-        assert cls.min_singular_value == pytest.approx(1e308, rel=1e-15)
+        assert cls.min_abs_eigenvalue_of_hermitian_part == pytest.approx(1e308, rel=1e-15)
         assert cls.min_eigenvalue_of_hermitian_part == pytest.approx(1e308, rel=1e-15)
+
+    def test_eigenvalues_beyond_the_double_range_are_input_error(self):
+        # |eta|_F is inf and the eigenvalues +-2.1e308 of eta do not scale back
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="beyond the double range"):
+                classify_metric(1.5e308 * np.array([[1.0, 1.0], [1.0, -1.0]]))
+
+    def test_no_svd(self, svd_calls):
+        for eta in (np.diag([4.0, 1.0]), np.array([[0.0, 1j], [-1j, 0.0]]),
+                    np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([1e308, 1.5e308])):
+            classify_metric(eta)
+        assert svd_calls == []
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_identity_every_dimension(self, n):
@@ -269,6 +282,61 @@ class TestClassify:
             cls = classify_metric(m)
             assert not cls.positive or cls.invertible
             assert not cls.invertible or cls.hermitian
+
+
+def _placed(seed, n, factor, skew, tol):
+    """eta whose Hermitian part has smallest |eigenvalue| factor * tol * |eta|_F and
+    whose Hermiticity defect is skew * tol (both up to terms of order tol^2)."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    d = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 2.0, n)
+    d[0] = np.sign(d[0]) * factor * tol * np.linalg.norm(d[1:])
+    herm = (q * d) @ q.conj().T
+    herm = (herm + herm.conj().T) / 2
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    anti = g - g.conj().T
+    return herm + anti * (skew * tol * np.linalg.norm(herm) / (2 * np.linalg.norm(anti)))
+
+
+def _agrees_away_from_threshold(eta, tol):
+    """Check classify_metric's invertible verdict against the SVD rule and return
+    True, unless sigma_min lies within ``(defect + tol) |eta|_F / 2`` of the
+    threshold ``tol |eta|_F``, where the two rules may differ: then return False."""
+    norm = np.linalg.norm(eta)
+    band = (np.linalg.norm(eta - eta.conj().T) / norm + tol) * norm / 2
+    if abs(np.linalg.svd(eta, compute_uv=False)[-1] - tol * norm) <= band:
+        return False
+    assert classify_metric(eta, tol).invertible == svd_invertible(eta, tol)
+    return True
+
+
+class TestVerdictOracle:
+    """The eigenvalue rule for invertibility against the SVD rule of tests/oracles.py."""
+
+    def test_random_hermitian(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            n = int(rng.integers(1, 9))
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            assert _agrees_away_from_threshold((g + g.conj().T) / 2, 1e-10)
+
+    @pytest.mark.parametrize("factor", [0.1, 0.9, 1.1, 10.0])
+    @pytest.mark.parametrize("skew", [0.0, 0.2, 0.8])
+    def test_placed_smallest_singular_value(self, factor, skew):
+        checked = [_agrees_away_from_threshold(_placed(seed, 6, factor, skew, 1e-10), 1e-10)
+                   for seed in range(10)]
+        # sigma_min moves by at most skew * tol |eta|_F / 2, so with skew 0.2 the
+        # factors 0.1 and 10 stay outside the band of 0.6 tol |eta|_F
+        if skew <= 0.2 and factor in (0.1, 10.0):
+            assert all(checked)
+
+    @pytest.mark.parametrize("factor", [0.1, 0.9, 1.1, 10.0])
+    def test_exactly_hermitian_agrees_at_every_placement(self, factor):
+        # eta is its own Hermitian part, so both rules compare the same number
+        for seed in range(10):
+            eta = _placed(seed, 6, factor, 0.0, 1e-10)
+            assert np.array_equal(eta, eta.conj().T)
+            assert classify_metric(eta).invertible == svd_invertible(eta, 1e-10) == (factor > 1)
 
 
 class TestTolGuard:
@@ -636,6 +704,11 @@ class TestCatalogs:
     def test_oscillator_zero_rejected(self):
         with pytest.raises(InputError):
             catalog_oscillator(0.0)
+
+    @pytest.mark.parametrize("omega", [1e200, -1.4e154, np.inf, np.nan])
+    def test_oscillator_omega_squared_beyond_the_double_range(self, omega):
+        with pytest.raises(InputError, match="double range"):
+            catalog_oscillator(omega)
 
     @pytest.mark.parametrize("omega", [0.5, -1.5, 3.0])
     def test_oscillator_pairs_always_verify(self, omega):
