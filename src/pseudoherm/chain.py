@@ -69,14 +69,22 @@ class EtaChain:
 
 
 def _real_rank(etas: list[np.ndarray], tol: float) -> int:
-    """Real-linear rank: singular values of the stack above ``tol |stack|_F``."""
+    """Real-linear rank of Hermitian elements: singular values above ``tol |stack|_F``.
+
+    They are taken of the real (n^2, k) stack of ``Re eta_k + Im eta_k``, which
+    has the singular values of the (2n^2, k) stack of ``[Re eta_k; Im eta_k]``
+    (see metric._spectral_basis) and is faster to factor.  For elements with
+    hermiticity defects delta_k the two sets differ by at most
+    ``max_k delta_k |stack|_F``, so the rank can only differ where a singular
+    value lies that close to the threshold.
+    """
     flat = np.asarray(etas).reshape(len(etas), -1)
     norm = frobenius(flat)
     if norm == np.inf:  # finite elements, joint norm beyond the double range: rescale exactly
         flat, _ = _unit_peak(flat)
         norm = frobenius(flat)
-    # The (2n^2, k) transpose has the same singular values and is faster to factor.
-    svals = np.linalg.svd(np.concatenate((flat.real, flat.imag), axis=1).T, compute_uv=False)
+    # |Re z + Im z| <= sqrt(2) |z|, within |eta_k|_F for an off-diagonal z: no overflow
+    svals = np.linalg.svd((flat.real + flat.imag).T, compute_uv=False)
     return int(np.sum(svals > tol * norm))
 
 

@@ -1,7 +1,6 @@
 """JSON file formats and scalar parsing.
 
 Matrices: ``{"n": int, "entries": [[[re, im], ...], ...]}`` row-major.
-Vectors: ``{"n": int, "entries": [[re, im], ...]}``.
 Shifted-potential specs: ``{"V": [c0, ...], "alpha": r, "beta": r,
 "gamma": r, "f": [c0, ...]}``.
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .chain import EtaChain
 from .errors import InputError
-from .metric import MetricBasis, MetricClass, as_matrix, as_vector
+from .metric import MetricBasis, MetricClass, as_matrix
 from .weyl import RealPolynomial, ShiftedPotentialSpec, WeylPolynomial, _finite_real
 
 
@@ -82,23 +81,6 @@ def write_matrix(path, m: np.ndarray) -> None:
         handle.write("\n")
 
 
-def vector_from_dict(obj, where: str = "vector") -> np.ndarray:
-    if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
-        raise InputError(f'{where}: expected an object with "n" and "entries"')
-    n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
-        raise InputError(f'{where}: "n" must be a positive integer, got {n!r}')
-    entries = obj["entries"]
-    if not isinstance(entries, list) or len(entries) != n:
-        raise InputError(f"{where}: expected {n} entries")
-    return as_vector([_complex_from_pair(z, f"{where}: entry {i}")
-                      for i, z in enumerate(entries)], where)
-
-
-def parse_vector(path) -> np.ndarray:
-    return vector_from_dict(load_json(path), where=str(path))
-
-
 def parse_complex_scalar(text: str) -> complex:
     """Parse the flag syntax ``a+bi`` (also accepts j as the imaginary unit)."""
     s = str(text).strip().replace(" ", "")
@@ -135,16 +117,6 @@ def weyl_spec_from_dict(obj, where: str = "spec") -> ShiftedPotentialSpec:
 
 def parse_weyl_spec(path) -> ShiftedPotentialSpec:
     return weyl_spec_from_dict(load_json(path), where=str(path))
-
-
-def weyl_spec_to_dict(spec: ShiftedPotentialSpec) -> dict:
-    return {
-        "V": list(spec.V.coeffs),
-        "alpha": spec.alpha,
-        "beta": spec.beta,
-        "gamma": spec.gamma,
-        "f": list(spec.f.coeffs),
-    }
 
 
 def weyl_terms_to_list(poly: WeylPolynomial, exact: bool = True) -> list[dict]:

@@ -246,18 +246,17 @@ def _fix_sign(b: np.ndarray, eps: float = 1e-12) -> np.ndarray:
 def _realified_basis(H: np.ndarray, tol: float) -> list[np.ndarray]:
     """Nullspace of the realified map ``eta -> eta H - H^dag eta``, by SVD.
 
-    The map is assembled from the images of an orthonormal Hermitian frame, so
-    a unit element b has singular value ``|b H - H^dag b|_F``: those at most
-    ``tol |H|_F`` count as zero, the spectral path's residual test.  The
-    elements come smallest singular value first, sign-fixed.
+    The map is assembled from the images of an orthonormal Hermitian frame,
+    packed as ``Re + Im`` (an isometry on the anti-Hermitian images, see
+    _spectral_basis) into a square real matrix, so a unit element b has
+    singular value ``|b H - H^dag b|_F``: those at most ``tol |H|_F`` count as
+    zero, the spectral path's residual test.  The elements come smallest
+    singular value first, sign-fixed.
     """
     n = H.shape[0]
     frame = _hermitian_frame(n)
     images = (frame @ H - adjoint(H) @ frame).reshape(n * n, n * n)
-    cols = np.concatenate((images.real, images.imag), axis=1).T
-    # R of the tall cols = QR has the singular values and the right singular
-    # vectors of cols, at half the rows.
-    _, svals, vt = np.linalg.svd(np.linalg.qr(cols, mode="r"))
+    _, svals, vt = np.linalg.svd((images.real + images.imag).T)
     null = vt[svals <= tol * frobenius(H)][::-1]  # smallest singular value first
     return [_fix_sign(b) for b in np.tensordot(null, frame, axes=1)]
 
@@ -290,7 +289,11 @@ def _spectral_basis(W: np.ndarray, linked: np.ndarray) -> np.ndarray:
 
     Link i <= j contributes ``w_i w_i^dag`` when i = j, else
     ``w_i w_j^dag + w_j w_i^dag`` and ``i (w_i w_j^dag - w_j w_i^dag)``; QR
-    under ``Re tr(A^dag B)`` orthonormalizes them in that order.
+    under ``Re tr(A^dag B)`` orthonormalizes them in that order.  The QR runs
+    on the real packings ``P = Re X + Im X``: for X Hermitian (or
+    anti-Hermitian) Re X and Im X are symmetric and antisymmetric, orthogonal
+    under ``tr(A^T B)``, so packing is an isometry onto the real matrices, with
+    the exactly Hermitian inverse ``(P + P^T) / 2 + i (P - P^T) / 2``.
     """
     n = W.shape[0]
     i, j = np.nonzero(np.triu(linked))
@@ -299,10 +302,10 @@ def _spectral_basis(W: np.ndarray, linked: np.ndarray) -> np.ndarray:
     pairs = np.stack((outer + outer_h, 1j * (outer - outer_h)), axis=1)
     # i (w_i w_i^dag - w_i w_i^dag) = 0: a self-link gives one element.
     elements = pairs[np.stack((np.full(i.size, True), i != j), axis=1)]
-    flat = elements.reshape(-1, n * n)
-    q, _ = np.linalg.qr(np.concatenate((flat.real, flat.imag), axis=1).T)
-    q = (q[:n * n] + 1j * q[n * n:]).T.reshape(-1, n, n)
-    return (q + q.conj().transpose(0, 2, 1)) / 2.0
+    q, _ = np.linalg.qr((elements.real + elements.imag).reshape(-1, n * n).T)
+    q = q.T.reshape(-1, n, n)
+    qt = q.transpose(0, 2, 1)
+    return (q + qt + 1j * (q - qt)) / 2.0
 
 
 def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
@@ -351,7 +354,7 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
                                    np.max(residuals, initial=0.0)):
             basis, solver = [_fix_sign(b) for b in stack], "spectral"
     if basis is None:
-        basis = _realified_basis(H, tol)
+        basis = _realified_basis(unit, tol)
         residuals = _residuals(unit, np.reshape(basis, (-1,) + H.shape))
     # V^{-dag} V^{-1} = U diag(1/s^2) U^dag, scaled by s_min^2 so that nothing
     # is inverted and nothing overflows.
@@ -429,13 +432,14 @@ def catalog_oscillator(omega: float) -> tuple[np.ndarray, np.ndarray]:
 
     omega = 0 is rejected: the determinant vanishes and the standard metric
     construction degenerates (use the raw-matrix path plus the spectrum-shift
-    machinery instead).
+    machinery instead).  So is an omega whose square overflows, or underflows
+    to 0 and so gives the omega = 0 Hamiltonian.
     """
     omega = float(omega)
-    if not np.isfinite(omega * omega):  # float * float gives inf, where ** raises
-        raise InputError("omega must be finite, with omega^2 within the double range")
     if omega == 0.0:
         raise InputError("oscillator constructor requires omega != 0")
+    if not 0.0 < omega * omega < np.inf:  # float * float gives inf or 0, where ** raises
+        raise InputError("omega must be finite, with omega^2 within the double range")
     H = np.array([[0.0, 1j], [-1j * (omega * omega), 0.0]], dtype=complex)
     eta = np.array([[0.0, 1j], [-1j, 0.0]], dtype=complex)
     return H, eta

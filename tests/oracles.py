@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own machinery: the nullspace oracle
 parametrizes a general complex matrix by its 2n^2 real unknowns and imposes
-hermiticity as extra linear constraints, and the operator-algebra oracle
+hermiticity as extra linear constraints, the rank oracle realifies every
+matrix into those 2n^2 real numbers, and the operator-algebra oracle
 represents x and p as matrices on a truncated harmonic-oscillator basis.
 The Fraction Weyl reference works term by term on ``{(a, b): (re, im)}``
 maps of ``fractions.Fraction`` pairs, one coefficient product at a time.
@@ -47,6 +48,15 @@ def intertwiner_nullspace_dimension(H: np.ndarray, rtol: float = 1e-8) -> int:
     if svals.size == 0 or svals[0] == 0.0:
         return 2 * n * n
     return int(np.sum(svals <= rtol * svals[0]))
+
+
+def realified_rank(etas, tol: float) -> tuple[int, np.ndarray]:
+    """Real-linear rank of complex matrices taken as vectors of their 2n^2 real
+    and imaginary parts, and the singular values of that (k, 2n^2) stack over
+    its Frobenius norm: the rank counts those above tol."""
+    rows = np.array([np.concatenate([e.real.ravel(), e.imag.ravel()]) for e in etas])
+    svals = np.linalg.svd(rows, compute_uv=False) / np.linalg.norm(rows)
+    return int(np.sum(svals > tol)), svals
 
 
 def svd_invertible(eta: np.ndarray, tol: float) -> bool:

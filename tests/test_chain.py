@@ -1,11 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from oracles import realified_rank
 from pseudoherm import (
     InputError,
     build_chain,
     catalog_two_point,
     chain_via_shift,
+    hermiticity_defect,
     residual,
     shift_for_invertibility,
 )
@@ -33,6 +37,87 @@ class TestNextEta:
         assert np.array_equal(adjoint(H) @ np.eye(2), H)
 
 
+# Beyond the hermiticity band, room for the rounding of the two SVDs.
+SVD_ROUNDING = 1e-14
+
+
+def _agrees_outside_band(etas, tol=1e-10):
+    """Assert that _real_rank gives the realified oracle's rank and return True,
+    unless an oracle singular value lies within ``max_k defect_k |stack|_F`` of
+    the threshold ``tol |stack|_F``, where the two may differ: then return False."""
+    rank, svals = realified_rank(etas, tol)
+    band = max(hermiticity_defect(e) for e in etas) + SVD_ROUNDING
+    if np.min(np.abs(svals - tol)) <= band:
+        return False
+    assert _real_rank(etas, tol) == rank
+    return True
+
+
+def _placed_stack(seed, n, k, factor, skew, tol):
+    """k Hermitian n x n elements whose stack has k - 1 singular values 1 and one at
+    factor * tol * |stack|_F, each element then given a hermiticity defect skew * tol."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+    g = g + g.conj().transpose(0, 2, 1)
+    rows = np.concatenate((g.real, g.imag), axis=1).reshape(k, -1)
+    q, _ = np.linalg.qr(rows.T)  # orthonormal realified Hermitian matrices
+    frame = (q[:n * n] + 1j * q[n * n:]).T.reshape(k, n, n)
+    frame = (frame + frame.conj().transpose(0, 2, 1)) / 2
+    s = np.ones(k)
+    s[-1] = factor * tol * np.sqrt((k - 1) / (1 - (factor * tol) ** 2))
+    u, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    etas = np.tensordot(u * s, frame, axes=1)
+    g = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+    anti = g - g.conj().transpose(0, 2, 1)
+    size = np.linalg.norm(etas, axis=(1, 2)) / np.linalg.norm(anti, axis=(1, 2))
+    return list(etas + anti * (skew * tol * size / 2)[:, None, None])
+
+
+class TestRankOracle:
+    """The packed rank of _real_rank against the realified rank of tests/oracles.py."""
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_random_hermitian_chains(self, n, normalize, shifted):
+        checked = []
+        for seed in range(5):
+            rng = np.random.default_rng([n, seed])
+            S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            S_inv = np.linalg.inv(S)
+            spectrum = rng.uniform(0.5, 2.0, n)
+            if shifted:
+                spectrum[0] = 0.0
+            eta0 = adjoint(S_inv) @ S_inv
+            build = chain_via_shift if shifted else build_chain
+            chain = build(S @ np.diag(spectrum) @ S_inv, (eta0 + adjoint(eta0)) / 2,
+                          k_max=2 * n, normalize=normalize)
+            assert (chain.shift_alpha > 0) == shifted
+            checked.append(_agrees_outside_band(chain.etas))
+        assert sum(checked) >= 4
+
+    @pytest.mark.parametrize("factor", [0.5, 0.99, 1.01, 2.0])
+    @pytest.mark.parametrize("skew", [0.0, 0.004])
+    def test_placed_singular_value(self, factor, skew):
+        # the placed value sits 0.01 tol |stack|_F or more from the threshold, and
+        # the defects move it by at most skew tol |stack|_F / 2: outside the band
+        for seed in range(5):
+            etas = _placed_stack(seed, 4, 6, factor, skew, 1e-10)
+            assert _agrees_outside_band(etas)
+            assert _real_rank(etas, 1e-10) == (6 if factor > 1 else 5)
+
+    @pytest.mark.parametrize("k_max", [0, 3])
+    def test_packing_within_the_double_range(self, k_max):
+        # |Re z + Im z| = 2c = |eta|_F for z = c (1 + i): packing reaches, but does
+        # not pass, 1.7e308; the stack of 4 has a joint norm beyond it
+        eta0 = 8.5e307 * np.array([[0.0, 1 + 1j], [1 - 1j, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chain = build_chain(np.eye(2), eta0, k_max=k_max)
+        assert frobenius(chain.etas[0]) == pytest.approx(1.7e308, rel=1e-15)
+        assert chain.rank == 1
+
+
 class TestBuildChain:
     def test_two_point_closed_form(self):
         H, eta0 = catalog_two_point(1 + 1j, 0.0)
@@ -55,13 +140,12 @@ class TestBuildChain:
         assert chain.rank == 2
 
     def test_real_rank_matches_loop_reference(self):
-        # real combinations of 3 complex matrices, and i times one of them
+        # real combinations of 3 Hermitian matrices, and a fourth Hermitian matrix
         rng = np.random.default_rng(4)
-        base = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
-        etas = list(np.tensordot(rng.standard_normal((7, 3)), base, axes=1)) + [1j * base[0]]
-        rows = np.array([np.concatenate([e.real.ravel(), e.imag.ravel()]) for e in etas])
-        svals = np.linalg.svd(rows, compute_uv=False)
-        assert _real_rank(etas, 1e-10) == int(np.sum(svals > 1e-10 * np.linalg.norm(rows))) == 4
+        g = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
+        base = g + g.conj().transpose(0, 2, 1)
+        etas = list(np.tensordot(rng.standard_normal((7, 3)), base[:3], axes=1)) + [base[3]]
+        assert _real_rank(etas, 1e-10) == realified_rank(etas, 1e-10)[0] == 4
 
     def test_recursion_is_exact(self, osc2):
         H, eta0 = osc2

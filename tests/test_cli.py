@@ -137,6 +137,18 @@ class TestSolve:
         code, report = run_cli(capsys, "solve", "--hamiltonian", "missing.json")
         assert code == 2
 
+    def test_realified_path_near_the_double_range(self, tmp_path, capsys):
+        # |H|_F = 1.45e308: the report matches the unit-scale one
+        reports = []
+        for scale in (1.0, 1e308):
+            write_matrix(tmp_path / "h.json", scale * np.array([[1j, 0.3], [0.0, 1j]]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, report = run_cli(capsys, "solve", "--hamiltonian", tmp_path / "h.json")
+            reports.append((code, report["status"], report["results"]["solver"],
+                            report["results"]["dimension"]))
+        assert reports[0] == reports[1] == (1, "fail", "realified", 0)
+
     @pytest.mark.parametrize("H, solver", [
         (random_pseudo_hermitian(5, np.random.default_rng(2)), "spectral"),
         (np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]]), "realified"),
@@ -559,6 +571,22 @@ class TestExample:
         assert report["status"] == "input_error"
         assert "double range" in report["error"]
         assert not list(tmp_path.iterdir())
+
+    def test_omega_squared_below_the_double_range(self, tmp_path, capsys):
+        # 1e-200 squared underflows to 0, which would be the omega = 0 Hamiltonian
+        code, report = run_cli(capsys, "example", "oscillator", "--omega", "1e-200",
+                               "--out-dir", tmp_path)
+        assert code == 2
+        assert report["status"] == "input_error"
+        assert "double range" in report["error"]
+        assert not list(tmp_path.iterdir())
+
+    def test_small_omega_builds(self, tmp_path, capsys):
+        code, report = run_cli(capsys, "example", "oscillator", "--omega", "1e-150",
+                               "--out-dir", tmp_path)
+        assert code == 0
+        H = parse_matrix(report["results"]["hamiltonian_path"])
+        assert np.array_equal(H, np.array([[0.0, 1j], [-1e-300j, 0.0]]))
 
 
 class TestReportContract:

@@ -9,9 +9,8 @@ from pseudoherm.io import (
     matrix_to_dict,
     parse_complex_scalar,
     parse_matrix,
-    parse_vector,
     parse_weyl_spec,
-    weyl_spec_to_dict,
+    weyl_spec_from_dict,
     write_matrix,
 )
 
@@ -79,17 +78,6 @@ class TestMatrixFiles:
         assert "-0.0" not in path.read_text()
 
 
-class TestVectorFiles:
-    def test_parse(self, tmp_path):
-        path = dump(tmp_path, "v.json", {"n": 2, "entries": [[1, 0], [0, -1]]})
-        assert np.array_equal(parse_vector(path), np.array([1.0, -1j]))
-
-    def test_length_mismatch(self, tmp_path):
-        path = dump(tmp_path, "v.json", {"n": 3, "entries": [[1, 0]]})
-        with pytest.raises(InputError):
-            parse_vector(path)
-
-
 class TestComplexScalars:
     @pytest.mark.parametrize("text,expected", [
         ("2", 2 + 0j),
@@ -116,8 +104,11 @@ class TestWeylSpecFiles:
         spec = parse_weyl_spec(dump(tmp_path, "w.json", obj))
         assert spec.V.coeffs == (0.0, 0.0, 1.0)
         assert spec.theta == -1.0
-        assert weyl_spec_to_dict(spec) == {"V": [0.0, 0.0, 1.0], "alpha": 1.5,
-                                           "beta": 0.25, "gamma": -0.5, "f": [0.0, 2.0]}
+        fields = {"V": list(spec.V.coeffs), "alpha": spec.alpha, "beta": spec.beta,
+                  "gamma": spec.gamma, "f": list(spec.f.coeffs)}
+        assert fields == {"V": [0.0, 0.0, 1.0], "alpha": 1.5, "beta": 0.25,
+                          "gamma": -0.5, "f": [0.0, 2.0]}
+        assert weyl_spec_from_dict(fields) == spec
 
     def test_missing_key(self, tmp_path):
         path = dump(tmp_path, "w.json", {"V": [1], "alpha": 1, "beta": 0, "gamma": 0})

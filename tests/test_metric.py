@@ -389,6 +389,18 @@ def loop_frame(n):
     return np.array(frame)
 
 
+_J2_REAL = np.block([[np.array([[0.5, 1.0], [0.0, 0.5]]), np.zeros((2, 2))],
+                     [np.zeros((2, 2)), np.diag([2.0, -1.0])]])
+_J2_COMPLEX = np.block([[np.array([[1 + 1j, 1.0], [0.0, 1 + 1j]]), np.zeros((2, 2))],
+                        [np.zeros((2, 2)), np.diag([1 - 1j, 3.0])]])
+
+
+def _similar(H):
+    """S H S^-1 for a fixed complex S."""
+    S = np.random.default_rng(len(H)).standard_normal(H.shape) + 1j
+    return S @ H @ np.linalg.inv(S)
+
+
 class TestSolveMetricSpace:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_frame_matches_loop_reference(self, n):
@@ -463,6 +475,26 @@ class TestSolveMetricSpace:
             assert basis.dimension == len(reference)
             assert np.abs(projector(basis.basis) - projector(reference)).max() <= 1e-8
 
+    @pytest.mark.parametrize("n", [2, 6, 16])
+    def test_spectral_elements_exactly_hermitian_and_orthonormal(self, n):
+        for seed in range(3):
+            basis = solve_metric_space(random_pseudo_hermitian(n, np.random.default_rng(seed)))
+            assert basis.solver == "spectral" and basis.dimension == n
+            assert all(hermiticity_defect(b) == 0.0 for b in basis.basis)
+            stack = np.reshape(basis.basis, (n, -1))
+            gram = np.real(stack.conj() @ stack.T)
+            assert np.abs(gram - np.eye(n)).max() <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e308])
+    def test_realified_path_at_every_scale(self, scale):
+        # |H|_F is 1.45e308 at the largest scale: the realified SVD factors H
+        # scaled exactly to a unit peak entry
+        H = scale * np.array([[1j, 0.3], [0.0, 1j]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            basis = solve_metric_space(H)
+        assert (basis.solver, basis.dimension) == ("realified", 0)
+
     @pytest.mark.parametrize("H, solver", [
         (np.diag([1, 1, 1 + 1j, 1 - 1j]), "spectral"),
         (np.diag([1 + 1j, 1 - 1j, 3]), "spectral"),
@@ -473,6 +505,12 @@ class TestSolveMetricSpace:
         # eigenvalues 1 +- 1e-6 lie within the link radius (cond(V) = 1e6):
         # the false link fails the residual check
         (np.array([[1, 1], [1e-12, 1]]), "realified"),
+        # J_2(lambda) + diag(...) and an n=8 Jordan block, some under a similarity
+        (_J2_REAL, "realified"),
+        (_similar(_J2_REAL), "realified"),
+        (_J2_COMPLEX, "realified"),
+        (_similar(_J2_COMPLEX), "realified"),
+        (_similar(0.3 * np.eye(8) + np.diag(np.ones(7), 1)), "realified"),
     ])
     def test_solver_path(self, H, solver):
         basis = solve_metric_space(H)
@@ -705,10 +743,17 @@ class TestCatalogs:
         with pytest.raises(InputError):
             catalog_oscillator(0.0)
 
-    @pytest.mark.parametrize("omega", [1e200, -1.4e154, np.inf, np.nan])
+    @pytest.mark.parametrize("omega", [1e200, -1.4e154, np.inf, np.nan, 1e-200, -1e-163])
     def test_oscillator_omega_squared_beyond_the_double_range(self, omega):
         with pytest.raises(InputError, match="double range"):
             catalog_oscillator(omega)
+
+    @pytest.mark.parametrize("omega", [1e-150, 1e-160])
+    def test_oscillator_small_omega(self, omega):
+        # omega^2 is 1e-300, or the subnormal 1e-320: small, but not the omega = 0 H
+        H, eta = catalog_oscillator(omega)
+        assert H[1, 0] == -1j * (omega * omega) != 0
+        assert residual(H, eta) <= 1e-12
 
     @pytest.mark.parametrize("omega", [0.5, -1.5, 3.0])
     def test_oscillator_pairs_always_verify(self, omega):
