@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict
+from decimal import Decimal
 from typing import Any
 
 import numpy as np
@@ -119,10 +120,16 @@ def parse_weyl_spec(path) -> ShiftedPotentialSpec:
     return weyl_spec_from_dict(load_json(path), where=str(path))
 
 
+def _rational_text(q) -> str:
+    """str(q) of a Fraction at any size; str() of an int raises beyond 4300 digits."""
+    text = str(Decimal(q.numerator))
+    return text if q.denominator == 1 else f"{text}/{Decimal(q.denominator)}"
+
+
 def weyl_terms_to_list(poly: WeylPolynomial, exact: bool = True) -> list[dict]:
     """Serialize term map; exact mode formats coefficients as rational strings."""
     if exact:
-        return [{"a": a, "b": b, "re": str(c.re), "im": str(c.im)}
+        return [{"a": a, "b": b, "re": _rational_text(c.re), "im": _rational_text(c.im)}
                 for (a, b), c in poly.sorted_terms()]
     return [{"a": a, "b": b, "re": z.real, "im": z.imag}
             for (a, b), z in sorted(poly.to_float_terms().items())]

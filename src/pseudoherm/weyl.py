@@ -11,12 +11,13 @@ Coefficients are exact complex rationals.  A polynomial keeps them as
 Gaussian-integer numerators ``(re, im)`` over one positive common
 denominator, reduced so that no factor divides the denominator and every
 numerator; equality is then a comparison of integers, and "residual is zero"
-is a statement about integers, not floating point.  ``RationalComplex`` (a
-pair of ``fractions.Fraction``) is how single coefficients enter and leave.
-Floats entering through parameters are converted exactly to their binary
-rational value.  ``RealPolynomial``, the real coefficient list of the
-potential and of f, lives here too, so this module needs nothing beyond the
-standard library.
+is a statement about integers, not floating point.  With dyadic
+(float-derived) coefficients the reduction is mostly by a power of two, done
+with shifts.  ``RationalComplex`` (a pair of ``fractions.Fraction``) is how
+single coefficients enter and leave.  Floats entering through parameters are
+converted exactly to their binary rational value.  ``RealPolynomial``, the
+real coefficient list of the potential and of f, lives here too, so this
+module needs nothing beyond the standard library.
 
 Conjugation by the momentum boost ``exp(-theta p)`` fixes p and constants and
 shifts x to x + i theta; on polynomials this substitution is an exact algebra
@@ -33,7 +34,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, inf, isfinite, lcm
-from numbers import Rational, Real
+from numbers import Integral, Rational, Real
 
 from .errors import InputError
 
@@ -209,13 +210,18 @@ def _add_to(acc: dict, key: tuple[int, int], re: int, im: int) -> None:
 def _canonical(num: dict, den: int) -> tuple[dict, int]:
     """Drop zero numerators and divide out the common factor of den and the rest.
 
-    The zero polynomial comes out as ``({}, 1)``.
+    Its power of two is shifted out; gcd runs on the odd part of den (1 when
+    den is dyadic).  The zero polynomial comes out as ``({}, 1)``.
     """
     num = {key: c for key, c in num.items() if c[0] or c[1]}
-    g = gcd(den, *(part for c in num.values() for part in c))
-    if g > 1:
-        den //= g
-        num = {key: (re // g, im // g) for key, (re, im) in num.items()}
+    low = den
+    for re, im in num.values():
+        low |= re | im
+    t = (low & -low).bit_length() - 1
+    g = gcd(den >> (den & -den).bit_length() - 1, *(part for c in num.values() for part in c))
+    if t or g > 1:
+        den = (den >> t) // g
+        num = {key: ((re >> t) // g, (im >> t) // g) for key, (re, im) in num.items()}
     return num, den
 
 
@@ -275,10 +281,10 @@ class WeylPolynomial:
     def __init__(self, terms=None):
         coeffs: dict[tuple[int, int], RationalComplex] = {}
         for key, coeff in (terms or {}).items():
-            a, b = key
-            if a < 0 or b < 0 or int(a) != a or int(b) != b:
-                raise InputError(f"exponents must be nonnegative integers, got {key}")
-            coeffs[(int(a), int(b))] = RationalComplex.from_value(coeff)
+            if not (isinstance(key, tuple) and len(key) == 2 and all(
+                    isinstance(e, Integral) and not isinstance(e, bool) and e >= 0 for e in key)):
+                raise InputError(f"exponents must be nonnegative integers, got {key!r}")
+            coeffs[(int(key[0]), int(key[1]))] = RationalComplex.from_value(coeff)
         den = lcm(*(part.denominator for c in coeffs.values() for part in (c.re, c.im)))
         self._set(*_canonical({key: (_numerator(c.re, den), _numerator(c.im, den))
                                for key, c in coeffs.items()}, den))
@@ -385,25 +391,25 @@ class WeylPolynomial:
             return self
         v = lcm(shift.re.denominator, shift.im.denominator)
         sr, si = _numerator(shift.re, v), _numerator(shift.im, v)
+        t = (v & -v).bit_length() - 1
         top = max(a for a, _ in self._num)
-        v_pow = [1]
-        for _ in range(top):
-            v_pow.append(v_pow[-1] * v)
+        odd_pow = [(v >> t) ** j for j in range(top + 1)]  # v^j is odd_pow[j] << t*j
         acc: dict[tuple[int, int], tuple[int, int]] = {}
         for b in {b for _, b in self._num}:
             degree = max(a for a, b_ in self._num if b_ == b)
             r = []
             for a in range(degree + 1):
                 re, im = self._num.get((a, b), (0, 0))
-                r.append((re * v_pow[top - a], im * v_pow[top - a]))
+                m = top - a
+                r.append(((re * odd_pow[m]) << t * m, (im * odd_pow[m]) << t * m))
             # Horner's Taylor shift r(y) -> r(y + s)
             for i in range(degree):
                 for j in range(degree - 1, i - 1, -1):
                     (re, im), (re1, im1) = r[j], r[j + 1]
                     r[j] = (re + sr * re1 - si * im1, im + sr * im1 + si * re1)
             for j, (re, im) in enumerate(r):
-                acc[(j, b)] = (re * v_pow[j], im * v_pow[j])
-        return WeylPolynomial._from(acc, self._den * v_pow[top])
+                acc[(j, b)] = ((re * odd_pow[j]) << t * j, (im * odd_pow[j]) << t * j)
+        return WeylPolynomial._from(acc, (self._den * odd_pow[top]) << t * top)
 
     # -- inspection --------------------------------------------------------
 

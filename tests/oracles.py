@@ -6,13 +6,14 @@ hermiticity as extra linear constraints, the rank oracle realifies every
 matrix into those 2n^2 real numbers, and the operator-algebra oracle
 represents x and p as matrices on a truncated harmonic-oscillator basis.
 The Fraction Weyl reference works term by term on ``{(a, b): (re, im)}``
-maps of ``fractions.Fraction`` pairs, one coefficient product at a time.
+maps of ``fractions.Fraction`` pairs, one coefficient product at a time, and
+the canonical-form reference reduces integer numerators by a plain gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import numpy as np
 
@@ -152,12 +153,26 @@ def fraction_weyl_adjoint(A: dict) -> dict:
 
 def fraction_weyl_boost(A: dict, theta) -> dict:
     """Substitute x -> x + i theta by the binomial theorem, one power of theta per term."""
-    t = Fraction(theta)
+    return fraction_weyl_shift(A, (Fraction(0), Fraction(theta)))
+
+
+def fraction_weyl_shift(A: dict, shift: tuple) -> dict:
+    """Substitute x -> x + shift, a (re, im) pair of Fractions, by the binomial
+    theorem, one power of the shift per term."""
     acc = {}
     for (a, b), c in A.items():
-        for j in range(a + 1):
-            m = a - j
-            re, im = ((1, 0), (0, 1), (-1, 0), (0, -1))[m % 4]
-            s = comb(a, j) * t ** m
-            _accumulate(acc, (j, b), _cmul(c, (re * s, im * s)))
+        power = (Fraction(1), Fraction(0))
+        for m in range(a + 1):
+            s = comb(a, m)
+            _accumulate(acc, (a - m, b), _cmul(c, (s * power[0], s * power[1])))
+            power = _cmul(power, shift)
     return _nonzero(acc)
+
+
+def gcd_canonical(num: dict, den: int) -> tuple[dict, int]:
+    """Gaussian-integer numerators over den > 0 with zero numerators dropped and
+    the gcd of den and every numerator divided out by long division; the zero
+    map comes out over 1."""
+    num = {key: c for key, c in num.items() if c[0] or c[1]}
+    g = gcd(den, *(part for c in num.values() for part in c))
+    return {key: (re // g, im // g) for key, (re, im) in num.items()}, den // g

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from oracles import random_pseudo_hermitian
 from pseudoherm import (
+    build_shifted_hamiltonian,
     catalog_oscillator,
     catalog_two_point,
     find_metric,
@@ -18,7 +20,7 @@ from pseudoherm import (
     solve_metric_space,
 )
 from pseudoherm.cli import main
-from pseudoherm.io import matrix_from_dict, parse_matrix, write_matrix
+from pseudoherm.io import matrix_from_dict, parse_matrix, parse_weyl_spec, write_matrix
 
 # (H scale, eta scale) pairs; sqrt(eta) H alone leaves the double range at 1e+-300
 EXTREME_SCALES = [(1.0, 1.0), (1e300, 1e300), (1e300, 1e-300), (1e-300, 1e300), (1e-300, 1e-300)]
@@ -491,6 +493,23 @@ class TestWeyl:
         assert code == 0
         assert report["results"]["theta"] == str(2 * Fraction(1e308))
         assert report["results"]["residual_terms"] == []
+
+    def test_derived_theta_at_a_tiny_gamma_is_exact(self, tmp_path, capsys):
+        # a degree-32 V shifted by -i 1e-300: H's constant term has a denominator
+        # with more digits than str() converts
+        path = tmp_path / "spec.json"
+        V = np.random.default_rng(32).standard_normal(33).tolist()
+        path.write_text(json.dumps({"V": V, "alpha": 1.375, "beta": 0.5, "gamma": 1e-300,
+                                    "f": [0.25]}))
+        code, report = run_cli(capsys, "weyl", "--spec", path)
+        assert code == 0
+        assert report["results"]["theta"] == str(2 * Fraction(1e-300))
+        assert report["results"]["residual_terms"] == []
+        constant = next(t for t in report["results"]["hamiltonian_terms"]
+                        if (t["a"], t["b"]) == (0, 0))
+        exact = build_shifted_hamiltonian(parse_weyl_spec(path)).coefficient(0, 0).im
+        assert constant["im"] == f"{Decimal(exact.numerator)}/{Decimal(exact.denominator)}"
+        assert len(constant["im"]) > 2 * sys.get_int_max_str_digits()
 
     def test_float_mode_theta_beyond_the_double_range_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "spec.json"

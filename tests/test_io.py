@@ -1,16 +1,20 @@
 import json
 import re
+import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pseudoherm import InputError, catalog_oscillator
+from pseudoherm import InputError, RationalComplex, WeylPolynomial, catalog_oscillator
 from pseudoherm.io import (
     matrix_to_dict,
     parse_complex_scalar,
     parse_matrix,
     parse_weyl_spec,
     weyl_spec_from_dict,
+    weyl_terms_to_list,
     write_matrix,
 )
 
@@ -141,6 +145,24 @@ class TestWeylSpecFiles:
         path = dump(tmp_path, "h.json", {"n": 1, "entries": [[[True, 0]]]})
         with pytest.raises(InputError, match=r"entry \(0,0\): re must be a real number"):
             parse_matrix(path)
+
+
+class TestWeylTerms:
+    def test_exact_strings_are_str_of_the_fractions(self):
+        poly = WeylPolynomial({(0, 0): RationalComplex(Fraction(-7, 48), 0),
+                               (1, 2): RationalComplex(3, Fraction(5, 3 * 2 ** 60)),
+                               (2, 0): RationalComplex(-(10 ** 40), Fraction(1e-300))})
+        assert weyl_terms_to_list(poly) == [
+            {"a": a, "b": b, "re": str(c.re), "im": str(c.im)} for (a, b), c in poly.sorted_terms()]
+
+    def test_exact_strings_beyond_the_int_string_limit(self):
+        big = Fraction(-(3 ** 20000), 2 ** 20000)
+        [term] = weyl_terms_to_list(WeylPolynomial.constant(big))
+        numerator, denominator = term["re"].split("/")
+        assert len(numerator) > sys.get_int_max_str_digits()
+        assert (Decimal(numerator), Decimal(denominator)) == (Decimal(big.numerator),
+                                                              Decimal(big.denominator))
+        assert term["im"] == "0"
 
 
 class TestMatrixToDict:

@@ -13,6 +13,8 @@ from oracles import (
     fraction_weyl_adjoint,
     fraction_weyl_boost,
     fraction_weyl_mul,
+    fraction_weyl_shift,
+    gcd_canonical,
     oscillator_basis_matrices,
     weyl_terms_to_matrix,
 )
@@ -55,6 +57,28 @@ polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                         st.builds(RationalComplex, rationals, rationals),
                         max_size=4).map(WeylPolynomial)
 nonzero = rationals.filter(lambda q: q != 0)
+
+# Doubles at the ends of the exponent range, subnormals included: their
+# common denominators are powers of two up to 2^1074.
+dyadics = st.one_of(
+    st.sampled_from([5e-324, -2.0 ** -1022, 1e-300, 1.0, 1e300, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False)).map(Fraction)
+dyadic_polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                               st.builds(RationalComplex, dyadics, dyadics),
+                               max_size=4).map(WeylPolynomial)
+
+
+@st.composite
+def numerator_maps(draw):
+    """Gaussian-integer numerators over den = 2^k * odd, k up to 3000, sharing
+    an odd factor and powers of two of their own."""
+    shared = draw(st.sampled_from([1, 3, 35, 3 ** 40]))
+    den = (shared * (2 * draw(st.integers(0, 10 ** 6)) + 1)) << draw(st.integers(0, 3000))
+    part = st.one_of(st.just(0), st.builds(lambda m, k: shared * m << k,
+                                           st.integers(-2 ** 70, 2 ** 70), st.integers(0, 3000)))
+    keys = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                         unique=True, max_size=6))
+    return {key: (draw(part), draw(part)) for key in keys}, den
 
 
 def fraction_terms(poly):
@@ -353,6 +377,18 @@ class TestWeylPolynomialBasics:
         with pytest.raises(InputError):
             WeylPolynomial({(-1, 0): 1})
 
+    @pytest.mark.parametrize("key", [("2", 0), (None, 0), (True, 0), (0, False), (2.0, 0),
+                                     (1, 2, 3), 5])
+    def test_non_integer_exponents_rejected_naming_the_key(self, key):
+        with pytest.raises(InputError) as excinfo:
+            WeylPolynomial({key: 1})
+        assert str(excinfo.value).endswith(repr(key))
+
+    def test_numpy_integer_exponents_accepted(self):
+        poly = WeylPolynomial({(np.int64(2), np.uint8(1)): 3})
+        assert poly == WeylPolynomial.monomial(2, 1, 3)
+        assert all(type(e) is int for key in poly.terms for e in key)
+
     def test_equality_is_term_map_equality(self):
         assert X * P + WeylPolynomial.constant(RationalComplex(0, -1)) == P * X
 
@@ -403,6 +439,73 @@ class TestExactProperties:
             assert gcd(poly._den, *parts) == 1
             if not parts:
                 assert poly._den == 1
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(dyadic_polys, dyadic_polys, dyadic_polys)
+    def test_dyadic_extremes_product_associative_and_matches_fractions(self, A, B, C):
+        assert (A * B) * C == A * (B * C)
+        assert fraction_terms(A * B) == fraction_weyl_mul(fraction_terms(A), fraction_terms(B))
+
+    @settings(max_examples=60, deadline=None)
+    @given(dyadic_polys, dyadic_polys, dyadics)
+    def test_dyadic_extremes_boost_homomorphism_and_inverse(self, A, B, theta):
+        assert (A * B).boost(theta) == A.boost(theta) * B.boost(theta)
+        assert A.boost(theta).boost(-theta) == A
+        assert fraction_terms(A.boost(theta)) == fraction_weyl_boost(fraction_terms(A), theta)
+        for poly in (A * B, A.boost(theta), A.adjoint() - B):
+            assert gcd(poly._den, *(part for c in poly._num.values() for part in c)) == 1
+
+
+class TestCanonicalForm:
+    """The stored form against a plain-gcd reduction of the same numerators."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(numerator_maps())
+    def test_matches_gcd_reduction(self, num_den):
+        num, den = num_den
+        assert weyl._canonical(dict(num), den) == gcd_canonical(num, den)
+
+    @pytest.mark.parametrize("num, den", [
+        ({}, 1), ({}, 2 ** 3000 * 3), ({(0, 0): (0, 0)}, 8),
+        ({(0, 0): (-12, 0), (1, 0): (0, 40)}, 48),
+        ({(0, 0): (2 ** 3000, -(2 ** 7)), (2, 1): (0, 2 ** 5)}, 2 ** 2999),
+    ])
+    def test_edge_cases(self, num, den):
+        assert weyl._canonical(dict(num), den) == gcd_canonical(num, den)
+
+
+class TestScaleSweep:
+    """Degree-32 specs whose shifts sit at the ends of the double range."""
+
+    V = np.random.default_rng(32).standard_normal(33).tolist()
+
+    @pytest.fixture(params=[(1e-300, 1e-300), (5e-324, 5e-324), (1e300, 1e300),
+                            (1e-300, 1e300), (1e300, 5e-324), (-5e-324, 1e-300)],
+                    ids=["1e-300", "5e-324", "1e300", "tiny-beta", "tiny-gamma", "subnormal-beta"])
+    def spec(self, request):
+        beta, gamma = request.param
+        return spec_of(self.V, alpha=1.375, beta=beta, gamma=gamma, f=[0.5, -2.0, 0.25])
+
+    def test_derived_theta_certifies(self, spec):
+        assert check_symbolic(spec).is_zero()
+
+    def test_wrong_theta_gives_the_exact_leading_residual(self, spec):
+        theta = 3 * spec.theta
+        residual = check_symbolic(spec, theta_override=theta)
+        assert all(b == 0 and a <= 31 for a, b in residual.terms)
+        lead = 32 * Fraction(spec.alpha) * Fraction(self.V[-1]) * (theta - 2 * Fraction(spec.gamma))
+        assert residual.coefficient(31, 0) == RationalComplex(0, lead)
+
+    def test_mixed_denominator_shift_matches_fractions(self):
+        # shift denominators 48 = 3 * 2^4 and 3 * 2^60: odd and power-of-two parts
+        H = build_shifted_hamiltonian(spec_of(self.V, alpha=1.375, beta=-0.3, gamma=0.7,
+                                              f=[0.5, -2.0, 0.25]))
+        ref = fraction_terms(H)
+        shift = RationalComplex(Fraction(7, 48), Fraction(5, 3 * 2 ** 60))
+        assert fraction_terms(H._shift_x(shift)) == fraction_weyl_shift(ref, (shift.re, shift.im))
+        for theta in (shift.re, shift.im):
+            assert fraction_terms(H.boost(theta)) == fraction_weyl_boost(ref, theta)
 
 
 class TestFractionReference:
