@@ -4,9 +4,13 @@ Subcommands: verify, solve, chain, perturb, quasi, weyl, example.  Every run
 emits one report (JSON by default, ``--format text`` for humans) containing a
 ``checks`` array of named pass/fail entries, so CI can assert on named checks
 instead of parsing prose.  Exit codes: 0 all checks pass, 1 a mathematical
-check failed, 2 input error.  Runs are deterministic given the flags and the
+check failed, 2 input error, 3 internal error (an unexpected exception, reported
+with its type and message).  Runs are deterministic given the flags and the
 input files; the only non-deterministic report field is the ``generated_at``
 timestamp.
+
+Each subcommand imports the modules it runs inside its handler, so ``weyl``
+and ``--help`` start without loading numpy.
 """
 
 from __future__ import annotations
@@ -14,28 +18,16 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
-from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import io
-from .chain import build_chain, chain_via_shift
-from .errors import Check, CheckError, InputError
-from .metric import (
-    catalog_oscillator,
-    catalog_two_point,
-    classify_metric,
-    find_metric,
-    frobenius,
-    hermiticity_defect,
-    residual,
-    solve_metric_space,
-)
-from .perturbation import perturb
-from .quasi import induced_hamiltonian, metric_sqrt
-from .weyl import RealPolynomial, _finite_real, boost_residual, build_shifted_hamiltonian
+from .errors import Check, CheckError, InputError, _finite_real
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _check_entry(check: Check) -> dict:
@@ -47,11 +39,13 @@ def _check_entry(check: Check) -> dict:
 
 def _read(args, inputs, *flags) -> list[np.ndarray]:
     """Parse the matrix file named by each flag into inputs; an infinite norm is an InputError."""
+    from .metric import frobenius
+
     paths = [getattr(args, flag) for flag in flags]
     matrices = [io.parse_matrix(path) for path in paths]
     for flag, path, m in zip(flags, paths, matrices):
         norm = frobenius(m)
-        if norm == np.inf:
+        if norm == math.inf:
             raise InputError(f"--{flag}: the Frobenius norm is beyond the double range")
         inputs[flag] = {"path": str(path), "n": int(m.shape[0]), "frobenius_norm": norm}
     return matrices
@@ -62,7 +56,7 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not 0 < value < np.inf:
+    if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError("must be positive and finite")
     return value
 
@@ -146,6 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args, inputs):
+    from .metric import classify_metric, residual
+
     H, eta = _read(args, inputs, "hamiltonian", "eta")
     r = residual(H, eta)
     cls = classify_metric(eta, args.tol)
@@ -159,6 +155,8 @@ def _cmd_verify(args, inputs):
 
 
 def _cmd_solve(args, inputs):
+    from .metric import classify_metric, find_metric, solve_metric_space
+
     (H,) = _read(args, inputs, "hamiltonian")
     basis = solve_metric_space(H, args.tol)
     representative = find_metric(basis, want_positive=args.positive, tol=args.tol)
@@ -172,6 +170,8 @@ def _cmd_solve(args, inputs):
 
 
 def _cmd_chain(args, inputs):
+    from .chain import build_chain, chain_via_shift
+
     H, eta0 = _read(args, inputs, "hamiltonian", "eta0")
     builder = chain_via_shift if args.via_shift else build_chain
     chain = builder(H, eta0, args.k_max, normalize=not args.no_normalize,
@@ -180,6 +180,9 @@ def _cmd_chain(args, inputs):
 
 
 def _cmd_perturb(args, inputs):
+    from .perturbation import perturb
+    from .weyl import RealPolynomial
+
     H, eta = _read(args, inputs, "hamiltonian", "eta")
     f = RealPolynomial.parse(args.poly)
     inputs["poly"] = str(f)
@@ -192,6 +195,11 @@ def _cmd_perturb(args, inputs):
 
 
 def _cmd_quasi(args, inputs):
+    import numpy as np
+
+    from .metric import classify_metric, frobenius, hermiticity_defect, residual
+    from .quasi import induced_hamiltonian, metric_sqrt
+
     H, eta = _read(args, inputs, "hamiltonian", "eta")
     cls = classify_metric(eta, args.tol)
     r0 = residual(H, eta)
@@ -217,6 +225,10 @@ def _cmd_quasi(args, inputs):
 
 
 def _cmd_weyl(args, inputs):
+    from fractions import Fraction
+
+    from .weyl import boost_residual, build_shifted_hamiltonian
+
     spec = io.parse_weyl_spec(args.spec)
     inputs["spec"] = {"path": str(args.spec), "potential_degree": spec.V.degree,
                       "momentum_degree": spec.f.degree, "alpha": spec.alpha,
@@ -244,6 +256,8 @@ def _cmd_weyl(args, inputs):
 
 
 def _cmd_example(args, inputs):
+    from .metric import catalog_oscillator, catalog_two_point, residual
+
     if args.name == "two-point":
         if args.x is None:
             raise InputError("example two-point requires --x")
@@ -281,13 +295,21 @@ _HANDLERS = {
 }
 
 
+def _is_linalg_error(exc: Exception) -> bool:
+    """Whether exc is numpy's LinAlgError, which only a loaded numpy can raise."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(exc, np.linalg.LinAlgError)
+
+
 def run(args: argparse.Namespace) -> tuple[dict, int]:
     """Execute one parsed command; returns (report, exit_code) and never raises
-    on malformed input.
+    on an exception from a handler.
 
     A handler fills ``inputs`` as it parses them and returns (results, checks).
     A CheckError from the library becomes a failing report that keeps those
     inputs and lists ``exc.checks``; a LinAlgError counts as an input error.
+    Any other exception is an internal error (exit 3) whose report names its
+    type and message and keeps its traceback.
     """
     report = {
         "command": args.command,
@@ -300,10 +322,16 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
         results, checks = _HANDLERS[args.command](args, inputs)
     except CheckError as exc:
         results, checks, error = {}, exc.checks, str(exc)
-    except (InputError, np.linalg.LinAlgError) as exc:
-        report.update(inputs={}, results={}, checks=[], status="input_error",
-                      error=str(exc))
-        return report, 2
+    except Exception as exc:
+        report.update(inputs={}, results={}, checks=[])
+        if isinstance(exc, InputError) or _is_linalg_error(exc):
+            report.update(status="input_error", error=str(exc))
+            return report, 2
+        import traceback
+
+        report.update(status="internal_error", error=f"{type(exc).__name__}: {exc}",
+                      traceback=traceback.format_exc())
+        return report, 3
     report["inputs"] = inputs
     report["results"] = results
     report["checks"] = [_check_entry(c) for c in checks]

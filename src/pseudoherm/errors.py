@@ -2,12 +2,16 @@
 
 Two failure categories exist and map onto the CLI exit codes: malformed or
 inconsistent input data (exit 2) versus a mathematical hypothesis or check
-that does not hold for otherwise well-formed data (exit 1).
+that does not hold for otherwise well-formed data (exit 1).  The finite-real
+rule for scalars from outside the program lives here too, so that parsing
+numbers needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf, isfinite
+from numbers import Real
 
 
 @dataclass(frozen=True)
@@ -40,3 +44,20 @@ class CheckError(ValueError):
         self.value = value
         self.threshold = threshold
         self.checks = tuple(checks) or (Check(check, False, value, threshold),)
+
+
+def _finite_real(value, name: str) -> float:
+    """value as a float, for any ``numbers.Real`` but a bool.
+
+    Raises InputError naming name for anything else, and for inf, nan or a
+    value beyond the double range.
+    """
+    if not isinstance(value, Real) or isinstance(value, bool):
+        raise InputError(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int or Fraction beyond the double range
+        number = inf
+    if not isfinite(number):
+        raise InputError(f"{name} must be finite and within the double range")
+    return number

@@ -7,6 +7,9 @@ Shifted-potential specs: ``{"V": [c0, ...], "alpha": r, "beta": r,
 Complex scalars on command-line flags use the human form ``a+bi``; files use
 ``[re, im]`` pairs.  Serialization relies on Python's shortest round-trip
 float formatting, so emit-then-parse is lossless at full double precision.
+
+numpy and the other library modules are imported by the functions that use
+them, so reading a spec loads no numpy and reading a matrix no Weyl algebra.
 """
 
 from __future__ import annotations
@@ -14,15 +17,16 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict
-from decimal import Decimal
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-import numpy as np
+from .errors import InputError, _finite_real
 
-from .chain import EtaChain
-from .errors import InputError
-from .metric import MetricBasis, MetricClass, as_matrix
-from .weyl import RealPolynomial, ShiftedPotentialSpec, WeylPolynomial, _finite_real
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .chain import EtaChain
+    from .metric import MetricBasis, MetricClass
+    from .weyl import ShiftedPotentialSpec, WeylPolynomial
 
 
 def load_json(path) -> Any:
@@ -44,6 +48,8 @@ def _complex_from_pair(pair, where: str) -> complex:
 
 
 def matrix_from_dict(obj, where: str = "matrix") -> np.ndarray:
+    from .metric import as_matrix
+
     if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
         raise InputError(f'{where}: expected an object with "n" and "entries"')
     n = obj["n"]
@@ -68,6 +74,8 @@ def parse_matrix(path) -> np.ndarray:
 
 
 def matrix_to_dict(m: np.ndarray) -> dict:
+    import numpy as np
+
     m = np.asarray(m, dtype=complex)
     return {
         "n": int(m.shape[0]),
@@ -100,6 +108,8 @@ def parse_complex_scalar(text: str) -> complex:
 
 
 def weyl_spec_from_dict(obj, where: str = "spec") -> ShiftedPotentialSpec:
+    from .weyl import RealPolynomial, ShiftedPotentialSpec
+
     if not isinstance(obj, dict):
         raise InputError(f"{where}: expected a JSON object")
     missing = [k for k in ("V", "alpha", "beta", "gamma", "f") if k not in obj]
@@ -120,14 +130,10 @@ def parse_weyl_spec(path) -> ShiftedPotentialSpec:
     return weyl_spec_from_dict(load_json(path), where=str(path))
 
 
-def _rational_text(q) -> str:
-    """str(q) of a Fraction at any size; str() of an int raises beyond 4300 digits."""
-    text = str(Decimal(q.numerator))
-    return text if q.denominator == 1 else f"{text}/{Decimal(q.denominator)}"
-
-
 def weyl_terms_to_list(poly: WeylPolynomial, exact: bool = True) -> list[dict]:
     """Serialize term map; exact mode formats coefficients as rational strings."""
+    from .weyl import _rational_text
+
     if exact:
         return [{"a": a, "b": b, "re": _rational_text(c.re), "im": _rational_text(c.im)}
                 for (a, b), c in poly.sorted_terms()]

@@ -32,11 +32,12 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from math import comb, factorial, gcd, inf, isfinite, lcm
-from numbers import Integral, Rational, Real
+from math import comb, factorial, gcd, lcm
+from numbers import Integral, Rational
 
-from .errors import InputError
+from .errors import InputError, _finite_real
 
 # (-i)^k as a Gaussian integer (re, im), indexed by k mod 4
 _NEG_I_POW = ((1, 0), (0, -1), (-1, 0), (0, 1))
@@ -46,21 +47,10 @@ _BEYOND_DOUBLE = "a coefficient is beyond the double range and has no float valu
 _NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
-def _finite_real(value, name: str) -> float:
-    """value as a float, for any ``numbers.Real`` but a bool.
-
-    Raises InputError naming name for anything else, and for inf, nan or a
-    value beyond the double range.
-    """
-    if not isinstance(value, Real) or isinstance(value, bool):
-        raise InputError(f"{name} must be a real number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an int or Fraction beyond the double range
-        number = inf
-    if not isfinite(number):
-        raise InputError(f"{name} must be finite and within the double range")
-    return number
+def _rational_text(q: Fraction) -> str:
+    """str(q) at any size; str() of an int raises beyond 4300 digits, Decimal does not."""
+    text = str(Decimal(q.numerator))
+    return text if q.denominator == 1 else f"{text}/{Decimal(q.denominator)}"
 
 
 def _to_fraction(value) -> Fraction:
@@ -178,15 +168,15 @@ class RationalComplex:
         return abs(complex(self))
 
     def __repr__(self) -> str:
-        return f"RationalComplex({self.re!s}, {self.im!s})"
+        return f"RationalComplex({_rational_text(self.re)}, {_rational_text(self.im)})"
 
     def __str__(self) -> str:
         if self.im == 0:
-            return str(self.re)
+            return _rational_text(self.re)
         if self.re == 0:
-            return f"{self.im}i"
+            return f"{_rational_text(self.im)}i"
         sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        return f"{_rational_text(self.re)}{sign}{_rational_text(abs(self.im))}i"
 
 
 _ZERO = RationalComplex(0, 0)

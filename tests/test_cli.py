@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import pseudoherm
 from oracles import random_pseudo_hermitian
 from pseudoherm import (
     build_shifted_hamiltonian,
@@ -19,6 +21,7 @@ from pseudoherm import (
     residual,
     solve_metric_space,
 )
+from pseudoherm import cli
 from pseudoherm.cli import main
 from pseudoherm.io import matrix_from_dict, parse_matrix, parse_weyl_spec, write_matrix
 
@@ -228,7 +231,7 @@ class TestChain:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr("pseudoherm.cli.chain_via_shift", fail)
+        monkeypatch.setattr("pseudoherm.chain.chain_via_shift", fail)
         out = tmp_path / "report.json"
         code = main(["chain", "--hamiltonian", str(fixtures["nilpotent_H"]), "--eta0",
                      str(fixtures["sigma_x"]), "--via-shift", "--out", str(out)])
@@ -646,3 +649,53 @@ class TestReportContract:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert _strict_json(proc.stdout)["status"] == "pass"
+
+    @pytest.mark.parametrize("exc", [RuntimeError("handler broke"), MemoryError("no room")],
+                             ids=["RuntimeError", "MemoryError"])
+    def test_unexpected_exception_is_internal_error(self, fixtures, tmp_path, capsys,
+                                                    monkeypatch, exc):
+        def fail(args, inputs):
+            raise exc
+
+        monkeypatch.setitem(cli._HANDLERS, "verify", fail)
+        out = tmp_path / "report.json"
+        code = main(["verify", "--hamiltonian", str(fixtures["H"]), "--eta", str(fixtures["eta"]),
+                     "--out", str(out)])
+        assert code == 3
+        report = _strict_json(out.read_text())
+        assert report["status"] == "internal_error"
+        assert report["error"] == f"{type(exc).__name__}: {exc}"
+        assert report["traceback"].startswith("Traceback")
+        assert report["traceback"].endswith(f"{report['error']}\n")
+        assert (report["inputs"], report["results"], report["checks"]) == ({}, {}, [])
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def _imported_modules(*argv):
+    """Exit code and the modules that ``python -m pseudoherm argv`` imports."""
+    src = os.path.dirname(os.path.dirname(pseudoherm.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "pseudoherm", *map(str, argv)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    return proc.returncode, {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                             if line.startswith("import time:")}
+
+
+class TestImports:
+    """Each subcommand loads only the modules it runs."""
+
+    @pytest.mark.parametrize("command", ["weyl", "help"])
+    def test_no_numpy(self, fixtures, tmp_path, command):
+        argv = (["weyl", "--spec", fixtures["weyl"], "--out", tmp_path / "r.json"]
+                if command == "weyl" else ["--help"])
+        code, modules = _imported_modules(*argv)
+        assert code == 0
+        assert "pseudoherm.cli" in modules
+        assert {m for m in modules if m.split(".")[0] == "numpy"} == set()
+
+    def test_verify_loads_no_weyl_algebra(self, fixtures, tmp_path):
+        code, modules = _imported_modules("verify", "--hamiltonian", fixtures["H"], "--eta",
+                                          fixtures["eta"], "--out", tmp_path / "r.json")
+        assert code == 0
+        assert "pseudoherm.metric" in modules
+        assert "pseudoherm.weyl" not in modules

@@ -1,4 +1,5 @@
 import importlib
+import os
 import pathlib
 import subprocess
 import sys
@@ -61,3 +62,29 @@ def test_benchmark_oracles_accept_library_answers(monkeypatch, tmp_path):
                 verdicts[name, p.kind] = workload.check(p, workload.run(p, in_process=True))
     assert len(verdicts) == 16
     assert {key: v for key, v in verdicts.items() if v != "ok"} == {}
+
+
+def test_package_exports_every_name():
+    import pseudoherm
+
+    namespace = {}
+    exec("from pseudoherm import *", namespace)
+    assert all(namespace[name] is getattr(pseudoherm, name) for name in pseudoherm.__all__)
+    assert set(pseudoherm.__all__) <= set(dir(pseudoherm))
+    assert pseudoherm.residual is pseudoherm.metric.residual
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pseudoherm.no_such_name
+
+
+def test_package_import_loads_no_submodule():
+    # a fresh interpreter, since this one has imported every submodule already
+    submodules = ("chain", "cli", "errors", "io", "metric", "perturbation", "quasi", "weyl")
+    script = ("import sys, pseudoherm\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'pseudoherm')))\n"
+              f"print([getattr(pseudoherm, m).__name__ for m in {submodules}])\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "['pseudoherm']", str([f"pseudoherm.{m}" for m in submodules])]

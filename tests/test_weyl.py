@@ -1,5 +1,6 @@
 import ast
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -133,6 +134,27 @@ class TestRationalComplex:
         z = RationalComplex(1, 2)
         with pytest.raises(AttributeError):
             z.re = Fraction(3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.fractions(), st.fractions())
+    def test_text_is_that_of_str_of_the_fractions(self, re, im):
+        z = RationalComplex(re, im)
+        if im == 0:
+            text = str(re)
+        elif re == 0:
+            text = f"{im}i"
+        else:
+            text = f"{re}{'+' if im > 0 else '-'}{abs(im)}i"
+        assert str(z) == text
+        assert repr(z) == f"RationalComplex({re}, {im})"
+
+    def test_polynomial_repr(self):
+        H = ((P * X).scale(RationalComplex(Fraction(-3, 4), 2))
+             + WeylPolynomial.monomial(2, 0, Fraction(1, 3)) + WeylPolynomial.constant(-0.5j))
+        assert repr(H) == "WeylPolynomial((2+1/4i) + (-3/4+2i) x p + (1/3) x^2)"
+        assert repr(H.terms) == ("{(1, 1): RationalComplex(-3/4, 2), (0, 0): RationalComplex(2, 1/4), "
+                                 "(2, 0): RationalComplex(1/3, 0)}")
+        assert repr(WeylPolynomial.zero()) == "WeylPolynomial(0)"
 
 
 class TestNormalMultiply:
@@ -496,6 +518,18 @@ class TestScaleSweep:
         assert all(b == 0 and a <= 31 for a, b in residual.terms)
         lead = 32 * Fraction(spec.alpha) * Fraction(self.V[-1]) * (theta - 2 * Fraction(spec.gamma))
         assert residual.coefficient(31, 0) == RationalComplex(0, lead)
+
+    def test_repr_beyond_the_int_string_limit(self):
+        # at gamma = 1e-300, H's constant term has more digits than str() of an int allows
+        H = build_shifted_hamiltonian(spec_of(self.V, alpha=1.375, beta=0.5, gamma=1e-300,
+                                              f=[0.25]))
+        c = H.coefficient(0, 0)
+        im = f"{Decimal(c.im.numerator)}/{Decimal(c.im.denominator)}"
+        assert len(im) > 2 * sys.get_int_max_str_digits()
+        assert str(c).endswith(("+" if c.im > 0 else "-") + im.lstrip("-") + "i")
+        assert repr(c).endswith(f", {im})")
+        assert f"({c})" in repr(H)
+        assert repr(c) in repr(H.terms)
 
     def test_mixed_denominator_shift_matches_fractions(self):
         # shift denominators 48 = 3 * 2^4 and 3 * 2^60: odd and power-of-two parts
