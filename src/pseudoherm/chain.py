@@ -18,16 +18,26 @@ from .errors import Check, InputError
 from .metric import (
     DEFAULT_TOL,
     MetricClass,
+    _bilinear_ratio,
+    _classify,
+    _intertwining,
     _unit_peak,
     adjoint,
     as_matrix,
     check_tol,
-    classify_metric,
     frobenius,
     hermiticity_defect,
     residual,
     same_size,
 )
+
+# Chain elements are measured in stacks of at most 2^16 complex entries (1 MiB,
+# 16 elements at n = 64).  On ten of dense-certify's seed-1 chains (n = 64, 65
+# elements each), stacks of 16 ran 1.17x and stacks of 8 1.12x as fast as one
+# call per element, with bit-identical values, while whole 65-element stacks
+# (4.3 MB) ran 0.985x and used 12% more memory.
+_STACK_ENTRIES = 2 ** 16
+
 
 @dataclass(frozen=True)
 class EtaChain:
@@ -36,8 +46,10 @@ class EtaChain:
     ``residuals`` are intertwining residuals against H (the original,
     unshifted Hamiltonian) and ``classes`` the classifications at ``tol``.
     ``rank`` is the real-linear rank of the chain elements viewed as vectors,
-    which makes periodicity up to scalars visible.  ``shift_alpha`` is 0
-    unless the chain was built via a spectrum shift.
+    which makes periodicity up to scalars visible, up to rounding within the
+    band ``max_k delta_k |stack|_F`` around its threshold (see _real_rank): chain
+    71 of dense-certify seed 1 has a singular value at 1.00016x the threshold,
+    inside that band.  ``shift_alpha`` is 0 unless chain_via_shift shifted H.
     """
 
     H: np.ndarray
@@ -91,8 +103,7 @@ def _real_rank(etas: list[np.ndarray], tol: float) -> int:
 def _validate_start(H, eta0, k_max: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """H and eta0 as matrices, after InputError checks of tol, sizes, k_max and eta0 vs H."""
     check_tol(tol)
-    H, eta0 = as_matrix(H, "H"), as_matrix(eta0, "eta0")
-    same_size(H, eta0, ("H", "eta0"))
+    H, eta0 = same_size(H, eta0, ("H", "eta0"))
     if k_max < 0 or int(k_max) != k_max:
         raise InputError("k_max must be a nonnegative integer")
     defect = hermiticity_defect(eta0)
@@ -109,16 +120,19 @@ def _validate_start(H, eta0, k_max: int, tol: float) -> tuple[np.ndarray, np.nda
 def _chain(H: np.ndarray, G: np.ndarray, eta0: np.ndarray, k_max: int,
            normalize: bool, tol: float, alpha: float) -> EtaChain:
     """The chain ``(G^dag)^k eta0`` for ``G = H + alpha I``, measured once against H."""
-    Gd, etas = adjoint(G), []
-    for k in range(int(k_max) + 1):
+    Gd, etas = adjoint(G), np.empty((int(k_max) + 1,) + H.shape, dtype=complex)
+    for k in range(len(etas)):
         with np.errstate(over="ignore", invalid="ignore"):
-            e = Gd @ etas[-1] if etas else eta0
+            e = Gd @ etas[k - 1] if k else eta0
         norm = frobenius(e)
         if not norm < np.inf:
             raise InputError(f"eta_{k} is beyond the double range")
-        etas.append(e / norm if normalize and norm > 0.0 else e)
-    return EtaChain(H=H, etas=etas, residuals=[residual(H, e) for e in etas],
-                    classes=[classify_metric(e, tol) for e in etas],
+        etas[k] = e / norm if normalize and norm > 0.0 else e
+    size = max(1, _STACK_ENTRIES // H.size)
+    stacks = [etas[start:start + size] for start in range(0, len(etas), size)]
+    residuals = np.concatenate([_bilinear_ratio(_intertwining, H, s) for s in stacks])
+    return EtaChain(H=H, etas=list(etas), residuals=residuals.tolist(),
+                    classes=[c for s in stacks for c in _classify(s, tol)],
                     normalized=normalize, shift_alpha=alpha,
                     rank=_real_rank(etas, tol), tol=tol)
 

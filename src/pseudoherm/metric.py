@@ -51,29 +51,35 @@ def check_tol(tol: float) -> None:
         raise InputError("tol must be positive and finite")
 
 
-def same_size(A: np.ndarray, B: np.ndarray, names: tuple[str, str]) -> None:
-    """Reject two square matrices of different sizes, named in the error by names."""
+def same_size(A, B, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+    """A and B as matrices (see as_matrix) of one size, named in errors by names."""
+    A, B = as_matrix(A, names[0]), as_matrix(B, names[1])
     if A.shape != B.shape:
         raise InputError(f"dimension mismatch: {names[0]} is {A.shape[0]}x{A.shape[0]}, "
                          f"{names[1]} is {B.shape[0]}x{B.shape[0]}")
+    return A, B
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    return m.conj().swapaxes(-1, -2)
 
 
 def frobenius(m: np.ndarray) -> float:
-    """Frobenius norm that neither overflows nor underflows for finite m.
+    """Frobenius norm that neither overflows nor underflows for finite m."""
+    return float(_norms(np.asarray(m)[None])[0])
 
-    np.linalg.norm squares the entries; a result out of its range is recomputed
-    on m divided by the power of two at its largest entry, an exact scaling.
-    """
+
+def _norms(stack: np.ndarray) -> np.ndarray:
+    """frobenius of each array of a stack: np.linalg.norm's two dot products or, out of
+    their squaring range, the norm of the array exactly scaled by _unit_peak, scaled back."""
     with np.errstate(over="ignore", under="ignore"):
-        norm = float(np.linalg.norm(m))
-        if np.isinf(norm) or (norm < 1e-150 and m.any()):
-            scaled, k = _unit_peak(m)
-            norm = float(np.ldexp(np.linalg.norm(scaled), k))
-    return norm
+        norms = np.sqrt([x.real.dot(x.real) + x.imag.dot(x.imag)
+                         for x in (m.ravel(order="K") for m in stack)])
+        for i in np.flatnonzero(np.isinf(norms) | (norms < 1e-150)):
+            if stack[i].any():
+                scaled, k = _unit_peak(stack[i])
+                norms[i] = np.ldexp(np.linalg.norm(scaled), k)
+    return norms
 
 
 def _unit_peak(m: np.ndarray) -> tuple[np.ndarray, int]:
@@ -96,22 +102,25 @@ def _without_overflow(norm_of, *ms: np.ndarray) -> tuple[float, tuple[np.ndarray
     return value, ms
 
 
-def _bilinear_ratio(form, A, B, names: tuple[str, str]) -> float:
-    """``|form(A, B)|_F / (|A|_F |B|_F)`` for a bilinear form; a zero numerator gives 0.
+def _bilinear_ratio(form, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``|form(A, b)|_F / (|A|_F |b|_F)`` for each b of a (k, n, n) stack B, 0 for a
+    zero numerator.  The denominator bounds the entries of the form; where it
+    lies outside about [1e-290, 1e300] they could overflow or underflow, so A
+    and that b are first scaled exactly to a unit peak entry."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = frobenius(A) * _norms(B)
+    out = ~((scale >= 1e-290) & (scale <= 1e300))
+    if out.any():
+        unit, B = _unit_peak(A)[0], B.copy()
+        for i in np.flatnonzero(out):
+            B[i] = _unit_peak(B[i])[0]
+        A, scale[out] = np.where(out[:, None, None], unit, A), frobenius(unit) * _norms(B[out])
+    defects = _norms(form(A, B))
+    return np.divide(defects, scale, out=np.zeros(len(B)), where=defects > 0)
 
-    A and B are validated as same-size matrices, named in errors by names.
-    The denominator bounds the entries of the form.  Outside about [1e-290,
-    1e300] they could overflow or underflow, so A and B are first scaled
-    exactly to a unit peak entry, which leaves the ratio unchanged.
-    """
-    A, B = as_matrix(A, names[0]), as_matrix(B, names[1])
-    same_size(A, B, names)
-    scale = frobenius(A) * frobenius(B)
-    if not 1e-290 <= scale <= 1e300:
-        (A, _), (B, _) = _unit_peak(A), _unit_peak(B)
-        scale = frobenius(A) * frobenius(B)
-    defect = frobenius(form(A, B))
-    return defect / scale if defect else 0.0
+
+def _intertwining(h: np.ndarray, e: np.ndarray) -> np.ndarray:
+    return e @ h - adjoint(h) @ e
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -127,7 +136,8 @@ def residual(H, eta) -> float:
     Zero (up to floating-point error) exactly when eta intertwines H with its
     adjoint, at every scale of H and eta.  No invertibility of eta is needed.
     """
-    return _bilinear_ratio(lambda h, e: e @ h - adjoint(h) @ e, H, eta, ("H", "eta"))
+    H, eta = same_size(H, eta, ("H", "eta"))
+    return float(_bilinear_ratio(_intertwining, H, eta[None])[0])
 
 
 @dataclass(frozen=True)
@@ -159,29 +169,32 @@ def classify_metric(eta, tol: float = DEFAULT_TOL) -> MetricClass:
     """
     eta = as_matrix(eta, "eta")
     check_tol(tol)
-    norm, k = frobenius(eta), 0
-    if norm >= 1e300:
-        eta, k = _unit_peak(eta)
-        norm = frobenius(eta)
-    scale = tol * norm
-    defect = hermiticity_defect(eta)
-    eigs = np.linalg.eigvalsh((eta + adjoint(eta)) / 2.0)
-    min_abs, min_eig = float(np.min(np.abs(eigs))), float(eigs[0])
-    hermitian = defect <= tol
-    invertible = hermitian and min_abs > scale
-    positive = invertible and min_eig > scale
+    return _classify(eta[None], tol)[0]
+
+
+def _classify(stack: np.ndarray, tol: float) -> list[MetricClass]:
+    """classify_metric of each matrix of a (k, n, n) stack, by one ``eigvalsh``."""
+    norms, shift = _norms(stack), np.zeros(len(stack), dtype=int)
+    big = np.flatnonzero(norms >= 1e300)
+    if big.size:
+        stack = stack.copy()
+        for i in big:
+            stack[i], shift[i] = _unit_peak(stack[i])
+        norms[big] = _norms(stack[big])
+    adj = adjoint(stack)
+    defects = _norms(stack - adj)  # no overflow: every norm is below 1e300
+    defects = np.divide(defects, norms, out=np.zeros(len(stack)), where=defects > 0)
+    eigs = np.linalg.eigvalsh((stack + adj) / 2.0)
+    min_abs, min_eig = np.min(np.abs(eigs), axis=1), eigs[:, 0]
+    hermitian = defects <= tol
+    invertible = hermitian & (min_abs > tol * norms)
+    positive = invertible & (min_eig > tol * norms)
     with np.errstate(over="ignore"):
-        min_abs, min_eig = np.ldexp([min_abs, min_eig], k).tolist()
-    if np.isinf(min_eig):  # min_abs <= |min_eig|
+        min_abs, min_eig = np.ldexp(min_abs, shift), np.ldexp(min_eig, shift)
+    if np.isinf(min_eig).any():  # min_abs <= |min_eig|
         raise InputError("eta: an eigenvalue of its Hermitian part is beyond the double range")
-    return MetricClass(
-        hermitian=hermitian,
-        invertible=invertible,
-        positive=positive,
-        min_abs_eigenvalue_of_hermitian_part=min_abs,
-        min_eigenvalue_of_hermitian_part=min_eig,
-        hermiticity_defect=defect,
-    )
+    return list(map(MetricClass, hermitian.tolist(), invertible.tolist(), positive.tolist(),
+                    min_abs.tolist(), min_eig.tolist(), defects.tolist()))
 
 
 @dataclass(frozen=True)
@@ -190,10 +203,10 @@ class MetricBasis:
 
     Basis elements are Hermitian, have unit Frobenius norm and are pairwise
     orthogonal under the real inner product ``Re tr(A^dag B)``.  Element k
-    has the relative residual ``residuals[k] = |b H - H^dag b|_F / |H|_F``
-    and ``classifications[k] = classify_metric(b, tol)``.  ``solver`` names
-    the path, ``"spectral"`` or ``"realified"``, which also fixes the order of
-    the elements (see solve_metric_space).  ``spectral_metric`` is the
+    has ``residuals[k] = residual(H, b)`` and ``classifications[k] =
+    classify_metric(b, tol)``.  ``solver`` names the path, ``"spectral"`` or
+    ``"realified"``, which also fixes the order of the elements (see
+    solve_metric_space).  ``spectral_metric`` is the
     unit-norm ``V^{-dag} V^{-1}`` of the solve's ``H = V diag(lambda) V^{-1}``,
     or None when V is singular.
     """
@@ -243,22 +256,22 @@ def _fix_sign(b: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     return b
 
 
-def _realified_basis(H: np.ndarray, tol: float) -> list[np.ndarray]:
+def _realified_basis(H: np.ndarray, tol: float) -> np.ndarray:
     """Nullspace of the realified map ``eta -> eta H - H^dag eta``, by SVD.
 
     The map is assembled from the images of an orthonormal Hermitian frame,
     packed as ``Re + Im`` (an isometry on the anti-Hermitian images, see
     _spectral_basis) into a square real matrix, so a unit element b has
     singular value ``|b H - H^dag b|_F``: those at most ``tol |H|_F`` count as
-    zero, the spectral path's residual test.  The elements come smallest
-    singular value first, sign-fixed.
+    zero, the spectral path's residual test.  The elements come as a (k, n, n)
+    stack, smallest singular value first.
     """
     n = H.shape[0]
     frame = _hermitian_frame(n)
     images = (frame @ H - adjoint(H) @ frame).reshape(n * n, n * n)
     _, svals, vt = np.linalg.svd((images.real + images.imag).T)
     null = vt[svals <= tol * frobenius(H)][::-1]  # smallest singular value first
-    return [_fix_sign(b) for b in np.tensordot(null, frame, axes=1)]
+    return np.tensordot(null, frame, axes=1)
 
 
 def _spectral_untrusted(tol: float, cond_v: float, radius: float,
@@ -275,13 +288,6 @@ def _spectral_untrusted(tol: float, cond_v: float, radius: float,
     """
     return not (tol * cond_v < 1.0 and unlinked_min > 10.0 * radius
                 and residual_max <= tol)
-
-
-def _residuals(H: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """``|b H - H^dag b|_F / |H|_F`` for each unit-norm b of a (k, n, n) stack."""
-    images = stack @ H - adjoint(H) @ stack
-    norms = np.linalg.norm(images.reshape(len(stack), H.size), axis=1)
-    return norms / (frobenius(H) or 1.0)
 
 
 def _spectral_basis(W: np.ndarray, linked: np.ndarray) -> np.ndarray:
@@ -346,16 +352,17 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
     dist = np.abs(lam[None, :] - lam.conj()[:, None])  # |lambda_j - conj(lambda_i)|
     linked = dist <= radius
     unlinked = np.min(dist[~linked], initial=np.inf)
-    basis, solver = None, "realified"
+    solver = "realified"
     if not _spectral_untrusted(tol, cond, radius, unlinked):
         stack = _spectral_basis((u / s) @ xh, linked)  # W = V^{-dag} = U S^-1 X^dag
-        residuals = _residuals(unit, stack)
+        residuals = _bilinear_ratio(_intertwining, unit, stack)
         if not _spectral_untrusted(tol, cond, radius, unlinked,
                                    np.max(residuals, initial=0.0)):
-            basis, solver = [_fix_sign(b) for b in stack], "spectral"
-    if basis is None:
-        basis = _realified_basis(unit, tol)
-        residuals = _residuals(unit, np.reshape(basis, (-1,) + H.shape))
+            solver = "spectral"
+    if solver == "realified":
+        stack = _realified_basis(unit, tol)
+        residuals = _bilinear_ratio(_intertwining, unit, stack)
+    basis = [_fix_sign(b) for b in stack]
     # V^{-dag} V^{-1} = U diag(1/s^2) U^dag, scaled by s_min^2 so that nothing
     # is inverted and nothing overflows.
     spectral = None
@@ -363,7 +370,7 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
         spectral = (u * (s[-1] / s) ** 2) @ adjoint(u)
         spectral = spectral + adjoint(spectral)
         spectral = spectral / frobenius(spectral)
-    classifications = [classify_metric(b, tol) for b in basis]
+    classifications = _classify(np.reshape(basis, stack.shape), tol)
     return MetricBasis(H=H, dimension=len(basis), basis=basis,
                        residuals=residuals.tolist(), classifications=classifications,
                        solver=solver, spectral_metric=spectral, tol=tol)

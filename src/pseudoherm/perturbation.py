@@ -49,7 +49,8 @@ class PerturbedHamiltonian:
 
 def commutator_defect(A, B) -> float:
     """Relative size of [A, B]: ``|AB - BA|_F / (|A|_F |B|_F)``, 0 if either is 0."""
-    return _bilinear_ratio(lambda a, b: a @ b - b @ a, A, B, ("A", "B"))
+    A, B = same_size(A, B, ("A", "B"))
+    return float(_bilinear_ratio(lambda a, b: a @ b - b @ a, A, B[None])[0])
 
 
 def matrix_poly(K, f: RealPolynomial) -> np.ndarray:
@@ -103,11 +104,8 @@ def perturb(H, eta, K, f: RealPolynomial, tol: float = DEFAULT_TOL,
     (the change of the anti-Hermitian part over ``max(|H|_F, |H_tilde|_F)``).
     """
     check_tol(tol)
-    H = as_matrix(H, "H")
-    eta = as_matrix(eta, "eta")
-    K = as_matrix(K, "K")
-    same_size(H, eta, ("H", "eta"))
-    same_size(H, K, ("H", "K"))
+    H, eta = same_size(H, eta, ("H", "eta"))
+    H, K = same_size(H, K, ("H", "K"))
 
     defect_eta = hermiticity_defect(eta)
     r0 = residual(H, eta)

@@ -7,7 +7,10 @@ matrix into those 2n^2 real numbers, and the operator-algebra oracle
 represents x and p as matrices on a truncated harmonic-oscillator basis.
 The Fraction Weyl reference works term by term on ``{(a, b): (re, im)}``
 maps of ``fractions.Fraction`` pairs, one coefficient product at a time, and
-the canonical-form reference reduces integer numerators by a plain gcd.
+the canonical-form reference reduces integer numerators by a plain gcd.  The
+per-matrix residual and classification references take one matrix at a time,
+with np.linalg.norm and one eigvalsh each, by the arithmetic the library's
+stacked kernels must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from fractions import Fraction
 from math import comb, factorial, gcd
 
 import numpy as np
+
+from pseudoherm import InputError, MetricClass
 
 
 def intertwiner_nullspace_dimension(H: np.ndarray, rtol: float = 1e-8) -> int:
@@ -176,3 +181,64 @@ def gcd_canonical(num: dict, den: int) -> tuple[dict, int]:
     num = {key: c for key, c in num.items() if c[0] or c[1]}
     g = gcd(den, *(part for c in num.values() for part in c))
     return {key: (re // g, im // g) for key, (re, im) in num.items()}, den // g
+
+
+def _unit_peak(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """m / 2^k (exact) for k the exponent of its largest real or imaginary part, and k."""
+    peak = max(np.max(np.abs(m.real), initial=0.0), np.max(np.abs(m.imag), initial=0.0))
+    k = int(np.frexp(peak)[1])
+    if k < -1000:  # 2^-k overflows for a subnormal peak: scale up in two exact steps
+        return m * np.ldexp(1.0, 1000) * np.ldexp(1.0, -k - 1000), k
+    return m * np.ldexp(1.0, -k), k
+
+
+def _frobenius(m: np.ndarray) -> float:
+    """np.linalg.norm, recomputed on m over the power of two at its peak entry
+    when the squares leave the double range."""
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(np.linalg.norm(m))
+        if np.isinf(norm) or (norm < 1e-150 and m.any()):
+            scaled, k = _unit_peak(m)
+            norm = float(np.ldexp(np.linalg.norm(scaled), k))
+    return norm
+
+
+def residual_of_one(H: np.ndarray, eta: np.ndarray) -> float:
+    """``|eta H - H^dag eta|_F / (|H|_F |eta|_F)`` for one matrix eta, 0 for a zero
+    numerator; outside [1e-290, 1e300] the denominator is taken of H and eta
+    scaled exactly to a unit peak entry, and so is the numerator."""
+    A, B = np.asarray(H, dtype=complex), np.asarray(eta, dtype=complex)
+    scale = _frobenius(A) * _frobenius(B)
+    if not 1e-290 <= scale <= 1e300:
+        (A, _), (B, _) = _unit_peak(A), _unit_peak(B)
+        scale = _frobenius(A) * _frobenius(B)
+    defect = _frobenius(B @ A - A.conj().T @ B)
+    return defect / scale if defect else 0.0
+
+
+def classification_of_one(eta: np.ndarray, tol: float) -> MetricClass:
+    """The classification of one matrix: Hermitian when ``|eta - eta^dag|_F <= tol
+    |eta|_F``, invertible (positive) when also the smallest |eigenvalue| (the
+    smallest eigenvalue) of ``(eta + eta^dag) / 2`` exceeds ``tol |eta|_F``.
+    From norm 1e300 on, eta is scaled exactly to a unit peak entry and the two
+    eigenvalues scaled back; InputError when they leave the double range."""
+    eta = np.asarray(eta, dtype=complex)
+    norm, k = _frobenius(eta), 0
+    if norm >= 1e300:
+        eta, k = _unit_peak(eta)
+        norm = _frobenius(eta)
+    scale = tol * norm
+    defect = _frobenius(eta - eta.conj().T)  # entries below 1e300: no overflow
+    defect = defect / norm if defect else 0.0
+    eigs = np.linalg.eigvalsh((eta + eta.conj().T) / 2.0)
+    min_abs, min_eig = float(np.min(np.abs(eigs))), float(eigs[0])
+    hermitian = defect <= tol
+    invertible = hermitian and min_abs > scale
+    positive = invertible and min_eig > scale
+    with np.errstate(over="ignore"):
+        min_abs, min_eig = np.ldexp([min_abs, min_eig], k).tolist()
+    if np.isinf(min_eig):  # min_abs <= |min_eig|
+        raise InputError("eta: an eigenvalue of its Hermitian part is beyond the double range")
+    return MetricClass(hermitian=hermitian, invertible=invertible, positive=positive,
+                       min_abs_eigenvalue_of_hermitian_part=min_abs,
+                       min_eigenvalue_of_hermitian_part=min_eig, hermiticity_defect=defect)

@@ -14,6 +14,7 @@ from pseudoherm import (
     shift_for_invertibility,
 )
 from pseudoherm import chain as chain_module
+from pseudoherm import metric
 from pseudoherm.chain import _real_rank
 from pseudoherm.metric import adjoint, frobenius
 
@@ -304,6 +305,31 @@ class TestBeyondTheDoubleRange:
         assert build_chain(np.eye(2), 1.2e308 * np.eye(2), 1).rank == 1
 
 
+class TestStacks:
+    """_chain measures its elements in stacks of at most 2^16 complex entries."""
+
+    def test_each_element_classified_once_in_bounded_stacks(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        n = 64
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        eta0 = (q * rng.uniform(0.5, 1.5, n)) @ q.conj().T
+        eta0 = (eta0 + eta0.conj().T) / 2
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        H = np.linalg.solve(eta0, g + g.conj().T)  # eta0 H = g + g^dag = H^dag eta0
+        stacks = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(a, *args, **kwargs):
+            stacks.append(a)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        chain = build_chain(H, eta0, k_max=64, normalize=True)
+        assert all(a.size <= 2 ** 16 for a in stacks)
+        etas = np.array(chain.etas)
+        assert np.array_equal(np.concatenate(stacks), (etas + adjoint(etas)) / 2)
+
+
 class TestChainViaShift:
     def test_nilpotent_chain_validates_against_original(self, nilpotent):
         H, eta0 = nilpotent
@@ -346,17 +372,21 @@ class TestChainViaShift:
     def test_each_residual_measured_once(self, nilpotent, monkeypatch):
         # eta0 once, then each of the k_max + 1 elements once, all against H
         calls = []
+        kernel = metric._bilinear_ratio
 
-        def counted(H, eta):
-            calls.append(H)
-            return residual(H, eta)
+        def counted(form, A, B):
+            calls.append((form, A, len(B)))
+            return kernel(form, A, B)
 
-        monkeypatch.setattr(chain_module, "residual", counted)
+        for module in (metric, chain_module):
+            monkeypatch.setattr(module, "_bilinear_ratio", counted)
         H, eta0 = nilpotent
         chain = chain_via_shift(H, eta0, k_max=5)
         assert chain.shift_alpha != 0.0
-        assert len(calls) == 5 + 2
-        assert all(np.array_equal(h, H) for h in calls)
+        assert sum(count for _, _, count in calls) == 5 + 2
+        assert calls[0][2] == 1  # eta0, before the chain is built
+        assert all(form is metric._intertwining and np.array_equal(A, H)
+                   for form, A, _ in calls)
 
     def test_k_max_checked_before_the_shift_ladder(self, nilpotent, monkeypatch):
         def fail(*args, **kwargs):

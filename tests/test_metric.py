@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -5,7 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import intertwiner_nullspace_dimension, random_pseudo_hermitian, svd_invertible
+from oracles import (
+    classification_of_one,
+    intertwiner_nullspace_dimension,
+    random_pseudo_hermitian,
+    residual_of_one,
+    svd_invertible,
+)
 from pseudoherm import (
     InputError,
     RealPolynomial,
@@ -28,7 +35,10 @@ from pseudoherm import (
     solve_metric_space,
 )
 from pseudoherm.metric import (
+    _bilinear_ratio,
+    _classify,
     _hermitian_frame,
+    _intertwining,
     _realified_basis,
     _spectral_untrusted,
     frobenius,
@@ -282,6 +292,74 @@ class TestClassify:
             cls = classify_metric(m)
             assert not cls.positive or cls.invertible
             assert not cls.invertible or cls.hermitian
+
+
+def _element(kind, n, rng):
+    """An n x n matrix of the given kind with its largest real or imaginary part in [0.5, 1)."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "zero":
+        return np.zeros((n, n), dtype=complex)
+    if kind == "positive":
+        g = g @ g.conj().T + np.eye(n)
+    elif kind == "hermitian":
+        g = g + g.conj().T
+    peak = max(np.max(np.abs(g.real)), np.max(np.abs(g.imag)))
+    return g * np.ldexp(1.0, -int(np.frexp(peak)[1]))
+
+
+# Scales over the whole double range: every power of two from the smallest
+# subnormal to 2^1023, where a unit-peak element stays finite, and 1e-300 and
+# 1e300, which round.
+_SCALES = st.one_of(st.integers(-1074, 1023).map(lambda k: np.ldexp(1.0, k)),
+                    st.sampled_from([1e-300, 1e300]))
+_STACKS = st.lists(st.tuples(st.sampled_from(["zero", "hermitian", "positive", "general"]),
+                             _SCALES), min_size=1, max_size=6)
+
+
+def _bits(values):
+    return [v if isinstance(v, bool) else float(v).hex() for v in values]
+
+
+class TestStackedKernels:
+    """The stacked residual and classification kernels against the per-matrix
+    references of tests/oracles.py: equal verdicts and bit-identical values."""
+
+    @staticmethod
+    def _stack(seed, n, elements):
+        rng = np.random.default_rng(seed)
+        return np.array([scale * _element(kind, n, rng) for kind, scale in elements])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 4), _STACKS,
+           st.sampled_from(["zero", "hermitian", "general"]), _SCALES)
+    @example(0, 3, [("positive", 1e-300), ("general", 1e300), ("zero", 1.0),
+                    ("hermitian", np.ldexp(1.0, -1070))], "general", 1e300)
+    def test_residuals(self, seed, n, elements, h_kind, h_scale):
+        stack = self._stack(seed, n, elements)
+        H = h_scale * _element(h_kind, n, np.random.default_rng(seed + 1))
+        expected = _bits(residual_of_one(H, e) for e in stack)
+        assert _bits(_bilinear_ratio(_intertwining, H, stack)) == expected
+        assert _bits(residual(H, e) for e in stack) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 4), _STACKS,
+           st.sampled_from([1e-10, 1e-3, 0.5]))
+    @example(0, 3, [("positive", 1e-300), ("hermitian", 1e300), ("zero", 1.0),
+                    ("general", 1.0), ("positive", np.ldexp(1.0, -1070))], 1e-10)
+    @example(13, 4, [("positive", 1.0), ("hermitian", np.ldexp(1.0, 1023))], 1e-10)  # raises
+    def test_classifications(self, seed, n, elements, tol):
+        stack = self._stack(seed, n, elements)
+        try:
+            expected = [_bits(dataclasses.astuple(classification_of_one(e, tol)))
+                        for e in stack]
+        except InputError as exc:
+            for call in (lambda: _classify(stack, tol),
+                         lambda: [classify_metric(e, tol) for e in stack]):
+                with pytest.raises(InputError, match=str(exc)):
+                    call()
+            return
+        assert [_bits(dataclasses.astuple(c)) for c in _classify(stack, tol)] == expected
+        assert [_bits(dataclasses.astuple(classify_metric(e, tol))) for e in stack] == expected
 
 
 def _placed(seed, n, factor, skew, tol):
