@@ -20,13 +20,17 @@ from .metric import (
     MetricClass,
     _bilinear_ratio,
     _classify,
+    _hermiticity_defect,
+    _in_window,
     _intertwining,
+    _norms,
+    _scaled,
     _unit_peak,
+    _windowed,
     adjoint,
     as_matrix,
     check_tol,
     frobenius,
-    hermiticity_defect,
     residual,
     same_size,
 )
@@ -50,6 +54,7 @@ class EtaChain:
     band ``max_k delta_k |stack|_F`` around its threshold (see _real_rank): chain
     71 of dense-certify seed 1 has a singular value at 1.00016x the threshold,
     inside that band.  ``shift_alpha`` is 0 unless chain_via_shift shifted H.
+    An exact zero from a singular H^dag is kept, flagged; an underflow raises.
     """
 
     H: np.ndarray
@@ -90,11 +95,8 @@ def _real_rank(etas: list[np.ndarray], tol: float) -> int:
     ``max_k delta_k |stack|_F``, so the rank can only differ where a singular
     value lies that close to the threshold.
     """
-    flat = np.asarray(etas).reshape(len(etas), -1)
-    norm = frobenius(flat)
-    if norm == np.inf:  # finite elements, joint norm beyond the double range: rescale exactly
-        flat, _ = _unit_peak(flat)
-        norm = frobenius(flat)
+    flat = np.asarray(etas).reshape(1, len(etas), -1)
+    (flat,), (norm,), _ = _windowed(flat, _norms(flat), 1.0)
     # |Re z + Im z| <= sqrt(2) |z|, within |eta_k|_F for an off-diagonal z: no overflow
     svals = np.linalg.svd((flat.real + flat.imag).T, compute_uv=False)
     return int(np.sum(svals > tol * norm))
@@ -106,7 +108,7 @@ def _validate_start(H, eta0, k_max: int, tol: float) -> tuple[np.ndarray, np.nda
     H, eta0 = same_size(H, eta0, ("H", "eta0"))
     if k_max < 0 or int(k_max) != k_max:
         raise InputError("k_max must be a nonnegative integer")
-    defect = hermiticity_defect(eta0)
+    defect = _hermiticity_defect(eta0)
     if defect > tol:
         raise InputError(f"eta0 failed the hermiticity check: defect {defect:.3e} "
                          f"exceeds tolerance {tol:.3e}")
@@ -117,22 +119,33 @@ def _validate_start(H, eta0, k_max: int, tol: float) -> tuple[np.ndarray, np.nda
     return H, eta0
 
 
+def _unit_product(Gd: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, int]:
+    """(m, k) with ``Gd @ eta = 2^k m`` and m of unit peak, exactly, from unit peaks."""
+    (g, i), (e, j) = _unit_peak(Gd), _unit_peak(eta)
+    m, k = _unit_peak(g @ e)
+    return m, i + j + k
+
+
 def _chain(H: np.ndarray, G: np.ndarray, eta0: np.ndarray, k_max: int,
            normalize: bool, tol: float, alpha: float) -> EtaChain:
-    """The chain ``(G^dag)^k eta0`` for ``G = H + alpha I``, measured once against H."""
+    """The chain ``(G^dag)^k eta0`` for ``G = H + alpha I``, measured once against H;
+    an element whose norm leaves the window is formed again from unit peaks."""
     Gd, etas = adjoint(G), np.empty((int(k_max) + 1,) + H.shape, dtype=complex)
     for k in range(len(etas)):
         with np.errstate(over="ignore", invalid="ignore"):
             e = Gd @ etas[k - 1] if k else eta0
         norm = frobenius(e)
-        if not norm < np.inf:
-            raise InputError(f"eta_{k} is beyond the double range")
+        if not _in_window(norm):
+            m, shift = _unit_product(Gd, etas[k - 1]) if k else _unit_peak(eta0)
+            e, norm = (m, frobenius(m)) if normalize else _scaled(m, shift, f"eta_{k}")
         etas[k] = e / norm if normalize and norm > 0.0 else e
     size = max(1, _STACK_ENTRIES // H.size)
     stacks = [etas[start:start + size] for start in range(0, len(etas), size)]
-    residuals = np.concatenate([_bilinear_ratio(_intertwining, H, s) for s in stacks])
+    norms = [_norms(s) for s in stacks]  # shared by both kernels
+    residuals = np.concatenate([_bilinear_ratio(_intertwining, H, s, n)
+                                for s, n in zip(stacks, norms)])
     return EtaChain(H=H, etas=list(etas), residuals=residuals.tolist(),
-                    classes=[c for s in stacks for c in _classify(s, tol)],
+                    classes=[c for s, n in zip(stacks, norms) for c in _classify(s, tol, n)],
                     normalized=normalize, shift_alpha=alpha,
                     rank=_real_rank(etas, tol), tol=tol)
 
@@ -157,7 +170,8 @@ def build_chain(H, eta0, k_max: int, normalize: bool = False,
     Unnormalized chains satisfy ``etas[k+1] == H^dag @ etas[k]`` exactly;
     normalized ones up to a positive scalar.  Elements that classify as not
     invertible are flagged via their classification (this happens exactly
-    when H^dag is singular).
+    when H^dag is singular).  A nonzero unnormalized element whose norm is
+    infinite or below the smallest normal number raises InputError.
     """
     H, eta0 = _validate_start(H, eta0, k_max, tol)
     return _chain(H, H, eta0, k_max, normalize, tol, 0.0)
@@ -178,9 +192,7 @@ def shift_for_invertibility(H, tol: float = DEFAULT_TOL) -> tuple[float, np.ndar
     alpha = 2.0 * norm if norm else 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         shifted = H + alpha * np.eye(H.shape[0])
-    if not np.isfinite(shifted).all():
-        raise InputError("H + alpha I is beyond the double range")
-    return alpha, shifted
+    return alpha, _scaled(shifted, 0, "H + alpha I")[0]
 
 
 def chain_via_shift(H, eta0, k_max: int, normalize: bool = False,

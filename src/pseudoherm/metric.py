@@ -65,7 +65,8 @@ def adjoint(m: np.ndarray) -> np.ndarray:
 
 
 def frobenius(m: np.ndarray) -> float:
-    """Frobenius norm that neither overflows nor underflows for finite m."""
+    """Frobenius norm of a finite m, free of overflow and underflow in its squares;
+    inf where the norm itself is beyond the double range (``np.full((2, 2), 1.7e308)``)."""
     return float(_norms(np.asarray(m)[None])[0])
 
 
@@ -91,43 +92,65 @@ def _unit_peak(m: np.ndarray) -> tuple[np.ndarray, int]:
     return m * np.ldexp(1.0, -k), k
 
 
-def _without_overflow(norm_of, *ms: np.ndarray) -> tuple[float, tuple[np.ndarray, ...]]:
-    """``norm_of(*ms)`` and the operands it was taken on: ms as given, or, when the
-    value overflows, ms scaled by one exact power of two to a unit peak entry."""
+def _scaled(m: np.ndarray, k: int, name: str) -> tuple[np.ndarray, float]:
+    """2^k m, exact, and its norm; InputError when m is nonzero and that norm is infinite
+    or below the smallest normal number, where the entries have lost bits or all."""
     with np.errstate(over="ignore", invalid="ignore"):
-        value = norm_of(*ms)
-    if not value < np.inf:
-        ms = tuple(_unit_peak(np.stack(ms))[0])
-        value = norm_of(*ms)
-    return value, ms
+        out = np.ldexp(np.ascontiguousarray(m).view(float), k).view(complex)
+        norm = frobenius(out)
+    if m.any() and not np.finfo(float).tiny <= norm < np.inf:
+        raise InputError(f"{name} is beyond the double range")
+    return out, norm
 
 
-def _bilinear_ratio(form, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``|form(A, b)|_F / (|A|_F |b|_F)`` for each b of a (k, n, n) stack B, 0 for a
-    zero numerator.  The denominator bounds the entries of the form; where it
-    lies outside about [1e-290, 1e300] they could overflow or underflow, so A
-    and that b are first scaled exactly to a unit peak entry."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = frobenius(A) * _norms(B)
-    out = ~((scale >= 1e-290) & (scale <= 1e300))
-    if out.any():
-        unit, B = _unit_peak(A)[0], B.copy()
-        for i in np.flatnonzero(out):
-            B[i] = _unit_peak(B[i])[0]
-        A, scale[out] = np.where(out[:, None, None], unit, A), frobenius(unit) * _norms(B[out])
-    defects = _norms(form(A, B))
-    return np.divide(defects, scale, out=np.zeros(len(B)), where=defects > 0)
+def _in_window(scale):
+    """Whether the norm (or product of norms) a kernel divides by lets no entry or sum
+    it bounds overflow or fall to subnormal numbers: the window [1e-290, 1e300]."""
+    return (scale >= 1e-290) & (scale <= 1e300)
+
+
+def _windowed(stack: np.ndarray, norms: np.ndarray,
+              factor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stack with each element whose ``factor * norm`` lies outside the window divided
+    exactly by 2^k to a unit peak entry, its norms, and each k (0 inside the window)."""
+    shift = np.zeros(len(stack), dtype=int)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # 0 * inf
+        out = np.flatnonzero(~_in_window(factor * norms))
+    if out.size:
+        stack, norms = stack.copy(), norms.copy()
+        for i in out:
+            stack[i], shift[i] = _unit_peak(stack[i])
+        norms[out] = _norms(stack[out])
+    return stack, norms, shift
+
+
+def _ratio(numerators: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """numerators / scales, 0 for a zero numerator (which defines 0 / 0)."""
+    return np.divide(numerators, scales, out=np.zeros(len(scales)), where=numerators > 0)
+
+
+def _bilinear_ratio(form, A: np.ndarray, B: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """``|form(A, b)|_F / (|A|_F |b|_F)`` for each b of a (k, n, n) stack B with
+    Frobenius norms ``norms``, 0 for a zero numerator.  The denominator bounds the
+    entries of the form: A is windowed on its norm, then each b on the product."""
+    (A,), (norm,), _ = _windowed(A[None], _norms(A[None]), 1.0)
+    B, norms, _ = _windowed(B, norms, norm)
+    return _ratio(_norms(form(A, B)), norm * norms)
 
 
 def _intertwining(h: np.ndarray, e: np.ndarray) -> np.ndarray:
     return e @ h - adjoint(h) @ e
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
+def hermiticity_defect(m) -> float:
     """Relative deviation from Hermiticity, ``|m - m^dag|_F / |m|_F`` (0 for m = 0)."""
-    defect, (m,) = _without_overflow(lambda a: frobenius(a - adjoint(a)),
-                                     np.asarray(m, dtype=complex))
-    return defect / frobenius(m) if defect else 0.0
+    return _hermiticity_defect(as_matrix(m, "m"))
+
+
+def _hermiticity_defect(m: np.ndarray) -> float:
+    """hermiticity_defect of a matrix as_matrix has already validated."""
+    stack, norms, _ = _windowed(m[None], _norms(m[None]), 1.0)
+    return float(_ratio(_norms(stack - adjoint(stack)), norms)[0])
 
 
 def residual(H, eta) -> float:
@@ -137,7 +160,7 @@ def residual(H, eta) -> float:
     adjoint, at every scale of H and eta.  No invertibility of eta is needed.
     """
     H, eta = same_size(H, eta, ("H", "eta"))
-    return float(_bilinear_ratio(_intertwining, H, eta[None])[0])
+    return float(_bilinear_ratio(_intertwining, H, eta[None], _norms(eta[None]))[0])
 
 
 @dataclass(frozen=True)
@@ -164,26 +187,20 @@ def classify_metric(eta, tol: float = DEFAULT_TOL) -> MetricClass:
     rescaling.  Invertible: hermitian, and the smallest |eigenvalue| of the
     Hermitian part above it (for a hermitian eta within ``(tol / 2) |eta|_F`` of
     sigma_min, by Weyl's inequality).  Positive: the smallest eigenvalue too.
-    From norm 1e300 on, eta / 2^k from _unit_peak is classified and the values
-    scaled back; InputError if they leave the double range.
+    Outside the window of _in_window, eta / 2^k from _unit_peak is classified
+    and the values scaled back; InputError if they leave the double range.
     """
     eta = as_matrix(eta, "eta")
     check_tol(tol)
-    return _classify(eta[None], tol)[0]
+    return _classify(eta[None], tol, _norms(eta[None]))[0]
 
 
-def _classify(stack: np.ndarray, tol: float) -> list[MetricClass]:
-    """classify_metric of each matrix of a (k, n, n) stack, by one ``eigvalsh``."""
-    norms, shift = _norms(stack), np.zeros(len(stack), dtype=int)
-    big = np.flatnonzero(norms >= 1e300)
-    if big.size:
-        stack = stack.copy()
-        for i in big:
-            stack[i], shift[i] = _unit_peak(stack[i])
-        norms[big] = _norms(stack[big])
+def _classify(stack: np.ndarray, tol: float, norms: np.ndarray) -> list[MetricClass]:
+    """classify_metric of each matrix of a (k, n, n) stack with Frobenius norms
+    ``norms``, by one ``eigvalsh``."""
+    stack, norms, shift = _windowed(stack, norms, 1.0)
     adj = adjoint(stack)
-    defects = _norms(stack - adj)  # no overflow: every norm is below 1e300
-    defects = np.divide(defects, norms, out=np.zeros(len(stack)), where=defects > 0)
+    defects = _ratio(_norms(stack - adj), norms)
     eigs = np.linalg.eigvalsh((stack + adj) / 2.0)
     min_abs, min_eig = np.min(np.abs(eigs), axis=1), eigs[:, 0]
     hermitian = defects <= tol
@@ -355,13 +372,15 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
     solver = "realified"
     if not _spectral_untrusted(tol, cond, radius, unlinked):
         stack = _spectral_basis((u / s) @ xh, linked)  # W = V^{-dag} = U S^-1 X^dag
-        residuals = _bilinear_ratio(_intertwining, unit, stack)
+        norms = _norms(stack)
+        residuals = _bilinear_ratio(_intertwining, unit, stack, norms)
         if not _spectral_untrusted(tol, cond, radius, unlinked,
                                    np.max(residuals, initial=0.0)):
             solver = "spectral"
     if solver == "realified":
         stack = _realified_basis(unit, tol)
-        residuals = _bilinear_ratio(_intertwining, unit, stack)
+        norms = _norms(stack)
+        residuals = _bilinear_ratio(_intertwining, unit, stack, norms)
     basis = [_fix_sign(b) for b in stack]
     # V^{-dag} V^{-1} = U diag(1/s^2) U^dag, scaled by s_min^2 so that nothing
     # is inverted and nothing overflows.
@@ -370,7 +389,7 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
         spectral = (u * (s[-1] / s) ** 2) @ adjoint(u)
         spectral = spectral + adjoint(spectral)
         spectral = spectral / frobenius(spectral)
-    classifications = _classify(np.reshape(basis, stack.shape), tol)
+    classifications = _classify(np.reshape(basis, stack.shape), tol, norms)  # signs keep norms
     return MetricBasis(H=H, dimension=len(basis), basis=basis,
                        residuals=residuals.tolist(), classifications=classifications,
                        solver=solver, spectral_metric=spectral, tol=tol)

@@ -17,12 +17,14 @@ from .errors import Check, CheckError, InputError
 from .metric import (
     DEFAULT_TOL,
     _bilinear_ratio,
-    _without_overflow,
+    _hermiticity_defect,
+    _norms,
+    _scaled,
+    _windowed,
     adjoint,
     as_matrix,
     check_tol,
     frobenius,
-    hermiticity_defect,
     residual,
     same_size,
 )
@@ -50,7 +52,7 @@ class PerturbedHamiltonian:
 def commutator_defect(A, B) -> float:
     """Relative size of [A, B]: ``|AB - BA|_F / (|A|_F |B|_F)``, 0 if either is 0."""
     A, B = same_size(A, B, ("A", "B"))
-    return float(_bilinear_ratio(lambda a, b: a @ b - b @ a, A, B[None])[0])
+    return float(_bilinear_ratio(lambda a, b: a @ b - b @ a, A, B[None], _norms(B[None]))[0])
 
 
 def matrix_poly(K, f: RealPolynomial) -> np.ndarray:
@@ -76,7 +78,7 @@ def auto_K(eta, f: RealPolynomial, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     check_tol(tol)
     eta = as_matrix(eta, "eta")
-    defect = hermiticity_defect(eta)
+    defect = _hermiticity_defect(eta)
     if defect > tol:
         raise InputError(f"eta must be Hermitian for auto_K: defect {defect:.3e} "
                          f"exceeds tolerance {tol:.3e}")
@@ -102,14 +104,15 @@ def perturb(H, eta, K, f: RealPolynomial, tol: float = DEFAULT_TOL,
     CheckError names the first failure and carries all of them in ``checks``.
     Then H_tilde must pass perturbed_residual and anti_hermitian_part_preserved
     (the change of the anti-Hermitian part over ``max(|H|_F, |H_tilde|_F)``).
+    InputError when H_tilde leaves the double range (see metric._scaled).
     """
     check_tol(tol)
     H, eta = same_size(H, eta, ("H", "eta"))
     H, K = same_size(H, K, ("H", "K"))
 
-    defect_eta = hermiticity_defect(eta)
+    defect_eta = _hermiticity_defect(eta)
     r0 = residual(H, eta)
-    defect_K = hermiticity_defect(K)
+    defect_K = _hermiticity_defect(K)
     cd = commutator_defect(K, eta)
     hypotheses = [
         (Check("eta_hermitian", defect_eta <= tol, defect_eta, tol), "non-hermitian eta",
@@ -122,15 +125,17 @@ def perturb(H, eta, K, f: RealPolynomial, tol: float = DEFAULT_TOL,
          f"K does not commute with eta (defect {cd:.3e})"),
     ]
     if not allow_hermitian:
-        defect_H = hermiticity_defect(H)
+        defect_H = _hermiticity_defect(H)
         hypotheses.append((Check("hamiltonian_non_hermitian", defect_H > tol, defect_H, tol),
                            "hermitian H", "H is Hermitian; pass allow_hermitian=True to proceed"))
     checks = _require(hypotheses, tol)
 
-    H_tilde = H + matrix_poly(K, f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        H_tilde, _ = _scaled(H + matrix_poly(K, f), 0, "H + f(K)")
     r = residual(H_tilde, eta)
-    drift, (A, B) = _without_overflow(
-        lambda a, b: frobenius((b - adjoint(b)) - (a - adjoint(a))), H, H_tilde)
+    pair = np.stack((H, H_tilde))[None]  # one power of two for both, by their joint norm
+    (A, B), = _windowed(pair, _norms(pair), 1.0)[0]
+    drift = frobenius((B - adjoint(B)) - (A - adjoint(A)))
     drift = drift / max(frobenius(A), frobenius(B)) if drift else 0.0
     checks = _require([
         (Check("perturbed_residual", r <= tol, r, tol), "perturbed residual",

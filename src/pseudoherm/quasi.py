@@ -16,7 +16,10 @@ import numpy as np
 from .errors import CheckError, InputError
 from .metric import (
     DEFAULT_TOL,
+    _norms,
+    _scaled,
     _unit_peak,
+    _windowed,
     adjoint,
     as_matrix,
     as_vector,
@@ -40,7 +43,8 @@ def metric_sqrt(eta, tol: float = DEFAULT_TOL) -> InducedForm:
 
     Rejects non-positive metrics with the offending minimum eigenvalue.  The
     input is symmetrized before decomposition (its hermiticity defect is
-    already below tolerance once it classifies positive).
+    already below tolerance once it classifies positive).  Outside the window,
+    eta / 2^k for an even k is decomposed and the roots scaled back exactly.
     """
     eta = as_matrix(eta, "eta")
     cls = classify_metric(eta, tol)
@@ -49,9 +53,10 @@ def metric_sqrt(eta, tol: float = DEFAULT_TOL) -> InducedForm:
                          "metric not positive: minimum eigenvalue of the Hermitian "
                          f"part is {cls.min_eigenvalue_of_hermitian_part:.6g}",
                          value=cls.min_eigenvalue_of_hermitian_part, threshold=tol)
-    symmetrized = (eta + adjoint(eta)) / 2.0
-    eigvals, vecs = np.linalg.eigh(symmetrized)
-    roots = np.sqrt(eigvals)
+    (unit,), _, (k,) = _windowed(eta[None], _norms(eta[None]), 1.0)
+    unit, k = (2.0 * unit, k - 1) if k % 2 else (unit, k)
+    eigvals, vecs = np.linalg.eigh((unit + adjoint(unit)) / 2.0)
+    roots = np.ldexp(np.sqrt(eigvals), k // 2)
     sqrt_eta = (vecs * roots) @ adjoint(vecs)
     inv_sqrt_eta = (vecs / roots) @ adjoint(vecs)
     # eigh reconstruction is Hermitian only to rounding; make it exact
@@ -75,11 +80,10 @@ def induced_hamiltonian(H, form: InducedForm, tol: float = DEFAULT_TOL) -> np.nd
                          f"tolerance {tol:.3e})",
                          value=r, threshold=tol)
     # On H / 2^k with a unit peak entry the product is bounded by cond(sqrt_eta),
-    # whatever the scales of H and eta.  2^k overflows at k = 1024, so the
-    # exact scale back takes two halves.
+    # whatever the scales of H and eta.
     unit, k = _unit_peak(H)
     core = form.sqrt_eta @ unit @ form.inv_sqrt_eta
-    return core * np.ldexp(1.0, k // 2) * np.ldexp(1.0, k - k // 2)
+    return _scaled(core, k, "the induced Hamiltonian")[0]
 
 
 def induced_inner(phi, psi, eta, allow_indefinite: bool = False,

@@ -25,6 +25,19 @@ def nilpotent():
 
 
 @pytest.fixture
+def unit_pair():
+    """H0 = S diag(0.5, 1, 2, -1.5) S^-1 and its metric E0 = S^-dag S^-1, each at unit
+    Frobenius norm, for a complex Gaussian S: an invertible H with four real eigenvalues."""
+    rng = np.random.default_rng(0)
+    S = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    S_inv = np.linalg.inv(S)
+    H = S @ np.diag([0.5, 1.0, 2.0, -1.5]) @ S_inv
+    eta = S_inv.conj().T @ S_inv
+    eta = (eta + eta.conj().T) / 2.0
+    return H / np.linalg.norm(H), eta / np.linalg.norm(eta)
+
+
+@pytest.fixture
 def svd_calls(monkeypatch):
     """The argument tuples of every np.linalg.svd call made during the test."""
     calls = []

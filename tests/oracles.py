@@ -205,12 +205,14 @@ def _frobenius(m: np.ndarray) -> float:
 
 def residual_of_one(H: np.ndarray, eta: np.ndarray) -> float:
     """``|eta H - H^dag eta|_F / (|H|_F |eta|_F)`` for one matrix eta, 0 for a zero
-    numerator; outside [1e-290, 1e300] the denominator is taken of H and eta
-    scaled exactly to a unit peak entry, and so is the numerator."""
+    numerator; H is first scaled exactly to a unit peak entry when its norm lies
+    outside [1e-290, 1e300], then eta when the product of the two norms does."""
     A, B = np.asarray(H, dtype=complex), np.asarray(eta, dtype=complex)
+    if not 1e-290 <= _frobenius(A) <= 1e300:
+        A, _ = _unit_peak(A)
     scale = _frobenius(A) * _frobenius(B)
     if not 1e-290 <= scale <= 1e300:
-        (A, _), (B, _) = _unit_peak(A), _unit_peak(B)
+        B, _ = _unit_peak(B)
         scale = _frobenius(A) * _frobenius(B)
     defect = _frobenius(B @ A - A.conj().T @ B)
     return defect / scale if defect else 0.0
@@ -220,11 +222,11 @@ def classification_of_one(eta: np.ndarray, tol: float) -> MetricClass:
     """The classification of one matrix: Hermitian when ``|eta - eta^dag|_F <= tol
     |eta|_F``, invertible (positive) when also the smallest |eigenvalue| (the
     smallest eigenvalue) of ``(eta + eta^dag) / 2`` exceeds ``tol |eta|_F``.
-    From norm 1e300 on, eta is scaled exactly to a unit peak entry and the two
-    eigenvalues scaled back; InputError when they leave the double range."""
+    For a norm outside [1e-290, 1e300], eta is scaled exactly to a unit peak entry
+    and the two eigenvalues scaled back; InputError when they leave the double range."""
     eta = np.asarray(eta, dtype=complex)
     norm, k = _frobenius(eta), 0
-    if norm >= 1e300:
+    if not 1e-290 <= norm <= 1e300:
         eta, k = _unit_peak(eta)
         norm = _frobenius(eta)
     scale = tol * norm

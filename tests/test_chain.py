@@ -300,6 +300,21 @@ class TestBeyondTheDoubleRange:
         assert all(check.passed for check in chain.checks)
         assert chain.rank == 2
 
+    def test_unnormalized_underflow_is_input_error(self, unit_pair):
+        # eta_2 = (2^-540 H0^dag)^2 E0 is nonzero, below the smallest subnormal number
+        H, eta0 = unit_pair
+        for builder in (build_chain, chain_via_shift):
+            with pytest.raises(InputError, match="^eta_2 is beyond the double range$"):
+                builder(np.ldexp(1.0, -540) * H, eta0, 3)
+
+    def test_exact_zero_stays_degenerate(self, nilpotent):
+        # (H^dag)^2 = 0 at every scale: eta_2 and eta_3 are exact zeros, not underflows
+        H, eta0 = nilpotent
+        for scale in (1.0, np.ldexp(1.0, -300), np.ldexp(1.0, 300)):
+            chain = build_chain(scale * H, eta0, 3)
+            assert not chain.etas[2].any() and not chain.etas[3].any()
+            assert chain.degenerate_indices == [1, 2, 3]
+
     def test_rank_of_a_stack_beyond_the_double_range(self):
         # each element 1.2e308 I has a finite norm, the stack of two has not
         assert build_chain(np.eye(2), 1.2e308 * np.eye(2), 1).rank == 1
@@ -374,9 +389,9 @@ class TestChainViaShift:
         calls = []
         kernel = metric._bilinear_ratio
 
-        def counted(form, A, B):
+        def counted(form, A, B, norms):
             calls.append((form, A, len(B)))
-            return kernel(form, A, B)
+            return kernel(form, A, B, norms)
 
         for module in (metric, chain_module):
             monkeypatch.setattr(module, "_bilinear_ratio", counted)
@@ -401,7 +416,7 @@ class TestChainViaShift:
 class TestScaleCovariance:
     """chain_via_shift(c H) is the unit-scale chain at every c: alpha = 2 |c H|_F."""
 
-    SCALES = (1e-300, 1e-12, 1.0, 1e12, 1e300)
+    SCALES = (np.ldexp(1.0, -1022), np.ldexp(1.0, -1000), 1e-300, 1e-12, 1.0, 1e12, 1e300)
 
     @staticmethod
     def singular_pair():
@@ -433,4 +448,20 @@ class TestScaleCovariance:
             assert chain.rank == base.rank
             assert chain.degenerate_indices == []
             for a, b in zip(chain.etas, base.etas):
+                assert np.abs(a - b).max() <= 1e-14
+
+    @pytest.mark.parametrize("builder", [build_chain, chain_via_shift])
+    def test_invertible_pair_at_every_scale(self, builder, unit_pair):
+        # at 2^-1022 the norm of eta_1 is subnormal, so normalizing it must not divide by it
+        H, eta0 = unit_pair
+        base = builder(H, eta0, 6, normalize=True)
+        assert base.rank == 4 and base.shift_alpha == 0.0
+        for c in self.SCALES:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                chain = builder(c * H, eta0, 6, normalize=True)
+            assert chain.rank == 4
+            assert [check.passed for check in chain.checks] == [True, True, True]
+            for a, b in zip(chain.etas, base.etas):
+                assert frobenius(a) == pytest.approx(1.0, abs=1e-15)
                 assert np.abs(a - b).max() <= 1e-14

@@ -227,6 +227,18 @@ class TestChain:
         assert report["results"]["shift_alpha"] == 2.0 * np.sqrt(140.0)
         assert set(report["inputs"]) == {"hamiltonian", "eta0"}
 
+    def test_subnormal_hamiltonian_passes(self, unit_pair, tmp_path, capsys):
+        # entries near 1e-309: the norm of eta_1 is subnormal before it is normalized
+        H, eta0 = unit_pair
+        write_matrix(tmp_path / "h.json", np.ldexp(1.0, -1022) * H)
+        write_matrix(tmp_path / "e.json", eta0)
+        code = main(["chain", "--hamiltonian", str(tmp_path / "h.json"), "--eta0",
+                     str(tmp_path / "e.json"), "--k-max", "6"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert _strict_json(captured.out)["status"] == "pass"
+        assert captured.err == ""
+
     def test_linalg_error_is_input_error(self, fixtures, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")

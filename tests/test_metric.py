@@ -86,6 +86,10 @@ class TestResidual:
         bad = np.array([[np.inf, 0.0], [0.0, 1.0]])
         with pytest.raises(InputError):
             residual(bad, np.eye(2))
+        # hermiticity_defect validates as every other function taking a matrix
+        for m in ([[np.nan, 0.0], [0.0, 1.0]], bad, np.ones(2), np.ones((2, 3))):
+            with pytest.raises(InputError):
+                hermiticity_defect(m)
 
     def test_integer_beyond_the_double_range_rejected(self):
         for call in (lambda: metric.as_matrix([[10**400]]), lambda: classify_metric([[10**400]]),
@@ -316,6 +320,10 @@ _STACKS = st.lists(st.tuples(st.sampled_from(["zero", "hermitian", "positive", "
                              _SCALES), min_size=1, max_size=6)
 
 
+def frobenius_of(stack):
+    return np.array([frobenius(m) for m in stack])
+
+
 def _bits(values):
     return [v if isinstance(v, bool) else float(v).hex() for v in values]
 
@@ -338,7 +346,7 @@ class TestStackedKernels:
         stack = self._stack(seed, n, elements)
         H = h_scale * _element(h_kind, n, np.random.default_rng(seed + 1))
         expected = _bits(residual_of_one(H, e) for e in stack)
-        assert _bits(_bilinear_ratio(_intertwining, H, stack)) == expected
+        assert _bits(_bilinear_ratio(_intertwining, H, stack, frobenius_of(stack))) == expected
         assert _bits(residual(H, e) for e in stack) == expected
 
     @settings(max_examples=60, deadline=None)
@@ -353,12 +361,13 @@ class TestStackedKernels:
             expected = [_bits(dataclasses.astuple(classification_of_one(e, tol)))
                         for e in stack]
         except InputError as exc:
-            for call in (lambda: _classify(stack, tol),
+            for call in (lambda: _classify(stack, tol, frobenius_of(stack)),
                          lambda: [classify_metric(e, tol) for e in stack]):
                 with pytest.raises(InputError, match=str(exc)):
                     call()
             return
-        assert [_bits(dataclasses.astuple(c)) for c in _classify(stack, tol)] == expected
+        assert ([_bits(dataclasses.astuple(c)) for c in _classify(stack, tol, frobenius_of(stack))]
+                == expected)
         assert [_bits(dataclasses.astuple(classify_metric(e, tol))) for e in stack] == expected
 
 
