@@ -221,11 +221,11 @@ class MetricBasis:
     Basis elements are Hermitian, have unit Frobenius norm and are pairwise
     orthogonal under the real inner product ``Re tr(A^dag B)``.  Element k
     has ``residuals[k] = residual(H, b)`` and ``classifications[k] =
-    classify_metric(b, tol)``.  ``solver`` names the path, ``"spectral"`` or
-    ``"realified"``, which also fixes the order of the elements (see
-    solve_metric_space).  ``spectral_metric`` is the
-    unit-norm ``V^{-dag} V^{-1}`` of the solve's ``H = V diag(lambda) V^{-1}``,
-    or None when V is singular.
+    classify_metric(b, tol)``.  ``solver`` names the candidates of the basis
+    (see solve_metric_space): ``"spectral"`` for eigenvector products,
+    ``"realified"`` for the frame of all Hermitian matrices.  ``spectral_metric``
+    is the unit-norm ``V^{-dag} V^{-1}`` of the solve's ``H = V diag(lambda)
+    V^{-1}``, or None when V is singular.
     """
 
     H: np.ndarray
@@ -273,44 +273,27 @@ def _fix_sign(b: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     return b
 
 
-def _realified_basis(H: np.ndarray, tol: float) -> np.ndarray:
-    """Nullspace of the realified map ``eta -> eta H - H^dag eta``, by SVD.
+def _realified_basis(H: np.ndarray, candidates: np.ndarray, tol: float) -> np.ndarray:
+    """Nullspace of the realified map ``eta -> eta H - H^dag eta`` on the real span of
+    an orthonormal (k, n, n) stack of Hermitian candidates, by SVD.
 
-    The map is assembled from the images of an orthonormal Hermitian frame,
-    packed as ``Re + Im`` (an isometry on the anti-Hermitian images, see
-    _spectral_basis) into a square real matrix, so a unit element b has
-    singular value ``|b H - H^dag b|_F``: those at most ``tol |H|_F`` count as
-    zero, the spectral path's residual test.  The elements come as a (k, n, n)
-    stack, smallest singular value first.
+    The images of the candidates, packed as ``Re + Im`` (an isometry on the
+    anti-Hermitian images, see _spectral_basis), are the columns of a real
+    (n^2, k) matrix, so a unit element b of the span has singular value
+    ``|b H - H^dag b|_F``: those at most ``tol |H|_F`` count as zero, the
+    residual test.  The elements come as a stack, smallest singular value first.
     """
     n = H.shape[0]
-    frame = _hermitian_frame(n)
-    images = (frame @ H - adjoint(H) @ frame).reshape(n * n, n * n)
-    _, svals, vt = np.linalg.svd((images.real + images.imag).T)
+    images = (candidates @ H - adjoint(H) @ candidates).reshape(-1, n * n)
+    _, svals, vt = np.linalg.svd((images.real + images.imag).T, full_matrices=False)
     null = vt[svals <= tol * frobenius(H)][::-1]  # smallest singular value first
-    return np.tensordot(null, frame, axes=1)
-
-
-def _spectral_untrusted(tol: float, cond_v: float, radius: float,
-                        unlinked_min: float, residual_max: float = 0.0) -> bool:
-    """True when the spectral basis cannot be trusted, so the realified SVD runs.
-
-    The conditions, for ``H = V diag(lambda) V^{-1}`` linked at ``radius``:
-    V is singular (``cond_v`` infinite); ``tol * cond_v >= 1``, a radius of
-    the spectral norm of H, so the eigenvalues carry no information (Jordan
-    blocks); the links are ambiguous, some unlinked distance
-    ``|lambda_j - conj(lambda_i)|`` lying within ten radii; or a basis
-    element has a relative residual above tol (``residual_max``, 0 before
-    the basis is built).
-    """
-    return not (tol * cond_v < 1.0 and unlinked_min > 10.0 * radius
-                and residual_max <= tol)
+    return np.tensordot(null, candidates, axes=1)
 
 
 def _spectral_basis(W: np.ndarray, linked: np.ndarray) -> np.ndarray:
-    """Orthonormal (k, n, n) stack spanning ``W M W^dag``, M Hermitian on the links.
+    """Orthonormal (k, n, n) stack spanning ``W M W^dag``, M Hermitian on the linked pairs.
 
-    Link i <= j contributes ``w_i w_i^dag`` when i = j, else
+    Pair i <= j contributes ``w_i w_i^dag`` when i = j, else
     ``w_i w_j^dag + w_j w_i^dag`` and ``i (w_i w_j^dag - w_j w_i^dag)``; QR
     under ``Re tr(A^dag B)`` orthonormalizes them in that order.  The QR runs
     on the real packings ``P = Re X + Im X``: for X Hermitian (or
@@ -331,30 +314,36 @@ def _spectral_basis(W: np.ndarray, linked: np.ndarray) -> np.ndarray:
     return (q + qt + 1j * (q - qt)) / 2.0
 
 
+def _measured(H: np.ndarray, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A (k, n, n) stack with its Frobenius norms and its residuals against H."""
+    norms = _norms(stack)
+    return stack, norms, _bilinear_ratio(_intertwining, H, stack, norms)
+
+
 def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
     """Compute every Hermitian solution of ``eta H = H^dag eta``.
 
-    Spectral path: with ``H = V diag(lambda) V^{-1}`` and ``W = V^{-dag}``,
-    the solutions are ``W M W^dag`` for Hermitian M with ``M_ij = 0`` unless
-    ``lambda_j = conj(lambda_i)`` (Mostafazadeh, J. Math. Phys. 43, 205
-    (2002)).  Eigenvalues i and j are linked when
-    ``|lambda_j - conj(lambda_i)| <= tol cond(V) |H|_2``, the Bauer-Fike
-    bound on how far a perturbation of H by tol |H|_2 moves an eigenvalue.
-    Each link i <= j gives one element (i = j) or two (i < j), see
-    _spectral_basis; the elements are orthonormalized in link order, links
-    ordered by (i, j) over the eigenvalues sorted by real, then imaginary
-    part.  Every element is verified to have a relative residual
-    ``|b H - H^dag b|_F / |H|_F`` at most tol.
+    With ``H = V diag(lambda) V^{-1}`` and ``W = V^{-dag}``, the solutions are
+    ``W M W^dag`` for Hermitian M with ``M_ij = 0`` unless ``lambda_j =
+    conj(lambda_i)`` (Mostafazadeh, J. Math. Phys. 43, 205 (2002)).  Eigenvalue
+    i has the radius ``r_i = tol |H|_2 kappa_i``, with Wilkinson's condition
+    number ``kappa_i = |v_i| |w_i|`` (Golub & Van Loan, Matrix Computations,
+    7.2.2).  Pairs with ``|lambda_j - conj(lambda_i)| <= r_i + r_j`` are linked,
+    and the window holds those within ten times that distance.  The window's
+    pairs give the candidates (_spectral_basis), over the eigenvalues sorted by
+    real, then imaginary part.
 
-    Realified path, run when the spectral answer cannot be trusted (V
-    singular, ``tol cond(V) >= 1``, ambiguous links or a failed residual;
-    see _spectral_untrusted): the nullspace of the realified map read off an
-    SVD, keeping the elements whose residual is at most tol as the spectral
-    path does, ordered smallest singular value first.
+    The basis is the nullspace of the intertwining map on the candidates' span,
+    smallest singular value first (_realified_basis), or the candidates as they
+    are when every window pair is linked and every residual is at most tol:
+    ``solver`` is ``"spectral"``.  The candidates are the frame of all n^2
+    Hermitian matrices instead, and ``solver`` is ``"realified"``, when ``tol
+    cond(V) >= 1`` or when that nullspace has fewer elements than the links
+    give: a numerically defective cluster, such as a Jordan block.  The frame
+    takes O(n^4) memory; InputError names n when numpy cannot allocate it.
 
-    On both paths the sign of each element's first significant entry is made
-    positive, and ``MetricBasis.solver`` names the path.  Dimension 0 is a
-    valid outcome meaning no Hermitian metric exists.
+    The sign of each element's first significant entry is made positive.
+    Dimension 0 is a valid outcome meaning no Hermitian metric exists.
     """
     H = as_matrix(H, "H")
     check_tol(tol)
@@ -363,24 +352,29 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
     order = np.lexsort((lam.imag, lam.real))
     lam, V = lam[order], V[:, order]
     u, s, xh = np.linalg.svd(V)
-    with np.errstate(divide="ignore", over="ignore"):
-        cond = s[0] / s[-1]
-        radius = tol * cond * np.linalg.norm(unit, 2)
-    dist = np.abs(lam[None, :] - lam.conj()[:, None])  # |lambda_j - conj(lambda_i)|
-    linked = dist <= radius
-    unlinked = np.min(dist[~linked], initial=np.inf)
-    solver = "realified"
-    if not _spectral_untrusted(tol, cond, radius, unlinked):
-        stack = _spectral_basis((u / s) @ xh, linked)  # W = V^{-dag} = U S^-1 X^dag
-        norms = _norms(stack)
-        residuals = _bilinear_ratio(_intertwining, unit, stack, norms)
-        if not _spectral_untrusted(tol, cond, radius, unlinked,
-                                   np.max(residuals, initial=0.0)):
-            solver = "spectral"
-    if solver == "realified":
-        stack = _realified_basis(unit, tol)
-        norms = _norms(stack)
-        residuals = _bilinear_ratio(_intertwining, unit, stack, norms)
+    measured = None
+    if tol * s[0] < s[-1]:  # tol cond(V) < 1
+        W = (u / s) @ xh  # V^{-dag} = U S^-1 X^dag
+        radii = (tol * np.linalg.norm(unit, 2)
+                 * np.linalg.norm(V, axis=0) * np.linalg.norm(W, axis=0))
+        reach = radii[:, None] + radii[None, :]
+        dist = np.abs(lam[None, :] - lam.conj()[:, None])  # |lambda_j - conj(lambda_i)|
+        linked, window = dist <= reach, dist <= 10.0 * reach
+        stack = _spectral_basis(W, window)
+        measured = _measured(unit, stack) if (window == linked).all() else None
+        if measured is None or np.max(measured[2], initial=0.0) > tol:
+            members = _realified_basis(unit, stack, tol)
+            # Both masks are symmetric, so the links give one element per entry.
+            enough = len(members) >= np.count_nonzero(linked)
+            measured = _measured(unit, members) if enough else None
+    solver = "realified" if measured is None else "spectral"
+    if measured is None:
+        try:
+            measured = _measured(unit, _realified_basis(unit, _hermitian_frame(len(H)), tol))
+        except MemoryError:
+            raise InputError(f"H: the realified solve at n = {len(H)} needs more memory than "
+                             "numpy can allocate (its arrays grow as n^4)") from None
+    stack, norms, residuals = measured
     basis = [_fix_sign(b) for b in stack]
     # V^{-dag} V^{-1} = U diag(1/s^2) U^dag, scaled by s_min^2 so that nothing
     # is inverted and nothing overflows.

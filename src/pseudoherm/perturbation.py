@@ -59,15 +59,17 @@ def matrix_poly(K, f: RealPolynomial) -> np.ndarray:
     """Evaluate f(K) by Horner's rule, with ``K^0 = I``.
 
     The result is Hermitian whenever K is, and commutes with anything K and
-    the identity commute with.
+    the identity commute with.  InputError when it leaves the double range
+    (see metric._scaled).
     """
     K = as_matrix(K, "K")
     n = K.shape[0]
     result = np.zeros((n, n), dtype=complex)
     eye = np.eye(n, dtype=complex)
-    for c in reversed(f.coeffs):
-        result = result @ K + c * eye
-    return result
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in reversed(f.coeffs):
+            result = result @ K + c * eye
+    return _scaled(result, 0, "f(K)")[0]
 
 
 def auto_K(eta, f: RealPolynomial, tol: float = DEFAULT_TOL) -> np.ndarray:

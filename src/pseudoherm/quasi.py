@@ -108,4 +108,8 @@ def induced_inner(phi, psi, eta, allow_indefinite: bool = False,
                              "metric not positive: pass allow_indefinite=True for a "
                              "plain sesquilinear form",
                              value=cls.min_eigenvalue_of_hermitian_part, threshold=tol)
-    return complex(np.vdot(phi, eta @ psi))
+    # eta psi on eta / 2^k from _unit_peak, scaled back once: at eta's own scale a
+    # subnormal eta would round every product and sum.
+    unit, k = _unit_peak(eta)
+    z = np.vdot(phi, unit @ psi)
+    return complex(np.ldexp(z.real, k), np.ldexp(z.imag, k))

@@ -56,6 +56,44 @@ def intertwiner_nullspace_dimension(H: np.ndarray, rtol: float = 1e-8) -> int:
     return int(np.sum(svals <= rtol * svals[0]))
 
 
+def jordan_matrix(blocks) -> np.ndarray:
+    """The block-diagonal matrix of one Jordan block ``J_p(lambda)`` per (lambda, p)."""
+    n = sum(p for _, p in blocks)
+    J = np.zeros((n, n), dtype=complex)
+    start = 0
+    for lam, p in blocks:
+        J[start:start + p, start:start + p] = lam * np.eye(p) + np.diag(np.ones(p - 1), 1)
+        start += p
+    return J
+
+
+def jordan_dimension(blocks) -> int:
+    """Dimension of {eta Hermitian : eta H = H^dag eta} for H with the Jordan blocks
+    ``J_p(lambda)`` given as (lambda, p), by the Cecioni-Frobenius count.
+
+    The solutions of ``X H = H^dag X`` form a complex space of dimension
+    ``sum min(p_i, p_j)`` over ordered pairs of blocks with ``lambda_j =
+    conj(lambda_i)`` (Gantmacher, The Theory of Matrices, vol. 1, ch. VIII,
+    section 1).  It is closed under ``X -> X^dag``, so its Hermitian part has
+    that real dimension.  Eigenvalues are compared exactly.
+    """
+    return sum(min(p, q) for lam, p in blocks for mu, q in blocks
+               if complex(mu) == complex(lam).conjugate())
+
+
+def unimodular(n: int, rng: np.random.Generator, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """A random integer S with determinant 1 and its exact integer inverse: a product
+    of ``steps`` elementary operations, row i plus or minus row j."""
+    S, S_inv = np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64)
+    for _ in range(steps):
+        i, j = rng.choice(n, 2, replace=False)
+        E, E_inv = np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64)
+        E[i, j] = rng.choice([-1, 1])
+        E_inv[i, j] = -E[i, j]
+        S, S_inv = S @ E, E_inv @ S_inv
+    return S, S_inv
+
+
 def realified_rank(etas, tol: float) -> tuple[int, np.ndarray]:
     """Real-linear rank of complex matrices taken as vectors of their 2n^2 real
     and imaginary parts, and the singular values of that (k, 2n^2) stack over

@@ -154,6 +154,19 @@ class TestSolve:
                             report["results"]["dimension"]))
         assert reports[0] == reports[1] == (1, "fail", "realified", 0)
 
+    def test_frame_beyond_memory_is_input_error(self, tmp_path, capsys, monkeypatch):
+        # a Jordan block takes the frame of n^2 Hermitian matrices, 16 n^4 bytes
+        def no_memory(n):
+            raise MemoryError(f"cannot allocate {16 * n ** 4} bytes")
+
+        monkeypatch.setattr(pseudoherm.metric, "_hermitian_frame", no_memory)
+        write_matrix(tmp_path / "h.json", np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0],
+                                                    [0.0, 0.0, 2.0]]))
+        code, report = run_cli(capsys, "solve", "--hamiltonian", tmp_path / "h.json")
+        assert code == 2
+        assert report["status"] == "input_error"
+        assert "n = 3" in report["error"] and "traceback" not in report
+
     @pytest.mark.parametrize("H, solver", [
         (random_pseudo_hermitian(5, np.random.default_rng(2)), "spectral"),
         (np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]]), "realified"),

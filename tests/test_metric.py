@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 from oracles import (
     classification_of_one,
     intertwiner_nullspace_dimension,
+    jordan_dimension,
+    jordan_matrix,
     random_pseudo_hermitian,
     residual_of_one,
     svd_invertible,
+    unimodular,
 )
 from pseudoherm import (
     InputError,
@@ -40,7 +43,6 @@ from pseudoherm.metric import (
     _hermitian_frame,
     _intertwining,
     _realified_basis,
-    _spectral_untrusted,
     frobenius,
 )
 
@@ -488,6 +490,37 @@ def _similar(H):
     return S @ H @ np.linalg.inv(S)
 
 
+@pytest.fixture
+def nullspace_sizes(monkeypatch):
+    """The number of candidates of each metric._realified_basis call of the test."""
+    sizes = []
+    nullspace = metric._realified_basis
+    monkeypatch.setattr(metric, "_realified_basis",
+                        lambda H, candidates, tol: sizes.append(len(candidates))
+                        or nullspace(H, candidates, tol))
+    return sizes
+
+
+# H, its Jordan blocks as (lambda, p), and the candidates the solve takes
+_SOLVER_PATHS = [
+    (np.diag([1, 1, 1 + 1j, 1 - 1j]), [(1, 1), (1, 1), (1 + 1j, 1), (1 - 1j, 1)],
+     "spectral"),
+    (np.diag([1 + 1j, 1 - 1j, 3]), [(1 + 1j, 1), (1 - 1j, 1), (3, 1)], "spectral"),
+    (jordan_matrix([(1, 2), (1j, 1), (-1j, 1)]), [(1, 2), (1j, 1), (-1j, 1)], "realified"),
+    (np.array([[0, 1], [0, 0]]), [(0, 2)], "realified"),
+    (0.3 * np.eye(16) + np.diag(np.ones(15), 1), [(0.3, 16)], "realified"),
+    # eigenvalues 1 +- 1e-6, linked within their radii (kappa_i = 5e5):
+    # the false link leaves the spectral candidates one member short
+    (np.array([[1, 1], [1e-12, 1]]), [(1 + 1e-6, 1), (1 - 1e-6, 1)], "realified"),
+    # J_2(lambda) + diag(...) and an n=8 Jordan block, some under a similarity
+    (_J2_REAL, [(0.5, 2), (2, 1), (-1, 1)], "realified"),
+    (_similar(_J2_REAL), [(0.5, 2), (2, 1), (-1, 1)], "realified"),
+    (_J2_COMPLEX, [(1 + 1j, 2), (1 - 1j, 1), (3, 1)], "realified"),
+    (_similar(_J2_COMPLEX), [(1 + 1j, 2), (1 - 1j, 1), (3, 1)], "realified"),
+    (_similar(0.3 * np.eye(8) + np.diag(np.ones(7), 1)), [(0.3, 8)], "realified"),
+]
+
+
 class TestSolveMetricSpace:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_frame_matches_loop_reference(self, n):
@@ -549,7 +582,7 @@ class TestSolveMetricSpace:
                       rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))):
                 expected = intertwiner_nullspace_dimension(H)
                 assert solve_metric_space(H).dimension == expected, (n, seed)
-                assert len(_realified_basis(H, 1e-10)) == expected, (n, seed)
+                assert len(_realified_basis(H, _hermitian_frame(n), 1e-10)) == expected, (n, seed)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_spectral_span_matches_realified(self, n):
@@ -558,7 +591,7 @@ class TestSolveMetricSpace:
             H = random_pseudo_hermitian(n, np.random.default_rng(seed))
             basis = solve_metric_space(H)
             assert basis.solver == "spectral"
-            reference = _realified_basis(H, 1e-10)
+            reference = _realified_basis(H, _hermitian_frame(n), 1e-10)
             assert basis.dimension == len(reference)
             assert np.abs(projector(basis.basis) - projector(reference)).max() <= 1e-8
 
@@ -582,36 +615,60 @@ class TestSolveMetricSpace:
             basis = solve_metric_space(H)
         assert (basis.solver, basis.dimension) == ("realified", 0)
 
-    @pytest.mark.parametrize("H, solver", [
-        (np.diag([1, 1, 1 + 1j, 1 - 1j]), "spectral"),
-        (np.diag([1 + 1j, 1 - 1j, 3]), "spectral"),
-        (np.block([[np.array([[1, 1], [0, 1]]), np.zeros((2, 2))],
-                   [np.zeros((2, 2)), np.diag([1j, -1j])]]), "realified"),
-        (np.array([[0, 1], [0, 0]]), "realified"),
-        (0.3 * np.eye(16) + np.diag(np.ones(15), 1), "realified"),
-        # eigenvalues 1 +- 1e-6 lie within the link radius (cond(V) = 1e6):
-        # the false link fails the residual check
-        (np.array([[1, 1], [1e-12, 1]]), "realified"),
-        # J_2(lambda) + diag(...) and an n=8 Jordan block, some under a similarity
-        (_J2_REAL, "realified"),
-        (_similar(_J2_REAL), "realified"),
-        (_J2_COMPLEX, "realified"),
-        (_similar(_J2_COMPLEX), "realified"),
-        (_similar(0.3 * np.eye(8) + np.diag(np.ones(7), 1)), "realified"),
-    ])
-    def test_solver_path(self, H, solver):
+    @pytest.mark.parametrize("H, blocks, solver", _SOLVER_PATHS, ids=[
+        f"H{i}-{solver}" for i, (_, _, solver) in enumerate(_SOLVER_PATHS)])
+    def test_solver_path(self, H, blocks, solver):
         basis = solve_metric_space(H)
         assert basis.solver == solver
-        assert basis.dimension == intertwiner_nullspace_dimension(H)
+        assert basis.dimension == intertwiner_nullspace_dimension(H) == jordan_dimension(blocks)
         assert max(residual(H, b) for b in basis.basis) <= 1e-10
 
-    def test_fallback_conditions(self):
-        # trusted: V well conditioned, links clear, residuals within tol
-        assert not _spectral_untrusted(1e-10, 10.0, 1e-9, 0.5, 1e-15)
-        assert _spectral_untrusted(1e-10, np.inf, np.inf, np.inf)  # V singular
-        assert _spectral_untrusted(1e-10, 1e10, 1.0, np.inf)  # radius spans |H|_2
-        assert _spectral_untrusted(1e-10, 10.0, 1e-9, 5e-9)  # ambiguous links
-        assert _spectral_untrusted(1e-10, 10.0, 1e-9, 0.5, 2e-10)  # residual fails
+    @pytest.mark.parametrize("H, blocks", [
+        (_similar(_J2_REAL), [(0.5, 2), (2, 1), (-1, 1)]),
+        (_similar(_J2_COMPLEX), [(1 + 1j, 2), (1 - 1j, 1), (3, 1)]),
+    ])
+    def test_defective_cluster_retries_on_the_frame(self, H, blocks, nullspace_sizes):
+        # V is invertible at tol (cond(V) about 1e8), so the spectral candidates
+        # come first; their nullspace is one member short of the links, and the
+        # frame of all n^2 Hermitian matrices gives the whole space
+        basis = solve_metric_space(H)
+        assert nullspace_sizes[0] < 16 and nullspace_sizes[1:] == [16]
+        assert (basis.solver, basis.dimension) == ("realified", jordan_dimension(blocks))
+
+    @pytest.mark.parametrize("delta", [5e-10, 2e-9, 3.9e-9])
+    def test_window_pair_takes_the_nullspace_of_the_candidates(self, delta, nullspace_sizes):
+        # diag(1, 1 + delta, 2): kappa_i = 1, so r_i = tol |H|_2 = 2e-10 and the pair
+        # (1, 1 + delta) lies at 1.25 to 9.75 times r_1 + r_2, in the window but
+        # unlinked.  The SVD runs over the 5 spectral candidates only and drops
+        # the pair's two, whose residual delta / |H|_F exceeds tol.
+        basis = solve_metric_space(np.diag([1.0, 1.0 + delta, 2.0]))
+        assert nullspace_sizes == [5]
+        assert (basis.solver, basis.dimension) == ("spectral", 3)
+        assert basis.dimension == jordan_dimension([(1.0, 1), (1.0 + delta, 1), (2.0, 1)])
+        assert max(basis.residuals) <= 1e-10
+
+    @pytest.mark.parametrize("seed", [1, 2, 28])
+    def test_well_posed_draws_stay_spectral(self, seed):
+        # H = S diag(uniform(-2, 2)) S^-1 for a complex Gaussian S at n = 64: an
+        # unlinked distance lies within ten global Bauer-Fike radii tol cond(V) |H|_2
+        # (2.98 for seed 1), but beyond ten per-eigenvalue radii
+        n = 64
+        rng = np.random.default_rng(seed)
+        S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        H = S @ np.diag(rng.uniform(-2, 2, n)) @ np.linalg.inv(S)
+        basis = solve_metric_space(H)
+        assert (basis.solver, basis.dimension) == ("spectral", n)
+        eta = find_metric(basis, want_positive=True)
+        assert eta is not None and classify_metric(eta).positive
+        assert residual(H, eta) <= 1e-10
+
+    def test_frame_beyond_memory_is_input_error(self, monkeypatch):
+        def no_memory(n):
+            raise MemoryError(f"cannot allocate {16 * n ** 4} bytes")
+
+        monkeypatch.setattr(metric, "_hermitian_frame", no_memory)
+        with pytest.raises(InputError, match="n = 4"):
+            solve_metric_space(_J2_REAL)
 
     @pytest.mark.parametrize("n", [32, 64])
     def test_large_quasi_hermitian_is_spectral(self, n):
@@ -699,6 +756,45 @@ class TestSolveMetricSpace:
         for b, cls in zip(basis.basis, basis.classifications):
             assert cls.hermitian
             assert cls == classify_metric(b)
+
+
+# Eigenvalues at least 0.2 apart, with conjugate pairs and a pair 2i, -2i.
+_JORDAN_EIGENVALUES = [0.3, 0.5, 1.0, -1.0, 2.0, 1 + 1j, 1 - 1j, 2j, -2j]
+_JORDAN_BLOCKS = st.lists(st.tuples(st.sampled_from(_JORDAN_EIGENVALUES), st.integers(1, 3)),
+                          min_size=1, max_size=4).filter(lambda b: sum(p for _, p in b) <= 6)
+
+
+class TestJordanDimension:
+    """The dimension of the solve against the Cecioni-Frobenius count of
+    tests/oracles.py, for H = S J S^-1 with a unimodular integer S."""
+
+    @staticmethod
+    def _similar(blocks, seed):
+        J = jordan_matrix(blocks)
+        n = len(J)
+        S, S_inv = unimodular(n, np.random.default_rng(seed), 2 * (n - 1))
+        return S @ J @ S_inv
+
+    @pytest.mark.parametrize("blocks, dimension", [
+        ([(0.5, 2), (1, 1), (1, 1)], 6),
+        ([(0.5, 2), (1.5, 1), (-1, 1)], 4),
+        ([(1 + 1j, 2), (1 - 1j, 2)], 4),
+        ([(1 + 1j, 1), (1 - 1j, 1), (2, 3)], 5),
+        ([(0.3, 3), (0.3, 2)], 9),
+        ([(2j, 1), (-2j, 2)], 2),
+        ([(1 + 1j, 1), (2, 1)], 1),
+    ])
+    def test_structures(self, blocks, dimension):
+        assert jordan_dimension(blocks) == dimension
+        for seed in range(3):
+            assert solve_metric_space(self._similar(blocks, seed)).dimension == dimension
+
+    @settings(max_examples=60, deadline=None)
+    @given(_JORDAN_BLOCKS, st.integers(0, 10_000))
+    def test_random_structures(self, blocks, seed):
+        basis = solve_metric_space(self._similar(blocks, seed))
+        assert basis.dimension == jordan_dimension(blocks)
+        assert max(basis.residuals, default=0.0) <= 1e-10
 
 
 class TestFindMetric:

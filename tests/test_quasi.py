@@ -150,6 +150,21 @@ class TestInducedInner:
         if np.linalg.norm(u) > 1e-6:
             assert norm_sq.real > 0
 
+    def test_subnormal_metric_rounds_once(self, unit_pair):
+        # eta psi is formed on eta over the power of two of its peak entry and the
+        # value scaled back once: each part is the value for the rounded input at unit
+        # scale, rounded once to the subnormal numbers, so within one spacing 2^-1074
+        _, eta = unit_pair
+        phi, psi = np.random.default_rng(1).standard_normal((2, 4))
+        for k in range(-1068, -1000, 3):
+            scaled = np.ldexp(eta.view(float), k).view(complex)
+            rounded = np.ldexp(scaled.view(float), -k).view(complex)
+            want = induced_inner(phi, psi, rounded, allow_indefinite=True)
+            got = induced_inner(phi, psi, scaled, allow_indefinite=True)
+            spacing = np.ldexp(1.0, -1074 - k)
+            assert abs(np.ldexp(got.real, -k) - want.real) <= spacing, k
+            assert abs(np.ldexp(got.imag, -k) - want.imag) <= spacing, k
+
     def test_isometry_link(self):
         rng = np.random.default_rng(13)
         eta = random_positive(4, rng)

@@ -31,6 +31,7 @@ SCALES = sorted({*range(-1074, 1024, 37), *range(-1074, -1000, 3), -1022, -1000,
 CLI_SCALES = SCALES[::2] + [SCALES[-1]]
 RANGE = "beyond the double range"
 POLY = ph.RealPolynomial([0.0, 0.5])  # homogeneous: f(2^k K) = 2^k f(K)
+SQUARE = ph.RealPolynomial([0.0, 0.0, 1.0])  # f(2^k K) = 2^(2k) f(K)
 
 
 def _family():
@@ -141,8 +142,10 @@ LIBRARY = {
     "residual": lambda m: [ratio(ph.residual(m["H"], m["eta"])),
                            ratio(ph.residual(m["H"], m["H"]))],
     "commutator_defect": lambda m: [ratio(ph.commutator_defect(m["H"], m["eta"]))],
-    "matrix_poly": lambda m: [Value(ph.matrix_poly(m["eta"], POLY), 1)],
-    "auto_K": lambda m: [Value(ph.auto_K(m["eta"], POLY), 1)],
+    "matrix_poly": lambda m: [Value(ph.matrix_poly(m["eta"], POLY), 1),
+                              Value(ph.matrix_poly(m["eta"], SQUARE), 2)],
+    "auto_K": lambda m: [Value(ph.auto_K(m["eta"], POLY), 1),
+                         Value(ph.auto_K(m["eta"], SQUARE), 2)],
     "perturb": lambda m: _perturbed(ph.perturb(m["H"], m["eta"], m["eta"], POLY)),
     "metric_sqrt": lambda m: _form(ph.metric_sqrt(m["eta"])),
     "induced_hamiltonian": lambda m: [
