@@ -108,14 +108,11 @@ def _validate_start(H, eta0, k_max: int, tol: float) -> tuple[np.ndarray, np.nda
     H, eta0 = same_size(H, eta0, ("H", "eta0"))
     if k_max < 0 or int(k_max) != k_max:
         raise InputError("k_max must be a nonnegative integer")
-    defect = _hermiticity_defect(eta0)
-    if defect > tol:
-        raise InputError(f"eta0 failed the hermiticity check: defect {defect:.3e} "
-                         f"exceeds tolerance {tol:.3e}")
-    r = residual(H, eta0)
-    if r > tol:
-        raise InputError(f"eta0 failed the intertwining check: residual {r:.3e} "
-                         f"exceeds tolerance {tol:.3e}")
+    for check, measure, value in (("hermiticity", "defect", _hermiticity_defect(eta0)),
+                                  ("intertwining", "residual", residual(H, eta0))):
+        if value > tol:
+            raise InputError(f"eta0 failed the {check} check: {measure} {value:.3e} "
+                             f"exceeds tolerance {tol:.3e}")
     return H, eta0
 
 

@@ -159,7 +159,7 @@ def _cmd_solve(args, inputs):
 
     (H,) = _read(args, inputs, "hamiltonian")
     basis = solve_metric_space(H, args.tol)
-    representative = find_metric(basis, want_positive=args.positive, tol=args.tol)
+    representative = find_metric(basis, want_positive=args.positive)
     checks = [*basis.checks, Check("metric_found", representative is not None)]
     results = io.basis_to_dict(basis)
     results["metric"] = None if representative is None else io.matrix_to_dict(representative)

@@ -2,9 +2,10 @@
 
 Two failure categories exist and map onto the CLI exit codes: malformed or
 inconsistent input data (exit 2) versus a mathematical hypothesis or check
-that does not hold for otherwise well-formed data (exit 1).  The finite-real
-rule for scalars from outside the program lives here too, so that parsing
-numbers needs nothing beyond the standard library.
+that does not hold for otherwise well-formed data (exit 1), which the library
+raises only through _require, as a named Check.  The finite-real rule for
+scalars from outside the program lives here too, so that parsing numbers needs
+nothing beyond the standard library.
 """
 
 from __future__ import annotations
@@ -31,19 +32,25 @@ class InputError(ValueError):
 class CheckError(ValueError):
     """Raised when a named mathematical hypothesis fails on valid input.
 
-    ``check`` is a short stable identifier (e.g. ``"non-commuting K"``),
-    ``value``/``threshold`` carry the offending quantity when one exists.
-    ``checks`` holds every Check evaluated before the raise; by default it is
-    the single failed check, named by ``check``.
+    ``check`` is a short stable identifier of the failure (e.g. ``"non-commuting
+    K"``), and ``checks`` holds every Check evaluated before the raise, under the
+    names the reports use.  ``value`` and ``threshold`` are those of the first
+    failed check.  Raised only by _require.
     """
 
-    def __init__(self, check: str, message: str, value: float | None = None,
-                 threshold: float | None = None, checks: tuple[Check, ...] = ()):
+    def __init__(self, check: str, message: str, checks: tuple[Check, ...]):
         super().__init__(message)
-        self.check = check
-        self.value = value
-        self.threshold = threshold
-        self.checks = tuple(checks) or (Check(check, False, value, threshold),)
+        self.check, self.checks = check, tuple(checks)
+        self.value, self.threshold = next((c.value, c.threshold) for c in checks if not c.passed)
+
+
+def _require(outcomes, checks: tuple[Check, ...] = ()) -> tuple[Check, ...]:
+    """checks plus those of the (Check, CheckError id, message) outcomes; raise at a failure."""
+    checks += tuple(check for check, _, _ in outcomes)
+    for check, check_id, message in outcomes:
+        if not check.passed:
+            raise CheckError(check_id, message, checks)
+    return checks
 
 
 def _finite_real(value, name: str) -> float:

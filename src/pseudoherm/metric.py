@@ -9,6 +9,7 @@ no global state, so concurrent use is safe.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -340,7 +341,8 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
     Hermitian matrices instead, and ``solver`` is ``"realified"``, when ``tol
     cond(V) >= 1`` or when that nullspace has fewer elements than the links
     give: a numerically defective cluster, such as a Jordan block.  The frame
-    takes O(n^4) memory; InputError names n when numpy cannot allocate it.
+    takes about 112 n^4 bytes; InputError names n when that exceeds the physical
+    memory (by os.sysconf, where it exists) or numpy cannot allocate it.
 
     The sign of each element's first significant entry is made positive.
     Dimension 0 is a valid outcome meaning no Hermitian metric exists.
@@ -370,10 +372,17 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
     solver = "realified" if measured is None else "spectral"
     if measured is None:
         try:
+            # The frame solve's peak RSS grew by 100-111 n^4 bytes on a whole-matrix
+            # Jordan block at n = 24..48 (one BLAS thread), so 112 n^4 bytes beyond the
+            # physical memory would get the process killed, not a MemoryError.
+            memory = (os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+                      if hasattr(os, "sysconf") else np.inf)
+            if 112 * len(H) ** 4 > memory:
+                raise MemoryError
             measured = _measured(unit, _realified_basis(unit, _hermitian_frame(len(H)), tol))
         except MemoryError:
             raise InputError(f"H: the realified solve at n = {len(H)} needs more memory than "
-                             "numpy can allocate (its arrays grow as n^4)") from None
+                             "this machine has (its arrays grow as n^4)") from None
     stack, norms, residuals = measured
     basis = [_fix_sign(b) for b in stack]
     # V^{-dag} V^{-1} = U diag(1/s^2) U^dag, scaled by s_min^2 so that nothing
@@ -389,12 +398,11 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
                        solver=solver, spectral_metric=spectral, tol=tol)
 
 
-def _metric_candidates(basis: MetricBasis, tol: float):
-    """The candidates of find_metric, each with its classification at tol when
-    the solve already made it (else None), in order, each computed when reached."""
-    known = basis.classifications if tol == basis.tol else [None] * basis.dimension
-    yield from zip(basis.basis, known)
-    if basis.spectral_metric is not None and residual(basis.H, basis.spectral_metric) <= tol:
+def _metric_candidates(basis: MetricBasis):
+    """The candidates of find_metric, each with its classification when the solve
+    already made it (else None), in order, each computed when reached."""
+    yield from zip(basis.basis, basis.classifications)
+    if basis.spectral_metric is not None and residual(basis.H, basis.spectral_metric) <= basis.tol:
         yield basis.spectral_metric, None
     # Distinct weights make the combination generic: unit weights cancel on
     # structured bases and miss invertible members that exist.
@@ -403,22 +411,20 @@ def _metric_candidates(basis: MetricBasis, tol: float):
     yield combination / frobenius(combination), None
 
 
-def find_metric(basis: MetricBasis, want_positive: bool = False,
-                tol: float = DEFAULT_TOL) -> np.ndarray | None:
+def find_metric(basis: MetricBasis, want_positive: bool = False) -> np.ndarray | None:
     """Pick an invertible (optionally positive) metric from the solution space.
 
-    Candidates, in order: each basis element; the solve's spectral metric
-    ``V^{-dag} V^{-1}`` when its residual is at most tol; the fixed
-    combination ``sum_k sqrt(k + 2) b_k``.  Returns the first one classified
-    as wanted, a unit-Frobenius-norm Hermitian matrix, or None; None is a
-    result, not an error.  Basis elements are not classified again when tol
-    is the tol of the solve.
+    Every verdict is taken at the tol of the solve, ``basis.tol``.  Candidates,
+    in order: each basis element, with the classification the solve made; the
+    solve's spectral metric ``V^{-dag} V^{-1}`` when its residual is at most
+    tol; the fixed combination ``sum_k sqrt(k + 2) b_k``.  Returns the first
+    one classified as wanted, a unit-Frobenius-norm Hermitian matrix, or None;
+    None is a result, not an error.
     """
-    check_tol(tol)
     if basis.dimension == 0:
         return None
-    for candidate, cls in _metric_candidates(basis, tol):
-        cls = cls or classify_metric(candidate, tol)
+    for candidate, cls in _metric_candidates(basis):
+        cls = cls or classify_metric(candidate, basis.tol)
         if cls.positive if want_positive else cls.invertible:
             return candidate
     return None

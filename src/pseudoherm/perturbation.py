@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Check, CheckError, InputError
+from .errors import Check, InputError, _require
 from .metric import (
     DEFAULT_TOL,
     _bilinear_ratio,
     _hermiticity_defect,
     _norms,
     _scaled,
+    _unit_peak,
     _windowed,
     adjoint,
     as_matrix,
@@ -60,7 +61,7 @@ def matrix_poly(K, f: RealPolynomial) -> np.ndarray:
 
     The result is Hermitian whenever K is, and commutes with anything K and
     the identity commute with.  InputError when it leaves the double range
-    (see metric._scaled).
+    (see metric._scaled), or is zero because a nonzero term ``c_j K^j`` underflowed.
     """
     K = as_matrix(K, "K")
     n = K.shape[0]
@@ -69,6 +70,13 @@ def matrix_poly(K, f: RealPolynomial) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for c in reversed(f.coeffs):
             result = result @ K + c * eye
+        if not result.any():  # an exact zero (a nilpotent K), or every term underflowed:
+            # |c_j K^j|_F = |c_j| |U^j|_F 2^(j k) for K = 2^k U, U of unit peak, in logs
+            unit, k = _unit_peak(K)
+            for j, c in enumerate(f.coeffs[1:], 1):
+                norm = frobenius(np.linalg.matrix_power(unit, j))
+                if c and norm and np.log2(abs(c)) + np.log2(norm) + j * k < -1022:
+                    raise InputError("f(K) is beyond the double range")
     return _scaled(result, 0, "f(K)")[0]
 
 
@@ -85,15 +93,6 @@ def auto_K(eta, f: RealPolynomial, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise InputError(f"eta must be Hermitian for auto_K: defect {defect:.3e} "
                          f"exceeds tolerance {tol:.3e}")
     return matrix_poly(eta, f)
-
-
-def _require(outcomes, tol: float, checks: tuple[Check, ...] = ()) -> tuple[Check, ...]:
-    """checks plus those of the (check, CheckError id, message) outcomes; raise at a failure."""
-    checks += tuple(check for check, _, _ in outcomes)
-    for check, check_id, message in outcomes:
-        if not check.passed:
-            raise CheckError(check_id, message, check.value, tol, checks)
-    return checks
 
 
 def perturb(H, eta, K, f: RealPolynomial, tol: float = DEFAULT_TOL,
@@ -130,7 +129,7 @@ def perturb(H, eta, K, f: RealPolynomial, tol: float = DEFAULT_TOL,
         defect_H = _hermiticity_defect(H)
         hypotheses.append((Check("hamiltonian_non_hermitian", defect_H > tol, defect_H, tol),
                            "hermitian H", "H is Hermitian; pass allow_hermitian=True to proceed"))
-    checks = _require(hypotheses, tol)
+    checks = _require(hypotheses)
 
     with np.errstate(over="ignore", invalid="ignore"):
         H_tilde, _ = _scaled(H + matrix_poly(K, f), 0, "H + f(K)")
@@ -145,6 +144,6 @@ def perturb(H, eta, K, f: RealPolynomial, tol: float = DEFAULT_TOL,
         (Check("anti_hermitian_part_preserved", drift <= tol, drift, tol),
          "anti-hermitian part changed",
          f"f(K) changed the anti-Hermitian part of H (drift {drift:.3e})"),
-    ], tol, checks)
+    ], checks)
     return PerturbedHamiltonian(H=H, K=K, f=f, H_tilde=H_tilde, eta=eta,
                                 residual=r, commutator_defect=cd, checks=checks)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckError, InputError
+from .errors import Check, InputError, _require
 from .metric import (
     DEFAULT_TOL,
     _norms,
@@ -41,18 +41,16 @@ class InducedForm:
 def metric_sqrt(eta, tol: float = DEFAULT_TOL) -> InducedForm:
     """Principal square root of a positive metric via Hermitian eigendecomposition.
 
-    Rejects non-positive metrics with the offending minimum eigenvalue.  The
-    input is symmetrized before decomposition (its hermiticity defect is
-    already below tolerance once it classifies positive).  Outside the window,
-    eta / 2^k for an even k is decomposed and the roots scaled back exactly.
+    A metric that is not positive fails the check ``eta_positive``, valued at the
+    least eigenvalue of its Hermitian part: CheckError "metric not positive".  eta
+    is symmetrized first (once positive, its hermiticity defect is within tol).
+    Outside the window, eta / 2^k (k even) is decomposed, the roots scaled back.
     """
     eta = as_matrix(eta, "eta")
     cls = classify_metric(eta, tol)
-    if not cls.positive:
-        raise CheckError("metric not positive",
-                         "metric not positive: minimum eigenvalue of the Hermitian "
-                         f"part is {cls.min_eigenvalue_of_hermitian_part:.6g}",
-                         value=cls.min_eigenvalue_of_hermitian_part, threshold=tol)
+    low = cls.min_eigenvalue_of_hermitian_part
+    _require([(Check("eta_positive", cls.positive, low, tol), "metric not positive",
+               f"metric not positive: minimum eigenvalue of the Hermitian part is {low:.6g}")])
     (unit,), _, (k,) = _windowed(eta[None], _norms(eta[None]), 1.0)
     unit, k = (2.0 * unit, k - 1) if k % 2 else (unit, k)
     eigvals, vecs = np.linalg.eigh((unit + adjoint(unit)) / 2.0)
@@ -68,17 +66,14 @@ def metric_sqrt(eta, tol: float = DEFAULT_TOL) -> InducedForm:
 def induced_hamiltonian(H, form: InducedForm, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Similarity transform ``sqrt(eta) H inv_sqrt(eta)``.
 
-    Requires the form's metric to intertwine H; the result is then Hermitian
-    within tolerance and shares the (hence real) spectrum of H.
+    Needs the check ``eta_is_metric`` (else CheckError "eta not a metric for H");
+    the result is then Hermitian within tol, with the (hence real) spectrum of H.
     """
     check_tol(tol)
     H = as_matrix(H, "H")
     r = residual(H, form.eta)
-    if r > tol:
-        raise CheckError("eta not a metric for H",
-                         f"eta does not intertwine H (residual {r:.3e} exceeds "
-                         f"tolerance {tol:.3e})",
-                         value=r, threshold=tol)
+    _require([(Check("eta_is_metric", r <= tol, r, tol), "eta not a metric for H",
+               f"eta does not intertwine H (residual {r:.3e} exceeds tolerance {tol:.3e})")])
     # On H / 2^k with a unit peak entry the product is bounded by cond(sqrt_eta),
     # whatever the scales of H and eta.
     unit, k = _unit_peak(H)
@@ -91,8 +86,8 @@ def induced_inner(phi, psi, eta, allow_indefinite: bool = False,
     """Metric inner product ``sum_i conj(phi_i) (eta psi)_i``.
 
     Positive eta gives a true inner product (conjugate symmetric, positive
-    definite).  Indefinite eta is allowed behind ``allow_indefinite``; the
-    result is then only a sesquilinear form.
+    definite).  Any other eta fails ``eta_positive`` (CheckError "metric not
+    positive") unless ``allow_indefinite`` asks for a mere sesquilinear form.
     """
     check_tol(tol)
     phi = as_vector(phi, "phi")
@@ -103,11 +98,10 @@ def induced_inner(phi, psi, eta, allow_indefinite: bool = False,
                          f"{psi.shape[0]}, eta is {eta.shape[0]}x{eta.shape[0]}")
     if not allow_indefinite:
         cls = classify_metric(eta, tol)
-        if not cls.positive:
-            raise CheckError("metric not positive",
-                             "metric not positive: pass allow_indefinite=True for a "
-                             "plain sesquilinear form",
-                             value=cls.min_eigenvalue_of_hermitian_part, threshold=tol)
+        low = cls.min_eigenvalue_of_hermitian_part
+        _require([(Check("eta_positive", cls.positive, low, tol), "metric not positive",
+                   "metric not positive: pass allow_indefinite=True for a plain "
+                   "sesquilinear form")])
     # eta psi on eta / 2^k from _unit_peak, scaled back once: at eta's own scale a
     # subnormal eta would round every product and sum.
     unit, k = _unit_peak(eta)

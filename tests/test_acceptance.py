@@ -116,7 +116,7 @@ def test_criterion_4_perturbation_suite():
         H = random_pseudo_hermitian(n, rng)
         if hermiticity_defect(H) <= 1e-10:
             continue
-        eta = find_metric(solve_metric_space(H, tol=1e-8), tol=1e-8)
+        eta = find_metric(solve_metric_space(H, tol=1e-8))
         if eta is None:
             failures.append(f"trial {trials}: no invertible metric found (n={n})")
             break

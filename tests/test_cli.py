@@ -112,13 +112,14 @@ class TestVerify:
         by_name = {c["name"]: c for c in report["checks"]}
         assert by_name["intertwining_residual"]["value"] == pytest.approx(1.0, rel=1e-15)
 
-    @pytest.mark.parametrize("tol", ["inf", "nan", "1e400", "0", "-1e-10"])
+    @pytest.mark.parametrize("tol", ["inf", "nan", "1e400", "0", "-1e-10", "abc"])
     def test_tol_must_be_positive_and_finite(self, fixtures, tol, capsys):
         with pytest.raises(SystemExit) as info:
             main(["verify", "--hamiltonian", str(fixtures["H"]),
                   "--eta", str(fixtures["identity"]), f"--tol={tol}"])
         assert info.value.code == 2
-        assert "must be positive and finite" in capsys.readouterr().err
+        reason = "'abc' is not a number" if tol == "abc" else "must be positive and finite"
+        assert reason in capsys.readouterr().err
 
 
 class TestSolve:
@@ -166,6 +167,16 @@ class TestSolve:
         assert code == 2
         assert report["status"] == "input_error"
         assert "n = 3" in report["error"] and "traceback" not in report
+
+    def test_frame_beyond_physical_memory_is_input_error(self, tmp_path, capsys, monkeypatch):
+        # 112 n^4 = 9072 bytes for the frame of a 3x3 Jordan matrix against 2 pages of 4096
+        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 2, "SC_PAGE_SIZE": 4096}.__getitem__)
+        write_matrix(tmp_path / "h.json", np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0],
+                                                    [0.0, 0.0, 2.0]]))
+        code, report = run_cli(capsys, "solve", "--hamiltonian", tmp_path / "h.json")
+        assert (code, report["status"]) == (2, "input_error")
+        assert report["error"] == ("H: the realified solve at n = 3 needs more memory than "
+                                   "this machine has (its arrays grow as n^4)")
 
     @pytest.mark.parametrize("H, solver", [
         (random_pseudo_hermitian(5, np.random.default_rng(2)), "spectral"),
@@ -610,6 +621,10 @@ class TestExample:
         code, _ = run_cli(capsys, "example", "two-point", "--x", "2", "--y", "1",
                           "--out-dir", tmp_path)
         assert code == 2
+        for name, flag in (("two-point", "--x"), ("oscillator", "--omega")):
+            code, report = run_cli(capsys, "example", name, "--out-dir", tmp_path)
+            assert (code, report["error"]) == (2, f"example {name} requires {flag}")
+        assert not list(tmp_path.iterdir())
 
     def test_omega_squared_beyond_the_double_range(self, tmp_path, capsys):
         code, report = run_cli(capsys, "example", "oscillator", "--omega", "1e200",
@@ -652,6 +667,21 @@ class TestReportContract:
         assert code == 0
         assert "status: pass" in out
         assert "check intertwining_residual: PASS" in out
+
+    def test_text_format_of_an_error(self, fixtures, tmp_path, capsys):
+        code, out = run_cli(capsys, "verify", "--hamiltonian", tmp_path / "missing.json",
+                            "--eta", fixtures["eta"], "--format", "text")
+        assert code == 2
+        assert out == (f"command: verify\nerror: {tmp_path / 'missing.json'}: file not found\n"
+                       "status: input_error\n")
+
+    def test_unwritable_out_exits_2(self, fixtures, tmp_path, capsys):
+        out_path = tmp_path / "no-such-dir" / "report.json"
+        code = main(["verify", "--hamiltonian", str(fixtures["H"]),
+                     "--eta", str(fixtures["eta"]), "--out", str(out_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"cannot write report to {out_path}: ")
 
     def test_out_file_written(self, fixtures, tmp_path, capsys):
         out_path = tmp_path / "report.json"

@@ -45,13 +45,17 @@ class TestMatrixFiles:
         assert np.array_equal(m, again)
 
     def test_ragged_rejected(self, tmp_path):
-        path = dump(tmp_path, "h.json", {"n": 2, "entries": [[[1, 0]]]})
-        with pytest.raises(InputError, match="row"):
-            parse_matrix(path)
+        for entries, message in (([[[1, 0]]], "expected 2 rows, got 1"),
+                                 ([[[1, 0]], [[1, 0], [0, 0]]], "row 0 must have 2 entries")):
+            path = dump(tmp_path, "h.json", {"n": 2, "entries": entries})
+            with pytest.raises(InputError, match=message):
+                parse_matrix(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="not found"):
             parse_matrix(tmp_path / "nope.json")
+        with pytest.raises(InputError, match="cannot read"):  # a directory: open fails
+            parse_matrix(tmp_path)
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -70,10 +74,15 @@ class TestMatrixFiles:
             parse_matrix(path)
 
     def test_wrong_n_rejected(self, tmp_path):
-        path = dump(tmp_path, "h.json",
-                    {"n": 3, "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]})
-        with pytest.raises(InputError):
-            parse_matrix(path)
+        bad_n, no_keys = '"n" must be a positive integer', 'expected an object with "n" and "entries"'
+        for obj, message in (
+                ({"n": 3, "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}, "expected 3 rows"),
+                ({"n": 0, "entries": []}, bad_n), ({"n": True, "entries": [[[1, 0]]]}, bad_n),
+                ({"n": "1", "entries": [[[1, 0]]]}, bad_n),
+                ({"entries": [[[1, 0]]]}, no_keys), ([[[1, 0]]], no_keys)):
+            path = dump(tmp_path, "h.json", obj)
+            with pytest.raises(InputError, match=message):
+                parse_matrix(path)
 
     def test_negative_zero_normalized_on_write(self, tmp_path):
         _, eta = catalog_oscillator(2.0)
@@ -118,6 +127,8 @@ class TestWeylSpecFiles:
         path = dump(tmp_path, "w.json", {"V": [1], "alpha": 1, "beta": 0, "gamma": 0})
         with pytest.raises(InputError, match="missing"):
             parse_weyl_spec(path)
+        with pytest.raises(InputError, match="expected a JSON object"):
+            parse_weyl_spec(dump(tmp_path, "list.json", [[1], 1, 0, 0, []]))
 
     def test_non_real_coefficient_rejected(self, tmp_path):
         path = dump(tmp_path, "w.json",

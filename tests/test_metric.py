@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import warnings
 
 import numpy as np
@@ -40,6 +41,7 @@ from pseudoherm import (
 from pseudoherm.metric import (
     _bilinear_ratio,
     _classify,
+    _fix_sign,
     _hermitian_frame,
     _intertwining,
     _realified_basis,
@@ -431,12 +433,12 @@ class TestVerdictOracle:
 class TestTolGuard:
     """A tol that is not positive and finite is rejected by every public function
     that takes one (TestClassify covers classify_metric, solve_metric_space and
-    shift_for_invertibility); most of these calls would otherwise return an answer."""
+    shift_for_invertibility); most of these calls would otherwise return an answer.
+    find_metric classifies at the tol of its basis, so its tol enters at the solve."""
 
     H, ETA = catalog_oscillator(2.0)
     CALLS = {
-        "find_metric": lambda tol: find_metric(solve_metric_space(np.diag([1j, 2j])),
-                                               tol=tol),
+        "find_metric": lambda tol: find_metric(solve_metric_space(np.diag([1j, 2j]), tol)),
         "build_chain": lambda tol: build_chain(TestTolGuard.H, TestTolGuard.ETA, 2, tol=tol),
         "chain_via_shift": lambda tol: chain_via_shift(TestTolGuard.H, TestTolGuard.ETA, 2,
                                                        tol=tol),
@@ -570,6 +572,9 @@ class TestSolveMetricSpace:
             parts = [part for z in b.ravel() for part in (z.real, z.imag)]
             first = next(p for p in parts if abs(p) > 1e-12)
             assert first > 0
+        # an element with no significant entry keeps its sign
+        tiny = np.array([[1e-13, -1e-13j], [1e-13j, -1e-13]])
+        assert _fix_sign(tiny) is tiny
 
     @pytest.mark.parametrize("case", range(8))
     def test_dimension_matches_brute_force_oracle(self, case):
@@ -669,6 +674,30 @@ class TestSolveMetricSpace:
         monkeypatch.setattr(metric, "_hermitian_frame", no_memory)
         with pytest.raises(InputError, match="n = 4"):
             solve_metric_space(_J2_REAL)
+
+    @pytest.mark.parametrize("pages, refused", [(6, True), (7, False)])
+    def test_frame_beyond_physical_memory_is_input_error(self, monkeypatch, pages, refused):
+        # the frame solve of a 4x4 Jordan block is bounded by 112 n^4 = 28672 bytes:
+        # 6 pages of 4096 bytes are too few, and the frame is never built; 7 are enough
+        sizes = {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+        frames = []
+        monkeypatch.setattr(metric, "_hermitian_frame",
+                            lambda n: frames.append(n) or _hermitian_frame(n))
+        if refused:
+            with pytest.raises(InputError, match="n = 4 needs more memory"):
+                solve_metric_space(jordan_matrix([(1.0, 4)]))
+        else:
+            assert solve_metric_space(jordan_matrix([(1.0, 4)])).solver == "realified"
+        assert frames == ([] if refused else [4])
+
+    def test_frame_bound_admits_n16_and_needs_sysconf(self, monkeypatch):
+        # the benchmark's n = 16 Jordan block (7.3 MB by the bound) is solved, and where
+        # os.sysconf is missing there is no bound to apply
+        J = jordan_matrix([(1.0, 16)])
+        assert solve_metric_space(J).solver == "realified"
+        monkeypatch.delattr(os, "sysconf")
+        assert solve_metric_space(J[:4, :4]).solver == "realified"
 
     @pytest.mark.parametrize("n", [32, 64])
     def test_large_quasi_hermitian_is_spectral(self, n):
@@ -863,10 +892,12 @@ class TestFindMetric:
         assert classify_metric(find_metric(basis)).invertible
 
     def test_reuses_the_solve(self, monkeypatch):
-        # no second eig, and no basis element classified again at the solve's tol
+        # no second eig, and no basis element classified again: find_metric takes the
+        # solve's tol, whatever it is, and the solve's classifications
         n = 8
         S = np.random.default_rng(3).standard_normal((n, n))
-        basis = solve_metric_space(S @ np.diag(np.arange(1.0, n + 1)) @ np.linalg.inv(S))
+        H = S @ np.diag(np.arange(1.0, n + 1)) @ np.linalg.inv(S)
+        basis, other = solve_metric_space(H), solve_metric_space(H, tol=1e-9)
         calls = {"eig": 0, "classify": 0}
 
         def counted(name, fn):
@@ -879,8 +910,8 @@ class TestFindMetric:
         monkeypatch.setattr(metric, "classify_metric", counted("classify", metric.classify_metric))
         assert find_metric(basis, want_positive=True) is not None
         assert calls == {"eig": 0, "classify": 1}
-        assert find_metric(basis, want_positive=True, tol=1e-9) is not None
-        assert calls == {"eig": 0, "classify": 1 + n + 1}
+        assert find_metric(other, want_positive=True) is not None
+        assert calls == {"eig": 0, "classify": 2}
 
     def test_deterministic(self, osc2):
         basis = solve_metric_space(osc2[0])
@@ -910,6 +941,11 @@ class TestCatalogs:
     def test_two_point_real_x_rejected(self):
         with pytest.raises(InputError):
             catalog_two_point(2.0, 1.0)
+
+    @pytest.mark.parametrize("x, y", [(complex(1, np.inf), 1.0), (1j, np.nan)])
+    def test_two_point_non_finite_rejected(self, x, y):
+        with pytest.raises(InputError, match="two-point parameters must be finite"):
+            catalog_two_point(x, y)
 
     def test_oscillator(self):
         H, eta = catalog_oscillator(2.0)

@@ -97,6 +97,23 @@ class TestMatrixPoly:
     def test_zero_polynomial_gives_zero(self):
         assert np.array_equal(matrix_poly(np.diag([3.0, 4.0]), RealPolynomial([])), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("evaluate", [matrix_poly, auto_K], ids=["matrix_poly", "auto_K"])
+    @pytest.mark.parametrize("scale, coeffs", [(1e-200, [0.0, 0.0, 1.0]),
+                                               (2.0 ** -540, [0.0, 1e-300, 1.0]),
+                                               (1e-200, [0.0, 0.0, 0.0, 0.0, 1e300])])
+    def test_complete_underflow_is_beyond_the_range(self, evaluate, scale, coeffs):
+        # every term c_j K^j is nonzero but below the smallest normal number, so the
+        # computed f(K) is exactly zero
+        with pytest.raises(InputError, match=r"^f\(K\) is beyond the double range$"):
+            evaluate(scale * np.eye(2), RealPolynomial(coeffs))
+
+    @pytest.mark.parametrize("K, coeffs", [
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), [0.0, 0.0, 1.0]),  # nilpotent: K^2 = 0
+        (np.eye(2), [-1.0, 1.0]),  # K - I = 0, with no term near the range's end
+    ])
+    def test_exact_zero_stays(self, K, coeffs):
+        assert np.array_equal(matrix_poly(K, RealPolynomial(coeffs)), np.zeros((2, 2)))
+
     def test_hermitian_input_hermitian_output(self):
         rng = np.random.default_rng(1)
         raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

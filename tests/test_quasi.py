@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pseudoherm import (
+    Check,
     CheckError,
     InputError,
     classify_metric,
@@ -96,7 +97,7 @@ class TestInducedHamiltonian:
             b = (raw + raw.conj().T) / 2
             H = np.linalg.solve(eta0, b)
             basis = solve_metric_space(H, tol=1e-8)
-            eta = find_metric(basis, want_positive=True, tol=1e-8)
+            eta = find_metric(basis, want_positive=True)
             assert eta is not None
             form = metric_sqrt(eta, tol=1e-8)
             H_eta = induced_hamiltonian(H, form, tol=1e-8)
@@ -107,6 +108,39 @@ class TestInducedHamiltonian:
             assert np.allclose(np.sort(np.linalg.eigvalsh((H_eta + H_eta.conj().T) / 2)),
                                np.sort(np.linalg.eigvals(H).real), atol=1e-8 * scale)
             done += 1
+
+
+INDEFINITE = np.array([[0.0, 1j], [-1j, 0.0]])
+
+
+class TestCheckErrors:
+    """Each function raises its failed hypothesis as the one named check a quasi report
+    lists, valued and thresholded as the report values it; exc.check stays the id."""
+
+    TOL = 1e-9
+    CASES = {
+        "metric_sqrt": (lambda: metric_sqrt(INDEFINITE, TestCheckErrors.TOL),
+                        "metric not positive", "eta_positive",
+                        classify_metric(INDEFINITE).min_eigenvalue_of_hermitian_part,
+                        "minimum eigenvalue of the Hermitian part is -1"),
+        "induced_hamiltonian": (lambda: induced_hamiltonian(
+            np.array([[0.0, 1j], [-4j, 0.0]]), metric_sqrt(np.eye(2)), TestCheckErrors.TOL),
+            "eta not a metric for H", "eta_is_metric",
+            residual(np.array([[0.0, 1j], [-4j, 0.0]]), np.eye(2)), "exceeds tolerance 1.000e-09"),
+        "induced_inner": (lambda: induced_inner([1, 0], [0, 1], INDEFINITE, tol=TestCheckErrors.TOL),
+                          "metric not positive", "eta_positive",
+                          classify_metric(INDEFINITE).min_eigenvalue_of_hermitian_part,
+                          "pass allow_indefinite=True"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_one_named_check(self, name):
+        call, check_id, check_name, value, hint = self.CASES[name]
+        with pytest.raises(CheckError, match=hint) as info:
+            call()
+        exc = info.value
+        assert (exc.check, exc.value, exc.threshold) == (check_id, value, self.TOL)
+        assert exc.checks == (Check(check_name, False, value, self.TOL),)
 
 
 class TestInducedInner:
@@ -128,8 +162,12 @@ class TestInducedInner:
         assert value == pytest.approx(1j)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            induced_inner([1, 0, 0], [1, 0], np.eye(2), allow_indefinite=True)
+        for phi, message in (([1, 0, 0], "dimension mismatch"),
+                             ([[1, 0]], "phi: expected a nonempty vector"),
+                             ([], "phi: expected a nonempty vector"),
+                             ([np.inf, 0], "phi: non-finite entries")):
+            with pytest.raises(InputError, match=message):
+                induced_inner(phi, [1, 0], np.eye(2), allow_indefinite=True)
 
     @settings(max_examples=50, deadline=None)
     @given(

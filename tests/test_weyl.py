@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -120,6 +120,10 @@ class TestRationalComplex:
         assert (z * w).re == Fraction(2, 3) + Fraction(1, 2)
         assert (z + w).im == Fraction(-1, 2)
         assert z * w == w * z
+        assert 1 - z == RationalComplex(Fraction(2, 3), Fraction(-1, 2))  # __rsub__
+        assert abs(RationalComplex(3, -4)) == 5.0
+        assert hash(RationalComplex(Fraction(4, 2), 0)) == hash(RationalComplex(2, 0))
+        assert z != "1/3+1/2i" and z != [z.re, z.im]  # no RationalComplex: not equal
 
     def test_conjugate_and_zero(self):
         z = RationalComplex(0, 1)
@@ -137,6 +141,7 @@ class TestRationalComplex:
 
     @settings(max_examples=200, deadline=None)
     @given(st.fractions(), st.fractions())
+    @example(Fraction(0), Fraction(-3, 2))  # purely imaginary
     def test_text_is_that_of_str_of_the_fractions(self, re, im):
         z = RationalComplex(re, im)
         if im == 0:
@@ -331,6 +336,11 @@ class TestShiftedPotentialSpec:
         with pytest.raises(InputError):
             spec_of([1], gamma=np.inf)
 
+    def test_polynomials_must_be_real_polynomials(self):
+        with pytest.raises(InputError, match="V and f must be RealPolynomial instances"):
+            ShiftedPotentialSpec(V=[0, 0, 1], alpha=1.0, beta=0.0, gamma=1.0,
+                                 f=RealPolynomial([]))
+
 
 # (value, its exact rational) for every kind of real the finite-real rule accepts
 ACCEPTED_REALS = [(3, Fraction(3)), (2.5, Fraction(5, 2)), (Fraction(1, 3), Fraction(1, 3)),
@@ -413,6 +423,12 @@ class TestWeylPolynomialBasics:
 
     def test_equality_is_term_map_equality(self):
         assert X * P + WeylPolynomial.constant(RationalComplex(0, -1)) == P * X
+        assert X != {(1, 0): 1} and X != 0  # only a WeylPolynomial compares
+        assert (1, 0) in X.terms and (0, 1) not in X.terms
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError, match="WeylPolynomial is immutable"):
+            X.terms = {}
 
     def test_sorted_terms_deterministic(self):
         poly = P * P + X + WeylPolynomial.constant(5)
