@@ -18,11 +18,8 @@ from .errors import Check, InputError
 from .metric import (
     DEFAULT_TOL,
     MetricClass,
-    _bilinear_ratio,
-    _classify,
-    _hermiticity_defect,
     _in_window,
-    _intertwining,
+    _measure,
     _norms,
     _scaled,
     _unit_peak,
@@ -31,16 +28,10 @@ from .metric import (
     as_matrix,
     check_tol,
     frobenius,
+    hermiticity_defect,
     residual,
     same_size,
 )
-
-# Chain elements are measured in stacks of at most 2^16 complex entries (1 MiB,
-# 16 elements at n = 64).  On ten of dense-certify's seed-1 chains (n = 64, 65
-# elements each), stacks of 16 ran 1.17x and stacks of 8 1.12x as fast as one
-# call per element, with bit-identical values, while whole 65-element stacks
-# (4.3 MB) ran 0.985x and used 12% more memory.
-_STACK_ENTRIES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -108,7 +99,7 @@ def _validate_start(H, eta0, k_max: int, tol: float) -> tuple[np.ndarray, np.nda
     H, eta0 = same_size(H, eta0, ("H", "eta0"))
     if k_max < 0 or int(k_max) != k_max:
         raise InputError("k_max must be a nonnegative integer")
-    for check, measure, value in (("hermiticity", "defect", _hermiticity_defect(eta0)),
+    for check, measure, value in (("hermiticity", "defect", hermiticity_defect(eta0)),
                                   ("intertwining", "residual", residual(H, eta0))):
         if value > tol:
             raise InputError(f"eta0 failed the {check} check: {measure} {value:.3e} "
@@ -136,13 +127,8 @@ def _chain(H: np.ndarray, G: np.ndarray, eta0: np.ndarray, k_max: int,
             m, shift = _unit_product(Gd, etas[k - 1]) if k else _unit_peak(eta0)
             e, norm = (m, frobenius(m)) if normalize else _scaled(m, shift, f"eta_{k}")
         etas[k] = e / norm if normalize and norm > 0.0 else e
-    size = max(1, _STACK_ENTRIES // H.size)
-    stacks = [etas[start:start + size] for start in range(0, len(etas), size)]
-    norms = [_norms(s) for s in stacks]  # shared by both kernels
-    residuals = np.concatenate([_bilinear_ratio(_intertwining, H, s, n)
-                                for s, n in zip(stacks, norms)])
-    return EtaChain(H=H, etas=list(etas), residuals=residuals.tolist(),
-                    classes=[c for s, n in zip(stacks, norms) for c in _classify(s, tol, n)],
+    residuals, classes = _measure(H, etas, tol)
+    return EtaChain(H=H, etas=list(etas), residuals=residuals, classes=classes,
                     normalized=normalize, shift_alpha=alpha,
                     rank=_real_rank(etas, tol), tol=tol)
 

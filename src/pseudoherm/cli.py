@@ -197,17 +197,13 @@ def _cmd_perturb(args, inputs):
 def _cmd_quasi(args, inputs):
     import numpy as np
 
-    from .metric import classify_metric, frobenius, hermiticity_defect, residual
-    from .quasi import induced_hamiltonian, metric_sqrt
+    from .metric import frobenius, hermiticity_defect, residual
+    from .quasi import _eta_positive, induced_hamiltonian, metric_sqrt
 
     H, eta = _read(args, inputs, "hamiltonian", "eta")
-    cls = classify_metric(eta, args.tol)
+    cls, positive = _eta_positive(eta, args.tol)
     r0 = residual(H, eta)
-    checks = [
-        Check("eta_positive", cls.positive,
-              cls.min_eigenvalue_of_hermitian_part, args.tol),
-        Check("eta_is_metric", r0 <= args.tol, r0, args.tol),
-    ]
+    checks = [positive, Check("eta_is_metric", r0 <= args.tol, r0, args.tol)]
     results = {"eta_classification": io.classification_to_dict(cls), "residual": r0}
     if cls.positive and r0 <= args.tol:
         form = metric_sqrt(eta, args.tol)

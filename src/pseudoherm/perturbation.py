@@ -17,7 +17,6 @@ from .errors import Check, InputError, _require
 from .metric import (
     DEFAULT_TOL,
     _bilinear_ratio,
-    _hermiticity_defect,
     _norms,
     _scaled,
     _unit_peak,
@@ -26,6 +25,7 @@ from .metric import (
     as_matrix,
     check_tol,
     frobenius,
+    hermiticity_defect,
     residual,
     same_size,
 )
@@ -88,7 +88,7 @@ def auto_K(eta, f: RealPolynomial, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     check_tol(tol)
     eta = as_matrix(eta, "eta")
-    defect = _hermiticity_defect(eta)
+    defect = hermiticity_defect(eta)
     if defect > tol:
         raise InputError(f"eta must be Hermitian for auto_K: defect {defect:.3e} "
                          f"exceeds tolerance {tol:.3e}")
@@ -111,9 +111,9 @@ def perturb(H, eta, K, f: RealPolynomial, tol: float = DEFAULT_TOL,
     H, eta = same_size(H, eta, ("H", "eta"))
     H, K = same_size(H, K, ("H", "K"))
 
-    defect_eta = _hermiticity_defect(eta)
+    defect_eta = hermiticity_defect(eta)
     r0 = residual(H, eta)
-    defect_K = _hermiticity_defect(K)
+    defect_K = hermiticity_defect(K)
     cd = commutator_defect(K, eta)
     hypotheses = [
         (Check("eta_hermitian", defect_eta <= tol, defect_eta, tol), "non-hermitian eta",
@@ -126,7 +126,7 @@ def perturb(H, eta, K, f: RealPolynomial, tol: float = DEFAULT_TOL,
          f"K does not commute with eta (defect {cd:.3e})"),
     ]
     if not allow_hermitian:
-        defect_H = _hermiticity_defect(H)
+        defect_H = hermiticity_defect(H)
         hypotheses.append((Check("hamiltonian_non_hermitian", defect_H > tol, defect_H, tol),
                            "hermitian H", "H is Hermitian; pass allow_hermitian=True to proceed"))
     checks = _require(hypotheses)

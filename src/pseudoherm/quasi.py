@@ -16,6 +16,7 @@ import numpy as np
 from .errors import Check, InputError, _require
 from .metric import (
     DEFAULT_TOL,
+    MetricClass,
     _norms,
     _scaled,
     _unit_peak,
@@ -25,6 +26,7 @@ from .metric import (
     as_vector,
     check_tol,
     classify_metric,
+    frobenius,
     residual,
 )
 
@@ -38,19 +40,26 @@ class InducedForm:
     inv_sqrt_eta: np.ndarray
 
 
+def _eta_positive(eta: np.ndarray, tol: float) -> tuple[MetricClass, Check]:
+    """classify_metric(eta, tol) and the check ``eta_positive``: the least eigenvalue of
+    eta's Hermitian part against ``tol |eta|_F``, the threshold of that verdict."""
+    cls = classify_metric(eta, tol)
+    return cls, Check("eta_positive", cls.positive, cls.min_eigenvalue_of_hermitian_part,
+                      tol * frobenius(eta))
+
+
 def metric_sqrt(eta, tol: float = DEFAULT_TOL) -> InducedForm:
     """Principal square root of a positive metric via Hermitian eigendecomposition.
 
-    A metric that is not positive fails the check ``eta_positive``, valued at the
-    least eigenvalue of its Hermitian part: CheckError "metric not positive".  eta
-    is symmetrized first (once positive, its hermiticity defect is within tol).
+    A metric that is not positive fails the check ``eta_positive``, the least eigenvalue
+    of its Hermitian part against ``tol |eta|_F``: CheckError "metric not positive".
+    eta is symmetrized first (once positive, its hermiticity defect is within tol).
     Outside the window, eta / 2^k (k even) is decomposed, the roots scaled back.
     """
     eta = as_matrix(eta, "eta")
-    cls = classify_metric(eta, tol)
-    low = cls.min_eigenvalue_of_hermitian_part
-    _require([(Check("eta_positive", cls.positive, low, tol), "metric not positive",
-               f"metric not positive: minimum eigenvalue of the Hermitian part is {low:.6g}")])
+    _, positive = _eta_positive(eta, tol)
+    _require([(positive, "metric not positive", "metric not positive: minimum eigenvalue "
+               f"of the Hermitian part is {positive.value:.6g}")])
     (unit,), _, (k,) = _windowed(eta[None], _norms(eta[None]), 1.0)
     unit, k = (2.0 * unit, k - 1) if k % 2 else (unit, k)
     eigvals, vecs = np.linalg.eigh((unit + adjoint(unit)) / 2.0)
@@ -85,9 +94,9 @@ def induced_inner(phi, psi, eta, allow_indefinite: bool = False,
                   tol: float = DEFAULT_TOL) -> complex:
     """Metric inner product ``sum_i conj(phi_i) (eta psi)_i``.
 
-    Positive eta gives a true inner product (conjugate symmetric, positive
-    definite).  Any other eta fails ``eta_positive`` (CheckError "metric not
-    positive") unless ``allow_indefinite`` asks for a mere sesquilinear form.
+    Positive eta gives a true inner product (conjugate symmetric, positive definite).
+    Any other eta fails ``eta_positive`` (threshold ``tol |eta|_F``, CheckError
+    "metric not positive") unless ``allow_indefinite`` asks for a mere sesquilinear form.
     """
     check_tol(tol)
     phi = as_vector(phi, "phi")
@@ -97,11 +106,8 @@ def induced_inner(phi, psi, eta, allow_indefinite: bool = False,
         raise InputError(f"dimension mismatch: phi has {phi.shape[0]}, psi has "
                          f"{psi.shape[0]}, eta is {eta.shape[0]}x{eta.shape[0]}")
     if not allow_indefinite:
-        cls = classify_metric(eta, tol)
-        low = cls.min_eigenvalue_of_hermitian_part
-        _require([(Check("eta_positive", cls.positive, low, tol), "metric not positive",
-                   "metric not positive: pass allow_indefinite=True for a plain "
-                   "sesquilinear form")])
+        _require([(_eta_positive(eta, tol)[1], "metric not positive", "metric not positive: "
+                   "pass allow_indefinite=True for a plain sesquilinear form")])
     # eta psi on eta / 2^k from _unit_peak, scaled back once: at eta's own scale a
     # subnormal eta would round every product and sum.
     unit, k = _unit_peak(eta)

@@ -3,9 +3,11 @@
 ``CASE_IDS`` names one run for each case of the benchmark's cli-batch table
 (``perfbench/workloads.py``, ``_cli_cases``: every subcommand with each exit
 code it is expected to give), on n=8 inputs that ``write_inputs`` builds from
-fixed seeds, followed by the command-line examples of the README.  Each run
-goes in-process through ``cli.main``.  A report is stored without its
-``generated_at`` and with the directory of its files written as ``<tmp>``.
+fixed seeds, then one run for each flag that table leaves out, then the
+command-line examples of the README.  Each run goes in-process through
+``cli.main``.  A report is stored with the directory of its files written as
+``<tmp>``: a JSON report without its ``generated_at``, a ``--format text``
+report as its text.
 
     PYTHONPATH=src python tests/regenerate_golden.py          # print the diff
     PYTHONPATH=src python tests/regenerate_golden.py --write  # and rewrite
@@ -145,6 +147,21 @@ def _cases(f) -> dict[str, list[str]]:
         "example-0-oscillator": ["example", "oscillator", "--omega", f["omega"],
                                  "--out-dir", f["dir"]],
         "example-2-no-x": ["example", "two-point", "--out-dir", f["dir"]],
+        # the flags outside the case table
+        "solve-0-tol": ["solve", "--hamiltonian", f["H_quasi"], "--positive", "--tol", "1e-8"],
+        "verify-0-text": ["verify", "--hamiltonian", f["H"], "--eta", f["eta"],
+                          "--format", "text"],
+        "quasi-1-indefinite-text": ["quasi", "--hamiltonian", f["H_pseudo"], "--eta",
+                                    f["eta_pseudo"], "--format", "text"],
+        "chain-0-no-normalize": ["chain", "--hamiltonian", f["H"], "--eta0", f["eta"],
+                                 "--k-max", "4", "--no-normalize"],
+        "perturb-0-allow-hermitian": ["perturb", "--hamiltonian", f["H_hermitian"], "--eta",
+                                      f["identity"], "--poly", "1", "--allow-hermitian"],
+        "weyl-0-float": ["weyl", "--spec", f["spec"], "--float"],
+        "weyl-1-float-wrong-theta": ["weyl", "--spec", f["spec"], "--float",
+                                     "--theta", f["wrong_theta"]],
+        "example-0-prefix": ["example", "two-point", "--x", "1+1i", "--y", "0.5",
+                             "--out-dir", f["dir"], "--prefix", "pair"],
         "readme-example": ["example", "oscillator", "--omega", "2", "--out-dir", f["dir"]],
         "readme-verify": ["verify", "--hamiltonian", f["oscillator_hamiltonian"],
                           "--eta", f["oscillator_eta"]],
@@ -166,10 +183,13 @@ CASE_IDS = tuple(_cases(defaultdict(str)))  # the ids need no input files
 def run_case(case: str, files: dict) -> dict:
     """Run one case through cli.main; its exit code and report, as stored."""
     out = os.path.join(files["root"], "report.json")
-    code = cli.main(_cases(files)[case] + ["--out", out])
+    argv = _cases(files)[case]
+    code = cli.main(argv + ["--out", out])
     with open(out, encoding="utf-8") as handle:
-        report = json.loads(handle.read().replace(files["root"], "<tmp>"))
-    report.pop("generated_at")
+        report = handle.read().replace(files["root"], "<tmp>")
+    if cli.build_parser().parse_args(argv).format == "json":
+        report = json.loads(report)
+        report.pop("generated_at")
     return {"exit_code": code, "report": report}
 
 

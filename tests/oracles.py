@@ -8,9 +8,12 @@ represents x and p as matrices on a truncated harmonic-oscillator basis.
 The Fraction Weyl reference works term by term on ``{(a, b): (re, im)}``
 maps of ``fractions.Fraction`` pairs, one coefficient product at a time, and
 the canonical-form reference reduces integer numerators by a plain gcd.  The
-per-matrix residual and classification references take one matrix at a time,
-with np.linalg.norm and one eigvalsh each, by the arithmetic the library's
-stacked kernels must reproduce bit for bit.
+exact chain reference builds ``H = S diag(lambda) S^-1`` and its metric chain
+in closed form in Python integers, for a Gaussian-integer S of determinant 1,
+and the rational rank eliminates in Fractions.  The per-matrix residual and
+classification references take one matrix at a time, with np.linalg.norm and
+one eigvalsh each, by the arithmetic the library's stacked kernels must
+reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -92,6 +95,64 @@ def unimodular(n: int, rng: np.random.Generator, steps: int) -> tuple[np.ndarray
         E_inv[i, j] = -E[i, j]
         S, S_inv = S @ E, E_inv @ S_inv
     return S, S_inv
+
+
+def _gaussian_product(A, B):
+    """The product of Gaussian-integer matrices given as (re, im) pairs of integer arrays."""
+    (a, b), (c, d) = A, B
+    return a @ c - b @ d, a @ d + b @ c
+
+
+def gaussian_unimodular(n: int, rng: np.random.Generator, steps: int) -> tuple:
+    """A random Gaussian-integer S with determinant 1 and its exact inverse, each a (re, im)
+    pair of Python-integer arrays: a product of ``steps`` elementary operations, column j
+    plus u times column i, for a unit u in {1, -1, i, -i}."""
+    eye = np.eye(n, dtype=int).astype(object)
+    S = S_inv = (eye, 0 * eye)
+    for _ in range(steps):
+        i, j = rng.choice(n, 2, replace=False)
+        u = ((1, 0), (-1, 0), (0, 1), (0, -1))[rng.integers(4)]
+        E, E_inv = (eye.copy(), 0 * eye), (eye.copy(), 0 * eye)
+        for part in range(2):  # (I + u e_i e_j^T)^-1 = I - u e_i e_j^T for i != j
+            E[part][i, j], E_inv[part][i, j] = u[part], -u[part]
+        S, S_inv = _gaussian_product(S, E), _gaussian_product(E_inv, S_inv)
+    return S, S_inv
+
+
+def exact_chain(lam, S, S_inv, k_max: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """H = S diag(lam) S^-1 and its chain from eta_0 = S^-dag S^-1 in closed form, for
+    integer lam and a Gaussian-integer S from gaussian_unimodular: eta_k = (H^dag)^k eta_0
+    = S^-dag diag(lam^k) S^-1, k = 0..k_max.  Computed in Python integers and returned as
+    complex arrays, exactly: every entry stays below 2^53."""
+    adj = (S_inv[0].T, -S_inv[1].T)
+
+    def times(powers, M):  # diag(powers) M
+        column = np.array(powers, dtype=object)[:, None]
+        return M[0] * column, M[1] * column
+
+    exact = [_gaussian_product(S, times(lam, S_inv))]
+    exact += [_gaussian_product(adj, times([x ** k for x in lam], S_inv)) for k in range(k_max + 1)]
+    assert all(abs(x) < 2 ** 53 for re, im in exact for x in [*re.flat, *im.flat])
+    H, *etas = [re.astype(float) + 1j * im.astype(float) for re, im in exact]
+    return H, etas
+
+
+def rational_rank(matrices) -> int:
+    """Rank over Q of the rows [Re m, Im m] of integer-valued complex matrices, by
+    Gaussian elimination in Fractions."""
+    rows = [[Fraction(x) for x in np.concatenate([m.real.ravel(), m.imag.ravel()])]
+            for m in matrices]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 
 def realified_rank(etas, tol: float) -> tuple[int, np.ndarray]:

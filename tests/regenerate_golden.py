@@ -8,10 +8,19 @@ Exits 1 when a report differs (before --write rewrites it), else 0.
 
 import argparse
 import difflib
+import json
 import sys
 import tempfile
 
 from golden_cases import CASE_IDS, GOLDEN, dump, run_case, write_inputs
+
+
+def _lines(stored: str) -> list[str]:
+    """The lines of a stored record to diff; a text report's own lines in place of its string."""
+    record = json.loads(stored) if stored else {}
+    if isinstance(record.get("report"), str):
+        return [f"exit_code: {record['exit_code']}\n"] + record["report"].splitlines(True)
+    return stored.splitlines(True)
 
 
 def main(argv=None) -> int:
@@ -29,7 +38,7 @@ def main(argv=None) -> int:
                 continue
             changed += 1
             sys.stdout.writelines(difflib.unified_diff(
-                old.splitlines(True), new.splitlines(True), f"a/{path.name}", f"b/{path.name}"))
+                _lines(old), _lines(new), f"a/{path.name}", f"b/{path.name}"))
             if args.write:
                 GOLDEN.mkdir(exist_ok=True)
                 path.write_text(new, encoding="utf-8")

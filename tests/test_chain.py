@@ -2,8 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import realified_rank
+from oracles import exact_chain, gaussian_unimodular, rational_rank, realified_rank
 from pseudoherm import (
     InputError,
     build_chain,
@@ -345,6 +347,28 @@ class TestStacks:
         assert np.array_equal(np.concatenate(stacks), (etas + adjoint(etas)) / 2)
 
 
+class TestExactChains:
+    """build_chain against the closed form eta_k = S^-dag diag(lambda^k) S^-1 of
+    tests/oracles.py, for H = S diag(lambda) S^-1 with integer lambda (zero included)
+    and a Gaussian-integer S of determinant 1: every entry is an integer below 2^53,
+    so the chain is exact.  By Sylvester's law of inertia eta_k has the inertia of
+    diag(lambda^k), which decides its invertible and positive flags."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=2, max_size=4), st.integers(1, 5),
+           st.integers(0, 10_000))
+    def test_entries_rank_and_inertia(self, lam, k_max, seed):
+        n = len(lam)
+        H, etas = exact_chain(lam, *gaussian_unimodular(n, np.random.default_rng(seed), n + 1),
+                              k_max)
+        chain = build_chain(H, etas[0], k_max)
+        assert all(np.array_equal(a, b) for a, b in zip(chain.etas, etas, strict=True))
+        assert chain.rank == rational_rank(etas)
+        powers = [[x ** k for x in lam] for k in range(k_max + 1)]
+        assert [c.invertible for c in chain.classes] == [0 not in p for p in powers]
+        assert [c.positive for c in chain.classes] == [min(p) > 0 for p in powers]
+
+
 class TestChainViaShift:
     def test_nilpotent_chain_validates_against_original(self, nilpotent):
         H, eta0 = nilpotent
@@ -393,8 +417,7 @@ class TestChainViaShift:
             calls.append((form, A, len(B)))
             return kernel(form, A, B, norms)
 
-        for module in (metric, chain_module):
-            monkeypatch.setattr(module, "_bilinear_ratio", counted)
+        monkeypatch.setattr(metric, "_bilinear_ratio", counted)  # chains measure through metric
         H, eta0 = nilpotent
         chain = chain_via_shift(H, eta0, k_max=5)
         assert chain.shift_alpha != 0.0

@@ -466,6 +466,21 @@ class TestQuasi:
         by_name = {c["name"]: c for c in report["checks"]}
         assert by_name["eta_positive"]["passed"] is False
 
+    @pytest.mark.parametrize("eta, passed", [(1e-12 * np.eye(2), True),
+                                             (np.diag([1e12, 1e-8]), False)],
+                             ids=["tiny", "spread"])
+    def test_eta_positive_passes_exactly_above_its_threshold(self, fixtures, tmp_path, capsys,
+                                                             eta, passed):
+        # the verdict holds the least eigenvalue to tol |eta|_F, and so does the report
+        write_matrix(tmp_path / "e.json", eta)
+        code, report = run_cli(capsys, "quasi", "--hamiltonian", fixtures["diag12"],
+                               "--eta", tmp_path / "e.json")
+        assert code == (0 if passed else 1)
+        check = report["checks"][0]
+        assert (check["name"], check["passed"]) == ("eta_positive", passed)
+        assert (check["value"] > check["threshold"]) is passed
+        assert check["threshold"] == 1e-10 * np.linalg.norm(eta)
+
     @pytest.mark.parametrize("c_H, c_eta", EXTREME_SCALES)
     def test_extreme_scales(self, tmp_path, capsys, c_H, c_eta):
         H, _ = catalog_oscillator(2.0)

@@ -2,7 +2,8 @@
 
 Exit code, status, check names, verdicts, keys, strings, integers and list
 lengths must be equal; a float may differ by at most the units in the last
-place that ULPS gives for the field it sits in.  tests/golden_cases.py names
+place that ULPS gives for the field it sits in.  A ``--format text`` report is
+a string, so it must be equal character for character.  tests/golden_cases.py names
 the cases and tests/regenerate_golden.py rewrites the files.
 """
 

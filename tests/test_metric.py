@@ -45,6 +45,7 @@ from pseudoherm.metric import (
     _hermitian_frame,
     _intertwining,
     _realified_basis,
+    adjoint,
     frobenius,
 )
 
@@ -791,6 +792,39 @@ class TestSolveMetricSpace:
 _JORDAN_EIGENVALUES = [0.3, 0.5, 1.0, -1.0, 2.0, 1 + 1j, 1 - 1j, 2j, -2j]
 _JORDAN_BLOCKS = st.lists(st.tuples(st.sampled_from(_JORDAN_EIGENVALUES), st.integers(1, 3)),
                           min_size=1, max_size=4).filter(lambda b: sum(p for _, p in b) <= 6)
+
+
+class TestStacks:
+    """solve_metric_space measures its basis in stacks of at most 2^16 complex entries,
+    as chains do (tests/test_chain.py::TestStacks): 4 stacks of 16 elements at n = 64."""
+
+    @staticmethod
+    def family_basis(seed=1, n=64):
+        rng = np.random.default_rng(seed)
+        S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return solve_metric_space(S @ np.diag(rng.uniform(-2, 2, n)) @ np.linalg.inv(S))
+
+    def test_each_element_classified_once_in_bounded_stacks(self, monkeypatch):
+        stacks = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(a, *args, **kwargs):
+            stacks.append(a)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        basis = self.family_basis()
+        assert (basis.solver, basis.dimension, len(stacks)) == ("spectral", 64, 4)
+        assert all(a.size <= 2 ** 16 for a in stacks)
+        elements = np.array(basis.basis)
+        assert np.array_equal(np.concatenate(stacks), (elements + adjoint(elements)) / 2)
+
+    def test_measures_match_the_per_element_oracles(self):
+        basis = self.family_basis()
+        assert _bits(basis.residuals) == _bits(residual_of_one(basis.H, b) for b in basis.basis)
+        assert ([_bits(dataclasses.astuple(c)) for c in basis.classifications]
+                == [_bits(dataclasses.astuple(classification_of_one(b, basis.tol)))
+                    for b in basis.basis])
 
 
 class TestJordanDimension:

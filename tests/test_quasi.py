@@ -115,32 +115,35 @@ INDEFINITE = np.array([[0.0, 1j], [-1j, 0.0]])
 
 class TestCheckErrors:
     """Each function raises its failed hypothesis as the one named check a quasi report
-    lists, valued and thresholded as the report values it; exc.check stays the id."""
+    lists, valued and thresholded as the report values it; exc.check stays the id.
+    eta_positive is held to tol |eta|_F, the threshold of the positive verdict."""
 
     TOL = 1e-9
     CASES = {
         "metric_sqrt": (lambda: metric_sqrt(INDEFINITE, TestCheckErrors.TOL),
                         "metric not positive", "eta_positive",
                         classify_metric(INDEFINITE).min_eigenvalue_of_hermitian_part,
+                        TOL * np.linalg.norm(INDEFINITE),
                         "minimum eigenvalue of the Hermitian part is -1"),
         "induced_hamiltonian": (lambda: induced_hamiltonian(
             np.array([[0.0, 1j], [-4j, 0.0]]), metric_sqrt(np.eye(2)), TestCheckErrors.TOL),
             "eta not a metric for H", "eta_is_metric",
-            residual(np.array([[0.0, 1j], [-4j, 0.0]]), np.eye(2)), "exceeds tolerance 1.000e-09"),
+            residual(np.array([[0.0, 1j], [-4j, 0.0]]), np.eye(2)), TOL,
+            "exceeds tolerance 1.000e-09"),
         "induced_inner": (lambda: induced_inner([1, 0], [0, 1], INDEFINITE, tol=TestCheckErrors.TOL),
                           "metric not positive", "eta_positive",
                           classify_metric(INDEFINITE).min_eigenvalue_of_hermitian_part,
-                          "pass allow_indefinite=True"),
+                          TOL * np.linalg.norm(INDEFINITE), "pass allow_indefinite=True"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_one_named_check(self, name):
-        call, check_id, check_name, value, hint = self.CASES[name]
+        call, check_id, check_name, value, threshold, hint = self.CASES[name]
         with pytest.raises(CheckError, match=hint) as info:
             call()
         exc = info.value
-        assert (exc.check, exc.value, exc.threshold) == (check_id, value, self.TOL)
-        assert exc.checks == (Check(check_name, False, value, self.TOL),)
+        assert (exc.check, exc.value, exc.threshold) == (check_id, value, threshold)
+        assert exc.checks == (Check(check_name, False, value, threshold),)
 
 
 class TestInducedInner:
