@@ -279,12 +279,12 @@ def _hermitian_frame(n: int) -> np.ndarray:
     return frame
 
 
-def _fix_sign(b: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+def _fix_sign(b: np.ndarray) -> np.ndarray:
     # Sign convention: first entry (row-major, real part before imaginary part)
-    # larger than eps in magnitude is made positive.
+    # larger than 1e-12 in magnitude is made positive.
     for z in b.ravel():
         for part in (z.real, z.imag):
-            if abs(part) > eps:
+            if abs(part) > 1e-12:
                 return -b if part < 0 else b
     return b
 

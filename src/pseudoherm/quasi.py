@@ -42,10 +42,14 @@ class InducedForm:
 
 def _eta_positive(eta: np.ndarray, tol: float) -> tuple[MetricClass, Check]:
     """classify_metric(eta, tol) and the check ``eta_positive``: the least eigenvalue of
-    eta's Hermitian part against ``tol |eta|_F``, the threshold of that verdict."""
+    eta's Hermitian part against ``tol |eta|_F``, the threshold of that verdict, taken as
+    ``2^k tol |eta / 2^k|_F`` from _unit_peak: finite where |eta|_F alone is not."""
     cls = classify_metric(eta, tol)
+    unit, k = _unit_peak(eta)
+    with np.errstate(over="ignore"):
+        threshold = float(np.ldexp(tol * frobenius(unit), k))
     return cls, Check("eta_positive", cls.positive, cls.min_eigenvalue_of_hermitian_part,
-                      tol * frobenius(eta))
+                      threshold)
 
 
 def metric_sqrt(eta, tol: float = DEFAULT_TOL) -> InducedForm:

@@ -103,7 +103,7 @@ class RealPolynomial:
 
 
 class RationalComplex:
-    """Complex number with exact rational real and imaginary parts."""
+    """One exact complex rational coefficient; its arithmetic runs on constant polynomials."""
 
     __slots__ = ("re", "im")
 
@@ -122,32 +122,6 @@ class RationalComplex:
     def __setattr__(self, name, _value):
         raise AttributeError(f"RationalComplex is immutable, cannot set {name!r}")
 
-    def __add__(self, other):
-        other = RationalComplex.from_value(other)
-        return RationalComplex(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = RationalComplex.from_value(other)
-        return RationalComplex(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return RationalComplex.from_value(other) - self
-
-    def __mul__(self, other):
-        other = RationalComplex.from_value(other)
-        return RationalComplex(self.re * other.re - self.im * other.im,
-                               self.re * other.im + self.im * other.re)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return RationalComplex(-self.re, -self.im)
-
-    def conjugate(self) -> "RationalComplex":
-        return RationalComplex(self.re, -self.im)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
@@ -163,9 +137,6 @@ class RationalComplex:
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
-
-    def __abs__(self) -> float:
-        return abs(complex(self))
 
     def __repr__(self) -> str:
         return f"RationalComplex({_rational_text(self.re)}, {_rational_text(self.im)})"
@@ -292,24 +263,6 @@ class WeylPolynomial:
 
     def __setattr__(self, name, _value):
         raise AttributeError(f"WeylPolynomial is immutable, cannot set {name!r}")
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "WeylPolynomial":
-        return cls()
-
-    @classmethod
-    def constant(cls, value) -> "WeylPolynomial":
-        return cls({(0, 0): value})
-
-    @classmethod
-    def position(cls, power: int = 1) -> "WeylPolynomial":
-        return cls({(power, 0): 1})
-
-    @classmethod
-    def momentum(cls, power: int = 1) -> "WeylPolynomial":
-        return cls({(0, power): 1})
 
     @classmethod
     def monomial(cls, a: int, b: int, coeff=1) -> "WeylPolynomial":
@@ -494,13 +447,13 @@ def build_shifted_hamiltonian(spec: ShiftedPotentialSpec) -> WeylPolynomial:
     The potential involves x only, so its expansion is a plain binomial in
     the commutative variable x with the exact complex shift -beta - i gamma.
     """
-    H = WeylPolynomial.momentum(2)
+    H = WeylPolynomial.monomial(0, 2)
     for degree, c in enumerate(spec.f.coeffs):
         if c != 0.0:
             H = H + WeylPolynomial.monomial(0, degree, c)
     if not spec.V.is_zero and spec.alpha != 0.0:
         V = WeylPolynomial({(degree, 0): c for degree, c in enumerate(spec.V.coeffs)})
-        H = H + V._shift_x(-RationalComplex(spec.beta, spec.gamma)).scale(spec.alpha)
+        H = H + V._shift_x(RationalComplex(-spec.beta, -spec.gamma)).scale(spec.alpha)
     return H
 
 

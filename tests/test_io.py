@@ -168,7 +168,7 @@ class TestWeylTerms:
 
     def test_exact_strings_beyond_the_int_string_limit(self):
         big = Fraction(-(3 ** 20000), 2 ** 20000)
-        [term] = weyl_terms_to_list(WeylPolynomial.constant(big))
+        [term] = weyl_terms_to_list(WeylPolynomial.monomial(0, 0, big))
         numerator, denominator = term["re"].split("/")
         assert len(numerator) > sys.get_int_max_str_digits()
         assert (Decimal(numerator), Decimal(denominator)) == (Decimal(big.numerator),

@@ -17,6 +17,7 @@ from pseudoherm import (
     residual,
     solve_metric_space,
 )
+from pseudoherm.quasi import _eta_positive
 
 
 def random_positive(n, rng, floor=0.1):
@@ -144,6 +145,19 @@ class TestCheckErrors:
         exc = info.value
         assert (exc.check, exc.value, exc.threshold) == (check_id, value, threshold)
         assert exc.checks == (Check(check_name, False, value, threshold),)
+
+    def test_eta_positive_threshold_finite_where_the_norm_is_not(self):
+        # |eta|_F = 2.1e308 is beyond the double range; the threshold is scaled back
+        # from eta / 2^k, the rescale the verdict is taken on
+        with pytest.raises(CheckError) as info:
+            metric_sqrt(np.diag([1.5e308, -1.5e308]), 1e-10)
+        assert info.value.checks == (Check("eta_positive", False, -1.5e308,
+                                           pytest.approx(2.1213e298, rel=1e-4)),)
+
+    def test_eta_positive_passes_above_its_threshold_where_the_norm_overflows(self):
+        _, positive = _eta_positive(1.5e308 * np.eye(2), 1e-10)
+        assert positive.passed and positive.value == 1.5e308
+        assert positive.threshold == pytest.approx(2.1213e298, rel=1e-4)
 
 
 class TestInducedInner:

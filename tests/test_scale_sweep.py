@@ -9,7 +9,7 @@ InputError that names the double range is accepted there only when such a
 value is itself beyond the double range.  Where the input is not exact, the
 reference is the answer for the rounded input scaled back to unit scale, and
 a covariant answer or a double-range InputError is accepted.  No run may
-warn (pyproject turns a RuntimeWarning into an error) or leave a traceback.
+warn (pyproject turns every warning into an error) or leave a traceback.
 """
 
 import inspect
@@ -85,7 +85,21 @@ def classification(c, power, unit):
 
 
 def checks(items):
-    return [x for c in items for x in (c.name, bool(c.passed), ratio(c.value or 0.0))]
+    """Each check's name, verdict, value and threshold; those of SCALED_CHECKS scale
+    with its power, the threshold compared to within 1e-12 of itself."""
+    out = []
+    for c in items:
+        power = SCALED_CHECKS.get(c.name, (0, None))[0]
+        out += [c.name, bool(c.passed), Value(c.value or 0.0, power, None if power else 1.0),
+                Value(c.threshold or 0.0, power)]
+    return out
+
+
+def _refused(run):
+    """The CheckError run raises: its id and its checks."""
+    with pytest.raises(ph.CheckError) as info:
+        run()
+    return ["CheckError", info.value.check, *checks(info.value.checks)]
 
 
 def chain(c, powers):
@@ -147,10 +161,12 @@ LIBRARY = {
     "auto_K": lambda m: [Value(ph.auto_K(m["eta"], POLY), 1),
                          Value(ph.auto_K(m["eta"], SQUARE), 2)],
     "perturb": lambda m: _perturbed(ph.perturb(m["H"], m["eta"], m["eta"], POLY)),
-    "metric_sqrt": lambda m: _form(ph.metric_sqrt(m["eta"])),
+    "metric_sqrt": lambda m: (_form(ph.metric_sqrt(m["eta"]))
+                              + _refused(lambda: ph.metric_sqrt(-m["eta"]))),
     "induced_hamiltonian": lambda m: [
         Value(ph.induced_hamiltonian(m["H"], ph.metric_sqrt(m["eta"])), 1)],
-    "induced_inner": lambda m: [Value(ph.induced_inner(PHI, PSI, m["eta"]), 1)],
+    "induced_inner": lambda m: [Value(ph.induced_inner(PHI, PSI, m["eta"]), 1),
+                                *_refused(lambda: ph.induced_inner(PHI, PSI, -m["eta"]))],
 }
 
 
@@ -167,8 +183,9 @@ CLI = {
     "example": ["example", "two-point", "--x", "{x}", "--y", "{y}", "--out-dir", "{dir}"],
 }
 
-# Check values that scale with an input, by (power, input whose norm is their unit);
-# every other one is a ratio or a count.
+# Check values and thresholds that scale with an input, by (power, input whose norm is
+# the unit of the value); every other value is a ratio or a count, every other
+# threshold tol or 0.
 SCALED_CHECKS = {"eta_positive": (1, "eta"), "spectrum_real": (1, "hamiltonian")}
 
 
@@ -236,7 +253,8 @@ def _run_cli(command, m, k, tmp_path, capsys):
     for c in report["checks"]:
         power, unit = SCALED_CHECKS.get(c["name"], (0, None))
         answer += [c["name"], c["passed"], Value(c["value"] or 0.0, power,
-                                                 norms[unit] if unit else 1.0)]
+                                                 norms[unit] if unit else 1.0),
+                   Value(c["threshold"] or 0.0, power)]
     return answer + (_cli_results(command, report["results"], norms) if report["results"] else [])
 
 
@@ -248,7 +266,7 @@ def _outcome(run):
     except ph.InputError as exc:
         return RANGE if RANGE in str(exc) else ["InputError", str(exc).split(":")[0]]
     except ph.CheckError as exc:
-        return ["CheckError", exc.check]
+        return ["CheckError", exc.check, *checks(exc.checks)]
 
 
 def _representable(answer, k):

@@ -31,8 +31,8 @@ from pseudoherm import (
     weyl,
 )
 
-X = WeylPolynomial.position()
-P = WeylPolynomial.momentum()
+X = WeylPolynomial.monomial(1, 0)
+P = WeylPolynomial.monomial(0, 1)
 
 
 def random_poly(rng, max_degree=4, span=5):
@@ -115,20 +115,23 @@ def fraction_shifted_hamiltonian(spec):
 
 class TestRationalComplex:
     def test_exact_arithmetic(self):
-        z = RationalComplex(Fraction(1, 3), Fraction(1, 2))
-        w = RationalComplex(2, -1)
-        assert (z * w).re == Fraction(2, 3) + Fraction(1, 2)
-        assert (z + w).im == Fraction(-1, 2)
+        # coefficient arithmetic runs on constant polynomials
+        z = WeylPolynomial.monomial(0, 0, RationalComplex(Fraction(1, 3), Fraction(1, 2)))
+        w = WeylPolynomial.monomial(0, 0, RationalComplex(2, -1))
+        assert (z * w).coefficient(0, 0).re == Fraction(2, 3) + Fraction(1, 2)
+        assert (z + w).coefficient(0, 0).im == Fraction(-1, 2)
         assert z * w == w * z
-        assert 1 - z == RationalComplex(Fraction(2, 3), Fraction(-1, 2))  # __rsub__
-        assert abs(RationalComplex(3, -4)) == 5.0
+        assert (WeylPolynomial.monomial(0, 0) - z).coefficient(0, 0) == \
+            RationalComplex(Fraction(2, 3), Fraction(-1, 2))
+        assert WeylPolynomial.monomial(0, 0, RationalComplex(3, -4)).max_coefficient() == 5.0
         assert hash(RationalComplex(Fraction(4, 2), 0)) == hash(RationalComplex(2, 0))
-        assert z != "1/3+1/2i" and z != [z.re, z.im]  # no RationalComplex: not equal
+        c = z.coefficient(0, 0)
+        assert c != "1/3+1/2i" and c != [c.re, c.im]  # no RationalComplex: not equal
 
     def test_conjugate_and_zero(self):
-        z = RationalComplex(0, 1)
-        assert z.conjugate() == RationalComplex(0, -1)
-        assert (z - z).is_zero()
+        z = WeylPolynomial.monomial(0, 0, RationalComplex(0, 1))
+        assert z.adjoint().coefficient(0, 0) == RationalComplex(0, -1)
+        assert (z - z).is_zero() and (z - z).coefficient(0, 0).is_zero()
 
     def test_float_conversion_is_exact(self):
         z = RationalComplex(0.1, 0.0)
@@ -155,11 +158,12 @@ class TestRationalComplex:
 
     def test_polynomial_repr(self):
         H = ((P * X).scale(RationalComplex(Fraction(-3, 4), 2))
-             + WeylPolynomial.monomial(2, 0, Fraction(1, 3)) + WeylPolynomial.constant(-0.5j))
+             + WeylPolynomial.monomial(2, 0, Fraction(1, 3))
+             + WeylPolynomial.monomial(0, 0, -0.5j))
         assert repr(H) == "WeylPolynomial((2+1/4i) + (-3/4+2i) x p + (1/3) x^2)"
         assert repr(H.terms) == ("{(1, 1): RationalComplex(-3/4, 2), (0, 0): RationalComplex(2, 1/4), "
                                  "(2, 0): RationalComplex(1/3, 0)}")
-        assert repr(WeylPolynomial.zero()) == "WeylPolynomial(0)"
+        assert repr(WeylPolynomial()) == "WeylPolynomial(0)"
 
 
 class TestNormalMultiply:
@@ -233,11 +237,11 @@ class TestAdjoint:
 
 class TestBoost:
     def test_momentum_invariant(self):
-        p3 = WeylPolynomial.momentum(3)
+        p3 = WeylPolynomial.monomial(0, 3)
         assert p3.boost(1.7) == p3
 
     def test_constant_invariant(self):
-        c = WeylPolynomial.constant(RationalComplex(2, -3))
+        c = WeylPolynomial.monomial(0, 0, RationalComplex(2, -3))
         assert c.boost(0.4) == c
 
     def test_x_squared_shift(self):
@@ -271,7 +275,7 @@ class TestBuildShiftedHamiltonian:
 
     def test_free_hamiltonian(self):
         out = build_shifted_hamiltonian(spec_of([], gamma=0.5))
-        assert out == WeylPolynomial.momentum(2)
+        assert out == WeylPolynomial.monomial(0, 2)
 
     def test_beta_enters_real_shift(self):
         out = build_shifted_hamiltonian(spec_of([0, 1], beta=3.0, gamma=0.0))
@@ -371,23 +375,25 @@ class TestFiniteRealRule:
 
     @pytest.mark.parametrize("value, exact", ACCEPTED_REALS)
     def test_constant_is_exact(self, value, exact):
-        assert WeylPolynomial.constant(value).coefficient(0, 0) == RationalComplex(exact)
+        assert WeylPolynomial.monomial(0, 0, value).coefficient(0, 0) == RationalComplex(exact)
 
     @pytest.mark.parametrize("value", ["1", np.inf, np.nan], ids=repr)
     def test_constant_rejects_non_finite_and_non_numbers(self, value):
         with pytest.raises(InputError):
-            WeylPolynomial.constant(value)
+            WeylPolynomial.monomial(0, 0, value)
 
     def test_constant_takes_any_rational_and_complex_values(self):
         # exact coefficients have no double range; complex values are split into parts
-        assert WeylPolynomial.constant(10**400).coefficient(0, 0) == RationalComplex(10**400)
-        assert WeylPolynomial.constant(np.complex128(1)) == WeylPolynomial.constant(1)
-        assert WeylPolynomial.constant(1j) == WeylPolynomial.constant(RationalComplex(0, 1))
+        assert WeylPolynomial.monomial(0, 0, 10**400).coefficient(0, 0) == \
+            RationalComplex(10**400)
+        assert WeylPolynomial.monomial(0, 0, np.complex128(1)) == WeylPolynomial.monomial(0, 0, 1)
+        assert WeylPolynomial.monomial(0, 0, 1j) == \
+            WeylPolynomial.monomial(0, 0, RationalComplex(0, 1))
 
     def test_fixed_width_integers_become_python_integers(self):
         # an int64 numerator would wrap around on the first sum
-        big = WeylPolynomial.constant(np.int64(2**62))
-        assert big + big == WeylPolynomial.constant(2**63)
+        big = WeylPolynomial.monomial(0, 0, np.int64(2**62))
+        assert big + big == WeylPolynomial.monomial(0, 0, 2**63)
         assert big.scale(Fraction(1, 3**50)).coefficient(0, 0) == \
             RationalComplex(Fraction(2**62, 3**50))
 
@@ -422,7 +428,7 @@ class TestWeylPolynomialBasics:
         assert all(type(e) is int for key in poly.terms for e in key)
 
     def test_equality_is_term_map_equality(self):
-        assert X * P + WeylPolynomial.constant(RationalComplex(0, -1)) == P * X
+        assert X * P + WeylPolynomial.monomial(0, 0, RationalComplex(0, -1)) == P * X
         assert X != {(1, 0): 1} and X != 0  # only a WeylPolynomial compares
         assert (1, 0) in X.terms and (0, 1) not in X.terms
 
@@ -431,7 +437,7 @@ class TestWeylPolynomialBasics:
             X.terms = {}
 
     def test_sorted_terms_deterministic(self):
-        poly = P * P + X + WeylPolynomial.constant(5)
+        poly = P * P + X + WeylPolynomial.monomial(0, 0, 5)
         assert [key for key, _ in poly.sorted_terms()] == [(0, 0), (0, 2), (1, 0)]
 
     def test_scalar_multiplication(self):
@@ -462,7 +468,7 @@ class TestExactProperties:
     def test_built_two_ways_equal_and_hash_equal(self, A, q):
         for B in (A.scale(3).scale(Fraction(1, 3)), A.scale(q).scale(1 / q),
                   sum((WeylPolynomial.monomial(a, b, c) for (a, b), c in A.terms.items()),
-                      WeylPolynomial.zero())):
+                      WeylPolynomial())):
             assert B == A
             assert hash(B) == hash(A)
             assert B.terms == A.terms
@@ -593,7 +599,7 @@ class TestFractionReference:
 
 class TestFloatBoundary:
     def test_beyond_double_range_is_input_error(self):
-        poly = WeylPolynomial.constant(Fraction(10) ** 400)
+        poly = WeylPolynomial.monomial(0, 0, Fraction(10) ** 400)
         with pytest.raises(InputError, match="double range"):
             poly.to_float_terms()
         with pytest.raises(InputError, match="double range"):
@@ -602,4 +608,4 @@ class TestFloatBoundary:
     def test_magnitude_beyond_double_range_is_input_error(self):
         big = 1.5e308
         with pytest.raises(InputError, match="double range"):
-            WeylPolynomial.constant(RationalComplex(big, big)).max_coefficient()
+            WeylPolynomial.monomial(0, 0, RationalComplex(big, big)).max_coefficient()
