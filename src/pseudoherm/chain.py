@@ -1,16 +1,17 @@
 """Metric chains: eta_k = (H^dag)^k eta_0, with a spectrum-shift fallback.
 
 Starting from one metric eta_0 for H, left-multiplying by H^dag produces
-further Hermitian intertwiners.  Each element stays a genuine metric as long
-as H^dag is invertible; otherwise the chain degenerates and the offending
-elements are flagged rather than discarded.  For singular H the shift
-``H + alpha I`` with alpha = 2 |H|_F is invertible and has the same
-intertwiners, so its chain is validated directly against H.
+further Hermitian intertwiners, each a metric when eta_0 is and H^dag is
+invertible (the paper's theorem).  For G = H + alpha I, alpha real, the
+congruences ``eta_2m = (G^dag)^m eta_0 G^m`` and ``eta_2m+1 = (G^dag)^m eta_1 G^m``
+give every element the inertia of eta_{k mod 2} (Sylvester), so only eta_0 and
+eta_1 are classified.  For singular H the shift with alpha = 2 |H|_F is
+invertible and has the same intertwiners, so its chain is validated against H.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,6 +19,8 @@ from .errors import Check, InputError
 from .metric import (
     DEFAULT_TOL,
     MetricClass,
+    _classify,
+    _defects,
     _in_window,
     _measure,
     _norms,
@@ -39,7 +42,10 @@ class EtaChain:
     """A sequence eta_0 .. eta_K of intertwiners for H with per-element diagnostics.
 
     ``residuals`` are intertwining residuals against H (the original,
-    unshifted Hamiltonian) and ``classes`` the classifications at ``tol``.
+    unshifted Hamiltonian) and ``classes`` the classifications at ``tol``.  An
+    eta_k with k >= 2 has the flags of eta_{k mod 2} (see degenerate_indices when
+    eta_0 or eta_1 is singular), its own measured hermiticity defect, whose drift
+    sets no flag, and None for the eigenvalues, which are not measured.
     ``rank`` is the real-linear rank of the chain elements viewed as vectors,
     which makes periodicity up to scalars visible, up to rounding within the
     band ``max_k delta_k |stack|_F`` around its threshold (see _real_rank): chain
@@ -59,7 +65,8 @@ class EtaChain:
 
     @property
     def degenerate_indices(self) -> list[int]:
-        """Positions whose element is singular (Theorem hypotheses fail there)."""
+        """Singular elements, as det eta_k = det(G^dag)^k det eta_0: all if eta_0 is,
+        all but eta_0 if eta_1 (so G) is, else none (the theorem's hypothesis holds)."""
         return [k for k, c in enumerate(self.classes) if not c.invertible]
 
     @property
@@ -127,7 +134,12 @@ def _chain(H: np.ndarray, G: np.ndarray, eta0: np.ndarray, k_max: int,
             m, shift = _unit_product(Gd, etas[k - 1]) if k else _unit_peak(eta0)
             e, norm = (m, frobenius(m)) if normalize else _scaled(m, shift, f"eta_{k}")
         etas[k] = e / norm if normalize and norm > 0.0 else e
-    residuals, classes = _measure(H, etas, tol)
+    residuals, defects = _measure(H, etas, _defects)
+    classes = _classify(etas[:2], tol, _norms(etas[:2]))
+    held = all(c.invertible for c in classes)  # the theorem's hypothesis
+    classes[1:] = [replace(c, invertible=held, positive=held and c.positive) for c in classes[1:]]
+    classes += [MetricClass(classes[k % 2].hermitian, held, held and classes[k % 2].positive,
+                            None, None, defect) for k, defect in enumerate(defects[2:])]
     return EtaChain(H=H, etas=list(etas), residuals=residuals, classes=classes,
                     normalized=normalize, shift_alpha=alpha,
                     rank=_real_rank(etas, tol), tol=tol)
@@ -151,10 +163,10 @@ def build_chain(H, eta0, k_max: int, normalize: bool = False,
         intertwining relation are unaffected.
 
     Unnormalized chains satisfy ``etas[k+1] == H^dag @ etas[k]`` exactly;
-    normalized ones up to a positive scalar.  Elements that classify as not
-    invertible are flagged via their classification (this happens exactly
-    when H^dag is singular).  A nonzero unnormalized element whose norm is
-    infinite or below the smallest normal number raises InputError.
+    normalized ones up to a positive scalar.  Flags follow from eta_0 and eta_1
+    (see EtaChain): from k = 1 on none is invertible when H^dag is singular.  A
+    nonzero unnormalized element whose norm is infinite or below the smallest
+    normal number raises InputError.
     """
     H, eta0 = _validate_start(H, eta0, k_max, tol)
     return _chain(H, H, eta0, k_max, normalize, tol, 0.0)
@@ -185,7 +197,7 @@ def chain_via_shift(H, eta0, k_max: int, normalize: bool = False,
     eta intertwines H exactly when it intertwines H + alpha I for real
     alpha (the shift is Hermitian and commutes with everything), so the
     chain generated for the shifted, invertible Hamiltonian works for H.
-    eta0 is checked, and the chain's residuals are computed, against H alone.
+    eta0 is checked, and residuals computed, against H alone; flags as in build_chain.
     """
     H, eta0 = _validate_start(H, eta0, k_max, tol)
     alpha, shifted = shift_for_invertibility(H, tol)

@@ -146,8 +146,13 @@ def _intertwining(h: np.ndarray, e: np.ndarray) -> np.ndarray:
 def hermiticity_defect(m) -> float:
     """Relative deviation from Hermiticity, ``|m - m^dag|_F / |m|_F`` (0 for m = 0)."""
     m = as_matrix(m, "m")
-    stack, norms, _ = _windowed(m[None], _norms(m[None]), 1.0)
-    return float(_ratio(_norms(stack - adjoint(stack)), norms)[0])
+    return _defects(m[None], _norms(m[None]))[0]
+
+
+def _defects(stack: np.ndarray, norms: np.ndarray) -> list[float]:
+    """hermiticity_defect of each matrix of a (k, n, n) stack with Frobenius norms ``norms``."""
+    stack, norms, _ = _windowed(stack, norms, 1.0)
+    return _ratio(_norms(stack - adjoint(stack)), norms).tolist()
 
 
 def residual(H, eta) -> float:
@@ -166,14 +171,15 @@ class MetricClass:
 
     The boolean flags are consistent by construction:
     positive implies invertible implies hermitian.  The two values are the
-    smallest |eigenvalue| and the smallest eigenvalue of ``(eta + eta^dag) / 2``.
+    smallest |eigenvalue| and the smallest eigenvalue of ``(eta + eta^dag) / 2``,
+    None where not measured (chain elements k >= 2, classified by congruence).
     """
 
     hermitian: bool
     invertible: bool
     positive: bool
-    min_abs_eigenvalue_of_hermitian_part: float
-    min_eigenvalue_of_hermitian_part: float
+    min_abs_eigenvalue_of_hermitian_part: float | None
+    min_eigenvalue_of_hermitian_part: float | None
     hermiticity_defect: float
 
 
@@ -195,10 +201,9 @@ def classify_metric(eta, tol: float = DEFAULT_TOL) -> MetricClass:
 def _classify(stack: np.ndarray, tol: float, norms: np.ndarray) -> list[MetricClass]:
     """classify_metric of each matrix of a (k, n, n) stack with Frobenius norms
     ``norms``, by one ``eigvalsh``."""
+    defects = np.array(_defects(stack, norms))
     stack, norms, shift = _windowed(stack, norms, 1.0)
-    adj = adjoint(stack)
-    defects = _ratio(_norms(stack - adj), norms)
-    eigs = np.linalg.eigvalsh((stack + adj) / 2.0)
+    eigs = np.linalg.eigvalsh((stack + adjoint(stack)) / 2.0)
     min_abs, min_eig = np.min(np.abs(eigs), axis=1), eigs[:, 0]
     hermitian = defects <= tol
     invertible = hermitian & (min_abs > tol * norms)
@@ -219,15 +224,15 @@ def _classify(stack: np.ndarray, tol: float, norms: np.ndarray) -> list[MetricCl
 _STACK_ENTRIES = 2 ** 16
 
 
-def _measure(H: np.ndarray, stack: np.ndarray, tol: float) -> tuple[list, list[MetricClass]]:
-    """Residuals against H and classifications at tol of a (k, n, n) stack, by chunks."""
-    residuals, classes = [], []
+def _measure(H: np.ndarray, stack: np.ndarray, kernel) -> tuple[list, list]:
+    """Residuals against H of a (k, n, n) stack and kernel(chunk, norms) (a list), by chunks."""
+    residuals, measured = [], []
     size = max(1, _STACK_ENTRIES // H.size)
     for chunk in np.split(stack, range(size, len(stack), size)):
         norms = _norms(chunk)  # shared by both kernels
         residuals += _bilinear_ratio(_intertwining, H, chunk, norms).tolist()
-        classes += _classify(chunk, tol, norms)
-    return residuals, classes
+        measured += kernel(chunk, norms)
+    return residuals, measured
 
 
 @dataclass(frozen=True)
@@ -333,7 +338,7 @@ def _spectral_basis(W: np.ndarray, linked: np.ndarray) -> np.ndarray:
 def _measured(H: np.ndarray, stack: np.ndarray, tol: float) -> tuple[np.ndarray, list, list]:
     """The stack with each element's sign fixed (norms and residuals stay), and _measure of it."""
     signed = np.reshape([_fix_sign(b) for b in stack], stack.shape)
-    return (signed, *_measure(H, signed, tol))
+    return (signed, *_measure(H, signed, lambda chunk, norms: _classify(chunk, tol, norms)))
 
 
 def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exact_chain, gaussian_unimodular, rational_rank, realified_rank
+from oracles import (
+    classification_of_one,
+    exact_chain,
+    gaussian_unimodular,
+    rational_rank,
+    realified_rank,
+)
 from pseudoherm import (
     InputError,
     build_chain,
@@ -323,9 +329,10 @@ class TestBeyondTheDoubleRange:
 
 
 class TestStacks:
-    """_chain measures its elements in stacks of at most 2^16 complex entries."""
+    """_chain measures its residuals in stacks of at most 2^16 complex entries and
+    classifies eta_0 and eta_1 only."""
 
-    def test_each_element_classified_once_in_bounded_stacks(self, monkeypatch):
+    def test_eta0_and_eta1_classified_and_residuals_in_bounded_stacks(self, monkeypatch):
         rng = np.random.default_rng(0)
         n = 64
         q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
@@ -333,18 +340,97 @@ class TestStacks:
         eta0 = (eta0 + eta0.conj().T) / 2
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         H = np.linalg.solve(eta0, g + g.conj().T)  # eta0 H = g + g^dag = H^dag eta0
-        stacks = []
-        eigvalsh = np.linalg.eigvalsh
+        classified, measured = [], []
+        eigvalsh, kernel = np.linalg.eigvalsh, metric._bilinear_ratio
 
         def recorded(a, *args, **kwargs):
-            stacks.append(a)
+            classified.append(a)
             return eigvalsh(a, *args, **kwargs)
 
+        def counted(form, A, B, norms):
+            measured.append(B)
+            return kernel(form, A, B, norms)
+
         monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        monkeypatch.setattr(metric, "_bilinear_ratio", counted)
         chain = build_chain(H, eta0, k_max=64, normalize=True)
-        assert all(a.size <= 2 ** 16 for a in stacks)
         etas = np.array(chain.etas)
-        assert np.array_equal(np.concatenate(stacks), (etas + adjoint(etas)) / 2)
+        assert len(classified) == 1
+        assert np.array_equal(classified[0], (etas[:2] + adjoint(etas[:2])) / 2)
+        assert len(measured[0]) == 1  # eta0, before the chain is built
+        assert all(b.size <= 2 ** 16 for b in measured[1:])
+        assert np.array_equal(np.concatenate(measured[1:]), etas)
+
+
+def _similar_chain(n, seed, k_max):
+    """The normalized chain of H = S diag(uniform(0.5, 3)) S^-1 and eta0 = S^-dag S^-1
+    for a complex Gaussian S from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    S_inv = np.linalg.inv(S)
+    eta0 = adjoint(S_inv) @ S_inv
+    return build_chain(S @ np.diag(rng.uniform(0.5, 3.0, n)) @ S_inv,
+                       (eta0 + adjoint(eta0)) / 2, k_max, normalize=True)
+
+
+class TestTheorem:
+    """The chain's flags by congruence: eta_k has the inertia of eta_{k mod 2} when
+    eta_0 and eta_1 are invertible, and det eta_k = 0 decides when one is not."""
+
+    @pytest.mark.parametrize("n, seed, k_max", [(8, 3, 24), (64, 1, 64)])
+    def test_ill_conditioned_elements_stay_metrics(self, n, seed, k_max):
+        # cond(eta_k) grows like 6^k: measured one by one, these chains flagged
+        # k = 17..24 (n = 8) and 58 of 65 elements (n = 64) as singular
+        chain = _similar_chain(n, seed, k_max)
+        invertible = chain.checks[2]
+        assert (invertible.name, invertible.passed, invertible.value) == (
+            "all_elements_invertible", True, 0.0)
+        assert chain.degenerate_indices == []
+        assert all(c.positive for c in chain.classes)
+
+    def test_singular_generator_degenerates_from_eta1(self):
+        rng = np.random.default_rng(11)
+        S = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        S_inv = np.linalg.inv(S)
+        spectrum = rng.uniform(0.5, 3.0, 8)
+        spectrum[3] = 0.0
+        eta0 = adjoint(S_inv) @ S_inv
+        chain = build_chain(S @ np.diag(spectrum) @ S_inv, (eta0 + adjoint(eta0)) / 2, 6,
+                            normalize=True)
+        assert chain.degenerate_indices == list(range(1, 7))
+        assert [c.name for c in chain.checks if not c.passed] == ["all_elements_invertible"]
+
+    def test_singular_eta0_degenerates_everywhere(self):
+        chain = build_chain(np.diag([1.0, 2.0]), np.diag([1.0, 0.0]), 5)
+        assert chain.degenerate_indices == list(range(6))
+        assert [c.name for c in chain.checks if not c.passed] == ["all_elements_invertible"]
+        assert chain.checks[2].value == 6.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6), st.integers(0, 6), st.booleans(), st.booleans(),
+           st.integers(0, 10_000))
+    def test_flags_match_the_per_element_oracle(self, n, k_max, definite, normalize, seed):
+        # eta_k = S^-dag diag(signs lambda^k) S^-1 with cond(S) <= 10 and |lambda| in
+        # [0.5, 2]: cond(eta_k) <= 10^2 4^6, far below 1 / tol, so measuring each
+        # element agrees with the theorem
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        d = rng.uniform(1.0, 10.0, n)
+        S, S_inv = (u * d) @ v, (adjoint(v) / d) @ adjoint(u)
+        spectrum = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 2.0, n)
+        signs = np.ones(n) if definite else rng.choice([-1.0, 1.0], n)
+        eta0 = (adjoint(S_inv) * signs) @ S_inv
+        chain = build_chain(S @ np.diag(spectrum) @ S_inv, (eta0 + adjoint(eta0)) / 2, k_max,
+                            normalize=normalize)
+        for k, (eta, c) in enumerate(zip(chain.etas, chain.classes, strict=True)):
+            oracle = classification_of_one(eta, chain.tol)
+            assert (c.hermitian, c.invertible, c.positive) == (
+                oracle.hermitian, oracle.invertible, oracle.positive)
+            assert c.hermiticity_defect == hermiticity_defect(eta)
+            measured = (c.min_abs_eigenvalue_of_hermitian_part,
+                        c.min_eigenvalue_of_hermitian_part)
+            assert (measured == (None, None)) == (k >= 2)
 
 
 class TestExactChains:
