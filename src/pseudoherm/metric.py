@@ -244,7 +244,9 @@ class MetricBasis:
     has ``residuals[k] = residual(H, b)`` and ``classifications[k] =
     classify_metric(b, tol)``.  ``solver`` names the candidates of the basis
     (see solve_metric_space): ``"spectral"`` for eigenvector products,
-    ``"realified"`` for the frame of all Hermitian matrices.  ``spectral_metric``
+    ``"realified"`` for the frame of all Hermitian matrices; a nullspace on either has
+    its elements from one inverse-iteration step, or a full SVD (_realified_basis).
+    ``spectral_metric``
     is the unit-norm ``V^{-dag} V^{-1}`` of the solve's ``H = V diag(lambda)
     V^{-1}``, or None when V is singular.
     """
@@ -296,19 +298,34 @@ def _fix_sign(b: np.ndarray) -> np.ndarray:
 
 def _realified_basis(H: np.ndarray, candidates: np.ndarray, tol: float) -> np.ndarray:
     """Nullspace of the realified map ``eta -> eta H - H^dag eta`` on the real span of
-    an orthonormal (k, n, n) stack of Hermitian candidates, by SVD.
+    an orthonormal (k, n, n) stack of exactly Hermitian candidates F.
 
-    The images of the candidates, packed as ``Re + Im`` (an isometry on the
-    anti-Hermitian images, see _spectral_basis), are the columns of a real
-    (n^2, k) matrix, so a unit element b of the span has singular value
-    ``|b H - H^dag b|_F``: those at most ``tol |H|_F`` count as zero, the
-    residual test.  The elements come as a stack, smallest singular value first.
+    The images ``F H - (F H)^dag``, packed as ``Re + Im`` (an isometry on the
+    anti-Hermitian images, see _spectral_basis), are the columns of a real (n^2, k)
+    matrix A, so a unit element b of the span has singular value ``|b H - H^dag b|_F``:
+    d of them are at most ``tol |H|_F``, by the values of A or of R in ``A = QR``.
+    Rayleigh-Ritz on one inverse-iteration step ``R^-1 B``, B fixed with d + 8 columns
+    (Ipsen, SIAM Rev. 39 (1997) 254), gives the elements if all d Ritz values pass
+    that test, else the full SVD of A does; smallest singular value first.
     """
-    n = H.shape[0]
-    images = (candidates @ H - adjoint(H) @ candidates).reshape(-1, n * n)
-    _, svals, vt = np.linalg.svd((images.real + images.imag).T, full_matrices=False)
-    null = vt[svals <= tol * frobenius(H)][::-1]  # smallest singular value first
-    return np.tensordot(null, candidates, axes=1)
+    n, k = H.shape[0], len(candidates)
+    images = (candidates.reshape(-1, n) @ H).reshape(k, n, n)  # F H in one product
+    images = (images - adjoint(images)).reshape(k, n * n)
+    A = (images.real + images.imag).T
+    R = A if k == n * n else np.linalg.qr(A, mode="r")  # A's singular values, right vectors
+    threshold = tol * frobenius(H)
+    d = np.count_nonzero(np.linalg.svd(R, compute_uv=False) <= threshold)
+    p = min(k, d + 8)
+    start = np.cos(np.outer(np.arange(k), np.arange(1, p + 1)))  # fixed, not drawn
+    try:
+        q, _ = np.linalg.qr(np.linalg.solve(R, start))
+        _, ritz, wt = np.linalg.svd(R @ q, full_matrices=False)
+        if (ritz[p - d:] <= threshold).all():
+            return np.tensordot(wt[p - d:][::-1] @ q.T, candidates, axes=1)
+    except np.linalg.LinAlgError:  # an exact zero pivot, or R^-1 beyond the double range
+        pass
+    _, svals, vt = np.linalg.svd(A, full_matrices=False)
+    return np.tensordot(vt[svals <= threshold][::-1], candidates, axes=1)
 
 
 def _spectral_basis(W: np.ndarray, linked: np.ndarray) -> np.ndarray:
@@ -355,14 +372,15 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
     real, then imaginary part.
 
     The basis is the nullspace of the intertwining map on the candidates' span,
-    smallest singular value first (_realified_basis), or the candidates as they
-    are when every window pair is linked and every residual is at most tol:
-    ``solver`` is ``"spectral"``.  The candidates are the frame of all n^2
-    Hermitian matrices instead, and ``solver`` is ``"realified"``, when ``tol
-    cond(V) >= 1`` or when that nullspace has fewer elements than the links
-    give: a numerically defective cluster, such as a Jordan block.  The frame
-    takes about 112 n^4 bytes; InputError names n when that exceeds the physical
-    memory (by os.sysconf, where it exists) or numpy cannot allocate it.
+    smallest singular value first (_realified_basis: singular values give its
+    dimension, one inverse-iteration step or a full SVD its elements), or the
+    candidates as they are when every window pair is linked and every residual is
+    at most tol: ``solver`` is ``"spectral"``.  The candidates are the frame of all
+    n^2 Hermitian matrices instead, and ``solver`` is ``"realified"``, when ``tol
+    cond(V) >= 1`` or when that nullspace has fewer elements than the links give:
+    a numerically defective cluster, such as a Jordan block.  The frame takes about
+    64 n^4 bytes, 112 n^4 with the full SVD; InputError names n when 112 n^4 exceeds
+    the physical memory (by os.sysconf, where it exists) or numpy cannot allocate it.
 
     The sign of each element's first significant entry is made positive.
     Dimension 0 is a valid outcome meaning no Hermitian metric exists.
@@ -392,9 +410,10 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
     solver = "realified" if measured is None else "spectral"
     if measured is None:
         try:
-            # The frame solve's peak RSS grew by 100-111 n^4 bytes on a whole-matrix
-            # Jordan block at n = 24..48 (one BLAS thread), so 112 n^4 bytes beyond the
-            # physical memory would get the process killed, not a MemoryError.
+            # The frame solve's peak RSS grew by 63-64 n^4 bytes on a whole-matrix
+            # Jordan block at n = 24..40 (one BLAS thread), and by 102-107 n^4 bytes
+            # when the full-SVD fallback runs, so 112 n^4 bytes beyond the physical
+            # memory would get the process killed, not a MemoryError.
             memory = (os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
                       if hasattr(os, "sysconf") else np.inf)
             if 112 * len(H) ** 4 > memory:

@@ -2,9 +2,11 @@
 
 These deliberately avoid the library's own machinery: the nullspace oracle
 parametrizes a general complex matrix by its 2n^2 real unknowns and imposes
-hermiticity as extra linear constraints, the rank oracle realifies every
-matrix into those 2n^2 real numbers, and the operator-algebra oracle
-represents x and p as matrices on a truncated harmonic-oscillator basis.
+hermiticity as extra linear constraints, the frame nullspace takes the full
+SVD of the intertwining map on a Hermitian frame built by a loop, the rank
+oracle realifies every matrix into those 2n^2 real numbers, and the
+operator-algebra oracle represents x and p as matrices on a truncated
+harmonic-oscillator basis.
 The Fraction Weyl reference works term by term on ``{(a, b): (re, im)}``
 maps of ``fractions.Fraction`` pairs, one coefficient product at a time, and
 the canonical-form reference reduces integer numerators by a plain gcd.  The
@@ -57,6 +59,31 @@ def intertwiner_nullspace_dimension(H: np.ndarray, rtol: float = 1e-8) -> int:
     if svals.size == 0 or svals[0] == 0.0:
         return 2 * n * n
     return int(np.sum(svals <= rtol * svals[0]))
+
+
+def frame_nullspace(H: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal (d, n, n) stack spanning the Hermitian eta with
+    ``|eta H - H^dag eta|_F <= tol |H|_F |eta|_F``, by one full SVD.
+
+    The frame is the n diagonal units and, for each i < j, the real and the
+    imaginary off-diagonal pair over sqrt(2), built one matrix at a time; the
+    images of its elements, realified into [Re; Im] columns of 2n^2 rows, give
+    the map, and its right singular vectors with singular value at most
+    ``tol |H|_F`` give the elements.
+    """
+    H = np.asarray(H, dtype=complex)
+    n = H.shape[0]
+    frame = []
+    for i in range(n):
+        for j in range(i, n):
+            for unit in ([1.0] if i == j else [1 / np.sqrt(2.0), 1j / np.sqrt(2.0)]):
+                e = np.zeros((n, n), dtype=complex)
+                e[i, j], e[j, i] = unit, np.conj(unit)
+                frame.append(e)
+    images = [e @ H - H.conj().T @ e for e in frame]
+    A = np.array([np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in images]).T
+    _, svals, vt = np.linalg.svd(A, full_matrices=False)
+    return np.tensordot(vt[svals <= tol * np.linalg.norm(H)], np.array(frame), axes=1)
 
 
 def jordan_matrix(blocks) -> np.ndarray:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     classification_of_one,
+    frame_nullspace,
     intertwiner_nullspace_dimension,
     jordan_dimension,
     jordan_matrix,
@@ -524,6 +525,81 @@ _SOLVER_PATHS = [
 ]
 
 
+def _j2_family(n, seed):
+    """S (J_2(0.5) + diag(uniform(1, 3, n - 2))) S^-1 for a complex Gaussian S."""
+    rng = np.random.default_rng(seed)
+    S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    J = np.diag(np.r_[0.5, 0.5, rng.uniform(1, 3, n - 2)]).astype(complex)
+    J[0, 1] = 1.0
+    return S @ J @ np.linalg.inv(S)
+
+
+def _dense_solve_jordan(n, seed):
+    """S J_n(lambda) S^-1 as the dense-solve benchmark builds it: S = U diag(d) V for
+    unitary U, V and d uniform in [0.5, 2] (cond(S) <= 4), lambda uniform in [-1, 1]."""
+    rng = np.random.default_rng(seed)
+
+    def unitary():
+        q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    d = rng.uniform(0.5, 2.0, n)
+    u, v = unitary(), unitary()
+    S, S_inv = (u * d) @ v, (adjoint(v) / d) @ adjoint(u)
+    return S @ (rng.uniform(-1.0, 1.0) * np.eye(n) + np.diag(np.ones(n - 1), 1)) @ S_inv
+
+
+_FRAME_SOLVES = ([H for H, _, solver in _SOLVER_PATHS if solver == "realified"]
+                 + [_j2_family(n, seed) for n in (8, 16) for seed in range(10)]
+                 + [_dense_solve_jordan(16, seed) for seed in range(3)])
+
+
+class TestFrameNullspace:
+    @pytest.mark.parametrize("H", _FRAME_SOLVES, ids=[
+        f"H{i}-n{len(H)}" for i, H in enumerate(_FRAME_SOLVES)])
+    def test_matches_the_full_svd_oracle(self, H):
+        basis = solve_metric_space(H)
+        reference = frame_nullspace(H, 1e-10)
+        assert basis.solver == "realified"
+        assert basis.dimension == len(reference)
+        assert np.abs(projector(basis.basis) - projector(reference)).max() <= 1e-8
+        assert max(basis.residuals) <= 1e-10
+        assert max(residual(H, b) for b in basis.basis) <= 1e-10
+
+    def test_jordan_block_takes_one_values_only_svd(self, monkeypatch):
+        # the singular values decide the dimension; one step of inverse iteration
+        # and a Ritz check on 24 columns give the vectors, so the 256-column map
+        # is never factored with its singular vectors
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: calls.append(
+            (a.shape, kwargs.get("compute_uv", True))) or svd(a, *args, **kwargs))
+        basis = solve_metric_space(_dense_solve_jordan(16, 0))
+        assert (basis.solver, basis.dimension) == ("realified", 16)
+        assert [uv for shape, uv in calls if shape[1] == 256] == [False]
+        assert ((256, 24), True) in calls
+
+    def test_exact_zero_pivot_takes_the_full_svd(self, monkeypatch):
+        # the frame map of [[0, 1], [0, 0]] has exact zero columns, so the LU solve
+        # meets a zero pivot, and the full SVD gives two frame elements exactly
+        raised = []
+        solve = np.linalg.solve
+
+        def spy(*args):
+            try:
+                return solve(*args)
+            except np.linalg.LinAlgError:
+                raised.append(True)
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        basis = solve_metric_space(np.array([[0, 1], [0, 0]]))
+        s = 1 / np.sqrt(2.0)
+        expected = np.array([[[0, 0], [0, 1]], [[0, s], [s, 0]]], dtype=complex)
+        assert raised == [True]
+        assert np.array(basis.basis).tobytes() == expected.tobytes()
+
+
 class TestSolveMetricSpace:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_frame_matches_loop_reference(self, n):
@@ -597,7 +673,7 @@ class TestSolveMetricSpace:
             H = random_pseudo_hermitian(n, np.random.default_rng(seed))
             basis = solve_metric_space(H)
             assert basis.solver == "spectral"
-            reference = _realified_basis(H, _hermitian_frame(n), 1e-10)
+            reference = frame_nullspace(H, 1e-10)
             assert basis.dimension == len(reference)
             assert np.abs(projector(basis.basis) - projector(reference)).max() <= 1e-8
 
