@@ -12,6 +12,7 @@ invertible and has the same intertwiners, so its chain is validated against H.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -46,12 +47,12 @@ class EtaChain:
     eta_k with k >= 2 has the flags of eta_{k mod 2} (see degenerate_indices when
     eta_0 or eta_1 is singular), its own measured hermiticity defect, whose drift
     sets no flag, and None for the eigenvalues, which are not measured.
-    ``rank`` is the real-linear rank of the chain elements viewed as vectors,
-    which makes periodicity up to scalars visible, up to rounding within the
-    band ``max_k delta_k |stack|_F`` around its threshold (see _real_rank): chain
-    71 of dense-certify seed 1 has a singular value at 1.00016x the threshold,
-    inside that band.  ``shift_alpha`` is 0 unless chain_via_shift shifted H.
-    An exact zero from a singular H^dag is kept, flagged; an underflow raises.
+    ``rank`` (computed on first read, then cached; no check reads it) is the real-linear
+    rank of the elements as vectors, which shows periodicity up to scalars, up to rounding
+    in the band ``max_k delta_k |stack|_F`` around its threshold (see _real_rank): chain
+    71 of dense-certify seed 1 has a singular value at 1.00016x the threshold, inside
+    that band.  ``shift_alpha`` is 0 unless chain_via_shift shifted H.  An exact zero
+    from a singular H^dag is kept, flagged; an underflow raises.
     """
 
     H: np.ndarray
@@ -60,8 +61,12 @@ class EtaChain:
     classes: list[MetricClass]
     normalized: bool
     shift_alpha: float
-    rank: int
     tol: float
+
+    @cached_property
+    def rank(self) -> int:
+        """_real_rank of the stacked elements at ``tol``, from one values-only SVD."""
+        return _real_rank(np.stack(self.etas), self.tol)
 
     @property
     def degenerate_indices(self) -> list[int]:
@@ -83,8 +88,8 @@ class EtaChain:
         return len(self.etas)
 
 
-def _real_rank(etas: list[np.ndarray], tol: float) -> int:
-    """Real-linear rank of Hermitian elements: singular values above ``tol |stack|_F``.
+def _real_rank(etas: np.ndarray, tol: float) -> int:
+    """Real-linear rank of a (k, n, n) Hermitian stack: singular values above ``tol |stack|_F``.
 
     They are taken of the real (n^2, k) stack of ``Re eta_k + Im eta_k``, which
     has the singular values of the (2n^2, k) stack of ``[Re eta_k; Im eta_k]``
@@ -141,8 +146,7 @@ def _chain(H: np.ndarray, G: np.ndarray, eta0: np.ndarray, k_max: int,
     classes += [MetricClass(classes[k % 2].hermitian, held, held and classes[k % 2].positive,
                             None, None, defect) for k, defect in enumerate(defects[2:])]
     return EtaChain(H=H, etas=list(etas), residuals=residuals, classes=classes,
-                    normalized=normalize, shift_alpha=alpha,
-                    rank=_real_rank(etas, tol), tol=tol)
+                    normalized=normalize, shift_alpha=alpha, tol=tol)
 
 
 def build_chain(H, eta0, k_max: int, normalize: bool = False,

@@ -296,9 +296,10 @@ def _fix_sign(b: np.ndarray) -> np.ndarray:
     return b
 
 
-def _realified_basis(H: np.ndarray, candidates: np.ndarray, tol: float) -> np.ndarray:
+def _realified_basis(H: np.ndarray, candidates: np.ndarray, tol: float,
+                     need: int = 0) -> np.ndarray:
     """Nullspace of the realified map ``eta -> eta H - H^dag eta`` on the real span of
-    an orthonormal (k, n, n) stack of exactly Hermitian candidates F.
+    an orthonormal (k, n, n) stack of exactly Hermitian candidates F; none if fewer than ``need``.
 
     The images ``F H - (F H)^dag``, packed as ``Re + Im`` (an isometry on the
     anti-Hermitian images, see _spectral_basis), are the columns of a real (n^2, k)
@@ -315,6 +316,8 @@ def _realified_basis(H: np.ndarray, candidates: np.ndarray, tol: float) -> np.nd
     R = A if k == n * n else np.linalg.qr(A, mode="r")  # A's singular values, right vectors
     threshold = tol * frobenius(H)
     d = np.count_nonzero(np.linalg.svd(R, compute_uv=False) <= threshold)
+    if d < need:  # too few for the caller, which retries on the frame: no vectors
+        return candidates[:0]
     p = min(k, d + 8)
     start = np.cos(np.outer(np.arange(k), np.arange(1, p + 1)))  # fixed, not drawn
     try:
@@ -403,10 +406,10 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
         stack = _spectral_basis(W, window)
         measured = _measured(unit, stack, tol) if (window == linked).all() else None
         if measured is None or max(measured[1], default=0.0) > tol:
-            members = _realified_basis(unit, stack, tol)
             # Both masks are symmetric, so the links give one element per entry.
-            enough = len(members) >= np.count_nonzero(linked)
-            measured = _measured(unit, members, tol) if enough else None
+            need = np.count_nonzero(linked)
+            members = _realified_basis(unit, stack, tol, need)
+            measured = _measured(unit, members, tol) if len(members) >= need else None
     solver = "realified" if measured is None else "spectral"
     if measured is None:
         try:

@@ -58,7 +58,7 @@ def _agrees_outside_band(etas, tol=1e-10):
     band = max(hermiticity_defect(e) for e in etas) + SVD_ROUNDING
     if np.min(np.abs(svals - tol)) <= band:
         return False
-    assert _real_rank(etas, tol) == rank
+    assert _real_rank(np.stack(etas), tol) == rank
     return True
 
 
@@ -113,7 +113,7 @@ class TestRankOracle:
         for seed in range(5):
             etas = _placed_stack(seed, 4, 6, factor, skew, 1e-10)
             assert _agrees_outside_band(etas)
-            assert _real_rank(etas, 1e-10) == (6 if factor > 1 else 5)
+            assert _real_rank(np.stack(etas), 1e-10) == (6 if factor > 1 else 5)
 
     @pytest.mark.parametrize("k_max", [0, 3])
     def test_packing_within_the_double_range(self, k_max):
@@ -154,7 +154,7 @@ class TestBuildChain:
         g = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
         base = g + g.conj().transpose(0, 2, 1)
         etas = list(np.tensordot(rng.standard_normal((7, 3)), base[:3], axes=1)) + [base[3]]
-        assert _real_rank(etas, 1e-10) == realified_rank(etas, 1e-10)[0] == 4
+        assert _real_rank(np.stack(etas), 1e-10) == realified_rank(etas, 1e-10)[0] == 4
 
     def test_recursion_is_exact(self, osc2):
         H, eta0 = osc2
@@ -212,9 +212,16 @@ class TestBuildChain:
             build_chain(np.eye(2), np.eye(3), k_max=1)
 
     def test_at_most_one_svd(self, osc2, svd_calls):
-        # the rank SVD of _real_rank; classification takes none
-        build_chain(*osc2, k_max=8)
-        assert len(svd_calls) <= 1
+        # building and classifying take none, the shift the one of H; the rank is
+        # computed on first read, by one SVD of the packed stack, and then cached
+        chain = build_chain(*osc2, k_max=8)
+        assert svd_calls == []
+        chain_via_shift(*osc2, k_max=8)
+        assert len(svd_calls) == 1 and np.array_equal(svd_calls[0][0], osc2[0])
+        rank = chain.rank
+        assert len(svd_calls) == 2 and svd_calls[1][0].shape == (4, 9)
+        assert chain.rank == rank and len(svd_calls) == 2
+        assert rank == _real_rank(np.stack(chain.etas), chain.tol) == 2
 
     def test_rejects_negative_k_max(self, osc2):
         H, eta0 = osc2

@@ -500,8 +500,8 @@ def nullspace_sizes(monkeypatch):
     sizes = []
     nullspace = metric._realified_basis
     monkeypatch.setattr(metric, "_realified_basis",
-                        lambda H, candidates, tol: sizes.append(len(candidates))
-                        or nullspace(H, candidates, tol))
+                        lambda H, candidates, *rest: sizes.append(len(candidates))
+                        or nullspace(H, candidates, *rest))
     return sizes
 
 
@@ -716,6 +716,26 @@ class TestSolveMetricSpace:
         basis = solve_metric_space(H)
         assert nullspace_sizes[0] < 16 and nullspace_sizes[1:] == [16]
         assert (basis.solver, basis.dimension) == ("realified", jordan_dimension(blocks))
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_short_spectral_attempt_computes_no_vectors(self, n, monkeypatch):
+        # the J_2 cluster leaves the spectral candidates' nullspace short of the links:
+        # the attempt stops at its values-only SVD, and only the frame solves
+        calls = []
+        for name in ("svd", "solve"):
+            kernel = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *args, kernel=kernel, name=name, **kw:
+                                calls.append((name, kw.get("compute_uv", True)))
+                                or kernel(*args, **kw))
+        nullspace = metric._realified_basis
+        monkeypatch.setattr(metric, "_realified_basis", lambda H, candidates, *rest:
+                            calls.append(("nullspace", len(candidates)))
+                            or nullspace(H, candidates, *rest))
+        basis = solve_metric_space(_j2_family(n, 0))
+        spectral, frame = [i for i, (name, _) in enumerate(calls) if name == "nullspace"]
+        assert calls[spectral][1] < n * n == calls[frame][1]
+        assert calls[spectral + 1:frame] == [("svd", False)]
+        assert (basis.solver, basis.dimension) == ("realified", n)
 
     @pytest.mark.parametrize("delta", [5e-10, 2e-9, 3.9e-9])
     def test_window_pair_takes_the_nullspace_of_the_candidates(self, delta, nullspace_sizes):
