@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import Check, InputError
 from .metric import (
+    _STACK_ENTRIES,
     DEFAULT_TOL,
     MetricClass,
     _classify,
@@ -42,8 +43,8 @@ from .metric import (
 class EtaChain:
     """A sequence eta_0 .. eta_K of intertwiners for H with per-element diagnostics.
 
-    ``residuals`` are intertwining residuals against H (the original,
-    unshifted Hamiltonian) and ``classes`` the classifications at ``tol``.  An
+    ``residuals[k]`` is ``residual(H, eta_k)`` for the original, unshifted H, measured as the
+    chain is generated, and ``classes`` the classifications at ``tol``.  An
     eta_k with k >= 2 has the flags of eta_{k mod 2} (see degenerate_indices when
     eta_0 or eta_1 is singular), its own measured hermiticity defect, whose drift
     sets no flag, and None for the eigenvalues, which are not measured.
@@ -128,18 +129,29 @@ def _unit_product(Gd: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _chain(H: np.ndarray, G: np.ndarray, eta0: np.ndarray, k_max: int,
            normalize: bool, tol: float, alpha: float) -> EtaChain:
-    """The chain ``(G^dag)^k eta0`` for ``G = H + alpha I``, measured once against H;
-    an element whose norm leaves the window is formed again from unit peaks."""
+    """The chain ``(G^dag)^k eta0`` for ``G = H + alpha I``, measured once against H by
+    chunks as they are generated.  Each ``G^dag eta_k`` goes to a chunk buffer; for alpha = 0
+    the residual reuses it as ``H^dag eta_k`` (see metric._measure), unless an element of the
+    chunk, its norm out of the window, was formed again from unit peaks."""
     Gd, etas = adjoint(G), np.empty((int(k_max) + 1,) + H.shape, dtype=complex)
+    size = max(1, _STACK_ENTRIES // H.size)
+    products = np.empty((min(size, len(etas)),) + H.shape, dtype=complex)
+    residuals, defects, reformed = [], [], False
     for k in range(len(etas)):
-        with np.errstate(over="ignore", invalid="ignore"):
-            e = Gd @ etas[k - 1] if k else eta0
+        e = products[(k - 1) % size] if k else eta0
         norm = frobenius(e)
         if not _in_window(norm):
             m, shift = _unit_product(Gd, etas[k - 1]) if k else _unit_peak(eta0)
             e, norm = (m, frobenius(m)) if normalize else _scaled(m, shift, f"eta_{k}")
+            reformed = True
         etas[k] = e / norm if normalize and norm > 0.0 else e
-    residuals, defects = _measure(H, etas, _defects)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(Gd, etas[k], out=products[k % size])
+        if k % size == size - 1 or k == k_max:  # the chunk's last product exists: measure
+            chunk = etas[k - k % size:k + 1]
+            shared = None if alpha or reformed else products[:len(chunk)]
+            r, d = _measure(H, chunk, _defects, shared)
+            residuals, defects, reformed = residuals + r, defects + d, False
     classes = _classify(etas[:2], tol, _norms(etas[:2]))
     held = all(c.invertible for c in classes)  # the theorem's hypothesis
     classes[1:] = [replace(c, invertible=held, positive=held and c.positive) for c in classes[1:]]

@@ -9,8 +9,10 @@ no global state, so concurrent use is safe.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -68,7 +70,10 @@ def adjoint(m: np.ndarray) -> np.ndarray:
 def frobenius(m: np.ndarray) -> float:
     """Frobenius norm of a finite m, free of overflow and underflow in its squares;
     inf where the norm itself is beyond the double range (``np.full((2, 2), 1.7e308)``)."""
-    return float(_norms(np.asarray(m)[None])[0])
+    x = np.asarray(m).ravel(order="K")
+    with np.errstate(over="ignore", under="ignore"):  # _norms' dot products, for one matrix
+        norm = math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    return norm if 1e-150 <= norm < math.inf else float(_norms(x[None])[0])
 
 
 def _norms(stack: np.ndarray) -> np.ndarray:
@@ -139,8 +144,9 @@ def _bilinear_ratio(form, A: np.ndarray, B: np.ndarray, norms: np.ndarray) -> np
     return _ratio(_norms(form(A, B)), norm * norms)
 
 
-def _intertwining(h: np.ndarray, e: np.ndarray) -> np.ndarray:
-    return e @ h - adjoint(h) @ e
+def _intertwining(h: np.ndarray, e: np.ndarray, product: np.ndarray | None = None) -> np.ndarray:
+    """``e h - h^dag e``, with ``product`` for ``h^dag e`` when the caller already formed it."""
+    return e @ h - (adjoint(h) @ e if product is None else product)
 
 
 def hermiticity_defect(m) -> float:
@@ -224,13 +230,20 @@ def _classify(stack: np.ndarray, tol: float, norms: np.ndarray) -> list[MetricCl
 _STACK_ENTRIES = 2 ** 16
 
 
-def _measure(H: np.ndarray, stack: np.ndarray, kernel) -> tuple[list, list]:
-    """Residuals against H of a (k, n, n) stack and kernel(chunk, norms) (a list), by chunks."""
+def _measure(H: np.ndarray, stack: np.ndarray, kernel, products=None) -> tuple[list, list]:
+    """Residuals against H of a (k, n, n) stack and kernel(chunk, norms) (a list), by chunks.
+    Given ``products = H^dag @ stack``, a residual reuses its chunk's, exactly, unless
+    _bilinear_ratio would window H or the chunk (the products are of unscaled matrices)."""
     residuals, measured = [], []
-    size = max(1, _STACK_ENTRIES // H.size)
-    for chunk in np.split(stack, range(size, len(stack), size)):
+    size, scale = max(1, _STACK_ENTRIES // H.size), frobenius(H)
+    for start in range(0, len(stack), size):
+        chunk = stack[start:start + size]
         norms = _norms(chunk)  # shared by both kernels
-        residuals += _bilinear_ratio(_intertwining, H, chunk, norms).tolist()
+        form = _intertwining
+        with np.errstate(over="ignore"):
+            if products is not None and _in_window(scale) and _in_window(scale * norms).all():
+                form = partial(_intertwining, product=products[start:start + size])
+        residuals += _bilinear_ratio(form, H, chunk, norms).tolist()
         measured += kernel(chunk, norms)
     return residuals, measured
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -336,8 +337,8 @@ class TestBeyondTheDoubleRange:
 
 
 class TestStacks:
-    """_chain measures its residuals in stacks of at most 2^16 complex entries and
-    classifies eta_0 and eta_1 only."""
+    """_chain measures its residuals chunk by chunk as it generates them, in stacks of at
+    most 2^16 complex entries, and classifies eta_0 and eta_1 only."""
 
     def test_eta0_and_eta1_classified_and_residuals_in_bounded_stacks(self, monkeypatch):
         rng = np.random.default_rng(0)
@@ -347,8 +348,8 @@ class TestStacks:
         eta0 = (eta0 + eta0.conj().T) / 2
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         H = np.linalg.solve(eta0, g + g.conj().T)  # eta0 H = g + g^dag = H^dag eta0
-        classified, measured = [], []
-        eigvalsh, kernel = np.linalg.eigvalsh, metric._bilinear_ratio
+        classified, measured, products = [], [], []
+        eigvalsh, kernel, form = np.linalg.eigvalsh, metric._bilinear_ratio, metric._intertwining
 
         def recorded(a, *args, **kwargs):
             classified.append(a)
@@ -358,26 +359,74 @@ class TestStacks:
             measured.append(B)
             return kernel(form, A, B, norms)
 
+        def intertwining(h, e, product=None):
+            # the generation buffer is reused for the next chunk: keep a copy
+            products.append(None if product is None else product.copy())
+            return form(h, e, product)
+
         monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
         monkeypatch.setattr(metric, "_bilinear_ratio", counted)
+        monkeypatch.setattr(metric, "_intertwining", intertwining)
         chain = build_chain(H, eta0, k_max=64, normalize=True)
         etas = np.array(chain.etas)
         assert len(classified) == 1
         assert np.array_equal(classified[0], (etas[:2] + adjoint(etas[:2])) / 2)
-        assert len(measured[0]) == 1  # eta0, before the chain is built
+        assert len(measured[0]) == 1 and products[0] is None  # eta0, before the chain is built
         assert all(b.size <= 2 ** 16 for b in measured[1:])
         assert np.array_equal(np.concatenate(measured[1:]), etas)
+        # alpha = 0: each chunk's H^dag eta_k is the generation's product, not formed again
+        assert len(products) == len(measured) and all(p is not None for p in products[1:])
+        assert np.array_equal(np.concatenate(products[1:]), adjoint(chain.H) @ etas)
+
+    def test_peak_memory_near_the_elements(self):
+        # beyond the elements: one chunk's product buffer and its measuring temporaries
+        n, k_max = 64, 64
+        H, eta0 = _similar_pair(n, 1)
+        tracemalloc.start()
+        try:
+            build_chain(H, eta0, k_max, normalize=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (k_max + 1) * 16 * n * n + 4 * 2 ** 20
 
 
-def _similar_chain(n, seed, k_max):
-    """The normalized chain of H = S diag(uniform(0.5, 3)) S^-1 and eta0 = S^-dag S^-1
-    for a complex Gaussian S from default_rng(seed)."""
+class TestResidualOracle:
+    """Every chain residual is residual(H, eta_k) bit for bit: the reused generation
+    product is H^dag eta_k exactly, and a windowed or shifted chunk forms it again."""
+
+    # unnormalized elements grow like 2^(j k): k_max keeps them in the double range
+    K_MAX = {-1000: 1, -300: 3, 0: 40, 300: 3, 1000: 1}
+
+    @pytest.mark.parametrize("j", sorted(K_MAX))
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("singular", [False, True])
+    @pytest.mark.parametrize("builder", [build_chain, chain_via_shift])
+    def test_residuals_match_the_one_matrix_residual(self, builder, singular, normalize, j):
+        H, eta0 = _similar_pair(64, 2, singular)
+        H = np.ldexp(H.view(float), j).view(complex)  # 2^j H, exactly
+        chain = builder(H, eta0, 40 if normalize else self.K_MAX[j], normalize=normalize)
+        assert (chain.shift_alpha != 0.0) == (builder is chain_via_shift and singular)
+        expected = [residual(H, eta).hex() for eta in chain.etas]
+        assert [r.hex() for r in chain.residuals] == expected
+
+
+def _similar_pair(n, seed, singular=False):
+    """H = S diag(uniform(0.5, 3)) S^-1, with a zero first eigenvalue if singular, and
+    its metric eta0 = S^-dag S^-1, for a complex Gaussian S from default_rng(seed)."""
     rng = np.random.default_rng(seed)
     S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     S_inv = np.linalg.inv(S)
     eta0 = adjoint(S_inv) @ S_inv
-    return build_chain(S @ np.diag(rng.uniform(0.5, 3.0, n)) @ S_inv,
-                       (eta0 + adjoint(eta0)) / 2, k_max, normalize=True)
+    spectrum = rng.uniform(0.5, 3.0, n)
+    if singular:
+        spectrum[0] = 0.0
+    return S @ np.diag(spectrum) @ S_inv, (eta0 + adjoint(eta0)) / 2
+
+
+def _similar_chain(n, seed, k_max):
+    """The normalized chain of _similar_pair(n, seed)."""
+    return build_chain(*_similar_pair(n, seed), k_max, normalize=True)
 
 
 class TestTheorem:

@@ -175,6 +175,15 @@ class TestFrobenius:
     def test_zero(self):
         assert frobenius(np.zeros((3, 3), dtype=complex)) == 0.0
 
+    @pytest.mark.parametrize("k", [-1074, -1000, -500, -300, 0, 300, 500, 1000, 1020])
+    def test_one_matrix_is_the_stacked_norm(self, k):
+        # bit for bit, inside the squaring range and beyond it, complex, real and transposed
+        rng = np.random.default_rng(4)
+        m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        m = np.ldexp(m.view(float), k).view(complex)  # 2^k m, exactly where it stays normal
+        for x in (m, m.real, m.T):
+            assert frobenius(x).hex() == float(metric._norms(x[None])[0]).hex()
+
     def test_zero_is_not_rescaled(self, monkeypatch):
         def fail(m):
             raise AssertionError("an exact zero needs no rescale")
