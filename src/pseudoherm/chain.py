@@ -129,10 +129,10 @@ def _unit_product(Gd: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _chain(H: np.ndarray, G: np.ndarray, eta0: np.ndarray, k_max: int,
            normalize: bool, tol: float, alpha: float) -> EtaChain:
-    """The chain ``(G^dag)^k eta0`` for ``G = H + alpha I``, measured once against H by
-    chunks as they are generated.  Each ``G^dag eta_k`` goes to a chunk buffer; for alpha = 0
-    the residual reuses it as ``H^dag eta_k`` (see metric._measure), unless an element of the
-    chunk, its norm out of the window, was formed again from unit peaks."""
+    """The chain ``(G^dag)^k eta0`` for ``G = H + alpha I``, measured once against H by chunks
+    as they are generated.  Each ``G^dag eta_k`` goes to a chunk buffer; for alpha = 0 the
+    residual reuses it as ``H^dag eta_k`` (see metric._measure) unless an element of the chunk
+    was formed again from unit peaks (its norm out of the window); else only eta_k+1 reads it."""
     Gd, etas = adjoint(G), np.empty((int(k_max) + 1,) + H.shape, dtype=complex)
     size = max(1, _STACK_ENTRIES // H.size)
     products = np.empty((min(size, len(etas)),) + H.shape, dtype=complex)
@@ -145,9 +145,10 @@ def _chain(H: np.ndarray, G: np.ndarray, eta0: np.ndarray, k_max: int,
             e, norm = (m, frobenius(m)) if normalize else _scaled(m, shift, f"eta_{k}")
             reformed = True
         etas[k] = e / norm if normalize and norm > 0.0 else e
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(Gd, etas[k], out=products[k % size])
-        if k % size == size - 1 or k == k_max:  # the chunk's last product exists: measure
+        if k < k_max or not alpha:  # a shifted chain never reads G^dag eta_k_max
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.matmul(Gd, etas[k], out=products[k % size])
+        if k % size == size - 1 or k == k_max:  # the chunk is whole: measure it
             chunk = etas[k - k % size:k + 1]
             shared = None if alpha or reformed else products[:len(chunk)]
             r, d = _measure(H, chunk, _defects, shared)

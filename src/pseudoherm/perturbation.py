@@ -57,19 +57,18 @@ def commutator_defect(A, B) -> float:
 
 
 def matrix_poly(K, f: RealPolynomial) -> np.ndarray:
-    """Evaluate f(K) by Horner's rule, with ``K^0 = I``.
+    """Evaluate f(K) by Horner's rule from ``c_top I``, with ``K^0 = I``: degree products.
 
     The result is Hermitian whenever K is, and commutes with anything K and
     the identity commute with.  InputError when it leaves the double range
     (see metric._scaled), or is zero because a nonzero term ``c_j K^j`` underflowed.
     """
     K = as_matrix(K, "K")
-    n = K.shape[0]
-    result = np.zeros((n, n), dtype=complex)
-    eye = np.eye(n, dtype=complex)
+    eye = np.eye(K.shape[0], dtype=complex)
+    result = (f.coeffs[-1] if f.coeffs else 0.0) * eye  # the zero polynomial gives zeros
     with np.errstate(over="ignore", invalid="ignore"):
-        for c in reversed(f.coeffs):
-            result = result @ K + c * eye
+        for c in reversed(f.coeffs[:-1]):
+            result = np.matmul(result, K) + c * eye
         if not result.any():  # an exact zero (a nilpotent K), or every term underflowed:
             # |c_j K^j|_F = |c_j| |U^j|_F 2^(j k) for K = 2^k U, U of unit peak, in logs
             unit, k = _unit_peak(K)

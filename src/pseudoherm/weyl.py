@@ -34,7 +34,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, isfinite, lcm
 from numbers import Integral, Rational
 
 from .errors import InputError, _finite_real
@@ -171,15 +171,16 @@ def _add_to(acc: dict, key: tuple[int, int], re: int, im: int) -> None:
 def _canonical(num: dict, den: int) -> tuple[dict, int]:
     """Drop zero numerators and divide out the common factor of den and the rest.
 
-    Its power of two is shifted out; gcd runs on the odd part of den (1 when
-    den is dyadic).  The zero polynomial comes out as ``({}, 1)``.
+    Its power of two is shifted out; gcd runs on the odd part of den, and not
+    at all when that is 1 (den dyadic).  The zero polynomial comes out as ``({}, 1)``.
     """
     num = {key: c for key, c in num.items() if c[0] or c[1]}
     low = den
     for re, im in num.values():
         low |= re | im
     t = (low & -low).bit_length() - 1
-    g = gcd(den >> (den & -den).bit_length() - 1, *(part for c in num.values() for part in c))
+    odd = den >> (den & -den).bit_length() - 1
+    g = gcd(odd, *(part for c in num.values() for part in c)) if odd > 1 else 1
     if t or g > 1:
         den = (den >> t) // g
         num = {key: ((re >> t) // g, (im >> t) // g) for key, (re, im) in num.items()}
@@ -234,21 +235,29 @@ class WeylPolynomial:
     factor shared by the denominator and every numerator, denominator 1 for
     the zero polynomial.  Equality of that form is equality of operators.
     Instances are treated as immutable; all arithmetic returns new
-    polynomials.  Coefficients enter and leave as ``RationalComplex``.
+    polynomials.  Coefficients leave as ``RationalComplex``; they enter through
+    ``RationalComplex.from_value``, except a finite float (``float.as_integer_ratio``).
     """
 
     __slots__ = ("_num", "_den")
 
     def __init__(self, terms=None):
-        coeffs: dict[tuple[int, int], RationalComplex] = {}
+        """From a term map; a float coefficient enters as its exact integer ratio, if finite."""
+        parts = {}  # (a, b) -> (nr, dr, ni, di): coefficient nr/dr + i ni/di
         for key, coeff in (terms or {}).items():
             if not (isinstance(key, tuple) and len(key) == 2 and all(
-                    isinstance(e, Integral) and not isinstance(e, bool) and e >= 0 for e in key)):
+                    (type(e) is int or isinstance(e, Integral) and not isinstance(e, bool))
+                    and e >= 0 for e in key)):
                 raise InputError(f"exponents must be nonnegative integers, got {key!r}")
-            coeffs[(int(key[0]), int(key[1]))] = RationalComplex.from_value(coeff)
-        den = lcm(*(part.denominator for c in coeffs.values() for part in (c.re, c.im)))
-        self._set(*_canonical({key: (_numerator(c.re, den), _numerator(c.im, den))
-                               for key, c in coeffs.items()}, den))
+            if type(coeff) is float and isfinite(coeff):  # no Fraction: the ratio is exact
+                parts[(int(key[0]), int(key[1]))] = (*coeff.as_integer_ratio(), 0, 1)
+            else:
+                c = RationalComplex.from_value(coeff)
+                parts[(int(key[0]), int(key[1]))] = (*c.re.as_integer_ratio(),
+                                                     *c.im.as_integer_ratio())
+        den = lcm(*(d for _, dr, _, di in parts.values() for d in (dr, di)))
+        self._set(*_canonical({key: (nr * (den // dr), ni * (den // di))
+                               for key, (nr, dr, ni, di) in parts.items()}, den))
 
     @classmethod
     def _from(cls, num: dict, den: int) -> "WeylPolynomial":
@@ -328,7 +337,8 @@ class WeylPolynomial:
 
         With shift = s/v, s a Gaussian integer, and top the highest x power,
         each p^b part q(x) becomes ``v^-top r(v x + s)`` with
-        ``r(y) = v^top q(y/v)``: a Taylor shift of Gaussian integers by s.
+        ``r(y) = v^top q(y/v)``: a Taylor shift of Gaussian integers by s, by Horner's
+        rule on two lists, the real and imaginary numerators, with no tuple per step.
         """
         if shift.is_zero() or not self._num:
             return self
@@ -340,18 +350,20 @@ class WeylPolynomial:
         acc: dict[tuple[int, int], tuple[int, int]] = {}
         for b in {b for _, b in self._num}:
             degree = max(a for a, b_ in self._num if b_ == b)
-            r = []
+            real, imag = [], []
             for a in range(degree + 1):
                 re, im = self._num.get((a, b), (0, 0))
                 m = top - a
-                r.append(((re * odd_pow[m]) << t * m, (im * odd_pow[m]) << t * m))
-            # Horner's Taylor shift r(y) -> r(y + s)
+                real.append((re * odd_pow[m]) << t * m)
+                imag.append((im * odd_pow[m]) << t * m)
+            # Horner's Taylor shift r(y) -> r(y + s); (re, im) is r[j + 1], just updated
             for i in range(degree):
+                re, im = real[degree], imag[degree]
                 for j in range(degree - 1, i - 1, -1):
-                    (re, im), (re1, im1) = r[j], r[j + 1]
-                    r[j] = (re + sr * re1 - si * im1, im + sr * im1 + si * re1)
-            for j, (re, im) in enumerate(r):
-                acc[(j, b)] = ((re * odd_pow[j]) << t * j, (im * odd_pow[j]) << t * j)
+                    re, im = real[j] + sr * re - si * im, imag[j] + sr * im + si * re
+                    real[j], imag[j] = re, im
+            for j in range(degree + 1):
+                acc[(j, b)] = ((real[j] * odd_pow[j]) << t * j, (imag[j] * odd_pow[j]) << t * j)
         return WeylPolynomial._from(acc, (self._den * odd_pow[top]) << t * top)
 
     # -- inspection --------------------------------------------------------
@@ -447,10 +459,8 @@ def build_shifted_hamiltonian(spec: ShiftedPotentialSpec) -> WeylPolynomial:
     The potential involves x only, so its expansion is a plain binomial in
     the commutative variable x with the exact complex shift -beta - i gamma.
     """
-    H = WeylPolynomial.monomial(0, 2)
-    for degree, c in enumerate(spec.f.coeffs):
-        if c != 0.0:
-            H = H + WeylPolynomial.monomial(0, degree, c)
+    H = WeylPolynomial.monomial(0, 2) + WeylPolynomial(
+        {(0, degree): c for degree, c in enumerate(spec.f.coeffs)})
     if not spec.V.is_zero and spec.alpha != 0.0:
         V = WeylPolynomial({(degree, 0): c for degree, c in enumerate(spec.V.coeffs)})
         H = H + V._shift_x(RationalComplex(-spec.beta, -spec.gamma)).scale(spec.alpha)

@@ -340,16 +340,21 @@ class TestStacks:
     """_chain measures its residuals chunk by chunk as it generates them, in stacks of at
     most 2^16 complex entries, and classifies eta_0 and eta_1 only."""
 
-    def test_eta0_and_eta1_classified_and_residuals_in_bounded_stacks(self, monkeypatch):
-        rng = np.random.default_rng(0)
-        n = 64
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        eta0 = (q * rng.uniform(0.5, 1.5, n)) @ q.conj().T
-        eta0 = (eta0 + eta0.conj().T) / 2
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        H = np.linalg.solve(eta0, g + g.conj().T)  # eta0 H = g + g^dag = H^dag eta0
-        classified, measured, products = [], [], []
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_eta0_and_eta1_classified_and_residuals_in_bounded_stacks(self, monkeypatch, shifted):
+        n, k_max = 64, 64
+        if shifted:  # a singular H: chain_via_shift generates from G = H + alpha I
+            H, eta0 = _similar_pair(n, 2, singular=True)
+        else:
+            rng = np.random.default_rng(0)
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            eta0 = (q * rng.uniform(0.5, 1.5, n)) @ q.conj().T
+            eta0 = (eta0 + eta0.conj().T) / 2
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            H = np.linalg.solve(eta0, g + g.conj().T)  # eta0 H = g + g^dag = H^dag eta0
+        classified, measured, products, generated = [], [], [], []
         eigvalsh, kernel, form = np.linalg.eigvalsh, metric._bilinear_ratio, metric._intertwining
+        matmul = np.matmul
 
         def recorded(a, *args, **kwargs):
             classified.append(a)
@@ -364,19 +369,34 @@ class TestStacks:
             products.append(None if product is None else product.copy())
             return form(h, e, product)
 
+        def generation(*args, **kwargs):
+            generated.append(args[1].copy())
+            return matmul(*args, **kwargs)
+
         monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
         monkeypatch.setattr(metric, "_bilinear_ratio", counted)
         monkeypatch.setattr(metric, "_intertwining", intertwining)
-        chain = build_chain(H, eta0, k_max=64, normalize=True)
+        monkeypatch.setattr(np, "matmul", generation)
+        chain = (chain_via_shift if shifted else build_chain)(H, eta0, k_max, normalize=True)
         etas = np.array(chain.etas)
+        assert (chain.shift_alpha != 0.0) == shifted
         assert len(classified) == 1
         assert np.array_equal(classified[0], (etas[:2] + adjoint(etas[:2])) / 2)
         assert len(measured[0]) == 1 and products[0] is None  # eta0, before the chain is built
         assert all(b.size <= 2 ** 16 for b in measured[1:])
         assert np.array_equal(np.concatenate(measured[1:]), etas)
-        # alpha = 0: each chunk's H^dag eta_k is the generation's product, not formed again
-        assert len(products) == len(measured) and all(p is not None for p in products[1:])
-        assert np.array_equal(np.concatenate(products[1:]), adjoint(chain.H) @ etas)
+        assert len(products) == len(measured)
+        # products X^dag eta_k of the chain: G^dag eta_k generating it, and H^dag eta_k
+        # where a residual forms its own; eta_{k_max + 1} is never needed
+        formed = sum(len(b) for b, p in zip(measured[1:], products[1:]) if p is None)
+        if shifted:  # each residual forms H^dag eta_k; G^dag eta_k_max is not formed
+            assert all(p is None for p in products)
+            assert len(generated) + formed == 2 * (k_max + 1) - 1
+            assert np.array_equal(np.array(generated), etas[:-1])
+        else:  # alpha = 0: each chunk's H^dag eta_k is the generation's product
+            assert all(p is not None for p in products[1:])
+            assert np.array_equal(np.concatenate(products[1:]), adjoint(chain.H) @ etas)
+            assert len(generated) + formed == k_max + 1
 
     def test_peak_memory_near_the_elements(self):
         # beyond the elements: one chunk's product buffer and its measuring temporaries

@@ -121,6 +121,31 @@ class TestMatrixPoly:
         out = matrix_poly(k, RealPolynomial([0.5, -1.0, 2.0, 0.25]))
         assert np.allclose(out, out.conj().T, atol=1e-12)
 
+    def test_horner_from_the_top_coefficient(self, monkeypatch):
+        # starting from c_top I skips the product 0 @ K of a zero start: equal values
+        # (array_equal ignores the sign of a zero), degree products
+        def from_zeros(K, coeffs):
+            result = np.zeros(K.shape, dtype=complex)
+            for c in reversed(coeffs):
+                result = result @ K + c * np.eye(len(K), dtype=complex)
+            return result
+
+        matmul, products = np.matmul, []
+
+        def counted(*args, **kwargs):
+            products.append(1)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            n, degree = int(rng.integers(1, 9)), int(rng.integers(0, 6))
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            K, f = g + g.conj().T, RealPolynomial(rng.standard_normal(degree + 1).tolist())
+            products.clear()
+            assert np.array_equal(matrix_poly(K, f), from_zeros(K, f.coeffs))
+            assert len(products) == f.degree
+
 
 class TestAutoK:
     def test_linear_scaling(self):

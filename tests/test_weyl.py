@@ -398,6 +398,71 @@ class TestFiniteRealRule:
             RationalComplex(Fraction(2**62, 3**50))
 
 
+# Every kind of coefficient a term map takes, floats from the whole double range
+finite_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.0 ** -1074 * 3, 2.0 ** -1022, 1e-308,
+                     1.7976931348623157e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+coefficients = st.one_of(
+    finite_floats, finite_floats.map(np.float64), st.integers(-10 ** 30, 10 ** 30), rationals,
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    st.builds(RationalComplex, rationals, dyadics))
+
+
+class TestFloatCoefficients:
+    """A finite float enters a term map as its exact integer ratio, every other value
+    through RationalComplex.from_value: both give the polynomial of the Fraction values."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)), coefficients,
+                           max_size=8))
+    def test_term_map_equals_the_sum_of_fraction_monomials(self, terms):
+        expected = sum((WeylPolynomial.monomial(a, b, Fraction(c) if isinstance(c, float) else c)
+                        for (a, b), c in terms.items()), WeylPolynomial())
+        poly = WeylPolynomial(terms)
+        assert poly == expected
+        assert (poly._num, poly._den) == (expected._num, expected._den)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, np.float64(np.inf)], ids=repr)
+    def test_non_finite_floats_raise_the_from_value_error(self, value):
+        with pytest.raises(InputError) as expected:
+            RationalComplex.from_value(value)
+        with pytest.raises(InputError) as excinfo:
+            WeylPolynomial({(1, 0): 0.5, (0, 1): value})
+        assert str(excinfo.value) == str(expected.value)
+
+    def test_numpy_float_accepted(self):
+        assert WeylPolynomial({(1, 0): np.float64(0.1)}).coefficient(1, 0) == \
+            RationalComplex(Fraction(0.1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(finite_floats)
+    def test_p_squared_in_f_adds_exactly(self, c):
+        H = build_shifted_hamiltonian(spec_of([0, 1], f=[0, 0, c]))
+        assert H.coefficient(0, 2) == RationalComplex(1 + Fraction(c))
+
+    def test_rational_complex_values_do_not_grow_with_the_degree(self, monkeypatch):
+        # float coefficients, and the Taylor shift, make no RationalComplex per term
+        made = []
+        init = RationalComplex.__init__
+
+        def counted(self, re=0, im=0):
+            made.append(1)
+            init(self, re, im)
+
+        monkeypatch.setattr(RationalComplex, "__init__", counted)
+        rng = np.random.default_rng(7)
+        counts = []
+        for degree in (4, 32):
+            spec = spec_of(rng.standard_normal(degree + 1).tolist(), alpha=1.25, beta=0.3,
+                           gamma=0.7, f=rng.standard_normal(5).tolist())
+            made.clear()
+            assert check_symbolic(spec).is_zero()
+            assert not check_symbolic(spec, theta_override=0.5).is_zero()
+            counts.append(len(made))
+        assert counts[0] == counts[1]
+
+
 def test_weyl_module_needs_only_the_standard_library():
     tree = ast.parse(Path(weyl.__file__).read_text(encoding="utf-8"))
     imported = set()
