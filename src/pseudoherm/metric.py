@@ -280,23 +280,34 @@ class MetricBasis:
         return (Check("basis_residual_max", worst <= self.tol, worst, self.tol),)
 
 
-def _hermitian_frame(n: int) -> np.ndarray:
-    """Orthonormal basis of the n^2-dimensional real space of Hermitian matrices.
+def _frame_map(H: np.ndarray) -> np.ndarray:
+    """A^T, the real (n^2, n, n) map of _realified_basis on the frame (the units E_ii, then for
+    i < j row by row s (E_ij + E_ji) and s i (E_ij - E_ji), s = 2^-1/2), from the rows of H:
+    ``R = F H`` is zero but on F's rows, ``R - R^dag`` but on their rows and columns, and where
+    they meet the packing sums ``(Re R_ab - Re R_ba) + (Im R_ab + Im R_ba)`` in that order."""
+    n, s = len(H), 1.0 / np.sqrt(2.0)
+    d, (i, j), out = np.arange(n)[:, None], np.triu_indices(n, 1), np.zeros((n * n, n, n))
+    k, pair, sign = n + 2 * np.arange(i.size)[:, None], np.c_[i, j], np.array([[-1.0], [1.0]])
+    re, im = s * H.real[pair[:, ::-1]], s * H.imag[pair[:, ::-1]]  # s H_j, s H_i
+    # each kind of element, its rows of F H and their real and imaginary parts: H_i for
+    # E_ii; s H_j, s H_i for the real element; i s H_j, -i s H_i for the imaginary one
+    for e, rows, r_re, r_im in ((d, d, H.real[d], H.imag[d]), (k, pair, re, im),
+                                (k + 1, pair, sign * im, -sign * re)):
+        out[e, rows] = r_re + r_im
+        out[e, :, rows] = r_im - r_re
+        re_ab, im_ab = (np.take_along_axis(part, rows[:, None, :], 2) for part in (r_re, r_im))
+        out[e[:, :, None], rows[:, :, None], rows[:, None, :]] = (
+            (re_ab - re_ab.swapaxes(1, 2)) + (im_ab + im_ab.swapaxes(1, 2)))
+    return out
 
-    Stacked as an (n^2, n, n) array: the n diagonal units, then for each
-    i < j in row-major order the real and the imaginary off-diagonal element.
-    """
-    frame = np.zeros((n * n, n, n), dtype=complex)
-    d = np.arange(n)
-    frame[d, d, d] = 1.0
-    i, j = np.triu_indices(n, 1)
-    k = n + 2 * np.arange(i.size)
-    s = 1.0 / np.sqrt(2.0)
-    frame[k, i, j] = s
-    frame[k, j, i] = s
-    frame[k + 1, i, j] = 1j * s
-    frame[k + 1, j, i] = -1j * s
-    return frame
+
+def _frame_lift(c: np.ndarray, n: int) -> np.ndarray:
+    """``sum_k c_k F_k`` over the frame of _frame_map for each row c of a (d, n^2) array."""
+    s, (i, j), d = 1.0 / np.sqrt(2.0), np.triu_indices(n, 1), np.arange(n)
+    out = np.zeros((len(c), n, n), dtype=complex)
+    out[:, d, d], out[:, i, j] = c[:, :n], s * (c[:, n::2] + 1j * c[:, n + 1::2])
+    out[:, j, i] = out[:, i, j].conj()
+    return out + 0.0  # each zero +0, as in the sums of np.tensordot
 
 
 def _fix_sign(b: np.ndarray) -> np.ndarray:
@@ -309,10 +320,11 @@ def _fix_sign(b: np.ndarray) -> np.ndarray:
     return b
 
 
-def _realified_basis(H: np.ndarray, candidates: np.ndarray, tol: float,
+def _realified_basis(H: np.ndarray, candidates: np.ndarray | None, tol: float,
                      need: int = 0) -> np.ndarray:
-    """Nullspace of the realified map ``eta -> eta H - H^dag eta`` on the real span of
-    an orthonormal (k, n, n) stack of exactly Hermitian candidates F; none if fewer than ``need``.
+    """Nullspace of the realified map ``eta -> eta H - H^dag eta`` on the real span of an
+    orthonormal (k, n, n) stack of exactly Hermitian candidates F, or of the frame of all
+    Hermitian matrices (_frame_map) for None; none if fewer than ``need`` or than one.
 
     The images ``F H - (F H)^dag``, packed as ``Re + Im`` (an isometry on the
     anti-Hermitian images, see _spectral_basis), are the columns of a real (n^2, k)
@@ -322,26 +334,29 @@ def _realified_basis(H: np.ndarray, candidates: np.ndarray, tol: float,
     (Ipsen, SIAM Rev. 39 (1997) 254), gives the elements if all d Ritz values pass
     that test, else the full SVD of A does; smallest singular value first.
     """
-    n, k = H.shape[0], len(candidates)
-    images = (candidates.reshape(-1, n) @ H).reshape(k, n, n)  # F H in one product
-    images = (images - adjoint(images)).reshape(k, n * n)
-    A = (images.real + images.imag).T
+    n = H.shape[0]
+    if candidates is None:  # A written from H, coefficients lifted by index
+        A, lift = _frame_map(H).reshape(n * n, n * n).T, partial(_frame_lift, n=n)
+    else:
+        images = (candidates.reshape(-1, n) @ H).reshape(-1, n, n)  # F H in one product
+        images = (images - adjoint(images)).reshape(len(candidates), n * n)
+        A, lift = (images.real + images.imag).T, partial(np.tensordot, b=candidates, axes=1)
+    k, threshold = A.shape[1], tol * frobenius(H)
     R = A if k == n * n else np.linalg.qr(A, mode="r")  # A's singular values, right vectors
-    threshold = tol * frobenius(H)
     d = np.count_nonzero(np.linalg.svd(R, compute_uv=False) <= threshold)
-    if d < need:  # too few for the caller, which retries on the frame: no vectors
-        return candidates[:0]
+    if d < max(need, 1):  # none, or too few for the caller, which retries on the frame
+        return np.zeros((0, n, n), dtype=complex)
     p = min(k, d + 8)
     start = np.cos(np.outer(np.arange(k), np.arange(1, p + 1)))  # fixed, not drawn
     try:
         q, _ = np.linalg.qr(np.linalg.solve(R, start))
         _, ritz, wt = np.linalg.svd(R @ q, full_matrices=False)
         if (ritz[p - d:] <= threshold).all():
-            return np.tensordot(wt[p - d:][::-1] @ q.T, candidates, axes=1)
+            return lift(wt[p - d:][::-1] @ q.T)
     except np.linalg.LinAlgError:  # an exact zero pivot, or R^-1 beyond the double range
         pass
     _, svals, vt = np.linalg.svd(A, full_matrices=False)
-    return np.tensordot(vt[svals <= threshold][::-1], candidates, axes=1)
+    return lift(vt[svals <= threshold][::-1])
 
 
 def _spectral_basis(W: np.ndarray, linked: np.ndarray) -> np.ndarray:
@@ -395,7 +410,7 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
     n^2 Hermitian matrices instead, and ``solver`` is ``"realified"``, when ``tol
     cond(V) >= 1`` or when that nullspace has fewer elements than the links give:
     a numerically defective cluster, such as a Jordan block.  The frame takes about
-    64 n^4 bytes, 112 n^4 with the full SVD; InputError names n when 112 n^4 exceeds
+    22 n^4 bytes, 84 n^4 with the full SVD; InputError names n when 84 n^4 exceeds
     the physical memory (by os.sysconf, where it exists) or numpy cannot allocate it.
 
     The sign of each element's first significant entry is made positive.
@@ -426,15 +441,15 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
     solver = "realified" if measured is None else "spectral"
     if measured is None:
         try:
-            # The frame solve's peak RSS grew by 63-64 n^4 bytes on a whole-matrix
-            # Jordan block at n = 24..40 (one BLAS thread), and by 102-107 n^4 bytes
-            # when the full-SVD fallback runs, so 112 n^4 bytes beyond the physical
+            # The frame solve's peak RSS grew by 19-22 n^4 bytes on a whole-matrix
+            # Jordan block at n = 24..40 (one BLAS thread), and by 72-75 n^4 bytes
+            # when the full-SVD fallback runs, so 84 n^4 bytes beyond the physical
             # memory would get the process killed, not a MemoryError.
             memory = (os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
                       if hasattr(os, "sysconf") else np.inf)
-            if 112 * len(H) ** 4 > memory:
+            if 84 * len(H) ** 4 > memory:
                 raise MemoryError
-            measured = _measured(unit, _realified_basis(unit, _hermitian_frame(len(H)), tol), tol)
+            measured = _measured(unit, _realified_basis(unit, None, tol), tol)
         except MemoryError:
             raise InputError(f"H: the realified solve at n = {len(H)} needs more memory than "
                              "this machine has (its arrays grow as n^4)") from None

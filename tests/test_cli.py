@@ -156,11 +156,11 @@ class TestSolve:
         assert reports[0] == reports[1] == (1, "fail", "realified", 0)
 
     def test_frame_beyond_memory_is_input_error(self, tmp_path, capsys, monkeypatch):
-        # a Jordan block takes the frame of n^2 Hermitian matrices, 16 n^4 bytes
-        def no_memory(n):
-            raise MemoryError(f"cannot allocate {16 * n ** 4} bytes")
+        # a Jordan block takes the frame of n^2 Hermitian matrices, its map 8 n^4 bytes
+        def no_memory(H):
+            raise MemoryError(f"cannot allocate {8 * len(H) ** 4} bytes")
 
-        monkeypatch.setattr(pseudoherm.metric, "_hermitian_frame", no_memory)
+        monkeypatch.setattr(pseudoherm.metric, "_frame_map", no_memory)
         write_matrix(tmp_path / "h.json", np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0],
                                                     [0.0, 0.0, 2.0]]))
         code, report = run_cli(capsys, "solve", "--hamiltonian", tmp_path / "h.json")
@@ -169,8 +169,8 @@ class TestSolve:
         assert "n = 3" in report["error"] and "traceback" not in report
 
     def test_frame_beyond_physical_memory_is_input_error(self, tmp_path, capsys, monkeypatch):
-        # 112 n^4 = 9072 bytes for the frame of a 3x3 Jordan matrix against 2 pages of 4096
-        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 2, "SC_PAGE_SIZE": 4096}.__getitem__)
+        # 84 n^4 = 6804 bytes for the frame of a 3x3 Jordan matrix against 1 page of 4096
+        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": 4096}.__getitem__)
         write_matrix(tmp_path / "h.json", np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0],
                                                     [0.0, 0.0, 2.0]]))
         code, report = run_cli(capsys, "solve", "--hamiltonian", tmp_path / "h.json")

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -43,7 +44,8 @@ from pseudoherm.metric import (
     _bilinear_ratio,
     _classify,
     _fix_sign,
-    _hermitian_frame,
+    _frame_lift,
+    _frame_map,
     _intertwining,
     _realified_basis,
     adjoint,
@@ -509,7 +511,8 @@ def nullspace_sizes(monkeypatch):
     sizes = []
     nullspace = metric._realified_basis
     monkeypatch.setattr(metric, "_realified_basis",
-                        lambda H, candidates, *rest: sizes.append(len(candidates))
+                        lambda H, candidates, *rest: sizes.append(
+                            len(H) ** 2 if candidates is None else len(candidates))
                         or nullspace(H, candidates, *rest))
     return sizes
 
@@ -610,9 +613,49 @@ class TestFrameNullspace:
 
 
 class TestSolveMetricSpace:
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
-    def test_frame_matches_loop_reference(self, n):
-        assert np.array_equal(_hermitian_frame(n), loop_frame(n))
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+    def test_frame_map_matches_the_product_form(self, n):
+        # the map written from the rows of H holds the packed images of the frame's
+        # products, F H - (F H)^dag, bit for bit, for complex and for real H; the lift
+        # by index is tensordot against the frame, byte for byte
+        rng = np.random.default_rng(n)
+        frame = loop_frame(n)
+        H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for H in (H, H.real.astype(complex)):
+            images = (frame.reshape(-1, n) @ H).reshape(-1, n, n)
+            images = images - adjoint(images)
+            assert np.array_equal(_frame_map(H), images.real + images.imag)
+        c = rng.standard_normal((3, n * n))
+        assert _frame_lift(c, n).tobytes() == np.tensordot(c, frame, axes=1).tobytes()
+
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_frame_solve_holds_no_complex_frame(self, n):
+        # numpy's arrays in the frame solve peak at 11-14 n^4 bytes, the real map 8 of
+        # them; a complex (n^2, n, n) frame stack and its images took 64-67 n^4
+        H = _dense_solve_jordan(n, 0)
+        tracemalloc.start()
+        try:
+            basis = solve_metric_space(H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (basis.solver, basis.dimension) == ("realified", n)
+        assert peak <= 24 * n ** 4
+
+    @pytest.mark.parametrize("H, solver", [
+        (np.array([[1j, 0.3], [0.0, 1j]]), "realified"),
+        # r = tol |H|_2 = 1e-10: conj(lambda) lies at 5 (r + r), in the window but
+        # unlinked, and the one candidate has residual 1e-9
+        (np.array([[1 + 5e-10j]]), "spectral"),
+    ])
+    def test_no_hermitian_solution_takes_no_inverse_iteration(self, H, solver, monkeypatch):
+        # d = 0 is known from the singular values alone: no LU solve follows
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(args) or solve(*args))
+        basis = solve_metric_space(H)
+        assert (basis.solver, basis.dimension) == (solver, 0)
+        assert calls == []
 
     def test_oscillator_solution_space(self, osc2):
         H, eta_paper = osc2
@@ -673,7 +716,7 @@ class TestSolveMetricSpace:
                       rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))):
                 expected = intertwiner_nullspace_dimension(H)
                 assert solve_metric_space(H).dimension == expected, (n, seed)
-                assert len(_realified_basis(H, _hermitian_frame(n), 1e-10)) == expected, (n, seed)
+                assert len(_realified_basis(H, None, 1e-10)) == expected, (n, seed)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_spectral_span_matches_realified(self, n):
@@ -738,7 +781,8 @@ class TestSolveMetricSpace:
                                 or kernel(*args, **kw))
         nullspace = metric._realified_basis
         monkeypatch.setattr(metric, "_realified_basis", lambda H, candidates, *rest:
-                            calls.append(("nullspace", len(candidates)))
+                            calls.append(("nullspace", n * n if candidates is None
+                                          else len(candidates)))
                             or nullspace(H, candidates, *rest))
         basis = solve_metric_space(_j2_family(n, 0))
         spectral, frame = [i for i, (name, _) in enumerate(calls) if name == "nullspace"]
@@ -774,22 +818,22 @@ class TestSolveMetricSpace:
         assert residual(H, eta) <= 1e-10
 
     def test_frame_beyond_memory_is_input_error(self, monkeypatch):
-        def no_memory(n):
-            raise MemoryError(f"cannot allocate {16 * n ** 4} bytes")
+        def no_memory(H):
+            raise MemoryError(f"cannot allocate {8 * len(H) ** 4} bytes")
 
-        monkeypatch.setattr(metric, "_hermitian_frame", no_memory)
+        monkeypatch.setattr(metric, "_frame_map", no_memory)
         with pytest.raises(InputError, match="n = 4"):
             solve_metric_space(_J2_REAL)
 
-    @pytest.mark.parametrize("pages, refused", [(6, True), (7, False)])
+    @pytest.mark.parametrize("pages, refused", [(5, True), (6, False)])
     def test_frame_beyond_physical_memory_is_input_error(self, monkeypatch, pages, refused):
-        # the frame solve of a 4x4 Jordan block is bounded by 112 n^4 = 28672 bytes:
-        # 6 pages of 4096 bytes are too few, and the frame is never built; 7 are enough
+        # the frame solve of a 4x4 Jordan block is bounded by 84 n^4 = 21504 bytes:
+        # 5 pages of 4096 bytes are too few, and the frame is never built; 6 are enough
         sizes = {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 4096}
         monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
         frames = []
-        monkeypatch.setattr(metric, "_hermitian_frame",
-                            lambda n: frames.append(n) or _hermitian_frame(n))
+        monkeypatch.setattr(metric, "_frame_map",
+                            lambda H: frames.append(len(H)) or _frame_map(H))
         if refused:
             with pytest.raises(InputError, match="n = 4 needs more memory"):
                 solve_metric_space(jordan_matrix([(1.0, 4)]))
@@ -798,7 +842,7 @@ class TestSolveMetricSpace:
         assert frames == ([] if refused else [4])
 
     def test_frame_bound_admits_n16_and_needs_sysconf(self, monkeypatch):
-        # the benchmark's n = 16 Jordan block (7.3 MB by the bound) is solved, and where
+        # the benchmark's n = 16 Jordan block (5.5 MB by the bound) is solved, and where
         # os.sysconf is missing there is no bound to apply
         J = jordan_matrix([(1.0, 16)])
         assert solve_metric_space(J).solver == "realified"
