@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 
@@ -256,12 +257,10 @@ class MetricBasis:
     orthogonal under the real inner product ``Re tr(A^dag B)``.  Element k
     has ``residuals[k] = residual(H, b)`` and ``classifications[k] =
     classify_metric(b, tol)``.  ``solver`` names the candidates of the basis
-    (see solve_metric_space): ``"spectral"`` for eigenvector products,
-    ``"realified"`` for the frame of all Hermitian matrices; a nullspace on either has
-    its elements from one inverse-iteration step, or a full SVD (_realified_basis).
-    ``spectral_metric``
-    is the unit-norm ``V^{-dag} V^{-1}`` of the solve's ``H = V diag(lambda)
-    V^{-1}``, or None when V is singular.
+    (see solve_metric_space): ``"spectral"`` for eigenvector products, ``"realified"``
+    for the frame of all Hermitian matrices, a nullspace on either certified or counted
+    and solved by _realified_basis.  ``spectral_metric`` is the unit-norm ``V^{-dag}
+    V^{-1}`` of ``H = V diag(lambda) V^{-1}``, or None when V is singular.
     """
 
     H: np.ndarray
@@ -320,20 +319,53 @@ def _fix_sign(b: np.ndarray) -> np.ndarray:
     return b
 
 
+def _inverse_step(R: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """q of one inverse-iteration step ``R^-1 B`` on a fixed (k, p) B, and the SVD of ``R q``."""
+    # Rayleigh-Ritz on one step of inverse iteration: Ipsen, SIAM Rev. 39 (1997) 254.
+    start = np.cos(np.outer(np.arange(R.shape[1]), np.arange(1, p + 1)))  # fixed, not drawn
+    q, _ = np.linalg.qr(np.linalg.solve(R, start))
+    return (q, *np.linalg.svd(R @ q, full_matrices=False)[1:])
+
+
+def _gap_certified(G: np.ndarray, ritz: np.ndarray, Y: np.ndarray, threshold: float) -> bool:
+    """Whether a Cholesky of ``G + mu Y^T Y - tau I`` proves ``sigma_{d+1}(R) > threshold``, mu
+    the square of the first Ritz value above threshold and ``tau = threshold^2 + gamma_N (1 +
+    gamma_N) (trace G + mu d)``, N = 2k + d + 4, bounding the rounding of the matrix and factor."""
+    # G is the computed R^T R of a (k, k) R, and is overwritten; Y holds, as (d, k) rows, the
+    # Ritz vectors of the d values of ritz (descending) at most threshold.
+    # M = R^T R + mu Y^T Y is R^T R plus rank d, so lambda_min(M) <= sigma_{d+1}^2 (Weyl), and a
+    # factor L that runs to completion makes M - tau I + E = L L^T positive definite.  E sums
+    # the rounding (Higham, Accuracy and Stability of Numerical Algorithms, 3.5 and Thm 10.5)
+    # of the Gram (|dG| <= gamma_k |R|^T |R|), of Y^T Y, of two sums and of the factor
+    # (|dM| <= gamma_{k+1} |L| |L^T|): in the 2-norm each is within gamma times |R|_F^2 =
+    # trace G or trace M.  The first Ritz value above threshold is at least sigma_{d+1}
+    # (interlacing), and an exact Y makes lambda_min(M) = sigma_{d+1}^2.  With no such value
+    # (a full block), or mu <= tau, the Cholesky cannot succeed and is not run.
+    k, d = len(G), len(Y)
+    gamma = (2 * k + d + 4) / (2.0 ** 53 - (2 * k + d + 4))  # N u / (1 - N u), u = 2^-53
+    mu = ritz[-d - 1] ** 2 if d < len(ritz) else 0.0
+    tau = threshold ** 2 + gamma * (1 + gamma) * (np.trace(G) + mu * d)
+    with suppress(np.linalg.LinAlgError):  # raised when M - tau I is not positive definite
+        if mu > tau:
+            G += (mu * Y.T) @ Y
+            G.flat[::k + 1] -= tau
+            return np.linalg.cholesky(G)[-1, -1] > 0
+    return False
+
+
 def _realified_basis(H: np.ndarray, candidates: np.ndarray | None, tol: float,
                      need: int = 0) -> np.ndarray:
     """Nullspace of the realified map ``eta -> eta H - H^dag eta`` on the real span of an
     orthonormal (k, n, n) stack of exactly Hermitian candidates F, or of the frame of all
     Hermitian matrices (_frame_map) for None; none if fewer than ``need`` or than one.
 
-    The images ``F H - (F H)^dag``, packed as ``Re + Im`` (an isometry on the
-    anti-Hermitian images, see _spectral_basis), are the columns of a real (n^2, k)
-    matrix A, so a unit element b of the span has singular value ``|b H - H^dag b|_F``:
-    d of them are at most ``tol |H|_F``, by the values of A or of R in ``A = QR``.
-    Rayleigh-Ritz on one inverse-iteration step ``R^-1 B``, B fixed with d + 8 columns
-    (Ipsen, SIAM Rev. 39 (1997) 254), gives the elements if all d Ritz values pass
-    that test, else the full SVD of A does; smallest singular value first.
-    """
+    The images ``F H - (F H)^dag``, packed as ``Re + Im`` (an isometry on the anti-Hermitian
+    images, see _spectral_basis), are the columns of a real (n^2, k) A, so a unit element b of
+    the span has singular value ``|b H - H^dag b|_F``; d of them (of A, or R in A = QR) are at
+    most ``theta = tol |H|_F``.  Ritz values of an _inverse_step on ``min(k, max(need, n) + 8)``
+    columns prove ``sigma_d <= theta`` (interlacing), _gap_certified ``sigma_{d+1} > theta``,
+    else R's values give d.  The step on ``min(k, d + 8)`` columns (the first if that wide)
+    gives the elements if d Ritz values pass, else A's full SVD; smallest singular value first."""
     n = H.shape[0]
     if candidates is None:  # A written from H, coefficients lifted by index
         A, lift = _frame_map(H).reshape(n * n, n * n).T, partial(_frame_lift, n=n)
@@ -341,20 +373,25 @@ def _realified_basis(H: np.ndarray, candidates: np.ndarray | None, tol: float,
         images = (candidates.reshape(-1, n) @ H).reshape(-1, n, n)  # F H in one product
         images = (images - adjoint(images)).reshape(len(candidates), n * n)
         A, lift = (images.real + images.imag).T, partial(np.tensordot, b=candidates, axes=1)
-    k, threshold = A.shape[1], tol * frobenius(H)
+    k, threshold, q, d = A.shape[1], tol * frobenius(H), None, None
     R = A if k == n * n else np.linalg.qr(A, mode="r")  # A's singular values, right vectors
-    d = np.count_nonzero(np.linalg.svd(R, compute_uv=False) <= threshold)
+    with suppress(np.linalg.LinAlgError):  # an exact zero pivot (met once), or R^-1 overflows
+        q, ritz, wt = _inverse_step(R, min(k, max(need, n) + 8))  # n: nonderogatory H's dimension
+        d, G = np.count_nonzero(ritz <= threshold), R.T @ R
+        A, R = (None, None) if candidates is None else (A, R)  # the frame's Gram takes A's place
+        # d stands if the gap is proved; G goes before A is rebuilt for the fallback
+        d, G = d if _gap_certified(G, ritz, wt[::-1][:d] @ q.T, threshold) else None, None
+    if A is None and (d is None or len(ritz) != min(k, d + 8)):  # rebuilt for an SVD or step
+        A = R = _frame_map(H).reshape(n * n, n * n).T
+    d = np.count_nonzero(np.linalg.svd(R, compute_uv=False) <= threshold) if d is None else d
     if d < max(need, 1):  # none, or too few for the caller, which retries on the frame
         return np.zeros((0, n, n), dtype=complex)
     p = min(k, d + 8)
-    start = np.cos(np.outer(np.arange(k), np.arange(1, p + 1)))  # fixed, not drawn
-    try:
-        q, _ = np.linalg.qr(np.linalg.solve(R, start))
-        _, ritz, wt = np.linalg.svd(R @ q, full_matrices=False)
-        if (ritz[p - d:] <= threshold).all():
-            return lift(wt[p - d:][::-1] @ q.T)
-    except np.linalg.LinAlgError:  # an exact zero pivot, or R^-1 beyond the double range
-        pass
+    with suppress(np.linalg.LinAlgError):  # R^-1 beyond the double range
+        if q is not None:
+            q, ritz, wt = (q, ritz, wt) if len(ritz) == p else _inverse_step(R, p)
+            if (ritz[p - d:] <= threshold).all():
+                return lift(wt[p - d:][::-1] @ q.T)
     _, svals, vt = np.linalg.svd(A, full_matrices=False)
     return lift(vt[svals <= threshold][::-1])
 
@@ -402,16 +439,15 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
     pairs give the candidates (_spectral_basis), over the eigenvalues sorted by
     real, then imaginary part.
 
-    The basis is the nullspace of the intertwining map on the candidates' span,
-    smallest singular value first (_realified_basis: singular values give its
-    dimension, one inverse-iteration step or a full SVD its elements), or the
-    candidates as they are when every window pair is linked and every residual is
-    at most tol: ``solver`` is ``"spectral"``.  The candidates are the frame of all
-    n^2 Hermitian matrices instead, and ``solver`` is ``"realified"``, when ``tol
-    cond(V) >= 1`` or when that nullspace has fewer elements than the links give:
-    a numerically defective cluster, such as a Jordan block.  The frame takes about
-    22 n^4 bytes, 84 n^4 with the full SVD; InputError names n when 84 n^4 exceeds
-    the physical memory (by os.sysconf, where it exists) or numpy cannot allocate it.
+    The basis is the nullspace of the intertwining map on the candidates' span, smallest
+    singular value first (_realified_basis: Ritz values and a Cholesky gap test, or else
+    singular values, give its dimension), or the candidates as they are when every window
+    pair is linked and every residual is at most tol: ``solver`` is ``"spectral"``.  The
+    candidates are the frame of all n^2 Hermitian matrices instead, and ``solver`` is
+    ``"realified"``, when ``tol cond(V) >= 1`` or when that nullspace has fewer elements than
+    the links give: a numerically defective cluster, such as a Jordan block.  The frame takes
+    about 32 n^4 bytes, 78 n^4 with the full SVD; InputError names n when 84 n^4 exceeds the
+    physical memory (by os.sysconf, where it exists) or numpy cannot allocate it.
 
     The sign of each element's first significant entry is made positive.
     Dimension 0 is a valid outcome meaning no Hermitian metric exists.
@@ -441,9 +477,11 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
     solver = "realified" if measured is None else "spectral"
     if measured is None:
         try:
-            # The frame solve's peak RSS grew by 19-22 n^4 bytes on a whole-matrix
-            # Jordan block at n = 24..40 (one BLAS thread), and by 72-75 n^4 bytes
-            # when the full-SVD fallback runs, so 84 n^4 bytes beyond the physical
+            # The frame solve's peak RSS grew by 27-32 n^4 bytes on a whole-matrix
+            # Jordan block at n = 24..40 (one BLAS thread; the Gram matrix, its
+            # Cholesky factor and LAPACK's copy of it), and by 73-78 n^4 bytes when
+            # the full-SVD fallback runs after a failed certificate and Ritz check
+            # (72-78 without the certificate), so 84 n^4 bytes beyond the physical
             # memory would get the process killed, not a MemoryError.
             memory = (os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
                       if hasattr(os, "sysconf") else np.inf)

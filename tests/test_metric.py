@@ -517,6 +517,45 @@ def nullspace_sizes(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def certificates(monkeypatch):
+    """(d, verdict) of each metric._gap_certified call of the test."""
+    calls = []
+    certify = metric._gap_certified
+    monkeypatch.setattr(metric, "_gap_certified", lambda G, ritz, Y, threshold: calls.append(
+        (len(Y), certify(G, ritz, Y, threshold))) or calls[-1][1])
+    return calls
+
+
+@pytest.fixture
+def kernels(monkeypatch):
+    """The test's kernel calls in order: ("svd", inside an inverse-iteration step,
+    compute_uv), ("lift",) for coefficients lifted to matrices, and ("nullspace", k)
+    for each metric._realified_basis call on k candidates."""
+    calls, depth = [], []
+    svd, step, nullspace = np.linalg.svd, metric._inverse_step, metric._realified_basis
+    frame_lift, tensordot = metric._frame_lift, np.tensordot
+
+    def in_step(*args):
+        depth.append(True)
+        try:
+            return step(*args)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(
+        ("svd", bool(depth), kw.get("compute_uv", True))) or svd(*args, **kw))
+    monkeypatch.setattr(metric, "_inverse_step", in_step)
+    monkeypatch.setattr(metric, "_frame_lift", lambda *args, **kw: calls.append(("lift",))
+                        or frame_lift(*args, **kw))
+    monkeypatch.setattr(np, "tensordot", lambda *args, **kw: calls.append(("lift",))
+                        or tensordot(*args, **kw))
+    monkeypatch.setattr(metric, "_realified_basis", lambda H, candidates, *rest: calls.append(
+        ("nullspace", len(H) ** 2 if candidates is None else len(candidates)))
+        or nullspace(H, candidates, *rest))
+    return calls
+
+
 # H, its Jordan blocks as (lambda, p), and the candidates the solve takes
 _SOLVER_PATHS = [
     (np.diag([1, 1, 1 + 1j, 1 - 1j]), [(1, 1), (1, 1), (1 + 1j, 1), (1 - 1j, 1)],
@@ -578,18 +617,54 @@ class TestFrameNullspace:
         assert max(basis.residuals) <= 1e-10
         assert max(residual(H, b) for b in basis.basis) <= 1e-10
 
-    def test_jordan_block_takes_one_values_only_svd(self, monkeypatch):
-        # the singular values decide the dimension; one step of inverse iteration
-        # and a Ritz check on 24 columns give the vectors, so the 256-column map
-        # is never factored with its singular vectors
+    def test_jordan_block_takes_no_svd_of_the_map(self, monkeypatch):
+        # the Ritz values of one inverse-iteration step on 24 columns and one Cholesky of
+        # the 256 x 256 Gram matrix prove the dimension, and the same step gives the
+        # vectors: no SVD factors the 256-column map
         calls = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: calls.append(
-            (a.shape, kwargs.get("compute_uv", True))) or svd(a, *args, **kwargs))
+        for name in ("svd", "cholesky"):
+            kernel = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, *args, kernel=kernel, name=name, **kw:
+                                calls.append((name, a.shape)) or kernel(a, *args, **kw))
         basis = solve_metric_space(_dense_solve_jordan(16, 0))
         assert (basis.solver, basis.dimension) == ("realified", 16)
-        assert [uv for shape, uv in calls if shape[1] == 256] == [False]
-        assert ((256, 24), True) in calls
+        assert [(name, shape) for name, shape in calls if 256 in shape] == [
+            ("svd", (256, 24)), ("cholesky", (256, 256))]
+
+    @pytest.mark.parametrize("H, must_certify", [(H, False) for H in _FRAME_SOLVES] + [
+        (_dense_solve_jordan(n, seed), True) for n in (4, 8, 16) for seed in range(10)])
+    def test_certified_dimension_is_the_svd_count(self, H, must_certify, certificates):
+        # a certified d is the number of singular values of A at most theta = tol |H|_F,
+        # and every dense-solve-style Jordan draw (n = 4, 8, 16) is certified
+        unit, n = metric._unit_peak(H)[0], len(H)
+        svals = np.linalg.svd(_frame_map(unit).reshape(n * n, n * n), compute_uv=False)
+        expected = np.count_nonzero(svals <= 1e-10 * frobenius(unit))
+        assert len(_realified_basis(unit, None, 1e-10)) == expected
+        assert all(d == expected for d, certified in certificates if certified)
+        if must_certify:
+            assert certificates == [(expected, True)]
+
+    def test_derogatory_frame_takes_the_values(self, kernels, certificates):
+        # four J_2(0) blocks give d = 32 (Cecioni-Frobenius), more than the first step's
+        # 16 columns: all 16 Ritz values pass, none lies above them to prove a gap, and
+        # the values-only SVD of the 64-column map counts d
+        blocks = [(0, 2)] * 4
+        basis = solve_metric_space(_similar(jordan_matrix(blocks)))
+        frame = max(i for i, call in enumerate(kernels) if call == ("nullspace", 64))
+        assert basis.solver == "realified"
+        assert basis.dimension == jordan_dimension(blocks) == 32
+        assert certificates[-1] == (16, False)
+        assert ("svd", False, False) in kernels[frame:]
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_narrow_gap_takes_the_values(self, seed, kernels, certificates):
+        # sigma_{d+1} lies at 788 and 129 theta, below sqrt(tau): the Cholesky cannot
+        # prove the gap, and the values-only SVD of the 576-column map counts d
+        basis = solve_metric_space(_j2_family(24, seed))
+        frame = kernels.index(("nullspace", 576))
+        assert (basis.solver, basis.dimension) == ("realified", 24)
+        assert certificates[-1] == (24, False)
+        assert ("svd", False, False) in kernels[frame:]
 
     def test_exact_zero_pivot_takes_the_full_svd(self, monkeypatch):
         # the frame map of [[0, 1], [0, 0]] has exact zero columns, so the LU solve
@@ -648,14 +723,14 @@ class TestSolveMetricSpace:
         # unlinked, and the one candidate has residual 1e-9
         (np.array([[1 + 5e-10j]]), "spectral"),
     ])
-    def test_no_hermitian_solution_takes_no_inverse_iteration(self, H, solver, monkeypatch):
-        # d = 0 is known from the singular values alone: no LU solve follows
-        calls = []
-        solve = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(args) or solve(*args))
+    def test_no_hermitian_solution_lifts_nothing(self, H, solver, kernels, certificates):
+        # d = 0 is certified from the first inverse-iteration step: nothing is lifted, and
+        # outside the steps no SVD runs but V's (no values-only count, no full SVD)
         basis = solve_metric_space(H)
         assert (basis.solver, basis.dimension) == (solver, 0)
-        assert calls == []
+        assert certificates and all(c == (0, True) for c in certificates)
+        assert [c for c in kernels if c[0] == "lift" or c[:2] == ("svd", False)] == [
+            ("svd", False, True)]
 
     def test_oscillator_solution_space(self, osc2):
         H, eta_paper = osc2
@@ -770,24 +845,16 @@ class TestSolveMetricSpace:
         assert (basis.solver, basis.dimension) == ("realified", jordan_dimension(blocks))
 
     @pytest.mark.parametrize("n", [8, 16])
-    def test_short_spectral_attempt_computes_no_vectors(self, n, monkeypatch):
+    def test_short_spectral_attempt_lifts_nothing(self, n, kernels):
         # the J_2 cluster leaves the spectral candidates' nullspace short of the links:
-        # the attempt stops at its values-only SVD, and only the frame solves
-        calls = []
-        for name in ("svd", "solve"):
-            kernel = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name, lambda *args, kernel=kernel, name=name, **kw:
-                                calls.append((name, kw.get("compute_uv", True)))
-                                or kernel(*args, **kw))
-        nullspace = metric._realified_basis
-        monkeypatch.setattr(metric, "_realified_basis", lambda H, candidates, *rest:
-                            calls.append(("nullspace", n * n if candidates is None
-                                          else len(candidates)))
-                            or nullspace(H, candidates, *rest))
+        # the attempt stops once d is known, with nothing lifted and no full SVD, and
+        # only the frame solves
         basis = solve_metric_space(_j2_family(n, 0))
-        spectral, frame = [i for i, (name, _) in enumerate(calls) if name == "nullspace"]
-        assert calls[spectral][1] < n * n == calls[frame][1]
-        assert calls[spectral + 1:frame] == [("svd", False)]
+        spectral, frame = [i for i, call in enumerate(kernels) if call[0] == "nullspace"]
+        assert kernels[spectral][1] < n * n == kernels[frame][1]
+        attempt = kernels[spectral + 1:frame]
+        assert ("svd", True, True) in attempt
+        assert not [c for c in attempt if c[0] == "lift" or c == ("svd", False, True)]
         assert (basis.solver, basis.dimension) == ("realified", n)
 
     @pytest.mark.parametrize("delta", [5e-10, 2e-9, 3.9e-9])
