@@ -144,7 +144,10 @@ def _chain(H: np.ndarray, G: np.ndarray, eta0: np.ndarray, k_max: int,
             m, shift = _unit_product(Gd, etas[k - 1]) if k else _unit_peak(eta0)
             e, norm = (m, frobenius(m)) if normalize else _scaled(m, shift, f"eta_{k}")
             reformed = True
-        etas[k] = e / norm if normalize and norm > 0.0 else e
+        if normalize and norm > 0.0:  # numpy's complex / real, without its division loop
+            np.multiply(np.ascontiguousarray(e).view(float), 1.0 / norm, out=etas[k].view(float))
+        else:
+            etas[k] = e
         if k < k_max or not alpha:  # a shifted chain never reads G^dag eta_k_max
             with np.errstate(over="ignore", invalid="ignore"):
                 np.matmul(Gd, etas[k], out=products[k % size])

@@ -66,13 +66,13 @@ def metric_sqrt(eta, tol: float = DEFAULT_TOL) -> InducedForm:
                f"of the Hermitian part is {positive.value:.6g}")])
     (unit,), _, (k,) = _windowed(eta[None], _norms(eta[None]), 1.0)
     unit, k = (2.0 * unit, k - 1) if k % 2 else (unit, k)
-    eigvals, vecs = np.linalg.eigh((unit + adjoint(unit)) / 2.0)
+    eigvals, vecs = np.linalg.eigh((unit + adjoint(unit)) * 0.5)
     roots = np.ldexp(np.sqrt(eigvals), k // 2)
     sqrt_eta = (vecs * roots) @ adjoint(vecs)
     inv_sqrt_eta = (vecs / roots) @ adjoint(vecs)
     # eigh reconstruction is Hermitian only to rounding; make it exact
-    sqrt_eta = (sqrt_eta + adjoint(sqrt_eta)) / 2.0
-    inv_sqrt_eta = (inv_sqrt_eta + adjoint(inv_sqrt_eta)) / 2.0
+    sqrt_eta = (sqrt_eta + adjoint(sqrt_eta)) * 0.5
+    inv_sqrt_eta = (inv_sqrt_eta + adjoint(inv_sqrt_eta)) * 0.5
     return InducedForm(eta=eta, sqrt_eta=sqrt_eta, inv_sqrt_eta=inv_sqrt_eta)
 
 

@@ -431,6 +431,51 @@ class TestResidualOracle:
         assert [r.hex() for r in chain.residuals] == expected
 
 
+class TestNormalization:
+    """A normalized element is ``p / |p|_F`` for ``p = G^dag eta_k-1``, as numpy's complex
+    division computes it, value for value: _chain multiplies the real and imaginary parts
+    by the reciprocal of the norm, which is what that division does for a real divisor."""
+
+    @pytest.mark.parametrize("j", sorted(TestResidualOracle.K_MAX))
+    @pytest.mark.parametrize("singular", [False, True])
+    @pytest.mark.parametrize("builder", [build_chain, chain_via_shift])
+    def test_elements_equal_the_complex_division(self, builder, singular, j):
+        H, eta0 = _similar_pair(64, 2, singular)
+        H = np.ldexp(H.view(float), j).view(complex)  # 2^j H, exactly
+        chain = builder(H, eta0, 40, normalize=True)
+        G = shift_for_invertibility(H)[1] if chain.shift_alpha else H
+        divided = 0
+        for k in range(1, len(chain)):
+            p = adjoint(G) @ chain.etas[k - 1]
+            norm = frobenius(p)
+            if metric._in_window(norm):  # else _chain forms p again from unit peaks
+                assert np.array_equal(chain.etas[k], p / norm)
+                divided += 1
+        assert divided == (40 if abs(j) < 1000 else 0)
+
+    @pytest.mark.parametrize("layout", [np.asfortranarray,
+                                        lambda m: m[::-1, ::-1].copy()[::-1, ::-1]])
+    def test_any_layout_of_eta0(self, layout):
+        H, eta0 = _similar_pair(8, 3)
+        expected = build_chain(H, eta0, 4, normalize=True).etas
+        assert np.array_equal(build_chain(H, layout(eta0), 4, normalize=True).etas, expected)
+
+    def test_reciprocal_multiply_is_numpys_complex_division(self):
+        # numpy divides a + bi by the real x as (a + b 0) (1 / x) and (b - a 0) (1 / x):
+        # the same products as below, but for the sign of an exact zero
+        parts = [0.0, -0.0, 5e-324, -2.5e-320, np.finfo(float).tiny, 1.0, -1 / 3, np.pi,
+                 np.ldexp(1.0, 1000), np.ldexp(-1.5, -1000), 1.7e308]
+        m = np.array([complex(a, b) for a in parts for b in parts])
+        for x in [1.0, 3.0, 0.1, 7e-300, 1e300, np.ldexp(1.0, 1000), np.ldexp(1.0, -1000),
+                  np.ldexp(1.5, -1040), 1.7e308]:
+            with np.errstate(all="ignore"):
+                got, want = (m.view(float) * (1 / x)).view(complex), m / x
+            assert np.array_equal(got, want, equal_nan=True)
+            got, want = got.view(float), want.view(float)
+            differ = got.view(np.int64) != want.view(np.int64)
+            assert np.all((got[differ] == 0) & (want[differ] == 0)), x
+
+
 def _similar_pair(n, seed, singular=False):
     """H = S diag(uniform(0.5, 3)) S^-1, with a zero first eigenvalue if singular, and
     its metric eta0 = S^-dag S^-1, for a complex Gaussian S from default_rng(seed)."""

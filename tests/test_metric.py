@@ -47,6 +47,7 @@ from pseudoherm.metric import (
     _frame_lift,
     _frame_map,
     _intertwining,
+    _norms,
     _realified_basis,
     adjoint,
     frobenius,
@@ -386,6 +387,59 @@ class TestStackedKernels:
         assert ([_bits(dataclasses.astuple(c)) for c in _classify(stack, tol, frobenius_of(stack))]
                 == expected)
         assert [_bits(dataclasses.astuple(classify_metric(e, tol))) for e in stack] == expected
+
+
+_LAYOUTS = {"C": np.ascontiguousarray, "F": np.asfortranarray,
+            "reversed": lambda m: np.ascontiguousarray(m[::-1, ::-1])[::-1, ::-1]}
+
+
+class TestLayouts:
+    """The Hermiticity and intertwining kernels read C-ordered, Fortran-ordered and
+    reversed-view inputs as the plain formulas below do, bit for bit.  _norms sums in
+    memory order, so a residual kernel that changed the layout of its difference would
+    change bits (an anti-Hermitian m - m^dag has the same squares in either order)."""
+
+    @staticmethod
+    def _defect(m):
+        return float(_norms(m[None] - m[None].conj().swapaxes(-1, -2))[0] / _norms(m[None])[0])
+
+    @staticmethod
+    def _residual(h, e):
+        e = e[None]
+        return float(_norms(e @ h - adjoint(h) @ e)[0] / (_norms(h[None])[0] * _norms(e)[0]))
+
+    @staticmethod
+    def _pair(seed, n):
+        """(H, eta, g): eta = g g^dag + I, Hermitian up to rounding, is a metric for
+        H = eta^-1 (h + h^dag) up to rounding, and g is a general matrix."""
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        eta = g @ adjoint(g) + np.eye(n)
+        h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return np.linalg.solve(eta, h + adjoint(h)), eta, g
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [1, 3, 8, 33, 64])
+    def test_defects_and_classes_match_the_formula(self, n, seed):
+        _, eta, g = self._pair(seed, n)
+        for m in (eta, g):
+            for layout in _LAYOUTS.values():
+                x = layout(m)
+                assert hermiticity_defect(x).hex() == self._defect(x).hex()
+                cls = classify_metric(x)
+                eigs = np.linalg.eigvalsh((x + adjoint(x)) / 2.0)
+                assert cls.hermiticity_defect.hex() == self._defect(x).hex()
+                assert cls.min_eigenvalue_of_hermitian_part.hex() == float(eigs[0]).hex()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [1, 3, 8, 33, 64])
+    def test_residuals_match_the_formula(self, n, seed):
+        H, eta, g = self._pair(seed, n)
+        for e in (eta, g):
+            for h_layout in _LAYOUTS.values():
+                for e_layout in _LAYOUTS.values():
+                    h, x = h_layout(H), e_layout(e)
+                    assert residual(h, x).hex() == self._residual(h, x).hex()
 
 
 def _placed(seed, n, factor, skew, tol):
