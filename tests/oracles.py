@@ -21,7 +21,7 @@ reproduce bit for bit.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, sqrt
 
 import numpy as np
 
@@ -319,13 +319,15 @@ def _unit_peak(m: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _frobenius(m: np.ndarray) -> float:
-    """np.linalg.norm, recomputed on m over the power of two at its peak entry
-    when the squares leave the double range."""
+    """The root of one dot product over the row-major doubles of m (real and imaginary
+    parts interleaved), recomputed on m over the power of two at its peak entry when the
+    squares leave the double range."""
+    x = np.ascontiguousarray(m).view(float).ravel()
     with np.errstate(over="ignore", under="ignore"):
-        norm = float(np.linalg.norm(m))
-        if np.isinf(norm) or (norm < 1e-150 and m.any()):
-            scaled, k = _unit_peak(m)
-            norm = float(np.ldexp(np.linalg.norm(scaled), k))
+        norm = sqrt(x.dot(x))
+        if (np.isinf(norm) or norm < 1e-150) and x.any():
+            scaled, k = _unit_peak(x)
+            norm = float(np.ldexp(sqrt(scaled.dot(scaled)), k))
     return norm
 
 

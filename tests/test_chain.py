@@ -338,7 +338,7 @@ class TestBeyondTheDoubleRange:
 
 class TestStacks:
     """_chain measures its residuals chunk by chunk as it generates them, in stacks of at
-    most 2^16 complex entries, and classifies eta_0 and eta_1 only."""
+    most 2^15 complex entries, and classifies eta_0 and eta_1 only."""
 
     @pytest.mark.parametrize("shifted", [False, True])
     def test_eta0_and_eta1_classified_and_residuals_in_bounded_stacks(self, monkeypatch, shifted):
@@ -383,7 +383,7 @@ class TestStacks:
         assert len(classified) == 1
         assert np.array_equal(classified[0], (etas[:2] + adjoint(etas[:2])) / 2)
         assert len(measured[0]) == 1 and products[0] is None  # eta0, before the chain is built
-        assert all(b.size <= 2 ** 16 for b in measured[1:])
+        assert all(b.size <= 2 ** 15 for b in measured[1:])
         assert np.array_equal(np.concatenate(measured[1:]), etas)
         assert len(products) == len(measured)
         # products X^dag eta_k of the chain: G^dag eta_k generating it, and H^dag eta_k

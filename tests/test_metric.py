@@ -1,7 +1,9 @@
 import dataclasses
+import math
 import os
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -100,6 +102,15 @@ class TestResidual:
             with pytest.raises(InputError):
                 hermiticity_defect(m)
 
+    @pytest.mark.parametrize("value", [complex(1.0, np.inf), complex(0.0, np.nan)])
+    def test_non_finite_imaginary_part_rejected(self, value):
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = value
+        for call in (lambda: metric.as_matrix(m), lambda: metric.as_vector(m[0]),
+                     lambda: residual(np.eye(2), m)):
+            with pytest.raises(InputError, match="non-finite entries are not allowed"):
+                call()
+
     def test_integer_beyond_the_double_range_rejected(self):
         for call in (lambda: metric.as_matrix([[10**400]]), lambda: classify_metric([[10**400]]),
                      lambda: metric.as_vector([10**400, 0])):
@@ -163,12 +174,29 @@ class TestResidual:
         assert r_conj <= r_mult / svals[-1] * (1 + slack) + 1e-12
 
 
+def _ulps_from_exact(norm: float, m: np.ndarray) -> float:
+    """|norm - |m|_F| in units in the last place of norm, |m|_F exact: the squares of the
+    real and imaginary parts summed as Fractions, the root by an integer square root (to
+    2^-20 ulp)."""
+    parts = np.concatenate((m.real.ravel(), np.imag(m).ravel())).tolist()
+    ratio = sum(Fraction(x) ** 2 for x in parts) / Fraction(math.ulp(norm)) ** 2 * 4 ** 20
+    root = Fraction(math.isqrt(ratio.numerator // ratio.denominator), 2 ** 20)
+    return float(abs(Fraction(norm) / Fraction(math.ulp(norm)) - root))
+
+
+_STACK_LAYOUTS = {"C": np.ascontiguousarray, "F": np.asfortranarray,
+                  "reversed": lambda a: np.ascontiguousarray(a[..., ::-1, ::-1])[..., ::-1, ::-1]}
+
+
 class TestFrobenius:
-    def test_in_range_matches_numpy(self):
-        rng = np.random.default_rng(3)
-        for scale in (1e-140, 1e-6, 1.0, 1e6, 1e140):
-            m = scale * (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
-            assert frobenius(m) == float(np.linalg.norm(m))
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 33, 64])
+    def test_within_two_ulps_of_the_exact_norm(self, n, kind):
+        rng = np.random.default_rng([5, n])
+        for scale in (1e-140, 1e-70, 1e-6, 1.0, 1e6, 1e70, 1e140):
+            m = rng.standard_normal((n, n))
+            m = scale * (m + 1j * rng.standard_normal((n, n)) if kind == "complex" else m)
+            assert _ulps_from_exact(frobenius(m), m) <= 2.0, scale
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
     def test_exact_beyond_squaring_range(self, scale):
@@ -180,12 +208,20 @@ class TestFrobenius:
 
     @pytest.mark.parametrize("k", [-1074, -1000, -500, -300, 0, 300, 500, 1000, 1020])
     def test_one_matrix_is_the_stacked_norm(self, k):
-        # bit for bit, inside the squaring range and beyond it, complex, real and transposed
+        # bit for bit, inside the squaring range and beyond it, complex and real, for a
+        # transposed matrix and for C-ordered, Fortran-ordered and reversed-view matrices and
+        # stacks, whose norms do not depend on the layout: each sums the row-major doubles
         rng = np.random.default_rng(4)
-        m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        m = np.ldexp(m.view(float), k).view(complex)  # 2^k m, exactly where it stays normal
-        for x in (m, m.real, m.T):
-            assert frobenius(x).hex() == float(metric._norms(x[None])[0]).hex()
+        stack = rng.standard_normal((3, 6, 6)) + 1j * rng.standard_normal((3, 6, 6))
+        stack = np.ldexp(stack.view(float), k).view(complex)  # 2^k, exactly where it stays normal
+        for s in (stack, stack.real):
+            expected = [frobenius(m).hex() for m in s]
+            for m in s:
+                assert frobenius(m.T).hex() == float(_norms(m.T[None])[0]).hex()
+            for layout in _STACK_LAYOUTS.values():
+                assert [float(v).hex() for v in _norms(layout(s))] == expected
+                assert [frobenius(layout(m)).hex() for m in s] == expected
+                assert [float(_norms(m[None])[0]).hex() for m in layout(s)] == expected
 
     def test_zero_is_not_rescaled(self, monkeypatch):
         def fail(m):
@@ -395,9 +431,9 @@ _LAYOUTS = {"C": np.ascontiguousarray, "F": np.asfortranarray,
 
 class TestLayouts:
     """The Hermiticity and intertwining kernels read C-ordered, Fortran-ordered and
-    reversed-view inputs as the plain formulas below do, bit for bit.  _norms sums in
-    memory order, so a residual kernel that changed the layout of its difference would
-    change bits (an anti-Hermitian m - m^dag has the same squares in either order)."""
+    reversed-view inputs as the plain formulas below do, bit for bit.  _norms sums the
+    row-major doubles of any layout, so these compare the kernels' products and differences,
+    not the order in which their norms are summed."""
 
     @staticmethod
     def _defect(m):
@@ -1065,8 +1101,8 @@ _JORDAN_BLOCKS = st.lists(st.tuples(st.sampled_from(_JORDAN_EIGENVALUES), st.int
 
 
 class TestStacks:
-    """solve_metric_space measures its basis in stacks of at most 2^16 complex entries,
-    as chains do (tests/test_chain.py::TestStacks): 4 stacks of 16 elements at n = 64."""
+    """solve_metric_space measures its basis in stacks of at most 2^15 complex entries,
+    as chains do (tests/test_chain.py::TestStacks): 8 stacks of 8 elements at n = 64."""
 
     @staticmethod
     def family_basis(seed=1, n=64):
@@ -1084,8 +1120,8 @@ class TestStacks:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
         basis = self.family_basis()
-        assert (basis.solver, basis.dimension, len(stacks)) == ("spectral", 64, 4)
-        assert all(a.size <= 2 ** 16 for a in stacks)
+        assert (basis.solver, basis.dimension, len(stacks)) == ("spectral", 64, 8)
+        assert all(a.size <= 2 ** 15 for a in stacks)
         elements = np.array(basis.basis)
         assert np.array_equal(np.concatenate(stacks), (elements + adjoint(elements)) / 2)
 
@@ -1095,6 +1131,27 @@ class TestStacks:
         assert ([_bits(dataclasses.astuple(c)) for c in basis.classifications]
                 == [_bits(dataclasses.astuple(classification_of_one(b, basis.tol)))
                     for b in basis.basis])
+
+
+class TestSpectralBasis:
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_halving_is_the_division_by_two(self, n, monkeypatch):
+        # the stack is halved by a multiply, not numpy's complex-division loop: same values
+        qr, factors = np.linalg.qr, []
+
+        def recorded(a, *args, **kwargs):
+            out = qr(a, *args, **kwargs)
+            factors.append(out[0])
+            return out
+
+        monkeypatch.setattr(np.linalg, "qr", recorded)
+        rng = np.random.default_rng(n)
+        W = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        linked = rng.random((n, n)) < 0.5
+        stack = metric._spectral_basis(W, linked | linked.T | np.eye(n, dtype=bool))
+        q = factors[-1].T.reshape(-1, n, n)
+        qt = q.transpose(0, 2, 1)
+        assert np.array_equal(stack, (q + qt + 1j * (q - qt)) / 2.0)
 
 
 class TestJordanDimension:
