@@ -5,9 +5,10 @@ emits one report (JSON by default, ``--format text`` for humans) containing a
 ``checks`` array of named pass/fail entries, so CI can assert on named checks
 instead of parsing prose.  Exit codes: 0 all checks pass, 1 a mathematical
 check failed, 2 input error, 3 internal error (an unexpected exception, reported
-with its type and message).  Runs are deterministic given the flags and the
-input files; the only non-deterministic report field is the ``generated_at``
-timestamp.
+with its type and message).  For the same flags, input files and BLAS build,
+reports differ only in ``generated_at``: ``python -m pseudoherm`` and the
+``pseudoherm`` script default ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS`` to 1, a value the user set wins, and ``main()`` sets none.
 
 Each subcommand imports the modules it runs inside its handler, so ``weyl``
 and ``--help`` start without loading numpy.
@@ -375,7 +376,3 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(rendered)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

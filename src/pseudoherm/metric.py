@@ -4,7 +4,9 @@ A Hermitian invertible eta is a metric for a Hamiltonian H when the
 intertwining relation ``eta H = H^dag eta`` holds.  Everything here works in
 that multiplied-through form, so singular candidates are handled without ever
 inverting eta.  All functions are pure: inputs are never mutated and there is
-no global state, so concurrent use is safe.
+no global state, so concurrent use is safe.  Results can depend on the BLAS
+thread count in their last bits: SVDs and ``eig`` from n = 66, norms from 71,
+the tall QR from 80 and the square QR from 112 (measured on random input).
 """
 
 from __future__ import annotations

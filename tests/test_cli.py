@@ -1,11 +1,15 @@
+import gc
+import importlib
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import warnings
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,10 @@ from pseudoherm.io import matrix_from_dict, parse_matrix, parse_weyl_spec, write
 EXTREME_SCALES = [(1.0, 1.0), (1e300, 1e300), (1e300, 1e-300), (1e-300, 1e300), (1e-300, 1e-300)]
 
 TIMESTAMP = re.compile(r'^\s*"generated_at".*$', re.MULTILINE)
+
+ROOT = Path(__file__).resolve().parents[1]
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _strict_json(text):
@@ -712,13 +720,14 @@ class TestReportContract:
         assert report["status"] == "fail"
         assert any(not c["passed"] for c in report["checks"])
 
-    def test_module_entry_point(self, fixtures):
-        proc = subprocess.run(
-            [sys.executable, "-m", "pseudoherm", "verify",
-             "--hamiltonian", str(fixtures["H"]), "--eta", str(fixtures["eta"])],
-            capture_output=True, text=True)
-        assert proc.returncode == 0
-        assert _strict_json(proc.stdout)["status"] == "pass"
+    def test_module_entry_point(self, fixtures, tmp_path):
+        """With no --out, stdout holds exactly one complete JSON report, for every exit code."""
+        for eta, code, status in [(fixtures["eta"], 0, "pass"), (fixtures["identity"], 1, "fail"),
+                                  (tmp_path / "missing.json", 2, "input_error")]:
+            proc = _module_run("verify", "--hamiltonian", fixtures["H"], "--eta", eta)
+            assert (proc.returncode, proc.stderr) == (code, "")
+            assert proc.stdout.endswith("}\n")
+            assert _strict_json(proc.stdout)["status"] == status
 
     @pytest.mark.parametrize("exc", [RuntimeError("handler broke"), MemoryError("no room")],
                              ids=["RuntimeError", "MemoryError"])
@@ -741,12 +750,102 @@ class TestReportContract:
         assert "Traceback" not in capsys.readouterr().err
 
 
-def _imported_modules(*argv):
-    """Exit code and the modules that ``python -m pseudoherm argv`` imports."""
+class TestProcessEntry:
+    """``pseudoherm.__main__.main`` is the one process entry: it defaults the BLAS thread
+    variables to 1 before numpy loads and freezes the collector once the report is written;
+    ``cli.main`` does neither."""
+
+    def test_script_target_is_what_python_m_runs(self, monkeypatch):
+        tomllib = pytest.importorskip("tomllib")
+        with open(ROOT / "pyproject.toml", "rb") as handle:
+            target = tomllib.load(handle)["project"]["scripts"]["pseudoherm"]
+        module, _, name = target.partition(":")
+        callers = []
+
+        def report():
+            callers.append(sys._getframe(1).f_code)
+            return 7
+
+        monkeypatch.setattr(cli, "main", report)
+        monkeypatch.setattr(gc, "freeze", lambda: None)
+        for var in THREAD_VARS:
+            monkeypatch.setenv(var, "1")
+        # runpy warns when the module it runs as __main__ is already imported
+        monkeypatch.delitem(sys.modules, "pseudoherm.__main__", raising=False)
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("pseudoherm", run_name="__main__")
+        assert exit_info.value.code == 7
+        entry = getattr(importlib.import_module(module), name)
+        assert entry() == 7
+        assert callers == [entry.__code__, entry.__code__]
+
+    def test_thread_variables_default_to_one_and_a_set_value_wins(self, monkeypatch):
+        from pseudoherm.__main__ import main as entry
+
+        events = []
+
+        def report():
+            events.append(("report", *(os.environ.get(var) for var in THREAD_VARS)))
+            return 1
+
+        monkeypatch.setattr(cli, "main", report)
+        monkeypatch.setattr(gc, "freeze", lambda: events.append(("freeze",)))
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        assert entry() == 1
+        assert events == [("report", "1", "2", "1"), ("freeze",)]
+
+    def test_in_process_main_leaves_collector_and_environment(self, fixtures, tmp_path,
+                                                              monkeypatch):
+        for var in THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        before = (gc.get_freeze_count(), dict(os.environ))
+        for argv in (["verify", "--hamiltonian", fixtures["H"], "--eta", fixtures["eta"]],
+                     ["solve", "--hamiltonian", fixtures["H"], "--positive"],
+                     ["weyl", "--spec", fixtures["weyl"]]):
+            assert main([str(a) for a in argv] + ["--out", str(tmp_path / "r.json")]) == 0
+        assert (gc.get_freeze_count(), dict(os.environ)) == before
+
+    def test_reports_do_not_depend_on_the_default_thread_count(self, tmp_path):
+        """From about n = 66 threaded BLAS kernels round differently from one thread, so on
+        a machine with more than one core this compares two thread counts unless the entry
+        sets the unset variables to 1."""
+        for n in (72, 96):
+            rng = np.random.default_rng(0)
+            S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            S_inv = np.linalg.inv(S)
+            write_matrix(tmp_path / f"H{n}.json", S @ np.diag(rng.uniform(-2, 2, n)) @ S_inv)
+            eta = S_inv.conj().T @ S_inv
+            write_matrix(tmp_path / f"eta{n}.json", (eta + eta.conj().T) / 2)
+        unset = {k: v for k, v in _module_env().items() if k not in THREAD_VARS}
+        one = dict(unset, **dict.fromkeys(THREAD_VARS, "1"))
+        # solve as text: its n = 72 JSON report, every basis element, is 38 MB
+        for argv in (["chain", "--hamiltonian", tmp_path / "H96.json",
+                      "--eta0", tmp_path / "eta96.json"],
+                     ["solve", "--hamiltonian", tmp_path / "H72.json", "--positive",
+                      "--format", "text"]):
+            runs = [_module_run(*argv, env=env) for env in (unset, one)]
+            assert [proc.returncode for proc in runs] == [0, 0]
+            assert TIMESTAMP.sub("", runs[0].stdout) == TIMESTAMP.sub("", runs[1].stdout)
+
+
+def _module_env():
+    """The environment with this package's source first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(pseudoherm.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "pseudoherm", *map(str, argv)],
-                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def _module_run(*argv, options=(), env=None):
+    """``python options -m pseudoherm argv`` as a finished subprocess, output as text."""
+    return subprocess.run([sys.executable, *options, "-m", "pseudoherm", *map(str, argv)],
+                          capture_output=True, text=True, env=_module_env() if env is None else env)
+
+
+def _imported_modules(*argv):
+    """Exit code and the modules that ``python -m pseudoherm argv`` imports."""
+    proc = _module_run(*argv, options=("-X", "importtime"))
     return proc.returncode, {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
                              if line.startswith("import time:")}
 
