@@ -230,7 +230,7 @@ def _cmd_weyl(args, inputs):
     inputs["spec"] = {"path": str(args.spec), "potential_degree": spec.V.degree,
                       "momentum_degree": spec.f.degree, "alpha": spec.alpha,
                       "beta": spec.beta, "gamma": spec.gamma}
-    theta = args.theta if args.theta is not None else spec.theta
+    theta = _finite_real(args.theta, "--theta") if args.theta is not None else spec.theta
     H = build_shifted_hamiltonian(spec)
     residual_poly = boost_residual(H, theta)
     exact = not args.float_mode

@@ -280,15 +280,19 @@ class WeylPolynomial:
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other: "WeylPolynomial") -> "WeylPolynomial":
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "WeylPolynomial") -> "WeylPolynomial":
+        """``self + -other`` in one pass over other and with one reduction."""
+        return self._combine(other, -1)
+
+    def _combine(self, other: "WeylPolynomial", sign: int) -> "WeylPolynomial":
         den = lcm(self._den, other._den)
-        f, g = den // self._den, den // other._den
+        f, g = den // self._den, sign * (den // other._den)
         acc = {key: (re * f, im * f) for key, (re, im) in self._num.items()}
         for key, (re, im) in other._num.items():
             _add_to(acc, key, re * g, im * g)
         return WeylPolynomial._from(acc, den)
-
-    def __sub__(self, other: "WeylPolynomial") -> "WeylPolynomial":
-        return self + -other
 
     def __neg__(self) -> "WeylPolynomial":
         return WeylPolynomial._from({k: (-re, -im) for k, (re, im) in self._num.items()},
@@ -318,11 +322,13 @@ class WeylPolynomial:
         return self.scale(other)
 
     def adjoint(self) -> "WeylPolynomial":
-        """Operator adjoint: ``(c x^a p^b)^dag = conj(c) p^b x^a``, renormal-ordered."""
-        acc: dict[tuple[int, int], tuple[int, int]] = {}
+        """Operator adjoint: ``(c x^a p^b)^dag = conj(c) p^b x^a``, renormal-ordered;
+        a term with a == 0 or b == 0 is already in normal order and is only conjugated."""
+        acc = {(a, b): (re, -im) for (a, b), (re, im) in self._num.items() if not (a and b)}
         for (a, b), (re, im) in self._num.items():
-            for k, w in _reorder(b, a):
-                _add_to(acc, (a - k, b - k), *_gmul((re, -im), w))
+            if a and b:
+                for k, w in _reorder(b, a):
+                    _add_to(acc, (a - k, b - k), *_gmul((re, -im), w))
         return WeylPolynomial._from(acc, self._den)
 
     def boost(self, theta) -> "WeylPolynomial":
@@ -337,8 +343,10 @@ class WeylPolynomial:
 
         With shift = s/v, s a Gaussian integer, and top the highest x power,
         each p^b part q(x) becomes ``v^-top r(v x + s)`` with
-        ``r(y) = v^top q(y/v)``: a Taylor shift of Gaussian integers by s, by Horner's
-        rule on two lists, the real and imaginary numerators, with no tuple per step.
+        ``r(y) = v^top q(y/v)``: a Taylor shift by s = sr + i si, Horner's rule in two
+        passes over the real and imaginary numerator lists: by sr on each list with a
+        nonzero entry, then by i si, coupling the two.  A pass whose part of s is zero
+        is skipped, so a step costs two products in a boost and three for a real V.
         """
         if shift.is_zero() or not self._num:
             return self
@@ -356,11 +364,16 @@ class WeylPolynomial:
                 m = top - a
                 real.append((re * odd_pow[m]) << t * m)
                 imag.append((im * odd_pow[m]) << t * m)
-            # Horner's Taylor shift r(y) -> r(y + s); (re, im) is r[j + 1], just updated
-            for i in range(degree):
+            # Horner's Taylor shifts; c, or (re, im), is the entry j + 1, just updated
+            for part in (real, imag) if sr else ():
+                for i in range(degree if any(part) else 0):
+                    c = part[degree]
+                    for j in range(degree - 1, i - 1, -1):
+                        c = part[j] = part[j] + sr * c
+            for i in range(degree if si else 0):
                 re, im = real[degree], imag[degree]
                 for j in range(degree - 1, i - 1, -1):
-                    re, im = real[j] + sr * re - si * im, imag[j] + sr * im + si * re
+                    re, im = real[j] - si * im, imag[j] + si * re
                     real[j], imag[j] = re, im
             for j in range(degree + 1):
                 acc[(j, b)] = ((real[j] * odd_pow[j]) << t * j, (imag[j] * odd_pow[j]) << t * j)

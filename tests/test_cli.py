@@ -591,6 +591,16 @@ class TestWeyl:
                             "--float")
         assert report["results"]["theta"] == 0.1
 
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("mode", [[], ["--float"]], ids=["exact", "float"])
+    def test_non_finite_theta_is_an_input_error_naming_the_flag(self, fixtures, capsys,
+                                                                 theta, mode):
+        code, report = run_cli(capsys, "weyl", "--spec", fixtures["weyl"], f"--theta={theta}",
+                               *mode)
+        assert code == 2
+        assert report["status"] == "input_error"
+        assert report["error"] == "--theta must be finite and within the double range"
+
 
 class TestHugeJsonIntegers:
     """JSON integers have no size limit; one beyond the double range is an input error."""

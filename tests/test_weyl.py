@@ -69,6 +69,30 @@ dyadic_polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                                max_size=4).map(WeylPolynomial)
 
 
+complex_rationals = st.builds(RationalComplex, rationals, rationals)
+shift_values = st.one_of(nonzero, st.sampled_from([Fraction(7, 48), Fraction(5, 3 * 2 ** 60)]),
+                         dyadics.filter(bool))
+
+
+def shift_polys(coefficients):
+    """Up to six terms x^a p^b, a <= 6 and b <= 3: several p-parts, several Horner steps."""
+    return st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 3)), coefficients,
+                           min_size=1, max_size=6).map(WeylPolynomial)
+
+
+@st.composite
+def colliding_polys(draw):
+    """A mixed term x^a p^b (a, b >= 1), the pure term its last reordering
+    lands on, x^(a-m) p^(b-m) with m = min(a, b), and up to three more terms."""
+    terms = draw(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                                 complex_rationals, max_size=3))
+    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    m = min(a, b)
+    for key in ((a, b), (a - m, b - m)):
+        terms[key] = draw(st.builds(RationalComplex, nonzero, rationals))
+    return WeylPolynomial(terms)
+
+
 @st.composite
 def numerator_maps(draw):
     """Gaussian-integer numerators over den = 2^k * odd, k up to 3000, sharing
@@ -257,6 +281,42 @@ class TestBoost:
             A, B = random_poly(rng), random_poly(rng)
             assert (A * B).boost(theta) == A.boost(theta) * B.boost(theta)
             assert A.boost(theta).boost(-theta) == A
+
+
+class TestTwoPassShift:
+    """``_shift_x`` in each of its branches (real pass, imaginary pass, both,
+    neither) against the binomial theorem in Fractions."""
+
+    @pytest.mark.parametrize("kind", ["real", "imaginary", "complex", "zero"])
+    @pytest.mark.parametrize("coefficients", [st.builds(RationalComplex, rationals),
+                                              complex_rationals], ids=["real-V", "complex-V"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_binomial_theorem(self, kind, coefficients, data):
+        A = data.draw(shift_polys(coefficients))
+        re = data.draw(shift_values) if kind in ("real", "complex") else Fraction(0)
+        im = data.draw(shift_values) if kind in ("imaginary", "complex") else Fraction(0)
+        assert fraction_terms(A._shift_x(RationalComplex(re, im))) == \
+            fraction_weyl_shift(fraction_terms(A), (re, im))
+
+
+class TestAdjointAndDifference:
+    """Copied pure terms and reordered mixed ones landing on the same key."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(colliding_polys())
+    @example(WeylPolynomial({(2, 2): 1, (0, 0): RationalComplex(0, 1)}))
+    def test_adjoint_matches_fractions(self, A):
+        assert fraction_terms(A.adjoint()) == fraction_weyl_adjoint(fraction_terms(A))
+
+    @settings(max_examples=100, deadline=None)
+    @given(colliding_polys(), st.one_of(colliding_polys(), polys, dyadic_polys))
+    def test_difference_matches_fractions_and_the_negated_sum(self, A, B):
+        for left, right in ((A, B), (B, A), (A.boost(Fraction(1, 3)), A.adjoint())):
+            difference = left - right
+            assert fraction_terms(difference) == \
+                fraction_sub(fraction_terms(left), fraction_terms(right))
+            assert difference == left + (-right)
 
 
 class TestBuildShiftedHamiltonian:
@@ -541,7 +601,7 @@ class TestExactProperties:
     @settings(max_examples=60, deadline=None)
     @given(polys, polys)
     def test_stored_form_is_canonical(self, A, B):
-        for poly in (A * B, A + B, A - A, A.adjoint(), A.boost(Fraction(2, 3))):
+        for poly in (A * B, A + B, A - B, A - A, A.adjoint(), A.boost(Fraction(2, 3))):
             parts = [part for c in poly._num.values() for part in c]
             assert poly._den > 0
             assert all(c != (0, 0) for c in poly._num.values())
@@ -632,10 +692,13 @@ class TestScaleSweep:
 class TestFractionReference:
     """The integer representation against term-by-term Fraction arithmetic."""
 
-    @pytest.fixture(params=[0, 1, 2])
+    @pytest.fixture(params=[0, 1, 2, 3])
     def spec(self, request):
+        # spec 3 has the benchmark's degree, 32
         rng = np.random.default_rng([43, request.param])
-        return spec_of(rng.standard_normal(17).tolist(), alpha=float(rng.uniform(0.5, 2)),
+        degree = 32 if request.param == 3 else 16
+        return spec_of(rng.standard_normal(degree + 1).tolist(),
+                       alpha=float(rng.uniform(0.5, 2)),
                        beta=float(rng.standard_normal()), gamma=float(rng.uniform(0.25, 1)),
                        f=rng.standard_normal(request.param + 1).tolist())
 
