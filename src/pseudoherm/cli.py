@@ -21,6 +21,7 @@ import datetime
 import json
 import math
 import os
+import re
 import sys
 from typing import TYPE_CHECKING
 
@@ -137,6 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prefix", default=None,
                    help="output file prefix (default: the example name)")
 
+    # argparse reads a token that starts with "-" as an option unless it looks like "-1" or
+    # "-.5", so "--theta -1e5" had no value.  Each subcommand reads a token that starts with
+    # one "-" and names none of its options as a value, as in the "--opt=value" form.
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"-[^-]")
     return parser
 
 

@@ -336,10 +336,22 @@ def _fix_sign(b: np.ndarray) -> np.ndarray:
 
 
 def _inverse_step(R: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """q of one inverse-iteration step ``R^-1 B`` on a fixed (k, p) B, and the SVD of ``R q``."""
-    # Rayleigh-Ritz on one step of inverse iteration: Ipsen, SIAM Rev. 39 (1997) 254.
-    start = np.cos(np.outer(np.arange(R.shape[1]), np.arange(1, p + 1)))  # fixed, not drawn
-    q, _ = np.linalg.qr(np.linalg.solve(R, start))
+    """q of one inverse-iteration step ``R^-1 B`` on a fixed (k, p) B, and the SVD of ``R q``;
+    at an exact zero pivot, q of ``(R + eps C)^-1 B`` (see below), still with R's Ritz values."""
+    # Rayleigh-Ritz on one step of inverse iteration: Ipsen, SIAM Rev. 39 (1997) 254.  An exact
+    # zero pivot (the frame map of an exact Jordan block has exactly zero columns) takes the
+    # step with R + eps C: C the fixed table cos((i + 1/2)(j + 3/2)) at unit norm, eps =
+    # 2^-50 |R|_F, or 2^-50 for R = 0, which every vector solves.  A diagonal shift does not
+    # mend such a map (its least singular value falls as a power of the shift); a dense C does.
+    k = len(R)
+    start = np.cos(np.outer(np.arange(k), np.arange(1, p + 1)))  # fixed, not drawn
+    try:
+        x = np.linalg.solve(R, start)
+    except np.linalg.LinAlgError:
+        C = np.cos(np.outer(np.arange(k) + 0.5, np.arange(k) + 1.5))
+        C *= 2.0 ** -50 * (frobenius(R) or 1.0) / frobenius(C)
+        x = np.linalg.solve(np.add(C, R, out=C), start)  # k x k arrays: R, C, the LU copy
+    q, _ = np.linalg.qr(x)
     return (q, *np.linalg.svd(R @ q, full_matrices=False)[1:])
 
 
@@ -381,7 +393,8 @@ def _realified_basis(H: np.ndarray, candidates: np.ndarray | None, tol: float,
     most ``theta = tol |H|_F``.  Ritz values of an _inverse_step on ``min(k, max(need, n) + 8)``
     columns prove ``sigma_d <= theta`` (interlacing), _gap_certified ``sigma_{d+1} > theta``,
     else R's values give d.  The step on ``min(k, d + 8)`` columns (the first if that wide)
-    gives the elements if d Ritz values pass, else A's full SVD; smallest singular value first."""
+    gives the elements, smallest singular value first; InputError if a Ritz value of theirs
+    exceeds theta (on no input measured so far)."""
     n = H.shape[0]
     if candidates is None:  # A written from H, coefficients lifted by index
         A, lift = _frame_map(H).reshape(n * n, n * n).T, partial(_frame_lift, n=n)
@@ -389,27 +402,23 @@ def _realified_basis(H: np.ndarray, candidates: np.ndarray | None, tol: float,
         images = (candidates.reshape(-1, n) @ H).reshape(-1, n, n)  # F H in one product
         images = (images - adjoint(images)).reshape(len(candidates), n * n)
         A, lift = (images.real + images.imag).T, partial(np.tensordot, b=candidates, axes=1)
-    k, threshold, q, d = A.shape[1], tol * frobenius(H), None, None
+    k, threshold = A.shape[1], tol * frobenius(H)
     R = A if k == n * n else np.linalg.qr(A, mode="r")  # A's singular values, right vectors
-    with suppress(np.linalg.LinAlgError):  # an exact zero pivot (met once), or R^-1 overflows
-        q, ritz, wt = _inverse_step(R, min(k, max(need, n) + 8))  # n: nonderogatory H's dimension
-        d, G = np.count_nonzero(ritz <= threshold), R.T @ R
-        A, R = (None, None) if candidates is None else (A, R)  # the frame's Gram takes A's place
-        # d stands if the gap is proved; G goes before A is rebuilt for the fallback
-        d, G = d if _gap_certified(G, ritz, wt[::-1][:d] @ q.T, threshold) else None, None
-    if A is None and (d is None or len(ritz) != min(k, d + 8)):  # rebuilt for an SVD or step
-        A = R = _frame_map(H).reshape(n * n, n * n).T
+    q, ritz, wt = _inverse_step(R, min(k, max(need, n) + 8))  # n: nonderogatory H's dimension
+    d, G = np.count_nonzero(ritz <= threshold), R.T @ R
+    A = R = None if candidates is None else R  # the frame's Gram takes A's place
+    # d stands if the gap is proved; G goes before A is rebuilt for the count or a second step
+    d, G = d if _gap_certified(G, ritz, wt[::-1][:d] @ q.T, threshold) else None, None
+    if R is None and (d is None or len(ritz) != min(k, d + 8)):
+        R = _frame_map(H).reshape(n * n, n * n).T
     d = np.count_nonzero(np.linalg.svd(R, compute_uv=False) <= threshold) if d is None else d
     if d < max(need, 1):  # none, or too few for the caller, which retries on the frame
         return np.zeros((0, n, n), dtype=complex)
     p = min(k, d + 8)
-    with suppress(np.linalg.LinAlgError):  # R^-1 beyond the double range
-        if q is not None:
-            q, ritz, wt = (q, ritz, wt) if len(ritz) == p else _inverse_step(R, p)
-            if (ritz[p - d:] <= threshold).all():
-                return lift(wt[p - d:][::-1] @ q.T)
-    _, svals, vt = np.linalg.svd(A, full_matrices=False)
-    return lift(vt[svals <= threshold][::-1])
+    q, ritz, wt = (q, ritz, wt) if len(ritz) == p else _inverse_step(R, p)
+    if not (ritz[p - d:] <= threshold).all():
+        raise InputError(f"H: the nullspace was not resolved at tol = {tol:g}")
+    return lift(wt[p - d:][::-1] @ q.T)
 
 
 def _spectral_basis(W: np.ndarray, linked: np.ndarray) -> np.ndarray:
@@ -442,6 +451,15 @@ def _measured(H: np.ndarray, stack: np.ndarray, tol: float) -> tuple[np.ndarray,
     return (signed, *_measure(H, signed, lambda chunk, norms: _classify(chunk, tol, norms)))
 
 
+# The frame solve's peak RSS grew by at most 40.5 n^4 bytes at n = 24..40 (one BLAS thread):
+# 27-32 n^4 on dense-solve-style Jordan draws S J_n S^-1 (the Gram matrix, its Cholesky factor
+# and LAPACK's copy of it), 28-40.5 n^4 on the J_2 family, whose values-only SVD counts d, and
+# 35-38 n^4 on the exact 0.3 I + N (the map, its perturbed copy and the LU solve's copy of
+# that).  A bound about 12% above the largest reading refuses what beyond the physical memory
+# would get the process killed, not a MemoryError.
+_FRAME_BYTES_PER_N4 = 45
+
+
 def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
     """Compute every Hermitian solution of ``eta H = H^dag eta``.
 
@@ -462,8 +480,8 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
     candidates are the frame of all n^2 Hermitian matrices instead, and ``solver`` is
     ``"realified"``, when ``tol cond(V) >= 1`` or when that nullspace has fewer elements than
     the links give: a numerically defective cluster, such as a Jordan block.  The frame takes
-    about 32 n^4 bytes, 78 n^4 with the full SVD; InputError names n when 84 n^4 exceeds the
-    physical memory (by os.sysconf, where it exists) or numpy cannot allocate it.
+    up to about 40 n^4 bytes; InputError names n when _FRAME_BYTES_PER_N4 n^4 (45 n^4) exceeds
+    the physical memory (by os.sysconf, where it exists) or numpy cannot allocate it.
 
     The sign of each element's first significant entry is made positive.
     Dimension 0 is a valid outcome meaning no Hermitian metric exists.
@@ -493,15 +511,8 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
     solver = "realified" if measured is None else "spectral"
     if measured is None:
         try:
-            # The frame solve's peak RSS grew by 27-32 n^4 bytes on a whole-matrix
-            # Jordan block at n = 24..40 (one BLAS thread; the Gram matrix, its
-            # Cholesky factor and LAPACK's copy of it), and by 73-78 n^4 bytes when
-            # the full-SVD fallback runs after a failed certificate and Ritz check
-            # (72-78 without the certificate), so 84 n^4 bytes beyond the physical
-            # memory would get the process killed, not a MemoryError.
-            memory = (os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-                      if hasattr(os, "sysconf") else np.inf)
-            if 84 * len(H) ** 4 > memory:
+            if hasattr(os, "sysconf") and _FRAME_BYTES_PER_N4 * len(H) ** 4 > (
+                    os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")):
                 raise MemoryError
             measured = _measured(unit, _realified_basis(unit, None, tol), tol)
         except MemoryError:
@@ -559,20 +570,15 @@ def catalog_two_point(x: complex, y: complex) -> tuple[np.ndarray, np.ndarray]:
     matrix otherwise.  Im(x) = 0 is rejected: the Hamiltonian would be
     Hermitian, outside this constructor's scope.
     """
-    x = complex(x)
-    y = complex(y)
-    if not (np.isfinite(x.real) and np.isfinite(x.imag)
-            and np.isfinite(y.real) and np.isfinite(y.imag)):
+    x, y = complex(x), complex(y)
+    if not np.isfinite([x, y]).all():  # a complex number is finite when both parts are
         raise InputError("two-point parameters must be finite")
     if x.imag == 0.0:
         raise InputError("two-point constructor requires Im(x) != 0 "
                          "(the Hamiltonian would be Hermitian)")
     H = np.array([[x, y], [np.conj(y), np.conj(x)]], dtype=complex)
-    if y != 0:
-        eta = np.array([[0.0, y], [np.conj(y), 0.0]], dtype=complex)
-    else:
-        eta = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    return H, eta
+    w = y if y != 0 else 1.0
+    return H, np.array([[0.0, w], [np.conj(w), 0.0]], dtype=complex)
 
 
 def catalog_oscillator(omega: float) -> tuple[np.ndarray, np.ndarray]:

@@ -177,14 +177,31 @@ class TestSolve:
         assert "n = 3" in report["error"] and "traceback" not in report
 
     def test_frame_beyond_physical_memory_is_input_error(self, tmp_path, capsys, monkeypatch):
-        # 84 n^4 = 6804 bytes for the frame of a 3x3 Jordan matrix against 1 page of 4096
-        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": 4096}.__getitem__)
+        # one byte less than the bound _FRAME_BYTES_PER_N4 n^4 for the frame of a 3x3 Jordan
+        # matrix, in pages of one byte
+        pages = pseudoherm.metric._FRAME_BYTES_PER_N4 * 3 ** 4 - 1
+        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 1}.__getitem__)
         write_matrix(tmp_path / "h.json", np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0],
                                                     [0.0, 0.0, 2.0]]))
         code, report = run_cli(capsys, "solve", "--hamiltonian", tmp_path / "h.json")
         assert (code, report["status"]) == (2, "input_error")
         assert report["error"] == ("H: the realified solve at n = 3 needs more memory than "
                                    "this machine has (its arrays grow as n^4)")
+
+    def test_unresolved_nullspace_is_input_error(self, tmp_path, capsys, monkeypatch):
+        # every Ritz value of the inverse-iteration step raised above tol |H|_F
+        step = pseudoherm.metric._inverse_step
+
+        def raised(R, p):
+            q, ritz, wt = step(R, p)
+            return q, ritz + 1.0, wt
+
+        monkeypatch.setattr(pseudoherm.metric, "_inverse_step", raised)
+        write_matrix(tmp_path / "h.json", np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0],
+                                                    [0.0, 0.0, 2.0]]))
+        code, report = run_cli(capsys, "solve", "--hamiltonian", tmp_path / "h.json")
+        assert (code, report["status"]) == (2, "input_error")
+        assert report["error"] == "H: the nullspace was not resolved at tol = 1e-10"
 
     @pytest.mark.parametrize("H, solver", [
         (random_pseudo_hermitian(5, np.random.default_rng(2)), "spectral"),
@@ -685,6 +702,29 @@ class TestExample:
 
 
 class TestReportContract:
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["weyl", "--spec", "weyl"], "--theta", "-1e5"),
+        (["weyl", "--spec", "weyl"], "--theta", "-inf"),
+        (["weyl", "--spec", "weyl", "--float"], "--theta", "-1e5"),
+        (["example", "oscillator"], "--omega", "-1e5"),
+        (["example", "two-point"], "--x", "-1+1i"),
+        (["example", "two-point", "--x", "1+1i"], "--y", "-2-0.5i"),
+        (["perturb", "--hamiltonian", "H", "--eta", "eta"], "--poly", "-1,0.5"),
+        (["chain", "--hamiltonian", "H", "--eta0", "eta"], "--k-max", "-1"),
+    ])
+    def test_value_starting_with_a_minus_is_a_value(self, fixtures, tmp_path, capsys,
+                                                    argv, flag, value):
+        # "--opt -v" gives the exit code and report of "--opt=-v"; after the subcommand,
+        # fixture names stand for their files
+        argv = [argv[0], *(fixtures.get(a, a) for a in argv[1:])]
+        if argv[0] == "example":
+            argv += ["--out-dir", tmp_path]
+        spaced = run_cli(capsys, *argv, flag, value)
+        joined = run_cli(capsys, *argv, f"{flag}={value}")
+        assert isinstance(spaced[1], dict)
+        assert spaced[0] == joined[0]
+        assert {**spaced[1], "generated_at": None} == {**joined[1], "generated_at": None}
+
     def test_reports_are_deterministic_modulo_timestamp(self, fixtures, tmp_path, capsys):
         argv = ["verify", "--hamiltonian", str(fixtures["H"]),
                 "--eta", str(fixtures["eta"]), "--out"]

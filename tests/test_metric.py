@@ -690,6 +690,22 @@ def _dense_solve_jordan(n, seed):
     return S @ (rng.uniform(-1.0, 1.0) * np.eye(n) + np.diag(np.ones(n - 1), 1)) @ S_inv
 
 
+# exact input whose frame map has exactly zero columns, then the other Jordan cases of
+# _SOLVER_PATHS
+_EXACT_INPUTS = [
+    0.3 * np.eye(16) + np.diag(np.ones(15), 1),
+    np.array([[0, 1], [0, 0]]),
+    np.eye(8) + np.diag(np.ones(7), 1),
+    np.diag(np.ones(23), 1),
+    jordan_matrix([(1, 2), (1j, 1), (-1j, 1)]),
+    jordan_matrix([(1, 3), (1 + 1j, 2), (1 - 1j, 2), (2, 1)]),
+    jordan_matrix([(0, 2)] * 4),
+    jordan_matrix([(1, 1), (1, 1), (2, 2)]),
+]
+_EXACT_AND_JORDAN = _EXACT_INPUTS + [
+    H for H, _, solver in _SOLVER_PATHS
+    if solver == "realified" and not any(np.array_equal(H, E) for E in _EXACT_INPUTS)]
+
 _FRAME_SOLVES = ([H for H, _, solver in _SOLVER_PATHS if solver == "realified"]
                  + [_j2_family(n, seed) for n in (8, 16) for seed in range(10)]
                  + [_dense_solve_jordan(16, seed) for seed in range(3)])
@@ -756,9 +772,25 @@ class TestFrameNullspace:
         assert certificates[-1] == (24, False)
         assert ("svd", False, False) in kernels[frame:]
 
-    def test_exact_zero_pivot_takes_the_full_svd(self, monkeypatch):
-        # the frame map of [[0, 1], [0, 0]] has exact zero columns, so the LU solve
-        # meets a zero pivot, and the full SVD gives two frame elements exactly
+    @pytest.mark.parametrize("H", _EXACT_AND_JORDAN, ids=[
+        f"H{i}-n{len(H)}" for i, H in enumerate(_EXACT_AND_JORDAN)])
+    def test_exact_and_jordan_input_takes_the_inverse_step(self, H, kernels):
+        # an exact zero pivot takes the step with R + eps C: the span is the full SVD
+        # oracle's, the residuals stay at rounding level, and outside the steps the one
+        # SVD with vectors is V's
+        reference = frame_nullspace(H, 1e-10)
+        kernels.clear()
+        basis = solve_metric_space(H)
+        assert (basis.solver, basis.dimension) == ("realified", len(reference))
+        assert np.abs(projector(basis.basis) - projector(reference)).max() <= 1e-8
+        assert max(basis.residuals) <= 1e-13
+        assert max(residual(H, b) for b in basis.basis) <= 1e-13
+        assert kernels.count(("svd", False, True)) == 1
+
+    @pytest.mark.parametrize("h", [0.0, 0.7, -2.5])
+    def test_one_by_one_zero_map(self, h, monkeypatch):
+        # a real 1x1 H has the zero map, which every candidate solves: the LU solve of the
+        # zero R meets a zero pivot, and the step on eps C gives the one frame element
         raised = []
         solve = np.linalg.solve
 
@@ -770,11 +802,22 @@ class TestFrameNullspace:
                 raise
 
         monkeypatch.setattr(np.linalg, "solve", spy)
-        basis = solve_metric_space(np.array([[0, 1], [0, 0]]))
-        s = 1 / np.sqrt(2.0)
-        expected = np.array([[[0, 0], [0, 1]], [[0, s], [s, 0]]], dtype=complex)
+        members = _realified_basis(np.array([[h]], dtype=complex), None, 1e-10)
         assert raised == [True]
-        assert np.array(basis.basis).tobytes() == expected.tobytes()
+        assert members.shape == (1, 1, 1) and abs(members[0, 0, 0]) == 1.0
+
+    def test_unresolved_nullspace_is_input_error(self, monkeypatch):
+        # every Ritz value raised above theta: R's singular values count d = 2, and the
+        # step's d smallest Ritz values fail the check
+        step = metric._inverse_step
+
+        def raised(R, p):
+            q, ritz, wt = step(R, p)
+            return q, ritz + 1.0, wt
+
+        monkeypatch.setattr(metric, "_inverse_step", raised)
+        with pytest.raises(InputError, match="^H: the nullspace was not resolved at tol = 1e-10$"):
+            solve_metric_space(np.array([[0, 1], [0, 0]]))
 
 
 class TestSolveMetricSpace:
@@ -982,10 +1025,12 @@ class TestSolveMetricSpace:
         with pytest.raises(InputError, match="n = 4"):
             solve_metric_space(_J2_REAL)
 
-    @pytest.mark.parametrize("pages, refused", [(5, True), (6, False)])
-    def test_frame_beyond_physical_memory_is_input_error(self, monkeypatch, pages, refused):
-        # the frame solve of a 4x4 Jordan block is bounded by 84 n^4 = 21504 bytes:
-        # 5 pages of 4096 bytes are too few, and the frame is never built; 6 are enough
+    @pytest.mark.parametrize("refused", [True, False])
+    def test_frame_beyond_physical_memory_is_input_error(self, monkeypatch, refused):
+        # the frame solve of a 4x4 Jordan block is bounded by _FRAME_BYTES_PER_N4 n^4 bytes:
+        # the most pages of 4096 bytes below it are too few, and the frame is never built;
+        # one page more is enough
+        pages = (metric._FRAME_BYTES_PER_N4 * 4 ** 4 - 1) // 4096 + (0 if refused else 1)
         sizes = {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 4096}
         monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
         frames = []
@@ -1231,14 +1276,22 @@ class TestFindMetric:
             assert residual(H, eta) <= 1e-10
             assert classify_metric(eta).positive
 
-    @pytest.mark.parametrize("H", [
-        np.diag([1 + 1j, 1 - 1j, 3]),
-        np.diag([1, 1, 1 + 1j, 1 - 1j]),
-        np.block([[np.array([[1, 1], [0, 1]]), np.zeros((2, 2))],
-                  [np.zeros((2, 2)), np.diag([1j, -1j])]]),
-    ])
-    def test_invertible_when_every_basis_element_is_singular(self, H):
+    @pytest.mark.parametrize("H, elements", [
+        (np.diag([1 + 1j, 1 - 1j, 3]), None),
+        (np.diag([1, 1, 1 + 1j, 1 - 1j]), None),
+        # J_2(1) + diag(i, -i): its space is spanned by the frame elements E_11,
+        # s (E_01 + E_10), s (E_23 + E_32) and s i (E_23 - E_32), s = 2^-1/2, each singular,
+        # whichever rotation of them a solve gives
+        (np.block([[np.array([[1, 1], [0, 1]]), np.zeros((2, 2))],
+                   [np.zeros((2, 2)), np.diag([1j, -1j])]]), loop_frame(4)[[1, 4, 14, 15]]),
+    ], ids=["H0", "H1", "H2"])
+    def test_invertible_when_every_basis_element_is_singular(self, H, elements):
         basis = solve_metric_space(H)
+        if elements is not None:  # the solve's space, given by singular elements
+            assert np.abs(projector(basis.basis) - projector(elements)).max() <= 1e-12
+            basis = dataclasses.replace(
+                basis, basis=list(elements), residuals=[residual(H, b) for b in elements],
+                classifications=[classify_metric(b) for b in elements])
         assert not any(cls.invertible for cls in basis.classifications)
         eta = find_metric(basis)
         assert eta is not None
