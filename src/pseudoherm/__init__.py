@@ -22,7 +22,8 @@ _EXPORTS = {
                "residual", "solve_metric_space"),
     "perturbation": ("PerturbedHamiltonian", "auto_K", "commutator_defect", "matrix_poly",
                      "perturb"),
-    "quasi": ("InducedForm", "induced_hamiltonian", "induced_inner", "metric_sqrt"),
+    "quasi": ("InducedForm", "QuasiHermitian", "induced_hamiltonian", "induced_inner",
+              "metric_sqrt", "quasi_hermitian"),
     "weyl": ("RationalComplex", "RealPolynomial", "ShiftedPotentialSpec", "WeylPolynomial",
              "boost_residual", "build_shifted_hamiltonian", "check_symbolic"),
 }

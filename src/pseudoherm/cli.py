@@ -202,29 +202,16 @@ def _cmd_perturb(args, inputs):
 
 
 def _cmd_quasi(args, inputs):
-    import numpy as np
+    from .quasi import quasi_hermitian
 
-    from .metric import frobenius, hermiticity_defect, residual
-    from .quasi import _eta_positive, induced_hamiltonian, metric_sqrt
-
-    H, eta = _read(args, inputs, "hamiltonian", "eta")
-    cls, positive = _eta_positive(eta, args.tol)
-    r0 = residual(H, eta)
-    checks = [positive, Check("eta_is_metric", r0 <= args.tol, r0, args.tol)]
-    results = {"eta_classification": io.classification_to_dict(cls), "residual": r0}
-    if cls.positive and r0 <= args.tol:
-        form = metric_sqrt(eta, args.tol)
-        H_eta = induced_hamiltonian(H, form, args.tol)
-        bound = args.tol * frobenius(H)
-        defect = hermiticity_defect(H_eta)
-        eigvals = np.sort_complex(np.linalg.eigvals(H_eta))
-        max_imag = float(np.max(np.abs(eigvals.imag))) if eigvals.size else 0.0
-        checks.append(Check("induced_hermitian", defect <= args.tol, defect, args.tol))
-        checks.append(Check("spectrum_real", max_imag <= bound, max_imag, bound))
-        results["sqrt_eta"] = io.matrix_to_dict(form.sqrt_eta)
-        results["induced_hamiltonian"] = io.matrix_to_dict(H_eta)
-        results["eigenvalues"] = [[float(z.real), float(z.imag)] for z in eigvals]
-    return results, checks
+    out = quasi_hermitian(*_read(args, inputs, "hamiltonian", "eta"), args.tol)
+    results = {"eta_classification": io.classification_to_dict(out.eta_classification),
+               "residual": out.residual}
+    if out.form is not None:
+        results["sqrt_eta"] = io.matrix_to_dict(out.form.sqrt_eta)
+        results["induced_hamiltonian"] = io.matrix_to_dict(out.hamiltonian)
+        results["eigenvalues"] = [[float(z.real), float(z.imag)] for z in out.eigenvalues]
+    return results, out.checks
 
 
 def _cmd_weyl(args, inputs):

@@ -335,21 +335,21 @@ def _fix_sign(b: np.ndarray) -> np.ndarray:
     return b
 
 
-def _inverse_step(R: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _inverse_step(R: np.ndarray, p: int, perturbed: bool = False) -> tuple[np.ndarray, ...]:
     """q of one inverse-iteration step ``R^-1 B`` on a fixed (k, p) B, and the SVD of ``R q``;
-    at an exact zero pivot, q of ``(R + eps C)^-1 B`` (see below), still with R's Ritz values."""
+    perturbed or at an exact zero pivot, q of ``(R + eps C)^-1 B`` (below), with R's values."""
     # Rayleigh-Ritz on one step of inverse iteration: Ipsen, SIAM Rev. 39 (1997) 254.  An exact
     # zero pivot (the frame map of an exact Jordan block has exactly zero columns) takes the
     # step with R + eps C: C the fixed table cos((i + 1/2)(j + 3/2)) at unit norm, eps =
-    # 2^-50 |R|_F, or 2^-50 for R = 0, which every vector solves.  A diagonal shift does not
+    # 2^-48 |R|_F, or 2^-48 for R = 0, which every vector solves.  A diagonal shift does not
     # mend such a map (its least singular value falls as a power of the shift); a dense C does.
-    k = len(R)
+    k, x = len(R), None
     start = np.cos(np.outer(np.arange(k), np.arange(1, p + 1)))  # fixed, not drawn
-    try:
-        x = np.linalg.solve(R, start)
-    except np.linalg.LinAlgError:
+    with suppress(np.linalg.LinAlgError):
+        x = None if perturbed else np.linalg.solve(R, start)
+    if x is None:
         C = np.cos(np.outer(np.arange(k) + 0.5, np.arange(k) + 1.5))
-        C *= 2.0 ** -50 * (frobenius(R) or 1.0) / frobenius(C)
+        C *= 2.0 ** -48 * (frobenius(R) or 1.0) / frobenius(C)
         x = np.linalg.solve(np.add(C, R, out=C), start)  # k x k arrays: R, C, the LU copy
     q, _ = np.linalg.qr(x)
     return (q, *np.linalg.svd(R @ q, full_matrices=False)[1:])
@@ -393,8 +393,8 @@ def _realified_basis(H: np.ndarray, candidates: np.ndarray | None, tol: float,
     most ``theta = tol |H|_F``.  Ritz values of an _inverse_step on ``min(k, max(need, n) + 8)``
     columns prove ``sigma_d <= theta`` (interlacing), _gap_certified ``sigma_{d+1} > theta``,
     else R's values give d.  The step on ``min(k, d + 8)`` columns (the first if that wide)
-    gives the elements, smallest singular value first; InputError if a Ritz value of theirs
-    exceeds theta (on no input measured so far)."""
+    gives the elements, smallest singular value first; a Ritz value of theirs above theta takes
+    the step on R + eps C, and InputError if that fails too or R + eps C is singular."""
     n = H.shape[0]
     if candidates is None:  # A written from H, coefficients lifted by index
         A, lift = _frame_map(H).reshape(n * n, n * n).T, partial(_frame_lift, n=n)
@@ -404,21 +404,25 @@ def _realified_basis(H: np.ndarray, candidates: np.ndarray | None, tol: float,
         A, lift = (images.real + images.imag).T, partial(np.tensordot, b=candidates, axes=1)
     k, threshold = A.shape[1], tol * frobenius(H)
     R = A if k == n * n else np.linalg.qr(A, mode="r")  # A's singular values, right vectors
-    q, ritz, wt = _inverse_step(R, min(k, max(need, n) + 8))  # n: nonderogatory H's dimension
-    d, G = np.count_nonzero(ritz <= threshold), R.T @ R
-    A = R = None if candidates is None else R  # the frame's Gram takes A's place
-    # d stands if the gap is proved; G goes before A is rebuilt for the count or a second step
-    d, G = d if _gap_certified(G, ritz, wt[::-1][:d] @ q.T, threshold) else None, None
-    if R is None and (d is None or len(ritz) != min(k, d + 8)):
-        R = _frame_map(H).reshape(n * n, n * n).T
-    d = np.count_nonzero(np.linalg.svd(R, compute_uv=False) <= threshold) if d is None else d
-    if d < max(need, 1):  # none, or too few for the caller, which retries on the frame
-        return np.zeros((0, n, n), dtype=complex)
-    p = min(k, d + 8)
-    q, ritz, wt = (q, ritz, wt) if len(ritz) == p else _inverse_step(R, p)
-    if not (ritz[p - d:] <= threshold).all():
-        raise InputError(f"H: the nullspace was not resolved at tol = {tol:g}")
-    return lift(wt[p - d:][::-1] @ q.T)
+    with suppress(np.linalg.LinAlgError):  # a singular R + eps C: the nullspace is unresolved
+        q, ritz, wt = _inverse_step(R, min(k, max(need, n) + 8))  # n: nonderogatory H's dim.
+        d, G = np.count_nonzero(ritz <= threshold), R.T @ R
+        A = R = None if candidates is None else R  # the frame's Gram takes A's place
+        # d stands if the gap is proved; G goes before A is rebuilt for the count or a step
+        d, G = d if _gap_certified(G, ritz, wt[::-1][:d] @ q.T, threshold) else None, None
+        if R is None and (d is None or len(ritz) != min(k, d + 8)):
+            R = _frame_map(H).reshape(n * n, n * n).T
+        d = np.count_nonzero(np.linalg.svd(R, compute_uv=False) <= threshold) if d is None else d
+        if d < max(need, 1):  # none, or too few for the caller, which retries on the frame
+            return np.zeros((0, n, n), dtype=complex)
+        p = min(k, d + 8)
+        q, ritz, wt = (q, ritz, wt) if len(ritz) == p else _inverse_step(R, p)
+        if not (ritz[p - d:] <= threshold).all():  # a pivot that rounding left nonzero
+            R = _frame_map(H).reshape(n * n, n * n).T if R is None else R
+            q, ritz, wt = _inverse_step(R, p, perturbed=True)
+        if (ritz[p - d:] <= threshold).all():
+            return lift(wt[p - d:][::-1] @ q.T)
+    raise InputError(f"H: the nullspace was not resolved at tol = {tol:g}")
 
 
 def _spectral_basis(W: np.ndarray, linked: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ from .metric import (
     check_tol,
     classify_metric,
     frobenius,
+    hermiticity_defect,
     residual,
 )
 
@@ -52,6 +53,31 @@ def _eta_positive(eta: np.ndarray, tol: float) -> tuple[MetricClass, Check]:
                       threshold)
 
 
+def _eta_is_metric(H, eta: np.ndarray, tol: float) -> Check:
+    """The check ``eta_is_metric``: residual(H, eta) against tol."""
+    r = residual(H, eta)
+    return Check("eta_is_metric", r <= tol, r, tol)
+
+
+def _root_form(eta: np.ndarray) -> InducedForm:
+    """The InducedForm of metric_sqrt for a positive eta."""
+    (unit,), _, (k,) = _windowed(eta[None], _norms(eta[None]), 1.0)
+    unit, k = (2.0 * unit, k - 1) if k % 2 else (unit, k)
+    eigvals, vecs = np.linalg.eigh((unit + adjoint(unit)) * 0.5)
+    roots = np.ldexp(np.sqrt(eigvals), k // 2)
+    roots_of_eta = ((vecs * roots) @ adjoint(vecs), (vecs / roots) @ adjoint(vecs))
+    # eigh reconstruction is Hermitian only to rounding; make it exact
+    return InducedForm(eta, *((m + adjoint(m)) * 0.5 for m in roots_of_eta))
+
+
+def _induced(H: np.ndarray, form: InducedForm) -> np.ndarray:
+    """The induced_hamiltonian of a matrix H for which form.eta is a metric."""
+    # On H / 2^k with a unit peak entry the product is bounded by cond(sqrt_eta),
+    # whatever the scales of H and eta.
+    unit, k = _unit_peak(H)
+    return _scaled(form.sqrt_eta @ unit @ form.inv_sqrt_eta, k, "the induced Hamiltonian")[0]
+
+
 def metric_sqrt(eta, tol: float = DEFAULT_TOL) -> InducedForm:
     """Principal square root of a positive metric via Hermitian eigendecomposition.
 
@@ -64,16 +90,7 @@ def metric_sqrt(eta, tol: float = DEFAULT_TOL) -> InducedForm:
     _, positive = _eta_positive(eta, tol)
     _require([(positive, "metric not positive", "metric not positive: minimum eigenvalue "
                f"of the Hermitian part is {positive.value:.6g}")])
-    (unit,), _, (k,) = _windowed(eta[None], _norms(eta[None]), 1.0)
-    unit, k = (2.0 * unit, k - 1) if k % 2 else (unit, k)
-    eigvals, vecs = np.linalg.eigh((unit + adjoint(unit)) * 0.5)
-    roots = np.ldexp(np.sqrt(eigvals), k // 2)
-    sqrt_eta = (vecs * roots) @ adjoint(vecs)
-    inv_sqrt_eta = (vecs / roots) @ adjoint(vecs)
-    # eigh reconstruction is Hermitian only to rounding; make it exact
-    sqrt_eta = (sqrt_eta + adjoint(sqrt_eta)) * 0.5
-    inv_sqrt_eta = (inv_sqrt_eta + adjoint(inv_sqrt_eta)) * 0.5
-    return InducedForm(eta=eta, sqrt_eta=sqrt_eta, inv_sqrt_eta=inv_sqrt_eta)
+    return _root_form(eta)
 
 
 def induced_hamiltonian(H, form: InducedForm, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -84,14 +101,40 @@ def induced_hamiltonian(H, form: InducedForm, tol: float = DEFAULT_TOL) -> np.nd
     """
     check_tol(tol)
     H = as_matrix(H, "H")
-    r = residual(H, form.eta)
-    _require([(Check("eta_is_metric", r <= tol, r, tol), "eta not a metric for H",
-               f"eta does not intertwine H (residual {r:.3e} exceeds tolerance {tol:.3e})")])
-    # On H / 2^k with a unit peak entry the product is bounded by cond(sqrt_eta),
-    # whatever the scales of H and eta.
-    unit, k = _unit_peak(H)
-    core = form.sqrt_eta @ unit @ form.inv_sqrt_eta
-    return _scaled(core, k, "the induced Hamiltonian")[0]
+    is_metric = _eta_is_metric(H, form.eta, tol)
+    _require([(is_metric, "eta not a metric for H", "eta does not intertwine H (residual "
+               f"{is_metric.value:.3e} exceeds tolerance {tol:.3e})")])
+    return _induced(H, form)
+
+
+@dataclass(frozen=True)
+class QuasiHermitian:
+    """The checks of quasi_hermitian; form, hamiltonian (the induced Hamiltonian) and its sorted
+    eigenvalues are None unless ``eta_positive`` and ``eta_is_metric`` pass."""
+
+    eta_classification: MetricClass
+    residual: float
+    checks: tuple[Check, ...]
+    form: InducedForm | None = None
+    hamiltonian: np.ndarray | None = None
+    eigenvalues: np.ndarray | None = None
+
+
+def quasi_hermitian(H, eta, tol: float = DEFAULT_TOL) -> QuasiHermitian:
+    """``eta_positive`` and ``eta_is_metric`` on one classification and one residual, failures
+    returned, not raised; if both pass, ``induced_hermitian`` (the induced Hamiltonian's defect
+    at tol) and ``spectrum_real`` (its eigenvalues' largest |Im| at ``tol |H|_F``)."""
+    eta = as_matrix(eta, "eta")
+    (cls, positive), is_metric = _eta_positive(eta, tol), _eta_is_metric(H, eta, tol)
+    if not (positive.passed and is_metric.passed):
+        return QuasiHermitian(cls, is_metric.value, (positive, is_metric))
+    H, form = as_matrix(H, "H"), _root_form(eta)
+    H_eta = _induced(H, form)
+    defect, eigvals = hermiticity_defect(H_eta), np.sort_complex(np.linalg.eigvals(H_eta))
+    max_imag, bound = float(np.max(np.abs(eigvals.imag))), tol * frobenius(H)
+    checks = (positive, is_metric, Check("induced_hermitian", defect <= tol, defect, tol),
+              Check("spectrum_real", max_imag <= bound, max_imag, bound))
+    return QuasiHermitian(cls, is_metric.value, checks, form, H_eta, eigvals)
 
 
 def induced_inner(phi, psi, eta, allow_indefinite: bool = False,

@@ -476,7 +476,7 @@ def build_shifted_hamiltonian(spec: ShiftedPotentialSpec) -> WeylPolynomial:
         {(0, degree): c for degree, c in enumerate(spec.f.coeffs)})
     if not spec.V.is_zero and spec.alpha != 0.0:
         V = WeylPolynomial({(degree, 0): c for degree, c in enumerate(spec.V.coeffs)})
-        H = H + V._shift_x(RationalComplex(-spec.beta, -spec.gamma)).scale(spec.alpha)
+        H = H + V.scale(spec.alpha)._shift_x(RationalComplex(-spec.beta, -spec.gamma))
     return H
 
 

@@ -189,11 +189,12 @@ class TestSolve:
                                    "this machine has (its arrays grow as n^4)")
 
     def test_unresolved_nullspace_is_input_error(self, tmp_path, capsys, monkeypatch):
-        # every Ritz value of the inverse-iteration step raised above tol |H|_F
+        # every Ritz value of each inverse-iteration step, the perturbed retry's too,
+        # raised above tol |H|_F
         step = pseudoherm.metric._inverse_step
 
-        def raised(R, p):
-            q, ritz, wt = step(R, p)
+        def raised(R, p, perturbed=False):
+            q, ritz, wt = step(R, p, perturbed)
             return q, ritz + 1.0, wt
 
         monkeypatch.setattr(pseudoherm.metric, "_inverse_step", raised)

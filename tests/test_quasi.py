@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,9 +16,12 @@ from pseudoherm import (
     induced_hamiltonian,
     induced_inner,
     metric_sqrt,
+    quasi_hermitian,
     residual,
     solve_metric_space,
 )
+from pseudoherm import cli, metric, quasi
+from pseudoherm.io import write_matrix
 from pseudoherm.quasi import _eta_positive
 
 
@@ -229,3 +234,62 @@ class TestInducedInner:
         metric_value = induced_inner(u, v, (eta + eta.conj().T) / 2)
         plain_value = np.vdot(form.sqrt_eta @ u, form.sqrt_eta @ v)
         assert metric_value == pytest.approx(plain_value, rel=1e-10, abs=1e-10)
+
+
+class TestQuasiHermitian:
+    """quasi_hermitian classifies eta and takes its residual once, and returns a failed
+    hypothesis as a failed check; the quasi report lists its checks as they are."""
+
+    H = np.array([[0.0, 1j], [-4j, 0.0]])  # the omega = 2 oscillator; diag(4, 1) is a metric
+    NAMES = ["eta_positive", "eta_is_metric", "induced_hermitian", "spectrum_real"]
+
+    @staticmethod
+    def report_checks(tmp_path, H, eta):
+        write_matrix(tmp_path / "h.json", H)
+        write_matrix(tmp_path / "e.json", eta)
+        cli.main(["quasi", "--hamiltonian", str(tmp_path / "h.json"), "--eta",
+                  str(tmp_path / "e.json"), "--out", str(tmp_path / "report.json")])
+        return json.loads((tmp_path / "report.json").read_text())["checks"]
+
+    def test_positive_metric_gives_the_induced_picture(self, tmp_path):
+        eta = np.diag([4.0, 1.0])
+        out = quasi_hermitian(self.H, eta)
+        assert [c.name for c in out.checks] == self.NAMES and all(c.passed for c in out.checks)
+        assert out.checks[:2] == (_eta_positive(eta, 1e-10)[1],
+                                  Check("eta_is_metric", True, residual(self.H, eta), 1e-10))
+        form = metric_sqrt(eta)
+        assert np.array_equal(out.form.sqrt_eta, form.sqrt_eta)
+        assert np.array_equal(out.form.inv_sqrt_eta, form.inv_sqrt_eta)
+        assert np.array_equal(out.hamiltonian, induced_hamiltonian(self.H, form))
+        assert np.allclose(out.eigenvalues, [-2.0, 2.0], atol=1e-12)
+        assert self.report_checks(tmp_path, self.H, eta) == [
+            {"name": c.name, "passed": c.passed, "value": c.value, "threshold": c.threshold}
+            for c in out.checks]
+
+    @pytest.mark.parametrize("eta, failed", [(INDEFINITE, "eta_positive"),
+                                             (np.eye(2), "eta_is_metric")],
+                             ids=["indefinite", "wrong"])
+    def test_failed_hypothesis_is_returned(self, tmp_path, eta, failed):
+        out = quasi_hermitian(self.H, eta)
+        assert (out.form, out.hamiltonian, out.eigenvalues) == (None, None, None)
+        assert [c.name for c in out.checks] == self.NAMES[:2]
+        assert [c.name for c in out.checks if not c.passed] == [failed]
+        assert out.eta_classification == classify_metric(eta)
+        assert out.residual == residual(self.H, eta)
+        assert self.report_checks(tmp_path, self.H, eta) == [
+            {"name": c.name, "passed": c.passed, "value": c.value, "threshold": c.threshold}
+            for c in out.checks]
+
+    def test_one_classification_and_one_residual_per_run(self, monkeypatch, tmp_path):
+        calls = []
+        for name in ("classify_metric", "residual"):
+            original = getattr(metric, name)
+            for module in (metric, quasi):
+                monkeypatch.setattr(module, name, lambda *args, _name=name, _original=original:
+                                    calls.append(_name) or _original(*args))
+        eta = np.diag([4.0, 1.0])
+        quasi_hermitian(self.H, eta)
+        assert sorted(calls) == ["classify_metric", "residual"]
+        calls.clear()
+        self.report_checks(tmp_path, self.H, eta)
+        assert sorted(calls) == ["classify_metric", "residual"]

@@ -85,13 +85,15 @@ def classification(c, power, unit):
             *(v if v is None else Value(v, power, unit) for v in eigenvalues)]
 
 
-def checks(items):
+def checks(items, norms=None):
     """Each check's name, verdict, value and threshold; those of SCALED_CHECKS scale
-    with its power, the threshold compared to within 1e-12 of itself."""
+    with its power, the value compared in units of its input's norm in norms (as the CLI
+    sweep does) or else of itself, the threshold to within 1e-12 of itself."""
     out = []
     for c in items:
-        power = SCALED_CHECKS.get(c.name, (0, None))[0]
-        out += [c.name, bool(c.passed), Value(c.value or 0.0, power, None if power else 1.0),
+        power, unit = SCALED_CHECKS.get(c.name, (0, None))
+        unit = 1.0 if not power else None if norms is None else norms[unit]
+        out += [c.name, bool(c.passed), Value(c.value or 0.0, power, unit),
                 Value(c.threshold or 0.0, power)]
     return out
 
@@ -138,6 +140,18 @@ def _form(form):
     return [Value(form.sqrt_eta, 0.5), Value(form.inv_sqrt_eta, -0.5)]
 
 
+def _quasi(H, eta):
+    """quasi_hermitian(H, eta): the classification and residual of eta, the checks and,
+    when both hypotheses pass, the form, the induced Hamiltonian and its eigenvalues."""
+    out, norms = ph.quasi_hermitian(H, eta), {"hamiltonian": frobenius(H), "eta": frobenius(eta)}
+    answer = [ratio(out.residual), *classification(out.eta_classification, 1, norms["eta"]),
+              *checks(out.checks, norms)]
+    if out.form is None:
+        return answer
+    return answer + _form(out.form) + [Value(out.hamiltonian, 1),
+                                       Value(out.eigenvalues, 1, frobenius(H))]
+
+
 UNNORMALIZED = [j + 1 for j in range(7)]  # eta_j = (2^k H^dag)^j 2^k eta
 
 # name -> answer for the scaled family m, as a list of verdicts and Values
@@ -168,6 +182,7 @@ LIBRARY = {
         Value(ph.induced_hamiltonian(m["H"], ph.metric_sqrt(m["eta"])), 1)],
     "induced_inner": lambda m: [Value(ph.induced_inner(PHI, PSI, m["eta"]), 1),
                                 *_refused(lambda: ph.induced_inner(PHI, PSI, -m["eta"]))],
+    "quasi_hermitian": lambda m: _quasi(m["H"], m["eta"]) + _quasi(m["H"], -m["eta"]),
 }
 
 
