@@ -29,6 +29,7 @@ from .metric import (
     _scaled,
     _unit_peak,
     _windowed,
+    _within_memory,
     adjoint,
     as_matrix,
     check_tol,
@@ -133,7 +134,9 @@ def _chain(H: np.ndarray, G: np.ndarray, eta0: np.ndarray, k_max: int,
     as they are generated.  Each ``G^dag eta_k`` goes to a chunk buffer; for alpha = 0 the
     residual reuses it as ``H^dag eta_k`` (see metric._measure) unless an element of the chunk
     was formed again from unit peaks (its norm out of the window); else only eta_k+1 reads it."""
-    Gd, etas = adjoint(G), np.empty((int(k_max) + 1,) + H.shape, dtype=complex)
+    with _within_memory(16 * H.size * (int(k_max) + 1), f"k_max = {k_max}: {int(k_max) + 1} "
+                        f"elements at n = {len(H)} need more memory than this machine has"):
+        Gd, etas = adjoint(G), np.empty((int(k_max) + 1,) + H.shape, dtype=complex)
     size = max(1, _STACK_ENTRIES // H.size)
     products = np.empty((min(size, len(etas)),) + H.shape, dtype=complex)
     residuals, defects, reformed = [], [], False
@@ -176,7 +179,7 @@ def build_chain(H, eta0, k_max: int, normalize: bool = False,
         and intertwine H within ``tol``; violations raise InputError naming
         the failed check.
     k_max : int
-        Largest power; the chain has k_max + 1 elements.
+        Largest power; k_max + 1 elements, an InputError if they exceed the physical memory.
     normalize : bool
         Rescale every element to unit Frobenius norm.  The scaling is a
         positive real, so Hermiticity, invertibility, positivity and the

@@ -121,9 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, metavar="PATH")
     p.add_argument("--theta", type=float, default=None,
                    help="boost parameter (default: 2*gamma from the spec)")
-    p.add_argument("--float", dest="float_mode", action="store_true",
-                   help="threshold the residual norm at --tol instead of "
-                        "requiring exact zero")
 
     p = sub.add_parser("example", parents=[common],
                        help="write a catalog Hamiltonian/metric pair to files")
@@ -226,23 +223,11 @@ def _cmd_weyl(args, inputs):
     theta = _finite_real(args.theta, "--theta") if args.theta is not None else spec.theta
     H = build_shifted_hamiltonian(spec)
     residual_poly = boost_residual(H, theta)
-    exact = not args.float_mode
-    if exact:
-        passed = residual_poly.is_zero()
-        value = float(len(residual_poly.terms))
-        threshold = 0.0
-    else:
-        value = residual_poly.max_coefficient()
-        threshold = args.tol
-        passed = value <= threshold
-    checks = [Check("residual_zero", passed, value, threshold)]
-    results = {
-        # exact mode reports the checked theta as an exact rational, like the terms
-        "theta": str(Fraction(theta)) if exact else _finite_real(theta, "theta"),
-        "hamiltonian_terms": io.weyl_terms_to_list(H, exact=exact),
-        "residual_terms": io.weyl_terms_to_list(residual_poly, exact=exact),
-    }
-    return results, checks
+    results = {"theta": str(Fraction(theta)),  # the theta checked, exact like the terms
+               "hamiltonian_terms": io.weyl_terms_to_list(H),
+               "residual_terms": io.weyl_terms_to_list(residual_poly)}
+    return results, [Check("residual_zero", residual_poly.is_zero(),
+                           float(len(residual_poly.terms)), 0.0)]
 
 
 def _cmd_example(args, inputs):

@@ -130,15 +130,12 @@ def parse_weyl_spec(path) -> ShiftedPotentialSpec:
     return weyl_spec_from_dict(load_json(path), where=str(path))
 
 
-def weyl_terms_to_list(poly: WeylPolynomial, exact: bool = True) -> list[dict]:
-    """Serialize term map; exact mode formats coefficients as rational strings."""
+def weyl_terms_to_list(poly: WeylPolynomial) -> list[dict]:
+    """Serialize the term map, each coefficient part as an exact rational string."""
     from .weyl import _rational_text
 
-    if exact:
-        return [{"a": a, "b": b, "re": _rational_text(c.re), "im": _rational_text(c.im)}
-                for (a, b), c in poly.sorted_terms()]
-    return [{"a": a, "b": b, "re": z.real, "im": z.imag}
-            for (a, b), z in sorted(poly.to_float_terms().items())]
+    return [{"a": a, "b": b, "re": _rational_text(c.re), "im": _rational_text(c.im)}
+            for (a, b), c in poly.sorted_terms()]
 
 
 def classification_to_dict(cls: MetricClass) -> dict:

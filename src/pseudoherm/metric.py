@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import os
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import partial
 
@@ -408,9 +408,10 @@ def _realified_basis(H: np.ndarray, candidates: np.ndarray | None, tol: float,
         q, ritz, wt = _inverse_step(R, min(k, max(need, n) + 8))  # n: nonderogatory H's dim.
         d, G = np.count_nonzero(ritz <= threshold), R.T @ R
         A = R = None if candidates is None else R  # the frame's Gram takes A's place
-        # d stands if the gap is proved; G goes before A is rebuilt for the count or a step
+        # d stands if the gap is proved; G goes before A is rebuilt, for the count of an
+        # unproved d or for a step towards an answer that is not empty
         d, G = d if _gap_certified(G, ritz, wt[::-1][:d] @ q.T, threshold) else None, None
-        if R is None and (d is None or len(ritz) != min(k, d + 8)):
+        if R is None and (d is None or max(need, 1) <= d and len(ritz) != min(k, d + 8)):
             R = _frame_map(H).reshape(n * n, n * n).T
         d = np.count_nonzero(np.linalg.svd(R, compute_uv=False) <= threshold) if d is None else d
         if d < max(need, 1):  # none, or too few for the caller, which retries on the frame
@@ -453,6 +454,18 @@ def _measured(H: np.ndarray, stack: np.ndarray, tol: float) -> tuple[np.ndarray,
     """The stack with each element's sign fixed (norms and residuals stay), and _measure of it."""
     signed = np.reshape([_fix_sign(b) for b in stack], stack.shape)
     return (signed, *_measure(H, signed, lambda chunk, norms: _classify(chunk, tol, norms)))
+
+
+@contextmanager
+def _within_memory(size: int, message: str):
+    """InputError(message) for size bytes beyond the physical memory, or numpy's MemoryError."""
+    try:
+        if hasattr(os, "sysconf") and size > (
+                os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")):
+            raise MemoryError
+        yield
+    except MemoryError:
+        raise InputError(message) from None
 
 
 # The frame solve's peak RSS grew by at most 40.5 n^4 bytes at n = 24..40 (one BLAS thread):
@@ -514,14 +527,10 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
             measured = _measured(unit, members, tol) if len(members) >= need else None
     solver = "realified" if measured is None else "spectral"
     if measured is None:
-        try:
-            if hasattr(os, "sysconf") and _FRAME_BYTES_PER_N4 * len(H) ** 4 > (
-                    os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")):
-                raise MemoryError
+        with _within_memory(_FRAME_BYTES_PER_N4 * len(H) ** 4,
+                            f"H: the realified solve at n = {len(H)} needs more memory than "
+                            "this machine has (its arrays grow as n^4)"):
             measured = _measured(unit, _realified_basis(unit, None, tol), tol)
-        except MemoryError:
-            raise InputError(f"H: the realified solve at n = {len(H)} needs more memory than "
-                             "this machine has (its arrays grow as n^4)") from None
     stack, residuals, classifications = measured
     # V^{-dag} V^{-1} = U diag(1/s^2) U^dag, scaled by s_min^2 so that nothing
     # is inverted and nothing overflows.

@@ -42,8 +42,6 @@ from .errors import InputError, _finite_real
 # (-i)^k as a Gaussian integer (re, im), indexed by k mod 4
 _NEG_I_POW = ((1, 0), (0, -1), (-1, 0), (0, 1))
 
-_BEYOND_DOUBLE = "a coefficient is beyond the double range and has no float value"
-
 _NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
@@ -403,26 +401,6 @@ class WeylPolynomial:
 
     def coefficient(self, a: int, b: int) -> RationalComplex:
         return self.terms.get((a, b), _ZERO)
-
-    def max_coefficient(self) -> float:
-        """Largest coefficient magnitude, for float-tolerance comparisons.
-
-        Raises InputError when it is beyond the double range.
-        """
-        try:
-            return max(map(abs, self.to_float_terms().values()), default=0.0)
-        except OverflowError:
-            raise InputError(_BEYOND_DOUBLE) from None
-
-    def to_float_terms(self) -> dict[tuple[int, int], complex]:
-        """Term map with Python complex coefficients.
-
-        Raises InputError when a coefficient is beyond the double range.
-        """
-        try:
-            return {key: complex(c) for key, c in self.terms.items()}
-        except OverflowError:
-            raise InputError(_BEYOND_DOUBLE) from None
 
     def __repr__(self) -> str:
         if self.is_zero():

@@ -157,9 +157,6 @@ def _cases(f) -> dict[str, list[str]]:
                                  "--k-max", "4", "--no-normalize"],
         "perturb-0-allow-hermitian": ["perturb", "--hamiltonian", f["H_hermitian"], "--eta",
                                       f["identity"], "--poly", "1", "--allow-hermitian"],
-        "weyl-0-float": ["weyl", "--spec", f["spec"], "--float"],
-        "weyl-1-float-wrong-theta": ["weyl", "--spec", f["spec"], "--float",
-                                     "--theta", f["wrong_theta"]],
         "example-0-prefix": ["example", "two-point", "--x", "1+1i", "--y", "0.5",
                              "--out-dir", f["dir"], "--prefix", "pair"],
         "readme-example": ["example", "oscillator", "--omega", "2", "--out-dir", f["dir"]],

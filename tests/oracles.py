@@ -215,13 +215,13 @@ def oscillator_basis_matrices(levels: int) -> tuple[np.ndarray, np.ndarray]:
     return x, p
 
 
-def weyl_terms_to_matrix(terms: dict[tuple[int, int], complex],
-                         x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Evaluate a normal-ordered term map {(a, b): coeff} on the truncated basis."""
+def weyl_terms_to_matrix(terms, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Evaluate a normal-ordered term map {(a, b): coeff} (a polynomial's ``terms``) on the
+    truncated basis, each coefficient as a complex float."""
     total = np.zeros_like(x)
     for (a, b), coeff in terms.items():
-        total = total + coeff * (np.linalg.matrix_power(x, a)
-                                 @ np.linalg.matrix_power(p, b))
+        total = total + complex(coeff) * (np.linalg.matrix_power(x, a)
+                                          @ np.linalg.matrix_power(p, b))
     return total
 
 

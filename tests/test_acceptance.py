@@ -243,7 +243,7 @@ def test_criterion_8_algebra_property_suite():
             break
     levels = 12
     x, p = oscillator_basis_matrices(levels)
-    ordered = (WeylPolynomial.monomial(0, 2) * WeylPolynomial.monomial(2, 0)).to_float_terms()
+    ordered = (WeylPolynomial.monomial(0, 2) * WeylPolynomial.monomial(2, 0)).terms
     direct = p @ p @ x @ x
     inner = levels - 4
     if not np.allclose(weyl_terms_to_matrix(ordered, x, p)[:inner, :inner],

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 import warnings
 
@@ -228,6 +229,36 @@ class TestBuildChain:
         H, eta0 = osc2
         with pytest.raises(InputError):
             build_chain(H, eta0, k_max=-1)
+
+    @pytest.mark.parametrize("builder", [build_chain, chain_via_shift])
+    def test_stack_beyond_physical_memory_is_input_error(self, osc2, builder, monkeypatch):
+        # 10^12 + 1 elements at n = 2 take 64 TB: refused before numpy allocates anything
+        shapes, empty = [], np.empty
+        monkeypatch.setattr(np, "empty", lambda shape, *args, **kw: shapes.append(shape)
+                            or empty(shape, *args, **kw))
+        with pytest.raises(InputError, match="^k_max = 1000000000000: 1000000000001 elements "
+                                             "at n = 2 need more memory"):
+            builder(*osc2, k_max=10 ** 12)
+        assert shapes == []
+
+    @pytest.mark.parametrize("pages, refused", [(575, True), (576, False), (None, True)])
+    def test_stack_bound_is_the_physical_memory(self, osc2, monkeypatch, pages, refused):
+        # the stack of k_max + 1 = 9 elements at n = 2 is 16 * 4 * 9 = 576 bytes, in pages of
+        # one byte; without os.sysconf, numpy's MemoryError is refused the same way
+        def no_memory(*args, **kw):
+            raise MemoryError("cannot allocate")
+
+        if pages is None:
+            monkeypatch.delattr(os, "sysconf")
+            monkeypatch.setattr(np, "empty", no_memory)
+        else:
+            sizes = {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 1}
+            monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+        if refused:
+            with pytest.raises(InputError, match="^k_max = 8: 9 elements at n = 2 need more"):
+                build_chain(*osc2, k_max=8)
+        else:
+            assert len(build_chain(*osc2, k_max=8)) == 9
 
     def test_checks_of_a_passing_chain(self, osc2):
         H, eta0 = osc2

@@ -361,6 +361,13 @@ class TestHugeScale:
         assert report["status"] == "input_error"
         assert report["error"] == "H + alpha I is beyond the double range"
 
+    def test_stack_beyond_physical_memory_is_input_error(self, fixtures, capsys):
+        code, report = run_cli(capsys, "chain", "--hamiltonian", fixtures["H"],
+                               "--eta0", fixtures["eta"], "--k-max", "1000000000000")
+        assert (code, report["status"]) == (2, "input_error")
+        assert report["error"] == ("k_max = 1000000000000: 1000000000001 elements at n = 2 "
+                                   "need more memory than this machine has")
+
     @pytest.mark.parametrize("k_max", [3, 6])
     def test_chain_element_beyond_the_double_range_is_input_error(self, tmp_path, capsys,
                                                                   k_max):
@@ -534,35 +541,33 @@ class TestWeyl:
         assert report["results"]["residual_terms"] == [
             {"a": 1, "b": 0, "re": "0", "im": "-4"}]
 
-    def test_float_mode_thresholds(self, fixtures, capsys):
-        code, report = run_cli(capsys, "weyl", "--spec", fixtures["weyl"], "--float")
-        assert code == 0
-        code, report = run_cli(capsys, "weyl", "--spec", fixtures["weyl"],
-                               "--theta", "0", "--float")
-        assert code == 1
-        assert report["results"]["residual_terms"][0]["im"] == -4.0
+    def test_float_flag_is_a_usage_error(self, fixtures, capsys):
+        # the check is exact, so there is no float mode to switch to
+        with pytest.raises(SystemExit) as info:
+            main(["weyl", "--spec", str(fixtures["weyl"]), "--float"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --float" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("spec, theta", [
-        # residual (2i theta - 2i) x + theta - theta^2: beyond doubles at 1e200
-        ({"V": [0, 0, 1], "alpha": 1, "beta": 0, "gamma": 0.5, "f": [0]}, "1e200"),
-        # H itself holds -beta^2 = -1e400
-        ({"V": [0, 0, 1], "alpha": 1, "beta": 1e200, "gamma": 0.5, "f": [0]}, None),
-    ])
-    def test_float_mode_beyond_double_range_is_input_error(self, tmp_path, capsys,
-                                                           spec, theta):
+    @pytest.mark.parametrize("beta, theta", [(0, "1e200"), (1e200, None)])
+    def test_coefficients_beyond_the_double_range_are_exact(self, tmp_path, capsys,
+                                                            beta, theta):
+        # H = p^2 + (x - beta - i/2)^2; theta = 1e200 leaves the residual
+        # (2i theta - 2i) x + theta - theta^2, and beta = 1e200 puts beta^2 - 1/4 in H
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec))
-        argv = ["weyl", "--spec", str(path)] + ([] if theta is None else ["--theta", theta])
-        code = main(argv + ["--float"])
-        report = _strict_json(capsys.readouterr().out)
-        assert code == 2
-        assert report["status"] == "input_error"
-        assert "double range" in report["error"]
-        # the exact report holds the same coefficients as rational strings
-        code = main(argv)
-        report = _strict_json(capsys.readouterr().out)
-        assert code == (0 if theta is None else 1)
-
+        path.write_text(json.dumps({"V": [0, 0, 1], "alpha": 1, "beta": beta, "gamma": 0.5,
+                                    "f": [0]}))
+        argv = ["weyl", "--spec", path] + ([] if theta is None else ["--theta", theta])
+        code, report = run_cli(capsys, *argv)
+        terms = {(t["a"], t["b"]): (t["re"], t["im"])
+                 for t in report["results"]["hamiltonian_terms" if theta is None
+                                            else "residual_terms"]}
+        if theta is None:
+            assert code == 0
+            assert terms[0, 0][0] == str(Fraction(beta) ** 2 - Fraction(1, 4))
+        else:
+            t = Fraction(float(theta))
+            assert code == 1
+            assert terms == {(0, 0): (str(t - t * t), "0"), (1, 0): ("0", str(2 * t - 2))}
 
     def test_derived_theta_beyond_the_double_range_is_exact(self, tmp_path, capsys):
         # theta = 2 gamma = 2e308 has no float value, but certifies exactly
@@ -591,30 +596,15 @@ class TestWeyl:
         assert constant["im"] == f"{Decimal(exact.numerator)}/{Decimal(exact.denominator)}"
         assert len(constant["im"]) > 2 * sys.get_int_max_str_digits()
 
-    def test_float_mode_theta_beyond_the_double_range_is_input_error(self, tmp_path, capsys):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps({"V": [0, 1], "alpha": 1, "beta": 0, "gamma": 1e308,
-                                    "f": [0]}))
-        code, report = run_cli(capsys, "weyl", "--spec", path, "--float")
-        assert code == 2
-        assert report["status"] == "input_error"
-        assert "double range" in report["error"]
-
     def test_theta_flag_reported_exactly(self, fixtures, capsys):
         _, report = run_cli(capsys, "weyl", "--spec", fixtures["weyl"], "--theta", "0")
         assert report["results"]["theta"] == "0"
         _, report = run_cli(capsys, "weyl", "--spec", fixtures["weyl"], "--theta", "0.1")
         assert report["results"]["theta"] == str(Fraction(0.1))
-        _, report = run_cli(capsys, "weyl", "--spec", fixtures["weyl"], "--theta", "0.1",
-                            "--float")
-        assert report["results"]["theta"] == 0.1
 
     @pytest.mark.parametrize("theta", ["nan", "inf", "-inf", "1e400"])
-    @pytest.mark.parametrize("mode", [[], ["--float"]], ids=["exact", "float"])
-    def test_non_finite_theta_is_an_input_error_naming_the_flag(self, fixtures, capsys,
-                                                                 theta, mode):
-        code, report = run_cli(capsys, "weyl", "--spec", fixtures["weyl"], f"--theta={theta}",
-                               *mode)
+    def test_non_finite_theta_is_an_input_error_naming_the_flag(self, fixtures, capsys, theta):
+        code, report = run_cli(capsys, "weyl", "--spec", fixtures["weyl"], f"--theta={theta}")
         assert code == 2
         assert report["status"] == "input_error"
         assert report["error"] == "--theta must be finite and within the double range"
@@ -706,7 +696,6 @@ class TestReportContract:
     @pytest.mark.parametrize("argv, flag, value", [
         (["weyl", "--spec", "weyl"], "--theta", "-1e5"),
         (["weyl", "--spec", "weyl"], "--theta", "-inf"),
-        (["weyl", "--spec", "weyl", "--float"], "--theta", "-1e5"),
         (["example", "oscillator"], "--omega", "-1e5"),
         (["example", "two-point"], "--x", "-1+1i"),
         (["example", "two-point", "--x", "1+1i"], "--y", "-2-0.5i"),

@@ -787,6 +787,17 @@ class TestFrameNullspace:
         assert max(residual(H, b) for b in basis.basis) <= 1e-13
         assert kernels.count(("svd", False, True)) == 1
 
+    def test_empty_answer_builds_the_map_once(self, monkeypatch, certificates):
+        # J_16(1+i) has no Hermitian metric: the gap test proves d = 0 on the first step,
+        # and the empty stack is returned without building the released map again
+        frames = []
+        monkeypatch.setattr(metric, "_frame_map",
+                            lambda H: frames.append(len(H)) or _frame_map(H))
+        basis = solve_metric_space(jordan_matrix([(1 + 1j, 16)]))
+        assert (basis.solver, basis.dimension) == ("realified", 0)
+        assert certificates[-1] == (0, True)
+        assert frames == [16]
+
     @pytest.mark.parametrize("h", [0.0, 0.7, -2.5])
     def test_one_by_one_zero_map(self, h, monkeypatch):
         # a real 1x1 H has the zero map, which every candidate solves: the LU solve of the

@@ -1,6 +1,8 @@
+import argparse
 import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -88,3 +90,17 @@ def test_package_import_loads_no_submodule():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "['pseudoherm']", str([f"pseudoherm.{m}" for m in submodules])]
+
+
+def test_readme_names_every_cli_option():
+    # the long options of README's "Command-line tool" section are those of the subcommands
+    from pseudoherm.cli import build_parser
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Command-line tool"):readme.index("## Tests")]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    (subcommands,) = (a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {option for parser in subcommands.choices.values() for action in parser._actions
+               for option in action.option_strings if option.startswith("--")}
+    assert named == options

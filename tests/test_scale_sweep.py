@@ -15,6 +15,7 @@ warn (pyproject turns every warning into an error) or leave a traceback.
 import inspect
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -188,7 +189,7 @@ LIBRARY = {
 
 # -- the CLI, in process --------------------------------------------------------
 
-# subcommand -> argv with {name} for a file of the scaled family matrix name
+# entry -> argv with {name} for a file of the scaled family matrix name
 CLI = {
     "verify": ["verify", "--hamiltonian", "{H}", "--eta", "{eta}"],
     "solve": ["solve", "--hamiltonian", "{H}", "--positive"],
@@ -196,6 +197,7 @@ CLI = {
     "perturb": ["perturb", "--hamiltonian", "{H}", "--eta", "{eta}", "--poly", "0,0.5"],
     "quasi": ["quasi", "--hamiltonian", "{H}", "--eta", "{eta}"],
     "weyl": ["weyl", "--spec", "{spec}"],
+    "weyl-theta-0": ["weyl", "--spec", "{spec}", "--theta", "0"],
     "example": ["example", "two-point", "--x", "{x}", "--y", "{y}", "--out-dir", "{dir}"],
 }
 
@@ -210,9 +212,9 @@ def _matrix(d):
     return entries[..., 0] + 1j * entries[..., 1]
 
 
-def _cli_results(command, results, norms):
+def _cli_results(command, results, norms, k):
     """The verdicts and Values of a report's results; norms holds the Frobenius norm
-    of each input matrix by flag."""
+    of each input matrix by flag, and the weyl spec's V is scaled by 2^k."""
     if command == "verify":
         return [ratio(results["residual"]),
                 *classification(results["eta_classification"], 1, norms["eta"])]
@@ -236,15 +238,17 @@ def _cli_results(command, results, norms):
                     Value(_matrix(results["induced_hamiltonian"]), 1),
                     Value([complex(*z) for z in results["eigenvalues"]], 1, norms["hamiltonian"])]
         return out
-    if command == "weyl":
-        return [len(results["residual_terms"])]
+    if command == "weyl":  # each residual coefficient scales with V, exactly
+        scale = Fraction(2) ** k
+        return [(t["a"], t["b"], Fraction(t["re"]) / scale, Fraction(t["im"]) / scale)
+                for t in results["residual_terms"]]
     return [Value(_matrix(results["hamiltonian"]), 1), Value(_matrix(results["eta"]), 1),
             ratio(results["residual"])]
 
 
-def _run_cli(command, m, k, tmp_path, capsys):
-    """The answer of one in-process run on the family m; the weyl spec and the
-    example parameters are scaled by 2^k."""
+def _run_cli(entry, m, k, tmp_path, capsys):
+    """The answer of one in-process run of the CLI entry on the family m; the weyl spec
+    and the example parameters are scaled by 2^k."""
     files = {"dir": str(tmp_path / "example")}
     for name, matrix in m.items():
         files[name] = str(tmp_path / f"{name}.json")
@@ -256,7 +260,8 @@ def _run_cli(command, m, k, tmp_path, capsys):
     files["x"] = f"{math.ldexp(1.0, k)!r}+{math.ldexp(1.0, k)!r}i"
     files["y"] = repr(math.ldexp(1.0, k))
     out = tmp_path / "report.json"
-    code = cli.main([arg.format(**files) for arg in CLI[command]] + ["--out", str(out)])
+    command = CLI[entry][0]
+    code = cli.main([arg.format(**files) for arg in CLI[entry]] + ["--out", str(out)])
     report = json.loads(out.read_text())
     captured = capsys.readouterr()
     assert captured.out == captured.err == ""
@@ -271,7 +276,8 @@ def _run_cli(command, m, k, tmp_path, capsys):
         answer += [c["name"], c["passed"], Value(c["value"] or 0.0, power,
                                                  norms[unit] if unit else 1.0),
                    Value(c["threshold"] or 0.0, power)]
-    return answer + (_cli_results(command, report["results"], norms) if report["results"] else [])
+    return answer + (_cli_results(command, report["results"], norms, k)
+                     if report["results"] else [])
 
 
 # -- covariance -----------------------------------------------------------------
@@ -341,9 +347,9 @@ def test_library(name):
     _check_sweep(lambda m, k: _outcome(lambda: LIBRARY[name](m)), SCALES, FAMILY)
 
 
-@pytest.mark.parametrize("command", sorted(CLI))
-def test_cli(command, tmp_path, capsys):
-    _check_sweep(lambda m, k: _run_cli(command, m, k, tmp_path, capsys), CLI_SCALES, FAMILY)
+@pytest.mark.parametrize("entry", sorted(CLI))
+def test_cli(entry, tmp_path, capsys):
+    _check_sweep(lambda m, k: _run_cli(entry, m, k, tmp_path, capsys), CLI_SCALES, FAMILY)
 
 
 def _takes_a_matrix(name):
@@ -356,4 +362,4 @@ def _takes_a_matrix(name):
 
 def test_every_entry_point_is_swept():
     assert set(LIBRARY) == {name for name in ph.__all__ if _takes_a_matrix(name)}
-    assert set(CLI) == set(cli._HANDLERS)
+    assert {argv[0] for argv in CLI.values()} == set(cli._HANDLERS)
