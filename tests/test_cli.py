@@ -541,6 +541,21 @@ class TestWeyl:
         assert report["results"]["residual_terms"] == [
             {"a": 1, "b": 0, "re": "0", "im": "-4"}]
 
+    @pytest.mark.parametrize("alpha", [1e-12, 1.0, 1e12])
+    def test_wrong_theta_fails_at_every_scale(self, tmp_path, capsys, alpha):
+        # the verdict is the exact residual's term count, so a small alpha cannot
+        # shrink the residual of a wrong theta under --tol, nor a large one raise a right one
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"V": [0, 0, 1], "alpha": alpha, "beta": 0, "gamma": 1,
+                                    "f": [0, 2]}))
+        code, report = run_cli(capsys, "weyl", "--spec", path)
+        assert (code, report["results"]["theta"], report["results"]["residual_terms"]) == (
+            0, "2", [])
+        code, report = run_cli(capsys, "weyl", "--spec", path, "--theta", "0")
+        assert code == 1
+        assert report["results"]["residual_terms"] == [
+            {"a": 1, "b": 0, "re": "0", "im": str(-4 * Fraction(alpha))}]
+
     def test_float_flag_is_a_usage_error(self, fixtures, capsys):
         # the check is exact, so there is no float mode to switch to
         with pytest.raises(SystemExit) as info:
@@ -696,6 +711,7 @@ class TestReportContract:
     @pytest.mark.parametrize("argv, flag, value", [
         (["weyl", "--spec", "weyl"], "--theta", "-1e5"),
         (["weyl", "--spec", "weyl"], "--theta", "-inf"),
+        (["weyl", "--spec", "weyl"], "--theta", "-1e400"),
         (["example", "oscillator"], "--omega", "-1e5"),
         (["example", "two-point"], "--x", "-1+1i"),
         (["example", "two-point", "--x", "1+1i"], "--y", "-2-0.5i"),
