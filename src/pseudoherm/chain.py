@@ -11,12 +11,11 @@ invertible and has the same intertwiners, so its chain is validated against H.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .errors import Check, InputError
+from .errors import Check, InputError, _Record
 from .metric import (
     _STACK_ENTRIES,
     DEFAULT_TOL,
@@ -40,8 +39,7 @@ from .metric import (
 )
 
 
-@dataclass(frozen=True)
-class EtaChain:
+class EtaChain(_Record):
     """A sequence eta_0 .. eta_K of intertwiners for H with per-element diagnostics.
 
     ``residuals[k]`` is ``residual(H, eta_k)`` for the original, unshifted H, measured as the
@@ -57,13 +55,12 @@ class EtaChain:
     from a singular H^dag is kept, flagged; an underflow raises.
     """
 
-    H: np.ndarray
-    etas: list[np.ndarray]
-    residuals: list[float]
-    classes: list[MetricClass]
-    normalized: bool
-    shift_alpha: float
-    tol: float
+    _fields = ("H", "etas", "residuals", "classes", "normalized", "shift_alpha", "tol")
+
+    def __init__(self, H: np.ndarray, etas: list[np.ndarray], residuals: list[float],
+                 classes: list[MetricClass], normalized: bool, shift_alpha: float, tol: float):
+        vars(self).update(H=H, etas=etas, residuals=residuals, classes=classes,
+                          normalized=normalized, shift_alpha=shift_alpha, tol=tol)
 
     @cached_property
     def rank(self) -> int:
@@ -161,7 +158,7 @@ def _chain(H: np.ndarray, G: np.ndarray, eta0: np.ndarray, k_max: int,
             residuals, defects, reformed = residuals + r, defects + d, False
     classes = _classify(etas[:2], tol, _norms(etas[:2]))
     held = all(c.invertible for c in classes)  # the theorem's hypothesis
-    classes[1:] = [replace(c, invertible=held, positive=held and c.positive) for c in classes[1:]]
+    classes[1:] = [c._replace(invertible=held, positive=held and c.positive) for c in classes[1:]]
     classes += [MetricClass(classes[k % 2].hermitian, held, held and classes[k % 2].positive,
                             None, None, defect) for k, defect in enumerate(defects[2:])]
     return EtaChain(H=H, etas=list(etas), residuals=residuals, classes=classes,

@@ -10,8 +10,11 @@ reports differ only in ``generated_at``: ``python -m pseudoherm`` and the
 ``pseudoherm`` script default ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
 ``MKL_NUM_THREADS`` to 1, a value the user set wins, and ``main()`` sets none.
 
-Each subcommand imports the modules it runs inside its handler, so ``weyl``
-and ``--help`` start without loading numpy.
+Each subcommand's handler imports the modules it runs, so ``weyl`` and ``--help`` start
+without loading numpy.  ``run`` imports the one module a subcommand runs (``_MODULES``)
+before its handler and then calls the ``loaded`` callback of ``main``, so that the process
+entry can keep the collector off while the imports run; called without one, ``main``
+leaves the collector alone.
 """
 
 from __future__ import annotations
@@ -246,11 +249,14 @@ def _cmd_example(args, inputs):
         H, eta = catalog_oscillator(args.omega)
         params = {"omega": args.omega}
     prefix = args.prefix if args.prefix is not None else args.name.replace("-", "_")
-    os.makedirs(args.out_dir, exist_ok=True)
     h_path = os.path.join(args.out_dir, f"{prefix}_hamiltonian.json")
     eta_path = os.path.join(args.out_dir, f"{prefix}_eta.json")
-    io.write_matrix(h_path, H)
-    io.write_matrix(eta_path, eta)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+        io.write_matrix(h_path, H)
+        io.write_matrix(eta_path, eta)
+    except OSError as exc:
+        raise InputError(f"--out-dir: cannot write the pair to {args.out_dir} ({exc})") from None
     r = residual(H, eta)
     inputs.update(example=args.name, params=params)
     checks = [Check("intertwining_residual", r <= args.tol, r, args.tol)]
@@ -269,6 +275,17 @@ _HANDLERS = {
     "example": _cmd_example,
 }
 
+# The module each subcommand runs; importing it loads every module its handler imports.
+_MODULES = {
+    "verify": "metric",
+    "solve": "metric",
+    "chain": "chain",
+    "perturb": "perturbation",
+    "quasi": "quasi",
+    "weyl": "weyl",
+    "example": "metric",
+}
+
 
 def _is_linalg_error(exc: Exception) -> bool:
     """Whether exc is numpy's LinAlgError, which only a loaded numpy can raise."""
@@ -276,15 +293,16 @@ def _is_linalg_error(exc: Exception) -> bool:
     return np is not None and isinstance(exc, np.linalg.LinAlgError)
 
 
-def run(args: argparse.Namespace) -> tuple[dict, int]:
+def run(args: argparse.Namespace, loaded=None) -> tuple[dict, int]:
     """Execute one parsed command; returns (report, exit_code) and never raises
-    on an exception from a handler.
+    on an exception from a handler or from the import of its module.
 
-    A handler fills ``inputs`` as it parses them and returns (results, checks).
-    A CheckError from the library becomes a failing report that keeps those
-    inputs and lists ``exc.checks``; a LinAlgError counts as an input error.
-    Any other exception is an internal error (exit 3) whose report names its
-    type and message and keeps its traceback.
+    The subcommand's module (``_MODULES``) is imported first, then ``loaded``, if
+    given, is called.  A handler fills ``inputs`` as it parses them and returns
+    (results, checks).  A CheckError from the library becomes a failing report
+    that keeps those inputs and lists ``exc.checks``; a LinAlgError counts as an
+    input error.  Any other exception is an internal error (exit 3) whose report
+    names its type and message and keeps its traceback.
     """
     report = {
         "command": args.command,
@@ -294,6 +312,9 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
     inputs = {}
     error = None
     try:
+        __import__(f"{__package__}.{_MODULES[args.command]}")
+        if loaded is not None:
+            loaded()
         results, checks = _HANDLERS[args.command](args, inputs)
     except CheckError as exc:
         results, checks, error = {}, exc.checks, str(exc)
@@ -336,10 +357,12 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def main(argv=None) -> int:
+def main(argv=None, loaded=None) -> int:
+    """Run one command line and write its report; returns the exit code.  ``loaded``, if
+    given, is called once the subcommand's modules are imported, before it runs."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    report, code = run(args)
+    report, code = run(args, loaded)
     if args.format == "text":
         rendered = render_text(report)
     else:

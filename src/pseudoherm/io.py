@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict
 from typing import TYPE_CHECKING, Any
 
 from .errors import InputError, _finite_real
@@ -139,7 +138,7 @@ def weyl_terms_to_list(poly: WeylPolynomial) -> list[dict]:
 
 
 def classification_to_dict(cls: MetricClass) -> dict:
-    return asdict(cls)
+    return cls._asdict()
 
 
 def basis_to_dict(basis: MetricBasis) -> dict:

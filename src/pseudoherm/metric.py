@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 import os
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -184,8 +184,7 @@ def residual(H, eta) -> float:
     return float(_bilinear_ratio(_intertwining, H, eta[None], _norms(eta[None]))[0])
 
 
-@dataclass(frozen=True)
-class MetricClass:
+class MetricClass(NamedTuple):
     """Classification of a metric candidate at a given relative tolerance.
 
     The boolean flags are consistent by construction:
@@ -265,8 +264,7 @@ def _measure(H: np.ndarray, stack: np.ndarray, kernel, products=None) -> tuple[l
     return residuals, measured
 
 
-@dataclass(frozen=True)
-class MetricBasis:
+class MetricBasis(NamedTuple):
     """Real-linear basis of the Hermitian solutions of ``eta H = H^dag eta``.
 
     Basis elements are Hermitian, have unit Frobenius norm and are pairwise

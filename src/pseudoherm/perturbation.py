@@ -9,7 +9,7 @@ produces plausible-looking garbage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ from .metric import (
 from .weyl import RealPolynomial
 
 
-@dataclass(frozen=True)
-class PerturbedHamiltonian:
+class PerturbedHamiltonian(NamedTuple):
     """Result of a verified perturbation ``H_tilde = H + f(K)``.
 
     ``checks`` are the hypotheses perturb verified, then perturbed_residual

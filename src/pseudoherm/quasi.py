@@ -9,7 +9,7 @@ the two pictures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ from .metric import (
 )
 
 
-@dataclass(frozen=True)
-class InducedForm:
+class InducedForm(NamedTuple):
     """A positive metric together with its principal square root and inverse root."""
 
     eta: np.ndarray
@@ -107,8 +106,7 @@ def induced_hamiltonian(H, form: InducedForm, tol: float = DEFAULT_TOL) -> np.nd
     return _induced(H, form)
 
 
-@dataclass(frozen=True)
-class QuasiHermitian:
+class QuasiHermitian(NamedTuple):
     """The checks of quasi_hermitian; form, hamiltonian (the induced Hamiltonian) and its sorted
     eigenvalues are None unless ``eta_positive`` and ``eta_is_metric`` pass."""
 

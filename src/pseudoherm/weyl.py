@@ -31,13 +31,12 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial, gcd, isfinite, lcm
 from numbers import Integral, Rational
 
-from .errors import InputError, _finite_real
+from .errors import InputError, _finite_real, _Record
 
 # (-i)^k as a Gaussian integer (re, im), indexed by k mod 4
 _NEG_I_POW = ((1, 0), (0, -1), (-1, 0), (0, 1))
@@ -58,8 +57,7 @@ def _to_fraction(value) -> Fraction:
     return Fraction(_finite_real(value, "an exact value"))
 
 
-@dataclass(frozen=True)
-class RealPolynomial:
+class RealPolynomial(_Record):
     """Polynomial with real coefficients, constant term first.
 
     Trailing zero coefficients are stripped on construction; the zero
@@ -67,13 +65,13 @@ class RealPolynomial:
     or non-finite coefficient is rejected (the rule of ``_finite_real``).
     """
 
-    coeffs: tuple[float, ...]
+    _fields = ("coeffs",)
 
     def __init__(self, coeffs=()):
         cleaned = [_finite_real(c, "a polynomial coefficient") for c in coeffs]
         while cleaned and cleaned[-1] == 0.0:
             cleaned.pop()
-        object.__setattr__(self, "coeffs", tuple(cleaned))
+        vars(self)["coeffs"] = tuple(cleaned)
 
     @property
     def degree(self) -> int:
@@ -416,8 +414,7 @@ class WeylPolynomial:
         return "WeylPolynomial(" + " + ".join(pieces) + ")"
 
 
-@dataclass(frozen=True)
-class ShiftedPotentialSpec:
+class ShiftedPotentialSpec(_Record):
     """Data for ``H = p^2 + f(p) + alpha V(x - beta - i gamma)``.
 
     The boost parameter is always ``theta = 2 gamma``, recomputed exactly on
@@ -426,16 +423,13 @@ class ShiftedPotentialSpec:
     ``_finite_real`` and are stored as floats.
     """
 
-    V: RealPolynomial
-    alpha: float
-    beta: float
-    gamma: float
-    f: RealPolynomial
+    _fields = ("V", "alpha", "beta", "gamma", "f")
 
-    def __post_init__(self):
-        for name in ("alpha", "beta", "gamma"):
-            object.__setattr__(self, name, _finite_real(getattr(self, name), name))
-        if not isinstance(self.V, RealPolynomial) or not isinstance(self.f, RealPolynomial):
+    def __init__(self, V: RealPolynomial, alpha: float, beta: float, gamma: float,
+                 f: RealPolynomial):
+        vars(self).update(V=V, alpha=_finite_real(alpha, "alpha"), beta=_finite_real(beta, "beta"),
+                          gamma=_finite_real(gamma, "gamma"), f=f)
+        if not isinstance(V, RealPolynomial) or not isinstance(f, RealPolynomial):
             raise InputError("V and f must be RealPolynomial instances")
 
     @property

@@ -699,6 +699,19 @@ class TestExample:
         assert "double range" in report["error"]
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("out_dir", ["file", "file/sub", "dir/file/sub"])
+    def test_unusable_out_dir_is_an_input_error(self, tmp_path, capsys, out_dir):
+        # a path through a regular file, which no directory can be made at or under
+        for path in (tmp_path / "file", tmp_path / "dir" / "file"):
+            path.parent.mkdir(exist_ok=True)
+            path.write_text("kept\n")
+        code, report = run_cli(capsys, "example", "two-point", "--x", "1+1i",
+                               "--out-dir", tmp_path / out_dir)
+        assert (code, report["status"]) == (2, "input_error")
+        assert report["error"].startswith(f"--out-dir: cannot write the pair to {tmp_path}")
+        assert "traceback" not in report
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "file", "file"]
+
     def test_small_omega_builds(self, tmp_path, capsys):
         code, report = run_cli(capsys, "example", "oscillator", "--omega", "1e-150",
                                "--out-dir", tmp_path)
@@ -805,11 +818,22 @@ class TestReportContract:
         assert (report["inputs"], report["results"], report["checks"]) == ({}, {}, [])
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_a_module_that_fails_to_import_is_an_internal_error(self, fixtures, tmp_path,
+                                                                  monkeypatch):
+        monkeypatch.setitem(cli._MODULES, "verify", "no_such_module")
+        out, calls = tmp_path / "report.json", []
+        code = main(["verify", "--hamiltonian", str(fixtures["H"]), "--eta", str(fixtures["eta"]),
+                     "--out", str(out)], loaded=lambda: calls.append(1))
+        report = _strict_json(out.read_text())
+        assert (code, report["status"], calls) == (3, "internal_error", [])
+        assert report["error"] == "ModuleNotFoundError: No module named 'pseudoherm.no_such_module'"
+
 
 class TestProcessEntry:
     """``pseudoherm.__main__.main`` is the one process entry: it defaults the BLAS thread
-    variables to 1 before numpy loads and freezes the collector once the report is written;
-    ``cli.main`` does neither."""
+    variables to 1 before numpy loads, keeps the collector off while the subcommand's modules
+    load, freezes them and enables it for the handler, and freezes the collector again once
+    the report is written; ``cli.main`` does none of this."""
 
     def test_script_target_is_what_python_m_runs(self, monkeypatch):
         tomllib = pytest.importorskip("tomllib")
@@ -818,11 +842,12 @@ class TestProcessEntry:
         module, _, name = target.partition(":")
         callers = []
 
-        def report():
+        def report(loaded):
             callers.append(sys._getframe(1).f_code)
             return 7
 
         monkeypatch.setattr(cli, "main", report)
+        monkeypatch.setattr(gc, "disable", lambda: None)
         monkeypatch.setattr(gc, "freeze", lambda: None)
         for var in THREAD_VARS:
             monkeypatch.setenv(var, "1")
@@ -840,28 +865,54 @@ class TestProcessEntry:
 
         events = []
 
-        def report():
+        def report(loaded):
+            events.append(("load",))
+            loaded()
             events.append(("report", *(os.environ.get(var) for var in THREAD_VARS)))
             return 1
 
         monkeypatch.setattr(cli, "main", report)
-        monkeypatch.setattr(gc, "freeze", lambda: events.append(("freeze",)))
+        for name in ("disable", "freeze", "enable"):
+            monkeypatch.setattr(gc, name, lambda name=name: events.append((name,)))
         monkeypatch.setenv("OMP_NUM_THREADS", "2")
         for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
         assert entry() == 1
-        assert events == [("report", "1", "2", "1"), ("freeze",)]
+        assert events == [("disable",), ("load",), ("freeze",), ("enable",),
+                          ("report", "1", "2", "1"), ("freeze",)]
+
+    def test_the_handler_runs_with_the_collector_on_and_the_imports_frozen(self, fixtures,
+                                                                           monkeypatch):
+        from pseudoherm.__main__ import main as entry
+
+        seen = []
+
+        def handler(args, inputs):
+            seen.append((gc.isenabled(), gc.get_freeze_count()))
+            return {}, []
+
+        monkeypatch.setitem(cli._HANDLERS, "verify", handler)
+        monkeypatch.setattr(sys, "argv", ["pseudoherm", "verify", "--hamiltonian",
+                                          str(fixtures["H"]), "--eta", str(fixtures["eta"])])
+        enabled, frozen_before = gc.isenabled(), gc.get_freeze_count()
+        try:
+            assert entry() == 0
+        finally:
+            gc.unfreeze()
+            (gc.enable if enabled else gc.disable)()
+        (on, frozen), = seen
+        assert on and frozen > frozen_before
 
     def test_in_process_main_leaves_collector_and_environment(self, fixtures, tmp_path,
                                                               monkeypatch):
         for var in THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
-        before = (gc.get_freeze_count(), dict(os.environ))
+        before = (gc.isenabled(), gc.get_freeze_count(), dict(os.environ))
         for argv in (["verify", "--hamiltonian", fixtures["H"], "--eta", fixtures["eta"]],
                      ["solve", "--hamiltonian", fixtures["H"], "--positive"],
                      ["weyl", "--spec", fixtures["weyl"]]):
             assert main([str(a) for a in argv] + ["--out", str(tmp_path / "r.json")]) == 0
-        assert (gc.get_freeze_count(), dict(os.environ)) == before
+        assert (gc.isenabled(), gc.get_freeze_count(), dict(os.environ)) == before
 
     def test_reports_do_not_depend_on_the_default_thread_count(self, tmp_path):
         """From about n = 66 threaded BLAS kernels round differently from one thread, so on
@@ -917,6 +968,29 @@ class TestImports:
         assert code == 0
         assert "pseudoherm.cli" in modules
         assert {m for m in modules if m.split(".")[0] == "numpy"} == set()
+
+    @pytest.mark.parametrize("command", [*cli._HANDLERS, "help"])
+    def test_no_dataclasses(self, fixtures, tmp_path, command):
+        """No record is a dataclass, and nothing else loads the module (or, for weyl and
+        --help, which load no numpy, inspect): both cost every process start."""
+        argv = {"verify": ["--hamiltonian", fixtures["H"], "--eta", fixtures["eta"]],
+                "solve": ["--hamiltonian", fixtures["H"]],
+                "chain": ["--hamiltonian", fixtures["H"], "--eta0", fixtures["eta"]],
+                "perturb": ["--hamiltonian", fixtures["H"], "--eta", fixtures["eta"],
+                            "--poly", "0,1"],
+                "quasi": ["--hamiltonian", fixtures["H"], "--eta", fixtures["identity"]],
+                "weyl": ["--spec", fixtures["weyl"]],
+                "example": ["two-point", "--x", "1+1i", "--out-dir", tmp_path]}
+        if command == "help":
+            code, modules = _imported_modules("--help")
+        else:
+            code, modules = _imported_modules(command, *argv[command],
+                                              "--out", tmp_path / "r.json")
+        assert code in (0, 1)
+        assert f"pseudoherm.{cli._MODULES.get(command, 'cli')}" in modules
+        assert "dataclasses" not in modules
+        if command in ("weyl", "help"):
+            assert "inspect" not in modules
 
     def test_verify_loads_no_weyl_algebra(self, fixtures, tmp_path):
         code, modules = _imported_modules("verify", "--hamiltonian", fixtures["H"], "--eta",

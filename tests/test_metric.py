@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import tracemalloc
@@ -412,17 +411,16 @@ class TestStackedKernels:
     def test_classifications(self, seed, n, elements, tol):
         stack = self._stack(seed, n, elements)
         try:
-            expected = [_bits(dataclasses.astuple(classification_of_one(e, tol)))
-                        for e in stack]
+            expected = [_bits(tuple(classification_of_one(e, tol))) for e in stack]
         except InputError as exc:
             for call in (lambda: _classify(stack, tol, frobenius_of(stack)),
                          lambda: [classify_metric(e, tol) for e in stack]):
                 with pytest.raises(InputError, match=str(exc)):
                     call()
             return
-        assert ([_bits(dataclasses.astuple(c)) for c in _classify(stack, tol, frobenius_of(stack))]
+        assert ([_bits(tuple(c)) for c in _classify(stack, tol, frobenius_of(stack))]
                 == expected)
-        assert [_bits(dataclasses.astuple(classify_metric(e, tol))) for e in stack] == expected
+        assert [_bits(tuple(classify_metric(e, tol))) for e in stack] == expected
 
 
 _LAYOUTS = {"C": np.ascontiguousarray, "F": np.asfortranarray,
@@ -1186,8 +1184,8 @@ class TestStacks:
     def test_measures_match_the_per_element_oracles(self):
         basis = self.family_basis()
         assert _bits(basis.residuals) == _bits(residual_of_one(basis.H, b) for b in basis.basis)
-        assert ([_bits(dataclasses.astuple(c)) for c in basis.classifications]
-                == [_bits(dataclasses.astuple(classification_of_one(b, basis.tol)))
+        assert ([_bits(tuple(c)) for c in basis.classifications]
+                == [_bits(tuple(classification_of_one(b, basis.tol)))
                     for b in basis.basis])
 
 
@@ -1317,8 +1315,8 @@ class TestFindMetric:
         basis = solve_metric_space(H)
         if elements is not None:  # the solve's space, given by singular elements
             assert np.abs(projector(basis.basis) - projector(elements)).max() <= 1e-12
-            basis = dataclasses.replace(
-                basis, basis=list(elements), residuals=[residual(H, b) for b in elements],
+            basis = basis._replace(
+                basis=list(elements), residuals=[residual(H, b) for b in elements],
                 classifications=[classify_metric(b) for b in elements])
         assert not any(cls.invertible for cls in basis.classifications)
         eta = find_metric(basis)

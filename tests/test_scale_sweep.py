@@ -80,7 +80,7 @@ def ratio(value):
 def classification(c, power, unit):
     """A MetricClass (or its report dict) of a matrix with norm unit, scaling by 2^(power k);
     an eigenvalue that was not measured (None, a chain element k >= 2) stays None."""
-    c = c if isinstance(c, dict) else vars(c)
+    c = c if isinstance(c, dict) else c._asdict()
     eigenvalues = (c["min_abs_eigenvalue_of_hermitian_part"], c["min_eigenvalue_of_hermitian_part"])
     return [c["hermitian"], c["invertible"], c["positive"], ratio(c["hermiticity_defect"]),
             *(v if v is None else Value(v, power, unit) for v in eigenvalues)]
