@@ -128,22 +128,20 @@ def _unit_product(Gd: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, int]:
 def _chain(H: np.ndarray, G: np.ndarray, eta0: np.ndarray, k_max: int,
            normalize: bool, tol: float, alpha: float) -> EtaChain:
     """The chain ``(G^dag)^k eta0`` for ``G = H + alpha I``, measured once against H by chunks
-    as they are generated.  Each ``G^dag eta_k`` goes to a chunk buffer; for alpha = 0 the
-    residual reuses it as ``H^dag eta_k`` (see metric._measure) unless an element of the chunk
-    was formed again from unit peaks (its norm out of the window); else only eta_k+1 reads it."""
+    as they are generated.  Each ``G^dag eta_k`` of the stored eta_k goes to a chunk buffer;
+    for alpha = 0 it is ``H^dag eta_k``, which metric._measure reuses where its window allows."""
     with _within_memory(16 * H.size * (int(k_max) + 1), f"k_max = {k_max}: {int(k_max) + 1} "
                         f"elements at n = {len(H)} need more memory than this machine has"):
         Gd, etas = adjoint(G), np.empty((int(k_max) + 1,) + H.shape, dtype=complex)
     size = max(1, _STACK_ENTRIES // H.size)
     products = np.empty((min(size, len(etas)),) + H.shape, dtype=complex)
-    residuals, defects, reformed = [], [], False
+    residuals, defects = [], []
     for k in range(len(etas)):
         e = products[(k - 1) % size] if k else eta0
         norm = frobenius(e)
         if not _in_window(norm):
             m, shift = _unit_product(Gd, etas[k - 1]) if k else _unit_peak(eta0)
             e, norm = (m, frobenius(m)) if normalize else _scaled(m, shift, f"eta_{k}")
-            reformed = True
         if normalize and norm > 0.0:  # numpy's complex / real, without its division loop
             np.multiply(np.ascontiguousarray(e).view(float), 1.0 / norm, out=etas[k].view(float))
         else:
@@ -153,9 +151,8 @@ def _chain(H: np.ndarray, G: np.ndarray, eta0: np.ndarray, k_max: int,
                 np.matmul(Gd, etas[k], out=products[k % size])
         if k % size == size - 1 or k == k_max:  # the chunk is whole: measure it
             chunk = etas[k - k % size:k + 1]
-            shared = None if alpha or reformed else products[:len(chunk)]
-            r, d = _measure(H, chunk, _defects, shared)
-            residuals, defects, reformed = residuals + r, defects + d, False
+            r, d = _measure(H, chunk, _defects, None if alpha else products[:len(chunk)])
+            residuals, defects = residuals + r, defects + d
     classes = _classify(etas[:2], tol, _norms(etas[:2]))
     held = all(c.invertible for c in classes)  # the theorem's hypothesis
     classes[1:] = [c._replace(invertible=held, positive=held and c.positive) for c in classes[1:]]

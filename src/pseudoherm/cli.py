@@ -11,7 +11,7 @@ reports differ only in ``generated_at``: ``python -m pseudoherm`` and the
 ``MKL_NUM_THREADS`` to 1, a value the user set wins, and ``main()`` sets none.
 
 Each subcommand's handler imports the modules it runs, so ``weyl`` and ``--help`` start
-without loading numpy.  ``run`` imports the one module a subcommand runs (``_MODULES``)
+without loading numpy.  ``run`` imports the one module a subcommand runs (``_COMMANDS``)
 before its handler and then calls the ``loaded`` callback of ``main``, so that the process
 entry can keep the collector off while the imports run; called without one, ``main``
 leaves the collector alone.
@@ -265,25 +265,16 @@ def _cmd_example(args, inputs):
     return results, checks
 
 
-_HANDLERS = {
-    "verify": _cmd_verify,
-    "solve": _cmd_solve,
-    "chain": _cmd_chain,
-    "perturb": _cmd_perturb,
-    "quasi": _cmd_quasi,
-    "weyl": _cmd_weyl,
-    "example": _cmd_example,
-}
-
-# The module each subcommand runs; importing it loads every module its handler imports.
-_MODULES = {
-    "verify": "metric",
-    "solve": "metric",
-    "chain": "chain",
-    "perturb": "perturbation",
-    "quasi": "quasi",
-    "weyl": "weyl",
-    "example": "metric",
+# Each subcommand's module and handler; importing the module loads every module the handler
+# imports.
+_COMMANDS = {
+    "verify": ("metric", _cmd_verify),
+    "solve": ("metric", _cmd_solve),
+    "chain": ("chain", _cmd_chain),
+    "perturb": ("perturbation", _cmd_perturb),
+    "quasi": ("quasi", _cmd_quasi),
+    "weyl": ("weyl", _cmd_weyl),
+    "example": ("metric", _cmd_example),
 }
 
 
@@ -297,7 +288,7 @@ def run(args: argparse.Namespace, loaded=None) -> tuple[dict, int]:
     """Execute one parsed command; returns (report, exit_code) and never raises
     on an exception from a handler or from the import of its module.
 
-    The subcommand's module (``_MODULES``) is imported first, then ``loaded``, if
+    The subcommand's module (``_COMMANDS``) is imported first, then ``loaded``, if
     given, is called.  A handler fills ``inputs`` as it parses them and returns
     (results, checks).  A CheckError from the library becomes a failing report
     that keeps those inputs and lists ``exc.checks``; a LinAlgError counts as an
@@ -312,10 +303,11 @@ def run(args: argparse.Namespace, loaded=None) -> tuple[dict, int]:
     inputs = {}
     error = None
     try:
-        __import__(f"{__package__}.{_MODULES[args.command]}")
+        module, handler = _COMMANDS[args.command]
+        __import__(f"{__package__}.{module}")
         if loaded is not None:
             loaded()
-        results, checks = _HANDLERS[args.command](args, inputs)
+        results, checks = handler(args, inputs)
     except CheckError as exc:
         results, checks, error = {}, exc.checks, str(exc)
     except Exception as exc:

@@ -227,7 +227,8 @@ def _classify(stack: np.ndarray, tol: float, norms: np.ndarray) -> list[MetricCl
     invertible = hermitian & (min_abs > tol * norms)
     positive = invertible & (min_eig > tol * norms)
     with np.errstate(over="ignore"):
-        min_abs, min_eig = np.ldexp(min_abs, shift), np.ldexp(min_eig, shift)
+        # + 0.0 turns the -0.0 that an eigenvalue of a subnormal element can round to into 0.0
+        min_abs, min_eig = np.ldexp(min_abs, shift) + 0.0, np.ldexp(min_eig, shift) + 0.0
     if np.isinf(min_eig).any():  # min_abs <= |min_eig|
         raise InputError("eta: an eigenvalue of its Hermitian part is beyond the double range")
     return list(map(MetricClass, hermitian.tolist(), invertible.tolist(), positive.tolist(),
@@ -515,12 +516,11 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
                  * np.linalg.norm(V, axis=0) * np.linalg.norm(W, axis=0))
         reach = radii[:, None] + radii[None, :]
         dist = np.abs(lam[None, :] - lam.conj()[:, None])  # |lambda_j - conj(lambda_i)|
-        linked, window = dist <= reach, dist <= 10.0 * reach
-        stack = _spectral_basis(W, window)
-        measured = _measured(unit, stack, tol) if (window == linked).all() else None
+        # Both tests are symmetric in (i, j), so each gives one element per entry it holds;
+        # the links lie in the window, so the counts agree when every window pair is linked.
+        stack, need = _spectral_basis(W, dist <= 10.0 * reach), np.count_nonzero(dist <= reach)
+        measured = _measured(unit, stack, tol) if len(stack) == need else None
         if measured is None or max(measured[1], default=0.0) > tol:
-            # Both masks are symmetric, so the links give one element per entry.
-            need = np.count_nonzero(linked)
             members = _realified_basis(unit, stack, tol, need)
             measured = _measured(unit, members, tol) if len(members) >= need else None
     solver = "realified" if measured is None else "spectral"

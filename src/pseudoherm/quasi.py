@@ -135,24 +135,18 @@ def quasi_hermitian(H, eta, tol: float = DEFAULT_TOL) -> QuasiHermitian:
     return QuasiHermitian(cls, is_metric.value, checks, form, H_eta, eigvals)
 
 
-def induced_inner(phi, psi, eta, allow_indefinite: bool = False,
-                  tol: float = DEFAULT_TOL) -> complex:
-    """Metric inner product ``sum_i conj(phi_i) (eta psi)_i``.
+def induced_inner(phi, psi, eta) -> complex:
+    """Metric form ``sum_i conj(phi_i) (eta psi)_i``, for any eta.
 
-    Positive eta gives a true inner product (conjugate symmetric, positive definite).
-    Any other eta fails ``eta_positive`` (threshold ``tol |eta|_F``, CheckError
-    "metric not positive") unless ``allow_indefinite`` asks for a mere sesquilinear form.
+    A positive eta gives a true inner product (conjugate symmetric, positive definite); whether
+    eta is positive is the caller's check, by quasi_hermitian or classify_metric.
     """
-    check_tol(tol)
     phi = as_vector(phi, "phi")
     psi = as_vector(psi, "psi")
     eta = as_matrix(eta, "eta")
     if phi.shape != psi.shape or phi.shape[0] != eta.shape[0]:
         raise InputError(f"dimension mismatch: phi has {phi.shape[0]}, psi has "
                          f"{psi.shape[0]}, eta is {eta.shape[0]}x{eta.shape[0]}")
-    if not allow_indefinite:
-        _require([(_eta_positive(eta, tol)[1], "metric not positive", "metric not positive: "
-                   "pass allow_indefinite=True for a plain sesquilinear form")])
     # eta psi on eta / 2^k from _unit_peak, scaled back once: at eta's own scale a
     # subnormal eta would round every product and sum.
     unit, k = _unit_peak(eta)

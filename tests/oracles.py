@@ -351,7 +351,9 @@ def classification_of_one(eta: np.ndarray, tol: float) -> MetricClass:
     |eta|_F``, invertible (positive) when also the smallest |eigenvalue| (the
     smallest eigenvalue) of ``(eta + eta^dag) / 2`` exceeds ``tol |eta|_F``.
     For a norm outside [1e-290, 1e300], eta is scaled exactly to a unit peak entry
-    and the two eigenvalues scaled back; InputError when they leave the double range."""
+    and the two eigenvalues scaled back; InputError when they leave the double range.
+    A minimum that rounds to zero is +0.0, as in metric._classify: the sign of that zero can
+    differ between a matrix classified alone and in a stack."""
     eta = np.asarray(eta, dtype=complex)
     norm, k = _frobenius(eta), 0
     if not 1e-290 <= norm <= 1e300:
@@ -365,8 +367,8 @@ def classification_of_one(eta: np.ndarray, tol: float) -> MetricClass:
     hermitian = defect <= tol
     invertible = hermitian and min_abs > scale
     positive = invertible and min_eig > scale
-    with np.errstate(over="ignore"):
-        min_abs, min_eig = np.ldexp([min_abs, min_eig], k).tolist()
+    with np.errstate(over="ignore"):  # + 0.0: a zero minimum reads 0.0, whatever its rounding
+        min_abs, min_eig = (np.ldexp([min_abs, min_eig], k) + 0.0).tolist()
     if np.isinf(min_eig):  # min_abs <= |min_eig|
         raise InputError("eta: an eigenvalue of its Hermitian part is beyond the double range")
     return MetricClass(hermitian=hermitian, invertible=invertible, positive=positive,

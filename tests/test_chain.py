@@ -1,6 +1,7 @@
 import os
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from pseudoherm import (
     hermiticity_defect,
     residual,
     shift_for_invertibility,
+    solve_metric_space,
 )
 from pseudoherm import chain as chain_module
 from pseudoherm import metric
@@ -461,6 +463,30 @@ class TestResidualOracle:
         expected = [residual(H, eta).hex() for eta in chain.etas]
         assert [r.hex() for r in chain.residuals] == expected
 
+    def test_products_shared_after_a_reformed_element(self, monkeypatch):
+        # |H^dag eta_k|_F = 1e-295 lies below the window, so each element after eta_0 is formed
+        # again from unit peaks; |H|_F and every |eta_k|_F lie inside it, so the residuals of
+        # the one chunk reuse the generation's products all the same
+        H, eta0 = np.diag([1.0, 1e-295]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+        reformed, shared = [], []
+        unit_product, form = chain_module._unit_product, metric._intertwining
+
+        def reform(*args):
+            reformed.append(args)
+            return unit_product(*args)
+
+        def intertwining(h, e, product=None):
+            shared.append(product is not None)
+            return form(h, e, product)
+
+        monkeypatch.setattr(chain_module, "_unit_product", reform)
+        monkeypatch.setattr(metric, "_intertwining", intertwining)
+        chain = build_chain(H, eta0, 3, normalize=True)
+        assert (len(reformed), shared) == (3, [False, True])  # eta0's check, then the chunk
+        assert all(np.array_equal(eta, eta0) for eta in chain.etas)
+        expected = [residual(H, eta).hex() for eta in chain.etas]
+        assert [r.hex() for r in chain.residuals] == expected
+
 
 class TestNormalization:
     """A normalized element is ``p / |p|_F`` for ``p = G^dag eta_k-1``, as numpy's complex
@@ -605,6 +631,22 @@ class TestExactChains:
         powers = [[x ** k for x in lam] for k in range(k_max + 1)]
         assert [c.invertible for c in chain.classes] == [0 not in p for p in powers]
         assert [c.positive for c in chain.classes] == [min(p) > 0 for p in powers]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=2, max_size=4), st.integers(0, 10_000))
+    def test_chain_span_against_the_solve(self, lam, seed):
+        # The paper's chain as a second exact oracle for the solve: the real span of eta_k =
+        # S^-dag diag(lambda^k) S^-1, k < n, is a Vandermonde span of one dimension per
+        # distinct lambda, and the Hermitian solutions are S^-dag M S^-1 with M Hermitian on
+        # each eigenspace, sum m^2 dimensions for multiplicities m.  The chain spans them
+        # exactly when no lambda repeats (H nonderogatory).
+        n, multiplicities = len(lam), Counter(lam).values()
+        H, etas = exact_chain(lam, *gaussian_unimodular(n, np.random.default_rng(seed), n + 1),
+                              n - 1)
+        rank, dimension = build_chain(H, etas[0], n - 1).rank, solve_metric_space(H).dimension
+        assert rank == len(multiplicities)
+        assert dimension == sum(m * m for m in multiplicities)
+        assert (rank == dimension) == (len(multiplicities) == n)
 
 
 class TestChainViaShift:

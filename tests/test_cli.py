@@ -1,3 +1,4 @@
+import argparse
 import gc
 import importlib
 import json
@@ -744,6 +745,14 @@ class TestReportContract:
         assert spaced[0] == joined[0]
         assert {**spaced[1], "generated_at": None} == {**joined[1], "generated_at": None}
 
+    def test_the_subcommand_table_lists_the_parsers_subcommands(self):
+        # the parser and cli._COMMANDS are the two lists of subcommands; each entry names a
+        # module of the package
+        (sub,) = [action for action in cli.build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+        assert list(sub.choices) == list(cli._COMMANDS)
+        assert {module for module, _ in cli._COMMANDS.values()} <= set(pseudoherm._SUBMODULES)
+
     def test_reports_are_deterministic_modulo_timestamp(self, fixtures, tmp_path, capsys):
         argv = ["verify", "--hamiltonian", str(fixtures["H"]),
                 "--eta", str(fixtures["eta"]), "--out"]
@@ -805,7 +814,7 @@ class TestReportContract:
         def fail(args, inputs):
             raise exc
 
-        monkeypatch.setitem(cli._HANDLERS, "verify", fail)
+        monkeypatch.setitem(cli._COMMANDS, "verify", ("metric", fail))
         out = tmp_path / "report.json"
         code = main(["verify", "--hamiltonian", str(fixtures["H"]), "--eta", str(fixtures["eta"]),
                      "--out", str(out)])
@@ -820,7 +829,7 @@ class TestReportContract:
 
     def test_a_module_that_fails_to_import_is_an_internal_error(self, fixtures, tmp_path,
                                                                   monkeypatch):
-        monkeypatch.setitem(cli._MODULES, "verify", "no_such_module")
+        monkeypatch.setitem(cli._COMMANDS, "verify", ("no_such_module", cli._cmd_verify))
         out, calls = tmp_path / "report.json", []
         code = main(["verify", "--hamiltonian", str(fixtures["H"]), "--eta", str(fixtures["eta"]),
                      "--out", str(out)], loaded=lambda: calls.append(1))
@@ -891,7 +900,7 @@ class TestProcessEntry:
             seen.append((gc.isenabled(), gc.get_freeze_count()))
             return {}, []
 
-        monkeypatch.setitem(cli._HANDLERS, "verify", handler)
+        monkeypatch.setitem(cli._COMMANDS, "verify", ("metric", handler))
         monkeypatch.setattr(sys, "argv", ["pseudoherm", "verify", "--hamiltonian",
                                           str(fixtures["H"]), "--eta", str(fixtures["eta"])])
         enabled, frozen_before = gc.isenabled(), gc.get_freeze_count()
@@ -969,7 +978,7 @@ class TestImports:
         assert "pseudoherm.cli" in modules
         assert {m for m in modules if m.split(".")[0] == "numpy"} == set()
 
-    @pytest.mark.parametrize("command", [*cli._HANDLERS, "help"])
+    @pytest.mark.parametrize("command", [*cli._COMMANDS, "help"])
     def test_no_dataclasses(self, fixtures, tmp_path, command):
         """No record is a dataclass, and nothing else loads the module (or, for weyl and
         --help, which load no numpy, inspect): both cost every process start."""
@@ -987,7 +996,7 @@ class TestImports:
             code, modules = _imported_modules(command, *argv[command],
                                               "--out", tmp_path / "r.json")
         assert code in (0, 1)
-        assert f"pseudoherm.{cli._MODULES.get(command, 'cli')}" in modules
+        assert f"pseudoherm.{cli._COMMANDS.get(command, ('cli',))[0]}" in modules
         assert "dataclasses" not in modules
         if command in ("weyl", "help"):
             assert "inspect" not in modules

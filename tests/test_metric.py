@@ -33,7 +33,6 @@ from pseudoherm import (
     find_metric,
     hermiticity_defect,
     induced_hamiltonian,
-    induced_inner,
     metric,
     metric_sqrt,
     perturb,
@@ -408,6 +407,10 @@ class TestStackedKernels:
     @example(0, 3, [("positive", 1e-300), ("hermitian", 1e300), ("zero", 1.0),
                     ("general", 1.0), ("positive", np.ldexp(1.0, -1070))], 1e-10)
     @example(13, 4, [("positive", 1.0), ("hermitian", np.ldexp(1.0, 1023))], 1e-10)  # raises
+    # subnormal general elements whose least Hermitian-part eigenvalue rounds to -0.0 in the
+    # stack (the first) or alone (the second): both read +0.0
+    @example(227, 1, [("zero", 1.0), ("general", 5e-324)], 1e-10)
+    @example(0, 2, [("general", 5e-324)], 1e-10)
     def test_classifications(self, seed, n, elements, tol):
         stack = self._stack(seed, n, elements)
         try:
@@ -551,8 +554,6 @@ class TestTolGuard:
         "metric_sqrt": lambda tol: metric_sqrt(np.eye(2), tol),
         "induced_hamiltonian": lambda tol: induced_hamiltonian(
             TestTolGuard.H, metric_sqrt(np.eye(2)), tol),
-        "induced_inner": lambda tol: induced_inner(np.ones(2), np.ones(2), -np.eye(2),
-                                                   allow_indefinite=True, tol=tol),
     }
 
     @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1e-10])

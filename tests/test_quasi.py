@@ -136,10 +136,6 @@ class TestCheckErrors:
             "eta not a metric for H", "eta_is_metric",
             residual(np.array([[0.0, 1j], [-4j, 0.0]]), np.eye(2)), TOL,
             "exceeds tolerance 1.000e-09"),
-        "induced_inner": (lambda: induced_inner([1, 0], [0, 1], INDEFINITE, tol=TestCheckErrors.TOL),
-                          "metric not positive", "eta_positive",
-                          classify_metric(INDEFINITE).min_eigenvalue_of_hermitian_part,
-                          TOL * np.linalg.norm(INDEFINITE), "pass allow_indefinite=True"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -176,12 +172,18 @@ class TestInducedInner:
         psi = np.array([0.5j, -1.0])
         assert induced_inner(phi, psi, np.eye(2)) == pytest.approx(np.vdot(phi, psi))
 
-    def test_indefinite_needs_flag(self):
-        eta = np.array([[0.0, 1j], [-1j, 0.0]])
-        with pytest.raises(CheckError):
-            induced_inner([1, 0], [0, 1], eta)
-        value = induced_inner([1, 0], [0, 1], eta, allow_indefinite=True)
-        assert value == pytest.approx(1j)
+    def test_any_metric_gives_the_plain_form(self):
+        # positivity is the caller's check: an indefinite or negative eta gives its form,
+        # and quasi_hermitian fails eta_positive on it
+        for eta, psi, value in ((INDEFINITE, [0, 1], 1j), (-np.eye(2), [1, 0], -1.0),
+                                (np.zeros((2, 2)), [1, 0], 0.0)):
+            assert induced_inner([1, 0], psi, eta) == value
+        assert not quasi_hermitian(np.eye(2), INDEFINITE).checks[0].passed
+
+    def test_takes_no_tolerance_or_flag(self):
+        for extra in ({"tol": 1e-10}, {"allow_indefinite": True}):
+            with pytest.raises(TypeError):
+                induced_inner([1, 0], [1, 0], np.eye(2), **extra)
 
     def test_dimension_mismatch(self):
         for phi, message in (([1, 0, 0], "dimension mismatch"),
@@ -189,7 +191,7 @@ class TestInducedInner:
                              ([], "phi: expected a nonempty vector"),
                              ([np.inf, 0], "phi: non-finite entries")):
             with pytest.raises(InputError, match=message):
-                induced_inner(phi, [1, 0], np.eye(2), allow_indefinite=True)
+                induced_inner(phi, [1, 0], np.eye(2))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -219,8 +221,8 @@ class TestInducedInner:
         for k in range(-1068, -1000, 3):
             scaled = np.ldexp(eta.view(float), k).view(complex)
             rounded = np.ldexp(scaled.view(float), -k).view(complex)
-            want = induced_inner(phi, psi, rounded, allow_indefinite=True)
-            got = induced_inner(phi, psi, scaled, allow_indefinite=True)
+            want = induced_inner(phi, psi, rounded)
+            got = induced_inner(phi, psi, scaled)
             spacing = np.ldexp(1.0, -1074 - k)
             assert abs(np.ldexp(got.real, -k) - want.real) <= spacing, k
             assert abs(np.ldexp(got.imag, -k) - want.imag) <= spacing, k
