@@ -36,6 +36,7 @@ from pseudoherm import (
     metric,
     metric_sqrt,
     perturb,
+    quasi_hermitian,
     residual,
     shift_for_invertibility,
     solve_metric_space,
@@ -554,6 +555,8 @@ class TestTolGuard:
         "metric_sqrt": lambda tol: metric_sqrt(np.eye(2), tol),
         "induced_hamiltonian": lambda tol: induced_hamiltonian(
             TestTolGuard.H, metric_sqrt(np.eye(2)), tol),
+        # the positivity check that induced_inner leaves to its caller
+        "quasi_hermitian": lambda tol: quasi_hermitian(np.eye(2), np.eye(2), tol),
     }
 
     @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1e-10])
