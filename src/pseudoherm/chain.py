@@ -79,9 +79,9 @@ class EtaChain(_Record):
         max_residual = max(self.residuals)
         max_defect = max(c.hermiticity_defect for c in self.classes)
         degenerate = float(len(self.degenerate_indices))
-        return (Check("chain_residual_max", max_residual <= self.tol, max_residual, self.tol),
-                Check("all_elements_hermitian", max_defect <= self.tol, max_defect, self.tol),
-                Check("all_elements_invertible", not degenerate, degenerate, 0.0))
+        return (Check.at_most("chain_residual_max", max_residual, self.tol),
+                Check.at_most("all_elements_hermitian", max_defect, self.tol),
+                Check.at_most("all_elements_invertible", degenerate, 0.0))
 
     def __len__(self) -> int:
         return len(self.etas)

@@ -27,6 +27,11 @@ class Check(NamedTuple):
     value: float | None = None
     threshold: float | None = None
 
+    @classmethod
+    def at_most(cls, name: str, value: float, threshold: float) -> "Check":
+        """The check name that passes when ``value <= threshold`` (so never on a nan)."""
+        return cls(name, value <= threshold, value, threshold)
+
 
 class _Record:
     """Base of the immutable records with behaviour.  ``__init__`` fills ``vars(self)``; the
@@ -61,21 +66,24 @@ class CheckError(ValueError):
     ``check`` is a short stable identifier of the failure (e.g. ``"non-commuting
     K"``), and ``checks`` holds every Check evaluated before the raise, under the
     names the reports use.  ``value`` and ``threshold`` are those of the first
-    failed check.  Raised only by _require.
+    failed check, and the message is ``"{check} ({name}: value {value:.3e}, threshold
+    {threshold:.3e})"`` of it.  Raised only by _require.
     """
 
-    def __init__(self, check: str, message: str, checks: tuple[Check, ...]):
-        super().__init__(message)
+    def __init__(self, check: str, checks: tuple[Check, ...]):
+        failed = next(c for c in checks if not c.passed)
+        super().__init__(f"{check} ({failed.name}: value {failed.value:.3e}, "
+                         f"threshold {failed.threshold:.3e})")
         self.check, self.checks = check, tuple(checks)
-        self.value, self.threshold = next((c.value, c.threshold) for c in checks if not c.passed)
+        self.value, self.threshold = failed.value, failed.threshold
 
 
 def _require(outcomes, checks: tuple[Check, ...] = ()) -> tuple[Check, ...]:
-    """checks plus those of the (Check, CheckError id, message) outcomes; raise at a failure."""
-    checks += tuple(check for check, _, _ in outcomes)
-    for check, check_id, message in outcomes:
+    """checks plus those of the (Check, CheckError id) outcomes; raise at a failure."""
+    checks += tuple(check for check, _ in outcomes)
+    for check, check_id in outcomes:
         if not check.passed:
-            raise CheckError(check_id, message, checks)
+            raise CheckError(check_id, checks)
     return checks
 
 

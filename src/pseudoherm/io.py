@@ -14,8 +14,10 @@ them, so reading a spec loads no numpy and reading a matrix no Weyl algebra.
 
 from __future__ import annotations
 
+import cmath
 import json
 import os
+import re
 from typing import TYPE_CHECKING, Any
 
 from .errors import InputError, _finite_real
@@ -94,15 +96,13 @@ def parse_complex_scalar(text: str) -> complex:
     s = str(text).strip().replace(" ", "")
     if not s:
         raise InputError("empty complex scalar")
-    lowered = s.lower()
-    if "nan" in lowered or "inf" in lowered:
-        raise InputError(f"complex scalar {text!r} must be finite")
-    normalized = lowered.replace("i", "j")
-    try:
-        value = complex(normalized)
+    try:  # the imaginary unit i ends the number; the i of inf is no unit
+        value = complex(re.sub(r"i(?=\)?$)", "j", s.lower()))
     except ValueError:
         raise InputError(f"cannot parse complex scalar {text!r}; "
                          'use forms like "2", "i", "1+2i", "1.5e-2-0.3i"') from None
+    if not cmath.isfinite(value):  # nan, inf, or a decimal beyond the double range
+        raise InputError(f"complex scalar {text!r} must be finite")
     return value
 
 

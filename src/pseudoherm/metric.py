@@ -291,7 +291,7 @@ class MetricBasis(NamedTuple):
     def checks(self) -> tuple[Check, ...]:
         """``basis_residual_max``: the largest element residual, held to tol."""
         worst = max(self.residuals, default=0.0)
-        return (Check("basis_residual_max", worst <= self.tol, worst, self.tol),)
+        return (Check.at_most("basis_residual_max", worst, self.tol),)
 
 
 def _frame_map(H: np.ndarray) -> np.ndarray:

@@ -52,12 +52,6 @@ def _eta_positive(eta: np.ndarray, tol: float) -> tuple[MetricClass, Check]:
                       threshold)
 
 
-def _eta_is_metric(H, eta: np.ndarray, tol: float) -> Check:
-    """The check ``eta_is_metric``: residual(H, eta) against tol."""
-    r = residual(H, eta)
-    return Check("eta_is_metric", r <= tol, r, tol)
-
-
 def _root_form(eta: np.ndarray) -> InducedForm:
     """The InducedForm of metric_sqrt for a positive eta."""
     (unit,), _, (k,) = _windowed(eta[None], _norms(eta[None]), 1.0)
@@ -86,9 +80,7 @@ def metric_sqrt(eta, tol: float = DEFAULT_TOL) -> InducedForm:
     Outside the window, eta / 2^k (k even) is decomposed, the roots scaled back.
     """
     eta = as_matrix(eta, "eta")
-    _, positive = _eta_positive(eta, tol)
-    _require([(positive, "metric not positive", "metric not positive: minimum eigenvalue "
-               f"of the Hermitian part is {positive.value:.6g}")])
+    _require([(_eta_positive(eta, tol)[1], "metric not positive")])
     return _root_form(eta)
 
 
@@ -100,9 +92,8 @@ def induced_hamiltonian(H, form: InducedForm, tol: float = DEFAULT_TOL) -> np.nd
     """
     check_tol(tol)
     H = as_matrix(H, "H")
-    is_metric = _eta_is_metric(H, form.eta, tol)
-    _require([(is_metric, "eta not a metric for H", "eta does not intertwine H (residual "
-               f"{is_metric.value:.3e} exceeds tolerance {tol:.3e})")])
+    _require([(Check.at_most("eta_is_metric", residual(H, form.eta), tol),
+               "eta not a metric for H")])
     return _induced(H, form)
 
 
@@ -123,15 +114,16 @@ def quasi_hermitian(H, eta, tol: float = DEFAULT_TOL) -> QuasiHermitian:
     returned, not raised; if both pass, ``induced_hermitian`` (the induced Hamiltonian's defect
     at tol) and ``spectrum_real`` (its eigenvalues' largest |Im| at ``tol |H|_F``)."""
     eta = as_matrix(eta, "eta")
-    (cls, positive), is_metric = _eta_positive(eta, tol), _eta_is_metric(H, eta, tol)
+    cls, positive = _eta_positive(eta, tol)
+    is_metric = Check.at_most("eta_is_metric", residual(H, eta), tol)
     if not (positive.passed and is_metric.passed):
         return QuasiHermitian(cls, is_metric.value, (positive, is_metric))
     H, form = as_matrix(H, "H"), _root_form(eta)
     H_eta = _induced(H, form)
     defect, eigvals = hermiticity_defect(H_eta), np.sort_complex(np.linalg.eigvals(H_eta))
     max_imag, bound = float(np.max(np.abs(eigvals.imag))), tol * frobenius(H)
-    checks = (positive, is_metric, Check("induced_hermitian", defect <= tol, defect, tol),
-              Check("spectrum_real", max_imag <= bound, max_imag, bound))
+    checks = (positive, is_metric, Check.at_most("induced_hermitian", defect, tol),
+              Check.at_most("spectrum_real", max_imag, bound))
     return QuasiHermitian(cls, is_metric.value, checks, form, H_eta, eigvals)
 
 

@@ -9,6 +9,7 @@ the cases and tests/regenerate_golden.py rewrites the files.
 
 import copy
 import json
+import re
 import struct
 
 import numpy as np
@@ -67,6 +68,34 @@ def test_every_golden_file_has_a_case():
 @pytest.mark.parametrize("case", CASE_IDS)
 def test_report_matches_golden(case, files):
     assert mismatches(_stored(case), run_case(case, files)) == []
+
+
+def _checks(report) -> list[tuple]:
+    """(name, passed, value, threshold) of each check of a report, JSON or ``--format text``."""
+    if isinstance(report, str):
+        lines = re.findall(r"^check (\w+): (PASS|FAIL) \(value=(\S+), threshold=(\S+)\)$",
+                           report, re.MULTILINE)
+        return [(name, verdict == "PASS", float(value), float(threshold))
+                for name, verdict, value, threshold in lines]
+    return [(c["name"], c["passed"], c["value"], c["threshold"])
+            for c in report.get("checks", [])]
+
+
+def _follows_its_rule(name, passed, value, threshold) -> bool:
+    if name == "hamiltonian_non_hermitian":  # H is non-Hermitian beyond the threshold
+        return passed == (value > threshold)
+    if name == "eta_positive":  # a positive eta's least eigenvalue exceeds the threshold
+        return not passed or value > threshold
+    return passed == (value <= threshold)  # every other check: value at most threshold
+
+
+def test_every_stored_verdict_follows_its_rule():
+    checks = [(path.stem, *check) for path in sorted(GOLDEN.glob("*.json"))
+              for check in _checks(json.loads(path.read_text(encoding="utf-8"))["report"])
+              if None not in check[2:]]
+    assert len(checks) > 50
+    assert [(case, name) for case, name, *verdict in checks
+            if not _follows_its_rule(name, *verdict)] == []
 
 
 def test_one_ulp_in_a_solve_entry_passes_and_a_flipped_verdict_fails():

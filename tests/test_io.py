@@ -105,7 +105,8 @@ class TestComplexScalars:
     def test_accepted_forms(self, text, expected):
         assert parse_complex_scalar(text) == expected
 
-    @pytest.mark.parametrize("text", ["", "abc", "1+", "inf", "nan+1i", "1+1k"])
+    @pytest.mark.parametrize("text", ["", "abc", "1+", "inf", "nan+1i", "1+1k",
+                                      "1e400", "1e400i", "-1e400+1i"])
     def test_rejected_forms(self, text):
         with pytest.raises(InputError):
             parse_complex_scalar(text)

@@ -194,12 +194,16 @@ class TestPerturb:
         with pytest.raises(CheckError) as info:
             perturb(H, eta, K=np.diag([1.0, 2.0]), f=RealPolynomial([0.0, 1.0]))
         assert info.value.check == "non-commuting K"
+        assert str(info.value) == ("non-commuting K (k_commutes_with_eta: value 4.472e-01, "
+                                   "threshold 1.000e-10)")
 
     def test_non_hermitian_K_named(self, osc2):
         H, eta = osc2
         with pytest.raises(CheckError) as info:
             perturb(H, eta, K=np.array([[0.0, 1.0], [0.0, 0.0]]), f=RealPolynomial([0.0, 1.0]))
         assert info.value.check == "non-hermitian K"
+        assert str(info.value) == ("non-hermitian K (k_hermitian: value 1.414e+00, "
+                                   "threshold 1.000e-10)")
 
     def test_every_hypothesis_evaluated_before_raise(self, osc2):
         # K is neither Hermitian nor commuting with eta: both failures are listed
@@ -207,6 +211,8 @@ class TestPerturb:
         with pytest.raises(CheckError) as info:
             perturb(H, eta, K=np.array([[0.0, 1.0], [0.0, 0.0]]), f=RealPolynomial([0.0, 1.0]))
         assert info.value.check == "non-hermitian K"
+        assert str(info.value) == ("non-hermitian K (k_hermitian: value 1.414e+00, "
+                                   "threshold 1.000e-10)")
         assert [c.name for c in info.value.checks] == HYPOTHESES
         failed = [c.name for c in info.value.checks if not c.passed]
         assert failed == ["k_hermitian", "k_commutes_with_eta"]
@@ -216,12 +222,16 @@ class TestPerturb:
         with pytest.raises(CheckError) as info:
             perturb(H, np.eye(2), K=np.eye(2), f=RealPolynomial([1.0]))
         assert info.value.check == "eta not a metric for H"
+        assert str(info.value) == ("eta not a metric for H (eta_is_metric: value 7.276e-01, "
+                                   "threshold 1.000e-10)")
 
     def test_hermitian_H_needs_flag(self):
         H = np.diag([1.0, 2.0])
         with pytest.raises(CheckError) as info:
             perturb(H, np.eye(2), K=np.eye(2), f=RealPolynomial([1.0]))
         assert info.value.check == "hermitian H"
+        assert str(info.value) == ("hermitian H (hamiltonian_non_hermitian: value 0.000e+00, "
+                                   "threshold 1.000e-10)")
         out = perturb(H, np.eye(2), K=np.eye(2), f=RealPolynomial([1.0]), allow_hermitian=True)
         assert np.allclose(out.H_tilde, np.diag([2.0, 3.0]), atol=0)
 
@@ -249,6 +259,8 @@ class TestPerturb:
             perturb(np.zeros((2, 2)), np.eye(2), K, RealPolynomial([0.0, 0.0, 1.0]),
                     allow_hermitian=True)
         assert info.value.check == "anti-hermitian part changed"
+        assert str(info.value) == ("anti-hermitian part changed (anti_hermitian_part_preserved: "
+                                   "value 1.235e-10, threshold 1.000e-10)")
         *_, residual_check, drift = info.value.checks
         assert residual_check.name == "perturbed_residual" and residual_check.passed
         assert drift.name == "anti_hermitian_part_preserved" and not drift.passed

@@ -104,3 +104,11 @@ def test_readme_names_every_cli_option():
     options = {option for parser in subcommands.choices.values() for action in parser._actions
                for option in action.option_strings if option.startswith("--")}
     assert named == options
+
+
+def test_no_check_writes_the_at_most_rule_inline():
+    # a check held to at most its threshold is built by Check.at_most, the rule's one place
+    inline = [f"{path.name}: {match}" for path in sorted((ROOT / "src").rglob("*.py"))
+              for match in re.findall(r'Check\("[a-z_]+", [^)]*<=',
+                                      path.read_text(encoding="utf-8"))]
+    assert inline == []
