@@ -16,16 +16,16 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "chain": ("EtaChain", "build_chain", "chain_via_shift", "shift_for_invertibility"),
-    "errors": ("Check", "CheckError", "InputError"),
-    "metric": ("DEFAULT_TOL", "MetricBasis", "MetricClass", "catalog_oscillator",
-               "catalog_two_point", "classify_metric", "find_metric", "hermiticity_defect",
-               "residual", "solve_metric_space"),
+    "errors": ("Check", "CheckError", "DEFAULT_TOL", "InputError", "RealPolynomial"),
+    "metric": ("MetricBasis", "MetricClass", "catalog_oscillator", "catalog_two_point",
+               "classify_metric", "find_metric", "hermiticity_defect", "residual",
+               "solve_metric_space"),
     "perturbation": ("PerturbedHamiltonian", "auto_K", "commutator_defect", "matrix_poly",
                      "perturb"),
     "quasi": ("InducedForm", "QuasiHermitian", "induced_hamiltonian", "induced_inner",
               "metric_sqrt", "quasi_hermitian"),
-    "weyl": ("RationalComplex", "RealPolynomial", "ShiftedPotentialSpec", "WeylPolynomial",
-             "boost_residual", "build_shifted_hamiltonian", "check_symbolic"),
+    "weyl": ("RationalComplex", "ShiftedPotentialSpec", "WeylPolynomial", "boost_residual",
+             "build_shifted_hamiltonian", "check_symbolic"),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

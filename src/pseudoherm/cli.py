@@ -29,7 +29,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import io
-from .errors import Check, CheckError, InputError, _finite_real
+from .errors import DEFAULT_TOL, Check, CheckError, InputError, RealPolynomial, _finite_real
 
 if TYPE_CHECKING:
     import numpy as np
@@ -68,8 +68,8 @@ def _positive_float(text: str) -> float:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=_positive_float, default=1e-10,
-                        help="relative tolerance for all checks (default 1e-10)")
+    common.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL,
+                        help="relative tolerance for all checks (default %(default)s)")
     common.add_argument("--out", default=None, metavar="PATH",
                         help="write the report here instead of stdout")
     common.add_argument("--format", choices=("json", "text"), default="json",
@@ -186,7 +186,6 @@ def _cmd_chain(args, inputs):
 
 def _cmd_perturb(args, inputs):
     from .perturbation import perturb
-    from .weyl import RealPolynomial
 
     H, eta = _read(args, inputs, "hamiltonian", "eta")
     f = RealPolynomial.parse(args.poly)

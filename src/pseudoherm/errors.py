@@ -3,9 +3,10 @@
 Two failure categories exist and map onto the CLI exit codes: malformed or
 inconsistent input data (exit 2) versus a mathematical hypothesis or check
 that does not hold for otherwise well-formed data (exit 1), which the library
-raises only through _require, as a named Check.  The finite-real rule for
-scalars from outside the program lives here too, so that parsing numbers needs
-nothing beyond the standard library.
+raises only through _require, as a named Check.  The default tolerance, the
+finite-real rule for scalars from outside the program and ``RealPolynomial``
+(the real coefficient list of a potential or of f) live here too, so that
+parsing numbers and polynomials needs nothing beyond the standard library.
 
 The package's plain-data records are ``typing.NamedTuple``s and those with behaviour derive
 from _Record: neither generates code per class at import, which would add milliseconds to
@@ -14,9 +15,13 @@ the start of every CLI process.
 
 from __future__ import annotations
 
+import re
 from math import inf, isfinite
 from numbers import Real
 from typing import NamedTuple
+
+# The relative tolerance of every check, unless a caller passes its own
+DEFAULT_TOL = 1e-10
 
 
 class Check(NamedTuple):
@@ -102,3 +107,47 @@ def _finite_real(value, name: str) -> float:
     if not isfinite(number):
         raise InputError(f"{name} must be finite and within the double range")
     return number
+
+
+_NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
+class RealPolynomial(_Record):
+    """Polynomial with real coefficients, constant term first.
+
+    Trailing zero coefficients are stripped on construction; the zero
+    polynomial has an empty coefficient tuple and degree -1.  A bool, complex
+    or non-finite coefficient is rejected (the rule of ``_finite_real``).
+    """
+
+    _fields = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cleaned = [_finite_real(c, "a polynomial coefficient") for c in coeffs]
+        while cleaned and cleaned[-1] == 0.0:
+            cleaned.pop()
+        vars(self)["coeffs"] = tuple(cleaned)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @classmethod
+    def parse(cls, text: str) -> "RealPolynomial":
+        """Parse the comma-separated flag format, e.g. ``"0,3"`` for 3x."""
+        parts = [p.strip() for p in str(text).split(",")]
+        coeffs = []
+        for p in parts:
+            if not p:
+                raise InputError(f"empty coefficient in polynomial {text!r}")
+            if not _NUMBER.match(p):
+                raise InputError(f"polynomial coefficient {p!r} is not a real number")
+            coeffs.append(float(p))
+        return cls(coeffs)
+
+    def __str__(self) -> str:
+        return ",".join(repr(c) for c in self.coeffs) if self.coeffs else "0"

@@ -19,10 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import Check, InputError
-
-# Relative tolerance used by every verification predicate unless overridden.
-DEFAULT_TOL = 1e-10
+from .errors import DEFAULT_TOL, Check, InputError
 
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import Check, InputError, _require
+from .errors import Check, InputError, RealPolynomial, _require
 from .metric import (
     DEFAULT_TOL,
     _bilinear_ratio,
@@ -29,7 +29,6 @@ from .metric import (
     residual,
     same_size,
 )
-from .weyl import RealPolynomial
 
 
 class PerturbedHamiltonian(NamedTuple):

@@ -16,8 +16,8 @@ is a statement about integers, not floating point.  With dyadic
 with shifts.  ``RationalComplex`` (a pair of ``fractions.Fraction``) is how
 single coefficients enter and leave.  Floats entering through parameters are
 converted exactly to their binary rational value.  ``RealPolynomial``, the
-real coefficient list of the potential and of f, lives here too, so this
-module needs nothing beyond the standard library.
+real coefficient list of the potential and of f, comes from ``errors``, so
+this module needs nothing beyond the standard library.
 
 Conjugation by the momentum boost ``exp(-theta p)`` fixes p and constants and
 shifts x to x + i theta; on polynomials this substitution is an exact algebra
@@ -29,19 +29,16 @@ Hamiltonian equals its adjoint coefficient by coefficient.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Mapping
 from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial, gcd, isfinite, lcm
 from numbers import Integral, Rational
 
-from .errors import InputError, _finite_real, _Record
+from .errors import InputError, RealPolynomial, _finite_real, _Record
 
 # (-i)^k as a Gaussian integer (re, im), indexed by k mod 4
 _NEG_I_POW = ((1, 0), (0, -1), (-1, 0), (0, 1))
-
-_NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
 def _rational_text(q: Fraction) -> str:
@@ -55,47 +52,6 @@ def _to_fraction(value) -> Fraction:
         # int() keeps fixed-width integers, which wrap around, out of the exact arithmetic
         return Fraction(int(value.numerator), int(value.denominator))
     return Fraction(_finite_real(value, "an exact value"))
-
-
-class RealPolynomial(_Record):
-    """Polynomial with real coefficients, constant term first.
-
-    Trailing zero coefficients are stripped on construction; the zero
-    polynomial has an empty coefficient tuple and degree -1.  A bool, complex
-    or non-finite coefficient is rejected (the rule of ``_finite_real``).
-    """
-
-    _fields = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cleaned = [_finite_real(c, "a polynomial coefficient") for c in coeffs]
-        while cleaned and cleaned[-1] == 0.0:
-            cleaned.pop()
-        vars(self)["coeffs"] = tuple(cleaned)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @classmethod
-    def parse(cls, text: str) -> "RealPolynomial":
-        """Parse the comma-separated flag format, e.g. ``"0,3"`` for 3x."""
-        parts = [p.strip() for p in str(text).split(",")]
-        coeffs = []
-        for p in parts:
-            if not p:
-                raise InputError(f"empty coefficient in polynomial {text!r}")
-            if not _NUMBER.match(p):
-                raise InputError(f"polynomial coefficient {p!r} is not a real number")
-            coeffs.append(float(p))
-        return cls(coeffs)
-
-    def __str__(self) -> str:
-        return ",".join(repr(c) for c in self.coeffs) if self.coeffs else "0"
 
 
 class RationalComplex:
@@ -168,7 +124,8 @@ def _canonical(num: dict, den: int) -> tuple[dict, int]:
     """Drop zero numerators and divide out the common factor of den and the rest.
 
     Its power of two is shifted out; gcd runs on the odd part of den, and not
-    at all when that is 1 (den dyadic).  The zero polynomial comes out as ``({}, 1)``.
+    at all when that is 1 (den dyadic), and only an odd gcd g > 1 is divided
+    out.  The zero polynomial comes out as ``({}, 1)``.
     """
     num = {key: c for key, c in num.items() if c[0] or c[1]}
     low = den
@@ -179,7 +136,8 @@ def _canonical(num: dict, den: int) -> tuple[dict, int]:
     g = gcd(odd, *(part for c in num.values() for part in c)) if odd > 1 else 1
     if t or g > 1:
         den = (den >> t) // g
-        num = {key: ((re >> t) // g, (im >> t) // g) for key, (re, im) in num.items()}
+        num = ({key: ((re >> t) // g, (im >> t) // g) for key, (re, im) in num.items()} if g > 1
+               else {key: (re >> t, im >> t) for key, (re, im) in num.items()})
     return num, den
 
 
@@ -441,15 +399,21 @@ class ShiftedPotentialSpec(_Record):
 def build_shifted_hamiltonian(spec: ShiftedPotentialSpec) -> WeylPolynomial:
     """Expand ``p^2 + f(p) + alpha V(x - beta - i gamma)`` into normal order.
 
-    The potential involves x only, so its expansion is a plain binomial in
-    the commutative variable x with the exact complex shift -beta - i gamma.
+    Every coefficient is a finite float, so a dyadic rational: ``p^2 + f(p) +
+    alpha V(x)`` is written at once as integer numerators over the largest of
+    their denominators, a power of two, with alpha multiplied into V's numerators
+    and colliding terms summed.  The potential involves x only, so one Taylor
+    shift x -> x - beta - i gamma expands it and leaves ``p^2 + f(p)`` alone.
     """
-    H = WeylPolynomial.monomial(0, 2) + WeylPolynomial(
-        {(0, degree): c for degree, c in enumerate(spec.f.coeffs)})
-    if not spec.V.is_zero and spec.alpha != 0.0:
-        V = WeylPolynomial({(degree, 0): c for degree, c in enumerate(spec.V.coeffs)})
-        H = H + V.scale(spec.alpha)._shift_x(RationalComplex(-spec.beta, -spec.gamma))
-    return H
+    na, da = spec.alpha.as_integer_ratio()
+    f, V = (map(float.as_integer_ratio, poly.coeffs) for poly in (spec.f, spec.V))
+    parts = [((0, 2), 1, 1), *(((0, b), n, d) for b, (n, d) in enumerate(f)),
+             *(((a, 0), na * n, da * d) for a, (n, d) in enumerate(V))]
+    den = max(d for _, _, d in parts)
+    acc: dict[tuple[int, int], tuple[int, int]] = {}
+    for key, n, d in parts:
+        _add_to(acc, key, n * (den // d), 0)
+    return WeylPolynomial._from(acc, den)._shift_x(RationalComplex(-spec.beta, -spec.gamma))
 
 
 def boost_residual(H: WeylPolynomial, theta) -> WeylPolynomial:

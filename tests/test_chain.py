@@ -12,8 +12,11 @@ from oracles import (
     classification_of_one,
     exact_chain,
     gaussian_unimodular,
+    jordan_dimension,
+    jordan_matrix,
     rational_rank,
     realified_rank,
+    unimodular,
 )
 from pseudoherm import (
     InputError,
@@ -647,6 +650,35 @@ class TestExactChains:
         assert rank == len(multiplicities)
         assert dimension == sum(m * m for m in multiplicities)
         assert (rank == dimension) == (len(multiplicities) == n)
+
+    # J_n(lambda), n = 2..4; J_2(1) + J_2(-1); the derogatory J_2(lambda) + J_1(lambda)
+    JORDAN = [*([(lam, n)] for n in (2, 3, 4) for lam in (-2, -1, 1, 2)), [(1, 2), (-1, 2)],
+              *([(lam, 2), (lam, 1)] for lam in (-2, -1, 1, 2))]
+
+    @pytest.mark.parametrize("blocks", JORDAN, ids=str)
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_jordan_chain_span_against_the_solve(self, blocks, seed):
+        # The same two oracles for a defective H = S J S^-1, S an integer unimodular matrix
+        # and J real: eta0 = S^-dag E S^-1, E the exchange matrix of each block (E J = J^T E),
+        # is a metric.  The chain spans the polynomials in H, one dimension per degree of its
+        # minimal polynomial, and the solve has the Cecioni-Frobenius dimension; they agree,
+        # at n, exactly when H is nonderogatory.
+        n = sum(p for _, p in blocks)
+        S, S_inv = unimodular(n, np.random.default_rng(seed), n + 1)
+        E, start = np.zeros((n, n), dtype=np.int64), 0
+        for _, p in blocks:
+            E[start:start + p, start:start + p] = np.eye(p, dtype=np.int64)[::-1]
+            start += p
+        H = S @ jordan_matrix(blocks) @ S_inv
+        eta0 = (S_inv.T @ E @ S_inv).astype(complex)
+        assert np.array_equal(eta0 @ H, adjoint(H) @ eta0)  # exact: integer entries
+        rank, dimension = build_chain(H, eta0, n - 1).rank, solve_metric_space(H).dimension
+        assert dimension == jordan_dimension(blocks)
+        if len({lam for lam, _ in blocks}) == len(blocks):  # nonderogatory
+            assert rank == dimension == n
+        else:
+            assert (rank, dimension) == (2, 5)
 
 
 class TestChainViaShift:

@@ -130,6 +130,14 @@ class TestVerify:
         reason = "'abc' is not a number" if tol == "abc" else "must be positive and finite"
         assert reason in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", cli._COMMANDS)
+    def test_tol_defaults_to_the_library_default(self, command):
+        subparsers = next(action for action in cli.build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        parser = subparsers.choices[command]
+        assert parser.get_default("tol") is pseudoherm.DEFAULT_TOL
+        assert f"(default {pseudoherm.DEFAULT_TOL!r})" in " ".join(parser.format_help().split())
+
 
 class TestSolve:
     def test_solution_space_with_positive_representative(self, fixtures, capsys):
@@ -1001,9 +1009,13 @@ class TestImports:
         if command in ("weyl", "help"):
             assert "inspect" not in modules
 
-    def test_verify_loads_no_weyl_algebra(self, fixtures, tmp_path):
-        code, modules = _imported_modules("verify", "--hamiltonian", fixtures["H"], "--eta",
-                                          fixtures["eta"], "--out", tmp_path / "r.json")
+    @pytest.mark.parametrize("command", ["verify", "perturb"])
+    def test_loads_no_weyl_algebra(self, fixtures, tmp_path, command):
+        """The matrix subcommands load neither the Weyl algebra nor its fractions and decimals;
+        perturb's polynomial is an errors.RealPolynomial."""
+        poly = ["--poly", "0,1"] if command == "perturb" else []
+        code, modules = _imported_modules(command, "--hamiltonian", fixtures["H"], "--eta",
+                                          fixtures["eta"], *poly, "--out", tmp_path / "r.json")
         assert code == 0
         assert "pseudoherm.metric" in modules
-        assert "pseudoherm.weyl" not in modules
+        assert {"pseudoherm.weyl", "fractions", "decimal"}.isdisjoint(modules)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pseudoherm
 from oracles import random_pseudo_hermitian
 from pseudoherm import (
     CheckError,
@@ -22,6 +23,14 @@ HYPOTHESES = ["eta_hermitian", "eta_is_metric", "k_hermitian", "k_commutes_with_
 
 
 class TestRealPolynomial:
+    def test_one_class_and_one_default_tolerance_in_every_module(self):
+        # both live in the stdlib-only errors module, so perturb loads no Weyl algebra
+        from pseudoherm import errors, metric, perturbation, weyl
+
+        assert RealPolynomial is errors.RealPolynomial is weyl.RealPolynomial \
+            is perturbation.RealPolynomial
+        assert pseudoherm.DEFAULT_TOL is errors.DEFAULT_TOL is metric.DEFAULT_TOL == 1e-10
+
     def test_parse_flag_format(self):
         f = RealPolynomial.parse("0,3")
         assert f.coeffs == (0.0, 3.0)

@@ -687,37 +687,57 @@ class TestScaleSweep:
             assert fraction_terms(H.boost(theta)) == fraction_weyl_boost(ref, theta)
 
 
+# Spec coefficients from the whole double range, subnormals included
+spec_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -1e-300, 1e300, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False), st.floats(-4, 4))
+shifted_specs = st.builds(spec_of, st.lists(spec_floats, max_size=9), alpha=spec_floats,
+                          beta=spec_floats, gamma=spec_floats,
+                          f=st.lists(spec_floats, max_size=5))
+
+
+def edge_spec(c):
+    """A spec whose every coefficient and shift is c or -c."""
+    return spec_of([c, -c, 0.5, c], alpha=c, beta=-c, gamma=c, f=[c, -c, c])
+
+
 class TestFractionReference:
-    """The integer representation against term-by-term Fraction arithmetic."""
+    """The one-pass build, boost, adjoint, product and residual against term-by-term
+    Fraction arithmetic, on specs from the whole double range."""
 
-    @pytest.fixture(params=[0, 1, 2, 3])
-    def spec(self, request):
-        # spec 3 has the benchmark's degree, 32
-        rng = np.random.default_rng([43, request.param])
-        degree = 32 if request.param == 3 else 16
-        return spec_of(rng.standard_normal(degree + 1).tolist(),
-                       alpha=float(rng.uniform(0.5, 2)),
-                       beta=float(rng.standard_normal()), gamma=float(rng.uniform(0.25, 1)),
-                       f=rng.standard_normal(request.param + 1).tolist())
+    @settings(max_examples=100, deadline=None)
+    @given(shifted_specs)
+    @example(spec_of([1.0, -2.0, 0.5], alpha=0.0, beta=0.3, gamma=0.7, f=[0.25]))
+    @example(spec_of([1.0, -2.0, 0.5], alpha=-0.0, beta=0.3, gamma=0.7, f=[0.25]))
+    @example(spec_of([], alpha=1.5, beta=0.3, gamma=0.7, f=[0.25, 1.0, -3.0]))  # empty V
+    # f's constant and p^2 cancel alpha V's constant and the kinetic p^2 exactly
+    @example(spec_of([0.75, 1.0], alpha=1.25, beta=0.0, gamma=0.0, f=[-0.9375, 0.0, -1.0]))
+    @example(spec_of([0.75, 1.0, -2.0], alpha=1.25, beta=-0.3, gamma=0.7, f=[0.5, 0.0, 2.0]))
+    @example(edge_spec(5e-324))
+    @example(edge_spec(1e-300))
+    @example(edge_spec(1e300))
+    @example(edge_spec(1.7976931348623157e308))
+    # the benchmark's degree, 32
+    @example(spec_of(np.random.default_rng(43).standard_normal(33).tolist(), alpha=1.375,
+                     beta=-0.3, gamma=0.7, f=[0.5, -2.0, 0.25]))
+    def test_build_and_residual_match(self, spec):
+        ref = fraction_shifted_hamiltonian(spec)
+        assert fraction_terms(build_shifted_hamiltonian(spec)) == ref
+        assert check_symbolic(spec).is_zero()
+        wrong = spec.theta + Fraction(1, 3)
+        for theta, override in ((spec.theta, None), (wrong, wrong)):
+            expected = fraction_sub(fraction_weyl_boost(ref, theta), fraction_weyl_adjoint(ref))
+            assert fraction_terms(check_symbolic(spec, theta_override=override)) == expected
 
-    def test_build_matches(self, spec):
-        assert fraction_terms(build_shifted_hamiltonian(spec)) == \
-            fraction_shifted_hamiltonian(spec)
-
+    @settings(max_examples=50, deadline=None)
+    @given(shifted_specs)
+    @example(edge_spec(5e-324))
+    @example(edge_spec(1.7976931348623157e308))
     def test_boost_adjoint_and_product_match(self, spec):
         H = build_shifted_hamiltonian(spec)
         ref = fraction_terms(H)
-        wrong = Fraction(spec.theta) + Fraction(1, 3)
-        for theta in (Fraction(spec.theta), wrong):
+        for theta in (spec.theta, spec.theta + Fraction(1, 3)):
             assert fraction_terms(H.boost(theta)) == fraction_weyl_boost(ref, theta)
         assert fraction_terms(H.adjoint()) == fraction_weyl_adjoint(ref)
         assert fraction_terms(H * H.adjoint()) == \
             fraction_weyl_mul(ref, fraction_weyl_adjoint(ref))
-
-    def test_residual_matches(self, spec):
-        H = build_shifted_hamiltonian(spec)
-        ref = fraction_terms(H)
-        assert check_symbolic(spec).is_zero()
-        for theta in (Fraction(spec.theta), Fraction(spec.theta) + Fraction(1, 3)):
-            expected = fraction_sub(fraction_weyl_boost(ref, theta), fraction_weyl_adjoint(ref))
-            assert fraction_terms(boost_residual(H, theta)) == expected
