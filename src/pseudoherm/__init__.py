@@ -36,11 +36,12 @@ __all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):
-    if name in _MODULE_OF:
-        return getattr(__getattr__(_MODULE_OF[name]), name)
+    if (module := _MODULE_OF.get(name)) is not None:
+        # the submodule bound here by its import, so that only a first access imports it
+        return getattr(globals().get(module) or __getattr__(module), name)
     if name in _SUBMODULES:
-        # __import__ binds the submodule here, so this runs once per submodule.  Unlike
-        # importlib.import_module it is timed and listed by python -X importtime.
+        # __import__ binds the submodule here, where later accesses find it without this
+        # call.  Unlike importlib.import_module it is timed and listed by python -X importtime.
         return getattr(__import__(f"{__name__}.{name}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import Check, InputError, _Record
+from .errors import Check, InputError, _Record, check_tol
 from .metric import (
     _STACK_ENTRIES,
     DEFAULT_TOL,
@@ -31,7 +31,6 @@ from .metric import (
     _within_memory,
     adjoint,
     as_matrix,
-    check_tol,
     frobenius,
     hermiticity_defect,
     residual,
@@ -129,7 +128,7 @@ def _chain(H: np.ndarray, G: np.ndarray, eta0: np.ndarray, k_max: int,
            normalize: bool, tol: float, alpha: float) -> EtaChain:
     """The chain ``(G^dag)^k eta0`` for ``G = H + alpha I``, measured once against H by chunks
     as they are generated.  Each ``G^dag eta_k`` of the stored eta_k goes to a chunk buffer;
-    for alpha = 0 it is ``H^dag eta_k``, which metric._measure reuses where its window allows."""
+    for alpha = 0 it is ``H^dag eta_k``, reused where metric._bilinear_ratio rescales neither."""
     with _within_memory(16 * H.size * (int(k_max) + 1), f"k_max = {k_max}: {int(k_max) + 1} "
                         f"elements at n = {len(H)} need more memory than this machine has"):
         Gd, etas = adjoint(G), np.empty((int(k_max) + 1,) + H.shape, dtype=complex)

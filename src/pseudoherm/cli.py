@@ -29,17 +29,11 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import io
-from .errors import DEFAULT_TOL, Check, CheckError, InputError, RealPolynomial, _finite_real
+from .errors import (DEFAULT_TOL, Check, CheckError, InputError, RealPolynomial, _finite_real,
+                     check_tol)
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-def _check_entry(check: Check) -> dict:
-    entry = {"name": check.name, "passed": bool(check.passed)}
-    entry["value"] = None if check.value is None else float(check.value)
-    entry["threshold"] = None if check.threshold is None else float(check.threshold)
-    return entry
 
 
 def _read(args, inputs, *flags) -> list[np.ndarray]:
@@ -56,19 +50,19 @@ def _read(args, inputs, *flags) -> list[np.ndarray]:
     return matrices
 
 
-def _positive_float(text: str) -> float:
+def _tol(text: str) -> float:
+    """The --tol value: a number that check_tol accepts."""
     try:
-        value = float(text)
+        return check_tol(float(text))
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError("must be positive and finite")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL,
+    common.add_argument("--tol", type=_tol, default=DEFAULT_TOL,
                         help="relative tolerance for all checks (default %(default)s)")
     common.add_argument("--out", default=None, metavar="PATH",
                         help="write the report here instead of stdout")
@@ -318,7 +312,7 @@ def run(args: argparse.Namespace, loaded=None) -> tuple[dict, int]:
         return report, 3
     report["inputs"] = inputs
     report["results"] = results
-    report["checks"] = [_check_entry(c) for c in checks]
+    report["checks"] = [c._asdict() for c in checks]
     passed = all(c.passed for c in checks)
     report["status"] = "pass" if passed else "fail"
     if error is not None:

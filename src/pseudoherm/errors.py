@@ -3,10 +3,11 @@
 Two failure categories exist and map onto the CLI exit codes: malformed or
 inconsistent input data (exit 2) versus a mathematical hypothesis or check
 that does not hold for otherwise well-formed data (exit 1), which the library
-raises only through _require, as a named Check.  The default tolerance, the
-finite-real rule for scalars from outside the program and ``RealPolynomial``
-(the real coefficient list of a potential or of f) live here too, so that
-parsing numbers and polynomials needs nothing beyond the standard library.
+raises only through _require, as a named Check.  The default tolerance and
+the one rule for a tolerance (check_tol), the finite-real rule for scalars
+from outside the program and ``RealPolynomial`` (the real coefficient list of
+a potential or of f) live here too, so that parsing numbers, tolerances and
+polynomials needs nothing beyond the standard library.
 
 The package's plain-data records are ``typing.NamedTuple``s and those with behaviour derive
 from _Record: neither generates code per class at import, which would add milliseconds to
@@ -22,6 +23,13 @@ from typing import NamedTuple
 
 # The relative tolerance of every check, unless a caller passes its own
 DEFAULT_TOL = 1e-10
+
+
+def check_tol(tol: float) -> float:
+    """tol, if positive and finite; InputError for any other tolerance (nan included)."""
+    if not 0 < tol < inf:
+        raise InputError("tol must be positive and finite")
+    return tol
 
 
 class Check(NamedTuple):

@@ -15,43 +15,35 @@ import math
 import os
 from contextlib import contextmanager, suppress
 from functools import partial
+from numbers import Complex
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DEFAULT_TOL, Check, InputError
+from .errors import DEFAULT_TOL, Check, InputError, _finite_real, check_tol
+
+
+def _finite(value, name: str, ndim: int, expected: str) -> np.ndarray:
+    """value as a finite complex array of ndim equal, nonzero axes; else InputError naming name."""
+    try:
+        a = np.asarray(value, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{name}: entries are not complex numbers ({exc})") from None
+    if a.ndim != ndim or a.size == 0 or len(set(a.shape)) != 1:
+        raise InputError(f"{name}: expected {expected}, got shape {a.shape}")
+    if not np.isfinite(a).all():  # a complex entry is finite when both parts are
+        raise InputError(f"{name}: non-finite entries are not allowed")
+    return a
 
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
     """Validate and coerce to a square, finite complex matrix."""
-    try:
-        m = np.asarray(value, dtype=complex)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{name}: entries are not complex numbers ({exc})") from None
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        raise InputError(f"{name}: expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():  # a complex entry is finite when both parts are
-        raise InputError(f"{name}: non-finite entries are not allowed")
-    return m
+    return _finite(value, name, 2, "a square matrix")
 
 
 def as_vector(value, name: str = "vector") -> np.ndarray:
     """Validate and coerce to a finite complex vector."""
-    try:
-        v = np.asarray(value, dtype=complex)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{name}: entries are not complex numbers ({exc})") from None
-    if v.ndim != 1 or v.size == 0:
-        raise InputError(f"{name}: expected a nonempty vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise InputError(f"{name}: non-finite entries are not allowed")
-    return v
-
-
-def check_tol(tol: float) -> None:
-    """Reject a tolerance that is not positive and finite (nan included)."""
-    if not 0 < tol < np.inf:
-        raise InputError("tol must be positive and finite")
+    return _finite(value, name, 1, "a nonempty vector")
 
 
 def same_size(A, B, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
@@ -140,12 +132,17 @@ def _ratio(numerators: np.ndarray, scales: np.ndarray) -> np.ndarray:
     return np.divide(numerators, scales, out=np.zeros(len(scales)), where=numerators > 0)
 
 
-def _bilinear_ratio(form, A: np.ndarray, B: np.ndarray, norms: np.ndarray) -> np.ndarray:
+def _bilinear_ratio(form, A: np.ndarray, B: np.ndarray, norms: np.ndarray,
+                    product: np.ndarray | None = None) -> np.ndarray:
     """``|form(A, b)|_F / (|A|_F |b|_F)`` for each b of a (k, n, n) stack B with
     Frobenius norms ``norms``, 0 for a zero numerator.  The denominator bounds the
-    entries of the form: A is windowed on its norm, then each b on the product."""
-    (A,), (norm,), _ = _windowed(A[None], _norms(A[None]), 1.0)
-    B, norms, _ = _windowed(B, norms, norm)
+    entries of the form: A is windowed on its norm, then each b on the product.
+    ``product``, which the caller formed from the unscaled A and B, is passed to the
+    form only where neither A nor any b was rescaled."""
+    (A,), (norm,), a = _windowed(A[None], _norms(A[None]), 1.0)
+    B, norms, b = _windowed(B, norms, norm)
+    if product is not None and not (a.any() or b.any()):
+        form = partial(form, product=product)
     return _ratio(_norms(form(A, B)), norm * norms)
 
 
@@ -215,9 +212,9 @@ def classify_metric(eta, tol: float = DEFAULT_TOL) -> MetricClass:
 
 def _classify(stack: np.ndarray, tol: float, norms: np.ndarray) -> list[MetricClass]:
     """classify_metric of each matrix of a (k, n, n) stack with Frobenius norms
-    ``norms``, by one ``eigvalsh``."""
-    defects = np.array(_defects(stack, norms))
+    ``norms``, by one ``eigvalsh``, on the stack windowed once for both kernels."""
     stack, norms, shift = _windowed(stack, norms, 1.0)
+    defects = np.array(_defects(stack, norms))
     eigs = np.linalg.eigvalsh((stack + adjoint(stack)) * 0.5)
     min_abs, min_eig = np.min(np.abs(eigs), axis=1), eigs[:, 0]
     hermitian = defects <= tol
@@ -246,18 +243,15 @@ _STACK_ENTRIES = 2 ** 15
 
 def _measure(H: np.ndarray, stack: np.ndarray, kernel, products=None) -> tuple[list, list]:
     """Residuals against H of a (k, n, n) stack and kernel(chunk, norms) (a list), by chunks.
-    Given ``products = H^dag @ stack``, a residual reuses its chunk's, exactly, unless
-    _bilinear_ratio would window H or the chunk (the products are of unscaled matrices)."""
+    Given ``products = H^dag @ stack``, each chunk's go to _bilinear_ratio, which reuses
+    them where it rescales neither H nor an element of the chunk."""
     residuals, measured = [], []
-    size, scale = max(1, _STACK_ENTRIES // H.size), frobenius(H)
+    size = max(1, _STACK_ENTRIES // H.size)
     for start in range(0, len(stack), size):
         chunk = stack[start:start + size]
         norms = _norms(chunk)  # shared by both kernels
-        form = _intertwining
-        with np.errstate(over="ignore"):
-            if products is not None and _in_window(scale) and _in_window(scale * norms).all():
-                form = partial(_intertwining, product=products[start:start + size])
-        residuals += _bilinear_ratio(form, H, chunk, norms).tolist()
+        product = None if products is None else products[start:start + size]
+        residuals += _bilinear_ratio(_intertwining, H, chunk, norms, product).tolist()
         measured += kernel(chunk, norms)
     return residuals, measured
 
@@ -575,12 +569,14 @@ def catalog_two_point(x: complex, y: complex) -> tuple[np.ndarray, np.ndarray]:
     """Two-site Hamiltonian ``[[x, y], [conj(y), conj(x)]]`` with its metric.
 
     The metric is ``[[0, y], [conj(y), 0]]`` for nonzero y and the exchange
-    matrix otherwise.  Im(x) = 0 is rejected: the Hamiltonian would be
-    Hermitian, outside this constructor's scope.
+    matrix otherwise.  x and y are any ``numbers.Complex`` but a bool, and their
+    parts are held to the rule of _finite_real.  Im(x) = 0 is rejected: the
+    Hamiltonian would be Hermitian, outside this constructor's scope.
     """
-    x, y = complex(x), complex(y)
-    if not np.isfinite([x, y]).all():  # a complex number is finite when both parts are
-        raise InputError("two-point parameters must be finite")
+    if not all(isinstance(z, Complex) and not isinstance(z, bool) for z in (x, y)):
+        raise InputError(f"two-point parameters must be complex numbers, got {x!r}, {y!r}")
+    x, y = (complex(_finite_real(z.real, "two-point parameters"),
+                    _finite_real(z.imag, "two-point parameters")) for z in (x, y))
     if x.imag == 0.0:
         raise InputError("two-point constructor requires Im(x) != 0 "
                          "(the Hamiltonian would be Hermitian)")
@@ -594,10 +590,10 @@ def catalog_oscillator(omega: float) -> tuple[np.ndarray, np.ndarray]:
 
     omega = 0 is rejected: the determinant vanishes and the standard metric
     construction degenerates (use the raw-matrix path plus the spectrum-shift
-    machinery instead).  So is an omega whose square overflows, or underflows
-    to 0 and so gives the omega = 0 Hamiltonian.
+    machinery instead).  So is an omega that _finite_real refuses, and one whose
+    square overflows, or underflows to 0 and so gives the omega = 0 Hamiltonian.
     """
-    omega = float(omega)
+    omega = _finite_real(omega, "omega")
     if omega == 0.0:
         raise InputError("oscillator constructor requires omega != 0")
     if not 0.0 < omega * omega < np.inf:  # float * float gives inf or 0, where ** raises

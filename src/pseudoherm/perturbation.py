@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import Check, InputError, RealPolynomial, _require
+from .errors import Check, InputError, RealPolynomial, _require, check_tol
 from .metric import (
     DEFAULT_TOL,
     _bilinear_ratio,
@@ -23,7 +23,6 @@ from .metric import (
     _windowed,
     adjoint,
     as_matrix,
-    check_tol,
     frobenius,
     hermiticity_defect,
     residual,

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import Check, InputError, _require
+from .errors import Check, InputError, _require, check_tol
 from .metric import (
     DEFAULT_TOL,
     MetricClass,
@@ -24,7 +24,6 @@ from .metric import (
     adjoint,
     as_matrix,
     as_vector,
-    check_tol,
     classify_metric,
     frobenius,
     hermiticity_defect,

@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from decimal import Decimal
 from fractions import Fraction
-from math import comb, factorial, gcd, isfinite, lcm
+from math import comb, factorial, gcd, lcm
 from numbers import Integral, Rational
 
 from .errors import InputError, RealPolynomial, _finite_real, _Record
@@ -189,26 +189,23 @@ class WeylPolynomial:
     factor shared by the denominator and every numerator, denominator 1 for
     the zero polynomial.  Equality of that form is equality of operators.
     Instances are treated as immutable; all arithmetic returns new
-    polynomials.  Coefficients leave as ``RationalComplex``; they enter through
-    ``RationalComplex.from_value``, except a finite float (``float.as_integer_ratio``).
+    polynomials.  Coefficients leave as ``RationalComplex`` and enter through
+    ``RationalComplex.from_value``.
     """
 
     __slots__ = ("_num", "_den")
 
     def __init__(self, terms=None):
-        """From a term map; a float coefficient enters as its exact integer ratio, if finite."""
+        """From a term map, each coefficient by ``RationalComplex.from_value``."""
         parts = {}  # (a, b) -> (nr, dr, ni, di): coefficient nr/dr + i ni/di
         for key, coeff in (terms or {}).items():
             if not (isinstance(key, tuple) and len(key) == 2 and all(
                     (type(e) is int or isinstance(e, Integral) and not isinstance(e, bool))
                     and e >= 0 for e in key)):
                 raise InputError(f"exponents must be nonnegative integers, got {key!r}")
-            if type(coeff) is float and isfinite(coeff):  # no Fraction: the ratio is exact
-                parts[(int(key[0]), int(key[1]))] = (*coeff.as_integer_ratio(), 0, 1)
-            else:
-                c = RationalComplex.from_value(coeff)
-                parts[(int(key[0]), int(key[1]))] = (*c.re.as_integer_ratio(),
-                                                     *c.im.as_integer_ratio())
+            c = RationalComplex.from_value(coeff)
+            parts[(int(key[0]), int(key[1]))] = (*c.re.as_integer_ratio(),
+                                                 *c.im.as_integer_ratio())
         den = lcm(*(d for _, dr, _, di in parts.values() for d in (dr, di)))
         self._set(*_canonical({key: (nr * (den // dr), ni * (den // di))
                                for key, (nr, dr, ni, di) in parts.items()}, den))

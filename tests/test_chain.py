@@ -396,9 +396,9 @@ class TestStacks:
             classified.append(a)
             return eigvalsh(a, *args, **kwargs)
 
-        def counted(form, A, B, norms):
+        def counted(form, A, B, norms, product=None):
             measured.append(B)
-            return kernel(form, A, B, norms)
+            return kernel(form, A, B, norms, product)
 
         def intertwining(h, e, product=None):
             # the generation buffer is reused for the next chunk: keep a copy
@@ -725,9 +725,9 @@ class TestChainViaShift:
         calls = []
         kernel = metric._bilinear_ratio
 
-        def counted(form, A, B, norms):
+        def counted(form, A, B, norms, product=None):
             calls.append((form, A, len(B)))
-            return kernel(form, A, B, norms)
+            return kernel(form, A, B, norms, product)
 
         monkeypatch.setattr(metric, "_bilinear_ratio", counted)  # chains measure through metric
         H, eta0 = nilpotent

@@ -15,7 +15,8 @@ import struct
 import numpy as np
 import pytest
 
-from golden_cases import CASE_IDS, GOLDEN, run_case, write_inputs
+from golden_cases import CASE_IDS, GOLDEN, _cases, run_case, write_inputs
+from pseudoherm import cli
 
 # Units in the last place a float may move, by the name of the innermost field
 # holding it.  Values copied from the command line stay exact; anything computed
@@ -68,6 +69,18 @@ def test_every_golden_file_has_a_case():
 @pytest.mark.parametrize("case", CASE_IDS)
 def test_report_matches_golden(case, files):
     assert mismatches(_stored(case), run_case(case, files)) == []
+
+
+def test_every_check_is_reported_as_built(files):
+    # a report's check entries are the library's Check records as dicts: each verdict a
+    # bool, each value and threshold a float or None
+    parse = cli.build_parser().parse_args
+    entries = [entry for case in CASE_IDS
+               for entry in cli.run(parse(_cases(files)[case]))[0]["checks"]]
+    assert len(entries) > 50
+    assert [entry for entry in entries if type(entry["passed"]) is not bool
+            or not all(type(entry[key]) in (float, type(None)) for key in ("value", "threshold"))
+            ] == []
 
 
 def _checks(report) -> list[tuple]:

@@ -426,6 +426,43 @@ class TestStackedKernels:
                 == expected)
         assert [_bits(tuple(classify_metric(e, tol))) for e in stack] == expected
 
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_classify_windows_each_stack_once(self, monkeypatch, scale):
+        # one element outside the window: _classify takes its unit peak once, for both the
+        # defects and the eigenvalues (the norms come in, so _norms takes none)
+        rng = np.random.default_rng(3)
+        stack = np.array([_element("general", 3, rng), scale * _element("positive", 3, rng)])
+        norms, calls, unit_peak = frobenius_of(stack), [], metric._unit_peak
+
+        def counted(m):
+            calls.append(m.copy())  # a view of the stack that the result overwrites
+            return unit_peak(m)
+
+        monkeypatch.setattr(metric, "_unit_peak", counted)
+        classes = _classify(stack, 1e-10, norms)
+        assert len(calls) == 1 and np.array_equal(calls[0], stack[1])
+        assert ([_bits(tuple(c)) for c in classes]
+                == [_bits(tuple(classification_of_one(e, 1e-10))) for e in stack])
+
+    @pytest.mark.parametrize("scaled, j", [(None, 0), ("H", -1000), ("H", 1000),
+                                           ("element", -1000), ("element", 1000)])
+    def test_product_is_used_only_on_unscaled_operands(self, scaled, j):
+        # the caller's H^dag @ stack is a product of the unscaled matrices: _bilinear_ratio
+        # passes it to the form unless it rescales H or an element of the stack
+        rng = np.random.default_rng(4)
+        H = _element("general", 3, rng) * 2.0 ** (j if scaled == "H" else 0)
+        stack = np.array([_element(kind, 3, rng) for kind in ("hermitian", "general")])
+        stack[1] *= 2.0 ** (j if scaled == "element" else 0)
+        product, received = adjoint(H) @ stack, []
+
+        def form(h, e, product=None):
+            received.append(product)
+            return _intertwining(h, e, product)
+
+        ratios = _bilinear_ratio(form, H, stack, frobenius_of(stack), product)
+        assert len(received) == 1 and (received[0] is product) == (scaled is None)
+        assert _bits(ratios) == _bits(residual(H, b) for b in stack)
+
 
 _LAYOUTS = {"C": np.ascontiguousarray, "F": np.asfortranarray,
             "reversed": lambda m: np.ascontiguousarray(m[::-1, ::-1])[::-1, ::-1]}
@@ -1422,3 +1459,31 @@ class TestCatalogs:
     def test_oscillator_pairs_always_verify(self, omega):
         H, eta = catalog_oscillator(omega)
         assert residual(H, eta) <= 1e-12
+
+    # the scalar rule of errors._finite_real: any numbers.Real but a bool
+    @pytest.mark.parametrize("omega", [True, "2", None, 2j, np.bool_(True)])
+    def test_oscillator_omega_must_be_a_real_number(self, omega):
+        with pytest.raises(InputError, match="^omega must be a real number"):
+            catalog_oscillator(omega)
+
+    @pytest.mark.parametrize("omega", [2, Fraction(2), np.float64(2.0), np.int64(2)])
+    def test_oscillator_takes_any_real_number(self, omega):
+        for got, expected in zip(catalog_oscillator(omega), catalog_oscillator(2.0)):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("x, y", [("1+1j", 1.0), (1j, "1"), (True, 1.0), (1j, False),
+                                      (None, 1.0), (1j, np.bool_(False))])
+    def test_two_point_parameters_must_be_complex_numbers(self, x, y):
+        with pytest.raises(InputError, match="^two-point parameters must be complex numbers"):
+            catalog_two_point(x, y)
+
+    @pytest.mark.parametrize("x, y", [(1j, 10 ** 400), (complex(1, 1), Fraction(-10 ** 400))],
+                             ids=["int", "fraction"])
+    def test_two_point_parameters_beyond_the_double_range(self, x, y):
+        with pytest.raises(InputError, match="two-point parameters must be finite"):
+            catalog_two_point(x, y)
+
+    def test_two_point_takes_any_complex_number(self):
+        got = catalog_two_point(np.complex128(1 + 1j), Fraction(1, 2))
+        for m, expected in zip(got, catalog_two_point(1 + 1j, 0.5)):
+            assert np.array_equal(m, expected)

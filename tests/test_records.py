@@ -116,3 +116,18 @@ def test_eta_chain_rank_is_one_svd_for_two_reads(svd_calls):
     assert chain.rank == chain.rank == 2
     assert len(svd_calls) == 1
     assert len(chain) == 5
+
+
+def test_every_check_holds_a_bool_and_floats():
+    # what a report writes of a check is its _asdict(): no numpy scalar may reach it
+    positive = np.diag([4.0, 1.0])  # a positive metric of H
+    with pytest.raises(ph.CheckError) as failed:  # I is no metric of H
+        ph.perturb(H, np.eye(2), np.eye(2), POLY)
+    checks = [*ph.build_chain(H, ETA, 3).checks, *ph.chain_via_shift(H, ETA, 3).checks,
+              *ph.solve_metric_space(H).checks, *ph.perturb(H, ETA, ETA, POLY).checks,
+              *failed.value.checks,
+              *ph.quasi_hermitian(H, positive).checks, *ph.quasi_hermitian(H, ETA).checks]
+    assert len(checks) == 3 + 3 + 1 + 7 + 5 + 4 + 2
+    for check in checks:
+        assert type(check.passed) is bool
+        assert {type(check.value), type(check.threshold)} <= {float, type(None)}

@@ -1,4 +1,6 @@
 import argparse
+import ast
+import builtins
 import importlib
 import os
 import pathlib
@@ -78,6 +80,22 @@ def test_package_exports_every_name():
         pseudoherm.no_such_name
 
 
+def test_an_exported_name_imports_its_module_once(monkeypatch):
+    import pseudoherm
+
+    first = pseudoherm.residual  # may import pseudoherm.metric
+    calls, real_import = [], builtins.__import__
+
+    def counted(name, *args, **kwargs):
+        calls.append(name)
+        return real_import(name, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", counted)
+    assert pseudoherm.residual is first is pseudoherm.metric.residual
+    assert calls == []
+    assert "residual" not in vars(pseudoherm)  # never bound, so a patched module's wins
+
+
 def test_package_import_loads_no_submodule():
     # a fresh interpreter, since this one has imported every submodule already
     submodules = ("chain", "cli", "errors", "io", "metric", "perturbation", "quasi", "weyl")
@@ -112,3 +130,23 @@ def test_no_check_writes_the_at_most_rule_inline():
               for match in re.findall(r'Check\("[a-z_]+", [^)]*<=',
                                       path.read_text(encoding="utf-8"))]
     assert inline == []
+
+
+def test_the_tolerance_rule_is_written_once():
+    # "positive and finite", the chained test 0 < name < inf, lives only in errors.check_tol
+    def positive_and_finite(node):
+        return (isinstance(node, ast.Compare) and isinstance(node.left, ast.Constant)
+                and node.left.value == 0 and [type(op) for op in node.ops] == [ast.Lt, ast.Lt]
+                and isinstance(node.comparators[0], ast.Name)
+                and "inf" in (getattr(node.comparators[1], "id", None),
+                              getattr(node.comparators[1], "attr", None)))
+
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree, owner = ast.parse(path.read_text(encoding="utf-8")), {}
+        for function in ast.walk(tree):  # outer functions first: the innermost one wins
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(function), function.name))
+        found += [(path.name, owner.get(node, "<module>")) for node in ast.walk(tree)
+                  if positive_and_finite(node)]
+    assert found == [("errors.py", "check_tol")]
