@@ -10,11 +10,11 @@ reports differ only in ``generated_at``: ``python -m pseudoherm`` and the
 ``pseudoherm`` script default ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
 ``MKL_NUM_THREADS`` to 1, a value the user set wins, and ``main()`` sets none.
 
-Each subcommand's handler imports the modules it runs, so ``weyl`` and ``--help`` start
-without loading numpy.  ``run`` imports the one module a subcommand runs (``_COMMANDS``)
-before its handler and then calls the ``loaded`` callback of ``main``, so that the process
-entry can keep the collector off while the imports run; called without one, ``main``
-leaves the collector alone.
+``_COMMANDS`` declares each subcommand once: the module it runs, its matrix-file flags and
+its handler.  ``run`` imports that module (so ``weyl`` and ``--help`` start without loading
+numpy), calls the ``loaded`` callback of ``main``, so that the process entry can keep the
+collector off while the imports run, reads the files and calls the handler with the module
+and the matrices; called without a callback, ``main`` leaves the collector alone.
 """
 
 from __future__ import annotations
@@ -37,13 +37,16 @@ if TYPE_CHECKING:
 
 
 def _read(args, inputs, *flags) -> list[np.ndarray]:
-    """Parse the matrix file named by each flag into inputs; an infinite norm is an InputError."""
-    from .metric import frobenius
+    """Parse the matrix file named by each flag into inputs; an infinite norm is an InputError.
+    With no flag it imports nothing, so a subcommand without matrix files loads no numpy."""
+    if not flags:
+        return []
+    from . import metric
 
     paths = [getattr(args, flag) for flag in flags]
     matrices = [io.parse_matrix(path) for path in paths]
     for flag, path, m in zip(flags, paths, matrices):
-        norm = frobenius(m)
+        norm = metric.frobenius(m)
         if norm == math.inf:
             raise InputError(f"--{flag}: the Frobenius norm is beyond the double range")
         inputs[flag] = {"path": str(path), "n": int(m.shape[0]), "frobenius_norm": norm}
@@ -75,21 +78,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "for pseudo-Hermitian Hamiltonians.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="check that eta intertwines H with its adjoint")
-    p.add_argument("--hamiltonian", required=True, metavar="PATH")
-    p.add_argument("--eta", required=True, metavar="PATH")
+    def add(name, help):
+        # argparse reads a token that starts with "-" as an option unless it looks like "-1" or
+        # "-.5", so "--theta -1e5" had no value.  Each subcommand reads a token that starts with
+        # one "-" and names none of its options as a value, as in the "--opt=value" form.
+        p = sub.add_parser(name, parents=[common], help=help)
+        p._negative_number_matcher = re.compile(r"-[^-]")
+        for flag in _COMMANDS[name][1]:
+            p.add_argument(f"--{flag}", required=True, metavar="PATH")
+        return p
 
-    p = sub.add_parser("solve", parents=[common],
-                       help="solve for all Hermitian metrics of H")
-    p.add_argument("--hamiltonian", required=True, metavar="PATH")
+    add("verify", "check that eta intertwines H with its adjoint")
+
+    p = add("solve", "solve for all Hermitian metrics of H")
     p.add_argument("--positive", action="store_true",
                    help="search for a positive representative")
 
-    p = sub.add_parser("chain", parents=[common],
-                       help="generate the metric chain eta_k = (H^dag)^k eta_0")
-    p.add_argument("--hamiltonian", required=True, metavar="PATH")
-    p.add_argument("--eta0", required=True, metavar="PATH")
+    p = add("chain", "generate the metric chain eta_k = (H^dag)^k eta_0")
     p.add_argument("--k-max", type=int, default=4, metavar="K")
     p.add_argument("--no-normalize", action="store_true",
                    help="keep raw chain elements instead of unit-norm ones")
@@ -97,10 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="build on H + alpha*I when H is singular, then "
                         "validate against the original H")
 
-    p = sub.add_parser("perturb", parents=[common],
-                       help="form H + f(K) and verify the metric still works")
-    p.add_argument("--hamiltonian", required=True, metavar="PATH")
-    p.add_argument("--eta", required=True, metavar="PATH")
+    p = add("perturb", "form H + f(K) and verify the metric still works")
     p.add_argument("--poly", required=True, metavar="COEFFS",
                    help='real coefficients, constant first, e.g. "0,3" for 3x')
     p.add_argument("--k", default=None, metavar="PATH",
@@ -108,19 +110,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-hermitian", action="store_true",
                    help="accept a Hermitian input Hamiltonian")
 
-    p = sub.add_parser("quasi", parents=[common],
-                       help="metric square root and induced Hermitian Hamiltonian")
-    p.add_argument("--hamiltonian", required=True, metavar="PATH")
-    p.add_argument("--eta", required=True, metavar="PATH")
+    add("quasi", "metric square root and induced Hermitian Hamiltonian")
 
-    p = sub.add_parser("weyl", parents=[common],
-                       help="certify a shifted-potential Hamiltonian symbolically")
+    p = add("weyl", "certify a shifted-potential Hamiltonian symbolically")
     p.add_argument("--spec", required=True, metavar="PATH")
     p.add_argument("--theta", type=float, default=None,
                    help="boost parameter (default: 2*gamma from the spec)")
 
-    p = sub.add_parser("example", parents=[common],
-                       help="write a catalog Hamiltonian/metric pair to files")
+    p = add("example", "write a catalog Hamiltonian/metric pair to files")
     p.add_argument("name", choices=("two-point", "oscillator"))
     p.add_argument("--x", default=None, metavar="COMPLEX",
                    help='two-point diagonal entry, e.g. "1+1i"')
@@ -131,71 +128,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".", metavar="DIR")
     p.add_argument("--prefix", default=None,
                    help="output file prefix (default: the example name)")
-
-    # argparse reads a token that starts with "-" as an option unless it looks like "-1" or
-    # "-.5", so "--theta -1e5" had no value.  Each subcommand reads a token that starts with
-    # one "-" and names none of its options as a value, as in the "--opt=value" form.
-    for p in sub.choices.values():
-        p._negative_number_matcher = re.compile(r"-[^-]")
     return parser
 
 
-def _cmd_verify(args, inputs):
-    from .metric import classify_metric, residual
-
-    H, eta = _read(args, inputs, "hamiltonian", "eta")
-    r = residual(H, eta)
-    cls = classify_metric(eta, args.tol)
-    defect = cls.hermiticity_defect
-    checks = [Check.at_most("eta_hermitian", defect, args.tol),
+def _cmd_verify(args, inputs, metric, H, eta):
+    r = metric.residual(H, eta)
+    cls = metric.classify_metric(eta, args.tol)
+    checks = [Check.at_most("eta_hermitian", cls.hermiticity_defect, args.tol),
               Check.at_most("intertwining_residual", r, args.tol)]
     results = {"residual": r, "eta_classification": io.classification_to_dict(cls)}
     return results, checks
 
 
-def _cmd_solve(args, inputs):
-    from .metric import classify_metric, find_metric, solve_metric_space
-
-    (H,) = _read(args, inputs, "hamiltonian")
-    basis = solve_metric_space(H, args.tol)
-    representative = find_metric(basis, want_positive=args.positive)
+def _cmd_solve(args, inputs, metric, H):
+    basis = metric.solve_metric_space(H, args.tol)
+    representative = metric.find_metric(basis, want_positive=args.positive)
     checks = [*basis.checks, Check("metric_found", representative is not None)]
     results = io.basis_to_dict(basis)
     results["metric"] = None if representative is None else io.matrix_to_dict(representative)
     results["metric_classification"] = (
         None if representative is None
-        else io.classification_to_dict(classify_metric(representative, args.tol)))
+        else io.classification_to_dict(metric.classify_metric(representative, args.tol)))
     return results, checks
 
 
-def _cmd_chain(args, inputs):
-    from .chain import build_chain, chain_via_shift
-
-    H, eta0 = _read(args, inputs, "hamiltonian", "eta0")
-    builder = chain_via_shift if args.via_shift else build_chain
-    chain = builder(H, eta0, args.k_max, normalize=not args.no_normalize,
-                    tol=args.tol)
-    return io.chain_to_dict(chain), chain.checks
+def _cmd_chain(args, inputs, chain, H, eta0):
+    builder = chain.chain_via_shift if args.via_shift else chain.build_chain
+    out = builder(H, eta0, args.k_max, normalize=not args.no_normalize, tol=args.tol)
+    return io.chain_to_dict(out), out.checks
 
 
-def _cmd_perturb(args, inputs):
-    from .perturbation import perturb
-
-    H, eta = _read(args, inputs, "hamiltonian", "eta")
+def _cmd_perturb(args, inputs, perturbation, H, eta):
     f = RealPolynomial.parse(args.poly)
     inputs["poly"] = str(f)
     K = eta if args.k is None else _read(args, inputs, "k")[0]
-    out = perturb(H, eta, K, f, args.tol, allow_hermitian=args.allow_hermitian)
+    out = perturbation.perturb(H, eta, K, f, args.tol, allow_hermitian=args.allow_hermitian)
     results = {"commutator_defect": out.commutator_defect,
                "hamiltonian_tilde": io.matrix_to_dict(out.H_tilde),
                "residual": out.residual}
     return results, out.checks
 
 
-def _cmd_quasi(args, inputs):
-    from .quasi import quasi_hermitian
-
-    out = quasi_hermitian(*_read(args, inputs, "hamiltonian", "eta"), args.tol)
+def _cmd_quasi(args, inputs, quasi, H, eta):
+    out = quasi.quasi_hermitian(H, eta, args.tol)
     results = {"eta_classification": io.classification_to_dict(out.eta_classification),
                "residual": out.residual}
     if out.form is not None:
@@ -205,38 +180,34 @@ def _cmd_quasi(args, inputs):
     return results, out.checks
 
 
-def _cmd_weyl(args, inputs):
+def _cmd_weyl(args, inputs, weyl):
     from fractions import Fraction
-
-    from .weyl import boost_residual, build_shifted_hamiltonian
 
     spec = io.parse_weyl_spec(args.spec)
     inputs["spec"] = {"path": str(args.spec), "potential_degree": spec.V.degree,
                       "momentum_degree": spec.f.degree, "alpha": spec.alpha,
                       "beta": spec.beta, "gamma": spec.gamma}
     theta = _finite_real(args.theta, "--theta") if args.theta is not None else spec.theta
-    H = build_shifted_hamiltonian(spec)
-    residual_poly = boost_residual(H, theta)
+    H = weyl.build_shifted_hamiltonian(spec)
+    residual_poly = weyl.boost_residual(H, theta)
     results = {"theta": str(Fraction(theta)),  # the theta checked, exact like the terms
                "hamiltonian_terms": io.weyl_terms_to_list(H),
                "residual_terms": io.weyl_terms_to_list(residual_poly)}
     return results, [Check.at_most("residual_zero", float(len(residual_poly.terms)), 0.0)]
 
 
-def _cmd_example(args, inputs):
-    from .metric import catalog_oscillator, catalog_two_point, residual
-
+def _cmd_example(args, inputs, metric):
     if args.name == "two-point":
         if args.x is None:
             raise InputError("example two-point requires --x")
         x = io.parse_complex_scalar(args.x)
         y = io.parse_complex_scalar(args.y)
-        H, eta = catalog_two_point(x, y)
+        H, eta = metric.catalog_two_point(x, y)
         params = {"x": [x.real, x.imag], "y": [y.real, y.imag]}
     else:
         if args.omega is None:
             raise InputError("example oscillator requires --omega")
-        H, eta = catalog_oscillator(args.omega)
+        H, eta = metric.catalog_oscillator(args.omega)
         params = {"omega": args.omega}
     prefix = args.prefix if args.prefix is not None else args.name.replace("-", "_")
     h_path = os.path.join(args.out_dir, f"{prefix}_hamiltonian.json")
@@ -247,7 +218,7 @@ def _cmd_example(args, inputs):
         io.write_matrix(eta_path, eta)
     except OSError as exc:
         raise InputError(f"--out-dir: cannot write the pair to {args.out_dir} ({exc})") from None
-    r = residual(H, eta)
+    r = metric.residual(H, eta)
     inputs.update(example=args.name, params=params)
     checks = [Check.at_most("intertwining_residual", r, args.tol)]
     results = {"hamiltonian_path": h_path, "eta_path": eta_path, "residual": r,
@@ -255,16 +226,17 @@ def _cmd_example(args, inputs):
     return results, checks
 
 
-# Each subcommand's module and handler; importing the module loads every module the handler
-# imports.
+# Each subcommand's module, its required matrix-file flags in the handler's order, and its
+# handler, called as handler(args, inputs, module, *matrices); importing the module loads
+# every module the handler needs.
 _COMMANDS = {
-    "verify": ("metric", _cmd_verify),
-    "solve": ("metric", _cmd_solve),
-    "chain": ("chain", _cmd_chain),
-    "perturb": ("perturbation", _cmd_perturb),
-    "quasi": ("quasi", _cmd_quasi),
-    "weyl": ("weyl", _cmd_weyl),
-    "example": ("metric", _cmd_example),
+    "verify": ("metric", ("hamiltonian", "eta"), _cmd_verify),
+    "solve": ("metric", ("hamiltonian",), _cmd_solve),
+    "chain": ("chain", ("hamiltonian", "eta0"), _cmd_chain),
+    "perturb": ("perturbation", ("hamiltonian", "eta"), _cmd_perturb),
+    "quasi": ("quasi", ("hamiltonian", "eta"), _cmd_quasi),
+    "weyl": ("weyl", (), _cmd_weyl),
+    "example": ("metric", (), _cmd_example),
 }
 
 
@@ -279,8 +251,9 @@ def run(args: argparse.Namespace, loaded=None) -> tuple[dict, int]:
     on an exception from a handler or from the import of its module.
 
     The subcommand's module (``_COMMANDS``) is imported first, then ``loaded``, if
-    given, is called.  A handler fills ``inputs`` as it parses them and returns
-    (results, checks).  A CheckError from the library becomes a failing report
+    given, is called, then its matrix files are read into ``inputs``.  The handler
+    takes the module and the matrices, adds any other inputs as it parses them and
+    returns (results, checks).  A CheckError from the library becomes a failing report
     that keeps those inputs and lists ``exc.checks``; a LinAlgError counts as an
     input error.  Any other exception is an internal error (exit 3) whose report
     names its type and message and keeps its traceback.
@@ -293,11 +266,11 @@ def run(args: argparse.Namespace, loaded=None) -> tuple[dict, int]:
     inputs = {}
     error = None
     try:
-        module, handler = _COMMANDS[args.command]
-        __import__(f"{__package__}.{module}")
+        name, files, handler = _COMMANDS[args.command]
+        module = getattr(__import__(f"{__package__}.{name}"), name)
         if loaded is not None:
             loaded()
-        results, checks = handler(args, inputs)
+        results, checks = handler(args, inputs, module, *_read(args, inputs, *files))
     except CheckError as exc:
         results, checks, error = {}, exc.checks, str(exc)
     except Exception as exc:

@@ -115,10 +115,11 @@ def _in_window(scale):
 def _windowed(stack: np.ndarray, norms: np.ndarray,
               factor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The stack with each element whose ``factor * norm`` lies outside the window divided
-    exactly by 2^k to a unit peak entry, its norms, and each k (0 inside the window)."""
+    exactly by 2^k to a unit peak entry, its norms, and each k: 0 inside the window, and where
+    the norm or the factor is 0 (tested apart: their product underflows for nonzero ones)."""
     shift = np.zeros(len(stack), dtype=int)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # 0 * inf
-        out = np.flatnonzero(~_in_window(factor * norms))
+        out = np.flatnonzero(~_in_window(factor * norms) & (norms != 0) & (factor != 0))
     if out.size:
         stack, norms = stack.copy(), norms.copy()
         for i in out:
@@ -128,8 +129,8 @@ def _windowed(stack: np.ndarray, norms: np.ndarray,
 
 
 def _ratio(numerators: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """numerators / scales, 0 for a zero numerator (which defines 0 / 0)."""
-    return np.divide(numerators, scales, out=np.zeros(len(scales)), where=numerators > 0)
+    """numerators / scales, 0 for a zero numerator (which defines 0 / 0); a NaN stays NaN."""
+    return np.divide(numerators, scales, out=np.zeros(len(scales)), where=numerators != 0)
 
 
 def _bilinear_ratio(form, A: np.ndarray, B: np.ndarray, norms: np.ndarray,
@@ -315,14 +316,13 @@ def _frame_lift(c: np.ndarray, n: int) -> np.ndarray:
     return out + 0.0  # each zero +0, as in the sums of np.tensordot
 
 
-def _fix_sign(b: np.ndarray) -> np.ndarray:
-    # Sign convention: first entry (row-major, real part before imaginary part)
-    # larger than 1e-12 in magnitude is made positive.
-    for z in b.ravel():
-        for part in (z.real, z.imag):
-            if abs(part) > 1e-12:
-                return -b if part < 0 else b
-    return b
+def _fix_sign(stack: np.ndarray) -> np.ndarray:
+    """The (k, n, n) stack with each element negated whose first entry above 1e-12 in magnitude
+    (row-major, real part before imaginary part) is negative; one with none keeps its sign."""
+    # the (k, 2 n^2) real parts, row-major as the rule reads them, also for k = 0
+    parts = np.ascontiguousarray(stack).reshape(-1, stack.shape[-1] ** 2).view(float)
+    first = np.argmax(np.abs(parts) > 1e-12, axis=1)[:, None]  # 0 where no part is that large
+    return np.where((np.take_along_axis(parts, first, 1) < -1e-12)[..., None], -stack, stack)
 
 
 def _inverse_step(R: np.ndarray, p: int, perturbed: bool = False) -> tuple[np.ndarray, ...]:
@@ -442,7 +442,7 @@ def _spectral_basis(W: np.ndarray, linked: np.ndarray) -> np.ndarray:
 
 def _measured(H: np.ndarray, stack: np.ndarray, tol: float) -> tuple[np.ndarray, list, list]:
     """The stack with each element's sign fixed (norms and residuals stay), and _measure of it."""
-    signed = np.reshape([_fix_sign(b) for b in stack], stack.shape)
+    signed = _fix_sign(stack)
     return (signed, *_measure(H, signed, lambda chunk, norms: _classify(chunk, tol, norms)))
 
 
@@ -485,10 +485,10 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
     singular values, give its dimension), or the candidates as they are when every window
     pair is linked and every residual is at most tol: ``solver`` is ``"spectral"``.  The
     candidates are the frame of all n^2 Hermitian matrices instead, and ``solver`` is
-    ``"realified"``, when ``tol cond(V) >= 1`` or when that nullspace has fewer elements than
-    the links give: a numerically defective cluster, such as a Jordan block.  The frame takes
-    up to about 40 n^4 bytes; InputError names n when _FRAME_BYTES_PER_N4 n^4 (45 n^4) exceeds
-    the physical memory (by os.sysconf, where it exists) or numpy cannot allocate it.
+    ``"realified"``, when ``max(tol, 2^-52) cond(V) >= 1`` or when that nullspace has fewer
+    elements than the links give: a numerically defective cluster, such as a Jordan block.
+    The frame takes up to about 40 n^4 bytes; InputError names n when _FRAME_BYTES_PER_N4 n^4
+    (45 n^4) bytes exceed the physical memory (by os.sysconf, where it exists) or fail to allocate.
 
     The sign of each element's first significant entry is made positive.
     Dimension 0 is a valid outcome meaning no Hermitian metric exists.
@@ -501,7 +501,9 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
     lam, V = lam[order], V[:, order]
     u, s, xh = np.linalg.svd(V)
     measured = None
-    if tol * s[0] < s[-1]:  # tol cond(V) < 1
+    # max(tol, eps) cond(V) < 1: the candidates carry rounding of about eps cond(V), and below
+    # it W = V^{-dag} can overflow
+    if max(tol, 2.0 ** -52) * s[0] < s[-1]:
         W = (u / s) @ xh  # V^{-dag} = U S^-1 X^dag
         radii = (tol * np.linalg.norm(unit, 2)
                  * np.linalg.norm(V, axis=0) * np.linalg.norm(W, axis=0))

@@ -156,6 +156,14 @@ class TestSolve:
         assert report["results"]["dimension"] == 0
         assert report["results"]["metric"] is None
 
+    def test_a_tolerance_below_rounding_is_an_input_error_on_h(self, tmp_path, capsys):
+        # it once reached a non-finite basis and named the eta the user did not give
+        write_matrix(tmp_path / "jordan.json", np.array([[0.0, 1.0], [0.0, 0.0]]))
+        code, report = run_cli(capsys, "solve", "--hamiltonian", tmp_path / "jordan.json",
+                               "--tol", "1e-300")
+        assert (code, report["status"]) == (2, "input_error")
+        assert report["error"] == "H: the nullspace was not resolved at tol = 1e-300"
+
     def test_missing_file(self, capsys):
         code, report = run_cli(capsys, "solve", "--hamiltonian", "missing.json")
         assert code == 2
@@ -755,11 +763,18 @@ class TestReportContract:
 
     def test_the_subcommand_table_lists_the_parsers_subcommands(self):
         # the parser and cli._COMMANDS are the two lists of subcommands; each entry names a
-        # module of the package
+        # module of the package, and each of its matrix files is a required --flag PATH of
+        # its subparser
         (sub,) = [action for action in cli.build_parser()._actions
                   if isinstance(action, argparse._SubParsersAction)]
         assert list(sub.choices) == list(cli._COMMANDS)
-        assert {module for module, _ in cli._COMMANDS.values()} <= set(pseudoherm._SUBMODULES)
+        assert {module for module, _, _ in cli._COMMANDS.values()} <= set(pseudoherm._SUBMODULES)
+        for name, (_, files, _) in cli._COMMANDS.items():
+            options = {a.dest: a for a in sub.choices[name]._actions}
+            for flag in files:
+                action = options[flag]
+                assert action.option_strings == [f"--{flag}"]
+                assert (action.required, action.metavar) == (True, "PATH")
 
     def test_reports_are_deterministic_modulo_timestamp(self, fixtures, tmp_path, capsys):
         argv = ["verify", "--hamiltonian", str(fixtures["H"]),
@@ -819,10 +834,10 @@ class TestReportContract:
                              ids=["RuntimeError", "MemoryError"])
     def test_unexpected_exception_is_internal_error(self, fixtures, tmp_path, capsys,
                                                     monkeypatch, exc):
-        def fail(args, inputs):
+        def fail(args, inputs, metric, H, eta):
             raise exc
 
-        monkeypatch.setitem(cli._COMMANDS, "verify", ("metric", fail))
+        monkeypatch.setitem(cli._COMMANDS, "verify", ("metric", ("hamiltonian", "eta"), fail))
         out = tmp_path / "report.json"
         code = main(["verify", "--hamiltonian", str(fixtures["H"]), "--eta", str(fixtures["eta"]),
                      "--out", str(out)])
@@ -837,7 +852,8 @@ class TestReportContract:
 
     def test_a_module_that_fails_to_import_is_an_internal_error(self, fixtures, tmp_path,
                                                                   monkeypatch):
-        monkeypatch.setitem(cli._COMMANDS, "verify", ("no_such_module", cli._cmd_verify))
+        monkeypatch.setitem(cli._COMMANDS, "verify",
+                            ("no_such_module", ("hamiltonian", "eta"), cli._cmd_verify))
         out, calls = tmp_path / "report.json", []
         code = main(["verify", "--hamiltonian", str(fixtures["H"]), "--eta", str(fixtures["eta"]),
                      "--out", str(out)], loaded=lambda: calls.append(1))
@@ -904,11 +920,11 @@ class TestProcessEntry:
 
         seen = []
 
-        def handler(args, inputs):
+        def handler(args, inputs, metric, H, eta):
             seen.append((gc.isenabled(), gc.get_freeze_count()))
             return {}, []
 
-        monkeypatch.setitem(cli._COMMANDS, "verify", ("metric", handler))
+        monkeypatch.setitem(cli._COMMANDS, "verify", ("metric", ("hamiltonian", "eta"), handler))
         monkeypatch.setattr(sys, "argv", ["pseudoherm", "verify", "--hamiltonian",
                                           str(fixtures["H"]), "--eta", str(fixtures["eta"])])
         enabled, frozen_before = gc.isenabled(), gc.get_freeze_count()

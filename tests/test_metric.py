@@ -444,6 +444,35 @@ class TestStackedKernels:
         assert ([_bits(tuple(c)) for c in classes]
                 == [_bits(tuple(classification_of_one(e, 1e-10))) for e in stack])
 
+    def test_zero_operands_are_left_alone(self, monkeypatch):
+        # _windowed rescales no element whose norm, or whose factor, is 0; it tests the two
+        # apart, since their product underflows to 0 for a 1e-200-scale pair, which it rescales
+        rng = np.random.default_rng(5)
+        calls, unit_peak = [], metric._unit_peak
+
+        def counted(m):
+            calls.append(m.copy())
+            return unit_peak(m)
+
+        monkeypatch.setattr(metric, "_unit_peak", counted)
+        zero, B = np.zeros((3, 3), dtype=complex), np.array([_element("general", 3, rng)] * 4)
+        stack = np.array([np.eye(3, dtype=complex), zero])
+        classes = _classify(stack, 1e-10, _norms(stack))
+        ratios = _bilinear_ratio(_intertwining, zero, B, _norms(B))
+        assert calls == []
+        assert [_bits(tuple(c)) for c in classes] == [
+            _bits(tuple(classification_of_one(e, 1e-10))) for e in stack]
+        assert _bits(ratios) == _bits([0.0] * 4)
+        H, b = 1e-200 * _element("general", 3, rng), 1e-200 * _element("hermitian", 3, rng)
+        ratio = _bilinear_ratio(_intertwining, H, b[None], _norms(b[None]))
+        # the norms of H, b and the form, and b in the window of |H|_F
+        assert len(calls) == 4 and np.array_equal(calls[2], b)
+        assert _bits(ratio) == _bits([residual_of_one(H, b)])
+
+    def test_a_nan_numerator_stays_nan(self):
+        ratios = metric._ratio(np.array([np.nan, 0.0, 1.0]), np.array([1.0, 0.0, 2.0]))
+        assert np.isnan(ratios[0]) and ratios[1:].tolist() == [0.0, 0.5]
+
     @pytest.mark.parametrize("scaled, j", [(None, 0), ("H", -1000), ("H", 1000),
                                            ("element", -1000), ("element", 1000)])
     def test_product_is_used_only_on_unscaled_operands(self, scaled, j):
@@ -951,6 +980,15 @@ class TestSolveMetricSpace:
         basis = solve_metric_space(np.diag([1j, 2j]))
         assert basis.dimension == 0
 
+    @pytest.mark.parametrize("H", [np.array([[0.0, 1.0], [0.0, 0.0]]),
+                                   0.3 * np.eye(16) + np.eye(16, k=1)], ids=["J2", "0.3I+N16"])
+    def test_a_tolerance_below_rounding_takes_no_spectral_path(self, H):
+        # the spectral candidates carry rounding of about eps cond(V): below it W = V^{-dag}
+        # overflowed, giving a non-finite "spectral" basis (J2) or an eig that failed (0.3I+N)
+        message = r"^H: the nullspace was not resolved at tol = 1e-300$"
+        with pytest.raises(InputError, match=message):
+            solve_metric_space(H, tol=1e-300)
+
     def test_basis_orthonormal_and_sign_fixed(self, osc2):
         H, _ = osc2
         basis = solve_metric_space(H)
@@ -961,9 +999,13 @@ class TestSolveMetricSpace:
             parts = [part for z in b.ravel() for part in (z.real, z.imag)]
             first = next(p for p in parts if abs(p) > 1e-12)
             assert first > 0
-        # an element with no significant entry keeps its sign
-        tiny = np.array([[1e-13, -1e-13j], [1e-13j, -1e-13]])
-        assert _fix_sign(tiny) is tiny
+        # an element with no significant entry keeps its sign, in a stack with elements whose
+        # first significant part is a negative real or imaginary part, or follows a tiny one;
+        # an empty stack stays empty
+        tiny, sy = np.array([[1e-13, -1e-13j], [1e-13j, -1e-13]]), np.array([[0, -1j], [1j, 0]])
+        stack = np.array([tiny, -tiny, -SX, sy, SX, -tiny - SX])
+        assert np.array_equal(_fix_sign(stack), [tiny, -tiny, SX, -sy, SX, tiny + SX])
+        assert _fix_sign(np.zeros((0, 2, 2), dtype=complex)).shape == (0, 2, 2)
 
     @pytest.mark.parametrize("case", range(8))
     def test_dimension_matches_brute_force_oracle(self, case):

@@ -132,6 +132,25 @@ def test_no_check_writes_the_at_most_rule_inline():
     assert inline == []
 
 
+def test_no_subcommand_handler_imports_a_package_module():
+    # cli._COMMANDS names the module each handler runs, and cli.run passes it in
+    from pseudoherm import cli
+
+    def from_the_package(node):
+        if isinstance(node, ast.ImportFrom):
+            return node.level > 0 or node.module.split(".")[0] == "pseudoherm"
+        return isinstance(node, ast.Import) and any(
+            alias.name.split(".")[0] == "pseudoherm" for alias in node.names)
+
+    tree = ast.parse((ROOT / "src" / "pseudoherm" / "cli.py").read_text(encoding="utf-8"))
+    handlers = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
+    assert {h.name for h in handlers} == {h.__name__ for _, _, h in cli._COMMANDS.values()}
+    imports = [f"{handler.name}: {ast.unparse(node)}" for handler in handlers
+               for node in ast.walk(handler) if from_the_package(node)]
+    assert imports == []
+
+
 def test_the_tolerance_rule_is_written_once():
     # "positive and finite", the chained test 0 < name < inf, lives only in errors.check_tol
     def positive_and_finite(node):
