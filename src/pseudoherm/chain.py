@@ -91,7 +91,7 @@ def _real_rank(etas: np.ndarray, tol: float) -> int:
 
     They are taken of the real (n^2, k) stack of ``Re eta_k + Im eta_k``, which
     has the singular values of the (2n^2, k) stack of ``[Re eta_k; Im eta_k]``
-    (see metric._spectral_basis) and is faster to factor.  For elements with
+    (see metric._unpack) and is faster to factor.  For elements with
     hermiticity defects delta_k the two sets differ by at most
     ``max_k delta_k |stack|_F``, so the rank can only differ where a singular
     value lies that close to the threshold.

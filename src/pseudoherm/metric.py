@@ -286,34 +286,27 @@ class MetricBasis(NamedTuple):
         return (Check.at_most("basis_residual_max", worst, self.tol),)
 
 
+def _unpack(P: np.ndarray) -> np.ndarray:
+    """The exactly Hermitian ``(P + P^T) / 2 + i (P - P^T) / 2`` of each real (n, n) P of a
+    stack.  For X Hermitian (or anti-Hermitian) Re X and Im X are symmetric and antisymmetric,
+    orthogonal under ``tr(A^T B)``, so the packing ``P = Re X + Im X`` is an isometry onto the
+    real matrices, with this inverse; the packing of ``_unpack(E_ab)`` is E_ab."""
+    Pt = P.swapaxes(-1, -2)
+    return (P + Pt + 1j * (P - Pt)) * 0.5
+
+
 def _frame_map(H: np.ndarray) -> np.ndarray:
-    """A^T, the real (n^2, n, n) map of _realified_basis on the frame (the units E_ii, then for
-    i < j row by row s (E_ij + E_ji) and s i (E_ij - E_ji), s = 2^-1/2), from the rows of H:
-    ``R = F H`` is zero but on F's rows, ``R - R^dag`` but on their rows and columns, and where
-    they meet the packing sums ``(Re R_ab - Re R_ba) + (Im R_ab + Im R_ba)`` in that order."""
-    n, s = len(H), 1.0 / np.sqrt(2.0)
-    d, (i, j), out = np.arange(n)[:, None], np.triu_indices(n, 1), np.zeros((n * n, n, n))
-    k, pair, sign = n + 2 * np.arange(i.size)[:, None], np.c_[i, j], np.array([[-1.0], [1.0]])
-    re, im = s * H.real[pair[:, ::-1]], s * H.imag[pair[:, ::-1]]  # s H_j, s H_i
-    # each kind of element, its rows of F H and their real and imaginary parts: H_i for
-    # E_ii; s H_j, s H_i for the real element; i s H_j, -i s H_i for the imaginary one
-    for e, rows, r_re, r_im in ((d, d, H.real[d], H.imag[d]), (k, pair, re, im),
-                                (k + 1, pair, sign * im, -sign * re)):
-        out[e, rows] = r_re + r_im
-        out[e, :, rows] = r_im - r_re
-        re_ab, im_ab = (np.take_along_axis(part, rows[:, None, :], 2) for part in (r_re, r_im))
-        out[e[:, :, None], rows[:, :, None], rows[:, None, :]] = (
-            (re_ab - re_ab.swapaxes(1, 2)) + (im_ab + im_ab.swapaxes(1, 2)))
+    """A^T, the real (n, n, n, n) map of _realified_basis on the frame: at [a, b] the packed
+    image of the unit ``_unpack(E_ab)`` (E_aa on the diagonal), ``e_a Re H_b - (Re H_a) e_b^T
+    + e_b Im H_a + (Im H_b) e_a^T`` for the rows H_a of H, placed in that order: on E_aa the
+    real parts cancel exactly before 2 Im H_aa is added, and every entry is correctly rounded."""
+    n, d = len(H), np.arange(len(H))
+    out = np.zeros((n, n, n, n))
+    out[d, :, d] += H.real  # [a, b, a, :] = Re H_b
+    out[:, d, :, d] -= H.real  # [a, b, :, b] -= Re H_a
+    out[:, d, d] += H.imag[:, None]  # [a, b, b, :] += Im H_a
+    out[d, :, :, d] += H.imag  # [a, b, :, a] += Im H_b
     return out
-
-
-def _frame_lift(c: np.ndarray, n: int) -> np.ndarray:
-    """``sum_k c_k F_k`` over the frame of _frame_map for each row c of a (d, n^2) array."""
-    s, (i, j), d = 1.0 / np.sqrt(2.0), np.triu_indices(n, 1), np.arange(n)
-    out = np.zeros((len(c), n, n), dtype=complex)
-    out[:, d, d], out[:, i, j] = c[:, :n], s * (c[:, n::2] + 1j * c[:, n + 1::2])
-    out[:, j, i] = out[:, i, j].conj()
-    return out + 0.0  # each zero +0, as in the sums of np.tensordot
 
 
 def _fix_sign(stack: np.ndarray) -> np.ndarray:
@@ -378,7 +371,7 @@ def _realified_basis(H: np.ndarray, candidates: np.ndarray | None, tol: float,
     Hermitian matrices (_frame_map) for None; none if fewer than ``need`` or than one.
 
     The images ``F H - (F H)^dag``, packed as ``Re + Im`` (an isometry on the anti-Hermitian
-    images, see _spectral_basis), are the columns of a real (n^2, k) A, so a unit element b of
+    images, see _unpack), are the columns of a real (n^2, k) A, so a unit element b of
     the span has singular value ``|b H - H^dag b|_F``; d of them (of A, or R in A = QR) are at
     most ``theta = tol |H|_F``.  Ritz values of an _inverse_step on ``min(k, max(need, n) + 8)``
     columns prove ``sigma_d <= theta`` (interlacing), _gap_certified ``sigma_{d+1} > theta``,
@@ -386,8 +379,8 @@ def _realified_basis(H: np.ndarray, candidates: np.ndarray | None, tol: float,
     gives the elements, smallest singular value first; a Ritz value of theirs above theta takes
     the step on R + eps C, and InputError if that fails too or R + eps C is singular."""
     n = H.shape[0]
-    if candidates is None:  # A written from H, coefficients lifted by index
-        A, lift = _frame_map(H).reshape(n * n, n * n).T, partial(_frame_lift, n=n)
+    if candidates is None:  # A written from H; a coefficient vector is the packed element
+        A, lift = _frame_map(H).reshape(n * n, n * n).T, lambda c: _unpack(c.reshape(-1, n, n))
     else:
         images = (candidates.reshape(-1, n) @ H).reshape(-1, n, n)  # F H in one product
         images = (images - adjoint(images)).reshape(len(candidates), n * n)
@@ -421,11 +414,8 @@ def _spectral_basis(W: np.ndarray, linked: np.ndarray) -> np.ndarray:
 
     Pair i <= j contributes ``w_i w_i^dag`` when i = j, else
     ``w_i w_j^dag + w_j w_i^dag`` and ``i (w_i w_j^dag - w_j w_i^dag)``; QR
-    under ``Re tr(A^dag B)`` orthonormalizes them in that order.  The QR runs
-    on the real packings ``P = Re X + Im X``: for X Hermitian (or
-    anti-Hermitian) Re X and Im X are symmetric and antisymmetric, orthogonal
-    under ``tr(A^T B)``, so packing is an isometry onto the real matrices, with
-    the exactly Hermitian inverse ``(P + P^T) / 2 + i (P - P^T) / 2``.
+    under ``Re tr(A^dag B)`` orthonormalizes them in that order, on their
+    real packings (see _unpack).
     """
     n = W.shape[0]
     i, j = np.nonzero(np.triu(linked))
@@ -435,9 +425,7 @@ def _spectral_basis(W: np.ndarray, linked: np.ndarray) -> np.ndarray:
     # i (w_i w_i^dag - w_i w_i^dag) = 0: a self-link gives one element.
     elements = pairs[np.stack((np.full(i.size, True), i != j), axis=1)]
     q, _ = np.linalg.qr((elements.real + elements.imag).reshape(-1, n * n).T)
-    q = q.T.reshape(-1, n, n)
-    qt = q.transpose(0, 2, 1)
-    return (q + qt + 1j * (q - qt)) * 0.5
+    return _unpack(q.T.reshape(-1, n, n))
 
 
 def _measured(H: np.ndarray, stack: np.ndarray, tol: float) -> tuple[np.ndarray, list, list]:

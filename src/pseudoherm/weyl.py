@@ -33,7 +33,7 @@ from collections.abc import Mapping
 from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
-from numbers import Integral, Rational
+from numbers import Complex, Integral, Rational, Real
 
 from .errors import InputError, RealPolynomial, _finite_real, _Record
 
@@ -48,7 +48,7 @@ def _rational_text(q: Fraction) -> str:
 
 
 def _to_fraction(value) -> Fraction:
-    if isinstance(value, Rational):
+    if isinstance(value, Rational) and not isinstance(value, bool):  # bool: _finite_real's rule
         # int() keeps fixed-width integers, which wrap around, out of the exact arithmetic
         return Fraction(int(value.numerator), int(value.denominator))
     return Fraction(_finite_real(value, "an exact value"))
@@ -67,7 +67,7 @@ class RationalComplex:
     def from_value(cls, value) -> "RationalComplex":
         if isinstance(value, RationalComplex):
             return value
-        if isinstance(value, complex):
+        if isinstance(value, Complex) and not isinstance(value, Real):  # np.complex64 too
             return cls(value.real, value.imag)
         return cls(value, 0)
 

@@ -12,7 +12,9 @@ maps of ``fractions.Fraction`` pairs, one coefficient product at a time, and
 the canonical-form reference reduces integer numerators by a plain gcd.  The
 exact chain reference builds ``H = S diag(lambda) S^-1`` and its metric chain
 in closed form in Python integers, for a Gaussian-integer S of determinant 1,
-and the rational rank eliminates in Fractions.  The per-matrix residual and
+and the rational rank and nullspace eliminate in Fractions, the latter also on the
+exact frame map: the packed images of ``U H - H^dag U`` for the n^2 unpacked units U,
+multiplied out in Fractions.  The per-matrix residual and
 classification references take one matrix at a time, with np.linalg.norm and
 one eigvalsh each, by the arithmetic the library's stacked kernels must
 reproduce bit for bit.
@@ -165,21 +167,62 @@ def exact_chain(lam, S, S_inv, k_max: int) -> tuple[np.ndarray, list[np.ndarray]
 
 
 def rational_rank(matrices) -> int:
-    """Rank over Q of the rows [Re m, Im m] of integer-valued complex matrices, by
-    Gaussian elimination in Fractions."""
-    rows = [[Fraction(x) for x in np.concatenate([m.real.ravel(), m.imag.ravel()])]
-            for m in matrices]
-    rank = 0
-    for col in range(len(rows[0])):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+    """Rank over Q of the rows [Re m, Im m] of integer-valued complex matrices: their
+    number less the dimension of their rational_nullspace."""
+    rows = [np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in matrices]
+    return len(rows) - len(rational_nullspace(rows))
+
+
+def exact_frame_map(H: np.ndarray) -> list[list[Fraction]]:
+    """For each unpacked unit ``U = (E_ab + E_ba) / 2 + i (E_ab - E_ba) / 2`` (a, b row-major;
+    E_aa for a = b), the packing ``Re X + Im X`` (row-major) of ``X = U H - H^dag U``, with
+    every float entry of H taken exactly and the products multiplied out in Fractions."""
+    H = np.asarray(H, dtype=complex)
+    n, half, zero = len(H), Fraction(1, 2), (Fraction(0), Fraction(0))
+    h = [[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in H]
+    columns = []
+    for a in range(n):
+        for b in range(n):
+            U = [[zero] * n for _ in range(n)]
+            U[a][b] = (half, half)
+            U[b][a] = (U[b][a][0] + half, U[b][a][1] - half)  # 1 for a = b
+            column = []
+            for i in range(n):
+                for j in range(n):
+                    x = zero
+                    for k in range(n):
+                        u_h = _cmul(U[i][k], h[k][j])
+                        hd_u = _cmul((h[k][i][0], -h[k][i][1]), U[k][j])
+                        x = (x[0] + u_h[0] - hd_u[0], x[1] + u_h[1] - hd_u[1])
+                    column.append(x[0] + x[1])
+            columns.append(column)
+    return columns
+
+
+def rational_nullspace(columns) -> list[list[Fraction]]:
+    """A basis over Q of the c with ``sum_k c_k columns[k] = 0``, by Gauss-Jordan elimination
+    in Fractions: one vector per non-pivot column k, 1 at k and 0 at the other such columns."""
+    rows, pivots = [list(map(Fraction, row)) for row in zip(*columns)], []
+    for col in range(len(columns)):
+        pivot = next((r for r in range(len(pivots), len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(rank + 1, len(rows)):
-            factor = rows[r][col] / rows[rank][col]
-            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+        r = len(pivots)
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for other in range(len(rows)):
+            if other != r and rows[other][col]:
+                factor = rows[other][col]
+                rows[other] = [x - factor * y for x, y in zip(rows[other], rows[r])]
+        pivots.append(col)
+    basis = []
+    for free in (k for k in range(len(columns)) if k not in pivots):
+        c = [Fraction(0)] * len(columns)
+        c[free] = Fraction(1)
+        for r, col in enumerate(pivots):
+            c[col] = -rows[r][free]
+        basis.append(c)
+    return basis
 
 
 def realified_rank(etas, tol: float) -> tuple[int, np.ndarray]:

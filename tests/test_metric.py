@@ -11,11 +11,14 @@ from hypothesis import strategies as st
 
 from oracles import (
     classification_of_one,
+    exact_frame_map,
     frame_nullspace,
+    gaussian_unimodular,
     intertwiner_nullspace_dimension,
     jordan_dimension,
     jordan_matrix,
     random_pseudo_hermitian,
+    rational_nullspace,
     residual_of_one,
     svd_invertible,
     unimodular,
@@ -45,11 +48,11 @@ from pseudoherm.metric import (
     _bilinear_ratio,
     _classify,
     _fix_sign,
-    _frame_lift,
     _frame_map,
     _intertwining,
     _norms,
     _realified_basis,
+    _unpack,
     adjoint,
     frobenius,
 )
@@ -651,6 +654,17 @@ def loop_frame(n):
     return np.array(frame)
 
 
+def unit_frame(n):
+    """Reference frame of the realified solve: for a, b row-major the unpacked unit
+    ``(E_ab + E_ba) / 2 + i (E_ab - E_ba) / 2``, which is E_aa for a = b."""
+    frame = np.zeros((n * n, n, n), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            frame[a * n + b, a, b] += (1 + 1j) / 2
+            frame[a * n + b, b, a] += (1 - 1j) / 2
+    return frame
+
+
 _J2_REAL = np.block([[np.array([[0.5, 1.0], [0.0, 0.5]]), np.zeros((2, 2))],
                      [np.zeros((2, 2)), np.diag([2.0, -1.0])]])
 _J2_COMPLEX = np.block([[np.array([[1 + 1j, 1.0], [0.0, 1 + 1j]]), np.zeros((2, 2))],
@@ -688,29 +702,36 @@ def certificates(monkeypatch):
 @pytest.fixture
 def kernels(monkeypatch):
     """The test's kernel calls in order: ("svd", inside an inverse-iteration step,
-    compute_uv), ("lift",) for coefficients lifted to matrices, and ("nullspace", k)
-    for each metric._realified_basis call on k candidates."""
-    calls, depth = [], []
+    compute_uv), ("lift",) for coefficients lifted to matrices (np.tensordot, or
+    metric._unpack inside a nullspace), and ("nullspace", k) for each
+    metric._realified_basis call on k candidates."""
+    calls, steps, nullspaces = [], [], []
     svd, step, nullspace = np.linalg.svd, metric._inverse_step, metric._realified_basis
-    frame_lift, tensordot = metric._frame_lift, np.tensordot
+    unpack, tensordot = metric._unpack, np.tensordot
 
-    def in_step(*args):
-        depth.append(True)
-        try:
-            return step(*args)
-        finally:
-            depth.pop()
+    def within(depth, kernel):
+        def call(*args, **kw):
+            depth.append(True)
+            try:
+                return kernel(*args, **kw)
+            finally:
+                depth.pop()
+        return call
+
+    def lift(P):
+        if nullspaces:  # not the last step of _spectral_basis
+            calls.append(("lift",))
+        return unpack(P)
 
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(
-        ("svd", bool(depth), kw.get("compute_uv", True))) or svd(*args, **kw))
-    monkeypatch.setattr(metric, "_inverse_step", in_step)
-    monkeypatch.setattr(metric, "_frame_lift", lambda *args, **kw: calls.append(("lift",))
-                        or frame_lift(*args, **kw))
+        ("svd", bool(steps), kw.get("compute_uv", True))) or svd(*args, **kw))
+    monkeypatch.setattr(metric, "_inverse_step", within(steps, step))
+    monkeypatch.setattr(metric, "_unpack", lift)
     monkeypatch.setattr(np, "tensordot", lambda *args, **kw: calls.append(("lift",))
                         or tensordot(*args, **kw))
     monkeypatch.setattr(metric, "_realified_basis", lambda H, candidates, *rest: calls.append(
         ("nullspace", len(H) ** 2 if candidates is None else len(candidates)))
-        or nullspace(H, candidates, *rest))
+        or within(nullspaces, nullspace)(H, candidates, *rest))
     return calls
 
 
@@ -902,20 +923,31 @@ class TestFrameNullspace:
 
 
 class TestSolveMetricSpace:
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16])
     def test_frame_map_matches_the_product_form(self, n):
-        # the map written from the rows of H holds the packed images of the frame's
-        # products, F H - (F H)^dag, bit for bit, for complex and for real H; the lift
-        # by index is tensordot against the frame, byte for byte
+        # the map written from the rows of H holds the packed images of the units' products,
+        # U H - (U H)^dag: at n <= 4 each entry is the correctly rounded exact value (entries
+        # 1e-20..1e20, complex and real, and diagonals 1 + 1e-17 i, where adding the
+        # imaginary parts first loses 2 Im H_aa); beyond, on small-integer H, where every
+        # operation is exact, it is the float product form bit for bit.  The lift of a
+        # coefficient vector is tensordot against the frame, byte for byte
         rng = np.random.default_rng(n)
-        frame = loop_frame(n)
-        H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        for H in (H, H.real.astype(complex)):
-            images = (frame.reshape(-1, n) @ H).reshape(-1, n, n)
-            images = images - adjoint(images)
-            assert np.array_equal(_frame_map(H), images.real + images.imag)
+        frame = unit_frame(n)
+        if n <= 4:
+            parts = rng.choice([-1.0, 1.0], (2, n, n)) * 10.0 ** rng.uniform(-20, 20, (2, n, n))
+            H = parts[0] + 1j * parts[1]
+            diagonal = H - np.diag(np.diag(H)) + (1 + 1e-17j) * np.eye(n)
+            for H in (H, H.real.astype(complex), diagonal):
+                exact = np.array([[float(x) for x in column] for column in exact_frame_map(H)])
+                assert _frame_map(H).reshape(n * n, n * n).tobytes() == exact.tobytes()
+        else:
+            H = rng.integers(-9, 10, (n, n)) + 1j * rng.integers(-9, 10, (n, n))
+            for H in (H, H.real.astype(complex)):
+                images = (frame.reshape(-1, n) @ H).reshape(-1, n, n)
+                images = images - adjoint(images)
+                assert np.array_equal(_frame_map(H).reshape(-1, n, n), images.real + images.imag)
         c = rng.standard_normal((3, n * n))
-        assert _frame_lift(c, n).tobytes() == np.tensordot(c, frame, axes=1).tobytes()
+        assert _unpack(c.reshape(-1, n, n)).tobytes() == np.tensordot(c, frame, axes=1).tobytes()
 
     @pytest.mark.parametrize("n", [16, 24])
     def test_frame_solve_holds_no_complex_frame(self, n):
@@ -1339,6 +1371,51 @@ class TestJordanDimension:
         basis = solve_metric_space(self._similar(blocks, seed))
         assert basis.dimension == jordan_dimension(blocks)
         assert max(basis.residuals, default=0.0) <= 1e-10
+
+
+class TestExactSolutionSpace:
+    """The solve's span against the exact Hermitian solution space for a Gaussian-integer
+    H = S J S^-1: the rational nullspace of tests/oracles.py's exact frame map, whose
+    coefficient vectors are the packings of the solutions."""
+
+    @staticmethod
+    def _sine(a, b):
+        """The sine of the largest principal angle from the row span of b to that of a,
+        ``|(I - Q_a Q_a^T) Q_b|_2``: it reads to rounding level, where the cosine form
+        ``sqrt(1 - sigma_min^2)`` cannot read below about 1.5e-8."""
+        qa, qb = np.linalg.qr(a.T)[0], np.linalg.qr(b.T)[0]
+        return np.linalg.norm(qb - qa @ (qa.T @ qb), 2)
+
+    @pytest.mark.parametrize("blocks, solver", [
+        ([(1, 1), (2, 1), (-1, 1)], "spectral"),
+        ([(1j, 1), (-1j, 1), (2, 1)], "spectral"),
+        ([(1, 2), (3, 1)], "realified"),
+        ([(2, 3)], "realified"),
+        ([(1 + 1j, 2), (1 - 1j, 2)], "realified"),
+        ([(1, 2), (1, 2)], "realified"),
+        ([(1, 3), (1, 1)], "realified"),
+        ([(2j, 1), (-2j, 2)], "realified"),
+    ])
+    def test_spans_the_exact_space(self, blocks, solver):
+        # both ways within 1e-12 (5e-14 measured); a basis with one element dropped, or one
+        # element rotated 1e-6 out of the space, fails the same comparison
+        J = jordan_matrix(blocks)
+        n = len(J)
+        for seed in range(3):
+            S, S_inv = (re.astype(float) + 1j * im.astype(float) for re, im in
+                        gaussian_unimodular(n, np.random.default_rng([seed, n]), 2 * n))
+            H = S @ J @ S_inv  # Gaussian integers: exact
+            exact = np.array(rational_nullspace(exact_frame_map(H)), dtype=float)
+            basis = solve_metric_space(H)
+            packed = np.array([(b.real + b.imag).ravel() for b in basis.basis])
+            assert (basis.solver, basis.dimension) == (solver, len(exact))
+            assert len(exact) == jordan_dimension(blocks)
+            outside = np.linalg.qr(exact.T, mode="complete")[0][:, len(exact)]
+            rotated = packed.copy()
+            rotated[0] = math.cos(1e-6) * packed[0] + math.sin(1e-6) * outside
+            for members, agrees in ((packed, True), (packed[1:], False), (rotated, False)):
+                sine = max(self._sine(exact, members), self._sine(members, exact))
+                assert (sine <= 1e-12) == agrees
 
 
 class TestFindMetric:

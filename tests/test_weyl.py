@@ -435,7 +435,7 @@ class TestFiniteRealRule:
     def test_constant_is_exact(self, value, exact):
         assert WeylPolynomial.monomial(0, 0, value).coefficient(0, 0) == RationalComplex(exact)
 
-    @pytest.mark.parametrize("value", ["1", np.inf, np.nan], ids=repr)
+    @pytest.mark.parametrize("value", ["1", np.inf, np.nan, True, np.True_], ids=repr)
     def test_constant_rejects_non_finite_and_non_numbers(self, value):
         with pytest.raises(InputError):
             WeylPolynomial.monomial(0, 0, value)
@@ -447,6 +447,8 @@ class TestFiniteRealRule:
         assert WeylPolynomial.monomial(0, 0, np.complex128(1)) == WeylPolynomial.monomial(0, 0, 1)
         assert WeylPolynomial.monomial(0, 0, 1j) == \
             WeylPolynomial.monomial(0, 0, RationalComplex(0, 1))
+        assert WeylPolynomial.monomial(0, 0, np.complex64(1 + 2j)) == \
+            WeylPolynomial.monomial(0, 0, RationalComplex(1, 2))
 
     def test_fixed_width_integers_become_python_integers(self):
         # an int64 numerator would wrap around on the first sum
