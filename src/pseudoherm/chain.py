@@ -150,7 +150,8 @@ def _chain(H: np.ndarray, G: np.ndarray, eta0: np.ndarray, k_max: int,
                 np.matmul(Gd, etas[k], out=products[k % size])
         if k % size == size - 1 or k == k_max:  # the chunk is whole: measure it
             chunk = etas[k - k % size:k + 1]
-            r, d = _measure(H, chunk, _defects, None if alpha else products[:len(chunk)])
+            r, d = _measure(H, chunk, lambda c, norms, _: _defects(c, norms),
+                            None if alpha else products[:len(chunk)])
             residuals, defects = residuals + r, defects + d
     classes = _classify(etas[:2], tol, _norms(etas[:2]))
     held = all(c.invertible for c in classes)  # the theorem's hypothesis

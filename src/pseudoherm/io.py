@@ -146,6 +146,7 @@ def basis_to_dict(basis: MetricBasis) -> dict:
         "dimension": basis.dimension,
         "solver": basis.solver,
         "basis": [matrix_to_dict(b) for b in basis.basis],
+        "residuals": list(basis.residuals),
         "classifications": [classification_to_dict(c) for c in basis.classifications],
     }
 

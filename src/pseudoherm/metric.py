@@ -182,10 +182,10 @@ def residual(H, eta) -> float:
 class MetricClass(NamedTuple):
     """Classification of a metric candidate at a given relative tolerance.
 
-    The boolean flags are consistent by construction:
-    positive implies invertible implies hermitian.  The two values are the
-    smallest |eigenvalue| and the smallest eigenvalue of ``(eta + eta^dag) / 2``,
-    None where not measured (chain elements k >= 2, classified by congruence).
+    The boolean flags are consistent by construction: positive implies invertible implies
+    hermitian.  The two values are the smallest |eigenvalue| and the smallest eigenvalue of
+    ``(eta + eta^dag) / 2``, None where not measured: chain elements k >= 2, classified by
+    congruence, and spectral basis elements singular by structure (see _spectral_basis).
     """
 
     hermitian: bool
@@ -211,23 +211,27 @@ def classify_metric(eta, tol: float = DEFAULT_TOL) -> MetricClass:
     return _classify(eta[None], tol, _norms(eta[None]))[0]
 
 
-def _classify(stack: np.ndarray, tol: float, norms: np.ndarray) -> list[MetricClass]:
-    """classify_metric of each matrix of a (k, n, n) stack with Frobenius norms
-    ``norms``, by one ``eigvalsh``, on the stack windowed once for both kernels."""
+def _classify(stack: np.ndarray, tol: float, norms: np.ndarray,
+              singular: int = 0) -> list[MetricClass]:
+    """classify_metric of each matrix of a (k, n, n) stack with Frobenius norms ``norms``, by one
+    ``eigvalsh``, on the stack windowed once for both kernels; the first ``singular`` elements,
+    singular by structure, skip it and get None for both values."""
     stack, norms, shift = _windowed(stack, norms, 1.0)
-    defects = np.array(_defects(stack, norms))
-    eigs = np.linalg.eigvalsh((stack + adjoint(stack)) * 0.5)
+    defects, rest = np.array(_defects(stack, norms)), stack[singular:]
+    hermitian, norms, shift = defects <= tol, norms[singular:], shift[singular:]
+    eigs = np.linalg.eigvalsh((rest + adjoint(rest)) * 0.5) if len(rest) else np.zeros((0, 1))
     min_abs, min_eig = np.min(np.abs(eigs), axis=1), eigs[:, 0]
-    hermitian = defects <= tol
-    invertible = hermitian & (min_abs > tol * norms)
+    invertible = hermitian[singular:] & (min_abs > tol * norms)
     positive = invertible & (min_eig > tol * norms)
     with np.errstate(over="ignore"):
         # + 0.0 turns the -0.0 that an eigenvalue of a subnormal element can round to into 0.0
         min_abs, min_eig = np.ldexp(min_abs, shift) + 0.0, np.ldexp(min_eig, shift) + 0.0
     if np.isinf(min_eig).any():  # min_abs <= |min_eig|
         raise InputError("eta: an eigenvalue of its Hermitian part is beyond the double range")
-    return list(map(MetricClass, hermitian.tolist(), invertible.tolist(), positive.tolist(),
-                    min_abs.tolist(), min_eig.tolist(), defects.tolist()))
+    no, none = [False] * singular, [None] * singular  # singular by structure, not measured
+    return list(map(MetricClass, hermitian.tolist(), no + invertible.tolist(),
+                    no + positive.tolist(), none + min_abs.tolist(), none + min_eig.tolist(),
+                    defects.tolist()))
 
 
 # Stacks are measured in chunks of at most 2^15 complex entries (512 KiB, 8
@@ -243,9 +247,10 @@ _STACK_ENTRIES = 2 ** 15
 
 
 def _measure(H: np.ndarray, stack: np.ndarray, kernel, products=None) -> tuple[list, list]:
-    """Residuals against H of a (k, n, n) stack and kernel(chunk, norms) (a list), by chunks.
-    Given ``products = H^dag @ stack``, each chunk's go to _bilinear_ratio, which reuses
-    them where it rescales neither H nor an element of the chunk."""
+    """Residuals against H of a (k, n, n) stack and kernel(chunk, norms, start) (a list), by
+    chunks, start the index of the chunk's first element.  Given ``products = H^dag @ stack``,
+    each chunk's go to _bilinear_ratio, which reuses them where it rescales neither H nor an
+    element of the chunk."""
     residuals, measured = [], []
     size = max(1, _STACK_ENTRIES // H.size)
     for start in range(0, len(stack), size):
@@ -253,17 +258,17 @@ def _measure(H: np.ndarray, stack: np.ndarray, kernel, products=None) -> tuple[l
         norms = _norms(chunk)  # shared by both kernels
         product = None if products is None else products[start:start + size]
         residuals += _bilinear_ratio(_intertwining, H, chunk, norms, product).tolist()
-        measured += kernel(chunk, norms)
+        measured += kernel(chunk, norms, start)
     return residuals, measured
 
 
 class MetricBasis(NamedTuple):
     """Real-linear basis of the Hermitian solutions of ``eta H = H^dag eta``.
 
-    Basis elements are Hermitian, have unit Frobenius norm and are pairwise
-    orthogonal under the real inner product ``Re tr(A^dag B)``.  Element k
-    has ``residuals[k] = residual(H, b)`` and ``classifications[k] =
-    classify_metric(b, tol)``.  ``solver`` names the candidates of the basis
+    Basis elements are Hermitian, have unit Frobenius norm and are pairwise orthogonal under
+    the real inner product ``Re tr(A^dag B)``.  Element k has ``residuals[k] = residual(H, b)``
+    and ``classifications[k] = classify_metric(b, tol)``, both values None where it is singular
+    by structure.  ``solver`` names the candidates of the basis
     (see solve_metric_space): ``"spectral"`` for eigenvector products, ``"realified"``
     for the frame of all Hermitian matrices, a nullspace on either certified or counted
     and solved by _realified_basis.  ``spectral_metric`` is the unit-norm ``V^{-dag}
@@ -409,13 +414,15 @@ def _realified_basis(H: np.ndarray, candidates: np.ndarray | None, tol: float,
     raise InputError(f"H: the nullspace was not resolved at tol = {tol:g}")
 
 
-def _spectral_basis(W: np.ndarray, linked: np.ndarray) -> np.ndarray:
-    """Orthonormal (k, n, n) stack spanning ``W M W^dag``, M Hermitian on the linked pairs.
+def _spectral_basis(W: np.ndarray, linked: np.ndarray) -> tuple[np.ndarray, int]:
+    """Orthonormal (k, n, n) stack spanning ``W M W^dag``, M Hermitian on the linked pairs,
+    and how many leading elements are singular by structure.
 
-    Pair i <= j contributes ``w_i w_i^dag`` when i = j, else
-    ``w_i w_j^dag + w_j w_i^dag`` and ``i (w_i w_j^dag - w_j w_i^dag)``; QR
-    under ``Re tr(A^dag B)`` orthonormalizes them in that order, on their
-    real packings (see _unpack).
+    Pair i <= j contributes ``w_i w_i^dag`` when i = j, else ``w_i w_j^dag + w_j w_i^dag`` and
+    ``i (w_i w_j^dag - w_j w_i^dag)``; QR under ``Re tr(A^dag B)`` orthonormalizes them in that
+    order, on their real packings (see _unpack).  Element k lies in the span of the first k + 1,
+    so its M has a zero row until every eigenvalue has entered a pair, and (W invertible,
+    Sylvester's law of inertia) it is singular; every element is if one never enters.
     """
     n = W.shape[0]
     i, j = np.nonzero(np.triu(linked))
@@ -425,13 +432,20 @@ def _spectral_basis(W: np.ndarray, linked: np.ndarray) -> np.ndarray:
     # i (w_i w_i^dag - w_i w_i^dag) = 0: a self-link gives one element.
     elements = pairs[np.stack((np.full(i.size, True), i != j), axis=1)]
     q, _ = np.linalg.qr((elements.real + elements.imag).reshape(-1, n * n).T)
-    return _unpack(q.T.reshape(-1, n, n))
+    # each candidate's two eigenvalues in order, flattened (candidate c at 2c and 2c + 1):
+    # eigenvalue e enters at the first candidate that holds it
+    entered, first = np.unique(np.repeat(np.stack((i, j), 1), 1 + (i != j), 0), return_index=True)
+    singular = first.max() // 2 if len(entered) == n else len(elements)
+    return _unpack(q.T.reshape(-1, n, n)), int(singular)
 
 
-def _measured(H: np.ndarray, stack: np.ndarray, tol: float) -> tuple[np.ndarray, list, list]:
-    """The stack with each element's sign fixed (norms and residuals stay), and _measure of it."""
+def _measured(H: np.ndarray, stack: np.ndarray, tol: float,
+              singular: int = 0) -> tuple[np.ndarray, list, list]:
+    """The stack with each element's sign fixed (norms and residuals stay), and _measure of it;
+    the first ``singular`` elements are singular by structure (see _classify)."""
     signed = _fix_sign(stack)
-    return (signed, *_measure(H, signed, lambda chunk, norms: _classify(chunk, tol, norms)))
+    return (signed, *_measure(H, signed, lambda chunk, norms, start: _classify(
+        chunk, tol, norms, min(max(singular - start, 0), len(chunk)))))
 
 
 @contextmanager
@@ -453,6 +467,11 @@ def _within_memory(size: int, message: str):
 # that).  A bound about 12% above the largest reading refuses what beyond the physical memory
 # would get the process killed, not a MemoryError.
 _FRAME_BYTES_PER_N4 = 45
+# The spectral solve's peak RSS grew by at most 124.5 k n^2 bytes for k candidates at n = 64..192
+# (one BLAS thread): 121-124.5 on the quasi family, whose self-links each take a (2, n, n) slot
+# of the pair stack, 105-108 on the pseudo family and on near pairs that the candidates' nullspace
+# resolves.  The bound is again about 12% above the largest reading.
+_SPECTRAL_BYTES_PER_KN2 = 140
 
 
 def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
@@ -477,9 +496,10 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
     elements than the links give: a numerically defective cluster, such as a Jordan block.
     The frame takes up to about 40 n^4 bytes; InputError names n when _FRAME_BYTES_PER_N4 n^4
     (45 n^4) bytes exceed the physical memory (by os.sysconf, where it exists) or fail to allocate.
+    So does the spectral attempt on k candidates for _SPECTRAL_BYTES_PER_KN2 k n^2 (140 k n^2).
 
-    The sign of each element's first significant entry is made positive.
-    Dimension 0 is a valid outcome meaning no Hermitian metric exists.
+    The sign of each element's first significant entry is made positive, and an element singular
+    by structure (_spectral_basis) takes no eigvalsh.  Dimension 0 means no Hermitian metric.
     """
     H = as_matrix(H, "H")
     check_tol(tol)
@@ -499,11 +519,15 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
         dist = np.abs(lam[None, :] - lam.conj()[:, None])  # |lambda_j - conj(lambda_i)|
         # Both tests are symmetric in (i, j), so each gives one element per entry it holds;
         # the links lie in the window, so the counts agree when every window pair is linked.
-        stack, need = _spectral_basis(W, dist <= 10.0 * reach), np.count_nonzero(dist <= reach)
-        measured = _measured(unit, stack, tol) if len(stack) == need else None
-        if measured is None or max(measured[1], default=0.0) > tol:
-            members = _realified_basis(unit, stack, tol, need)
-            measured = _measured(unit, members, tol) if len(members) >= need else None
+        window, need = dist <= 10.0 * reach, np.count_nonzero(dist <= reach)
+        with _within_memory(_SPECTRAL_BYTES_PER_KN2 * np.count_nonzero(window) * len(H) ** 2,
+                            f"H: the spectral solve at n = {len(H)} needs more memory than this "
+                            "machine has (its arrays grow as n^2 per candidate)"):
+            stack, singular = _spectral_basis(W, window)
+            measured = _measured(unit, stack, tol, singular) if len(stack) == need else None
+            if measured is None or max(measured[1], default=0.0) > tol:
+                members = _realified_basis(unit, stack, tol, need)
+                measured = _measured(unit, members, tol) if len(members) >= need else None
     solver = "realified" if measured is None else "spectral"
     if measured is None:
         with _within_memory(_FRAME_BYTES_PER_N4 * len(H) ** 4,

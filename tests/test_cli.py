@@ -148,6 +148,19 @@ class TestSolve:
         assert report["results"]["solver"] == "spectral"
         assert report["results"]["metric_classification"]["positive"] is True
 
+    def test_residuals_sit_beside_the_classifications(self, fixtures, capsys):
+        # each element's measured residual, the values basis_residual_max takes the largest of;
+        # the first element is singular by structure, so its eigenvalue values are null
+        code, report = run_cli(capsys, "solve", "--hamiltonian", fixtures["H"])
+        results = report["results"]
+        assert list(results)[:5] == ["dimension", "solver", "basis", "residuals",
+                                     "classifications"]
+        basis = pseudoherm.solve_metric_space(catalog_oscillator(2.0)[0])
+        assert results["residuals"] == basis.residuals
+        assert report["checks"][0]["value"] == max(results["residuals"])
+        assert [c["min_abs_eigenvalue_of_hermitian_part"] is None
+                for c in results["classifications"]] == [True, False]
+
     def test_no_metric_is_a_failed_check(self, tmp_path, capsys):
         write_matrix(tmp_path / "no_metric.json", np.diag([1j, 2j]))
         code, report = run_cli(capsys, "solve", "--hamiltonian",
@@ -204,6 +217,18 @@ class TestSolve:
         assert (code, report["status"]) == (2, "input_error")
         assert report["error"] == ("H: the realified solve at n = 3 needs more memory than "
                                    "this machine has (its arrays grow as n^4)")
+
+    def test_spectral_beyond_physical_memory_is_input_error(self, tmp_path, capsys, monkeypatch):
+        # one byte less than the bound _SPECTRAL_BYTES_PER_KN2 k n^2 for the k = 3 candidates
+        # of a 3x3 H with a simple real spectrum, in pages of one byte
+        pages = pseudoherm.metric._SPECTRAL_BYTES_PER_KN2 * 3 * 3 ** 2 - 1
+        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 1}.__getitem__)
+        write_matrix(tmp_path / "h.json", np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 0.0],
+                                                    [0.0, 0.0, 3.0]]))
+        code, report = run_cli(capsys, "solve", "--hamiltonian", tmp_path / "h.json")
+        assert (code, report["status"]) == (2, "input_error")
+        assert report["error"] == ("H: the spectral solve at n = 3 needs more memory than this "
+                                   "machine has (its arrays grow as n^2 per candidate)")
 
     def test_unresolved_nullspace_is_input_error(self, tmp_path, capsys, monkeypatch):
         # every Ritz value of each inverse-iteration step, the perturbed retry's too,
