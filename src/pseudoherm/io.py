@@ -36,7 +36,8 @@ def load_json(path) -> Any:
     try:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
-    except json.JSONDecodeError as exc:
+    # bad JSON, not UTF-8, an integer beyond int's digit limit, or nested beyond the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"{path}: malformed JSON ({exc})") from None
     except OSError as exc:
         raise InputError(f"{path}: cannot read ({exc})") from None

@@ -272,7 +272,9 @@ class MetricBasis(NamedTuple):
     (see solve_metric_space): ``"spectral"`` for eigenvector products, ``"realified"``
     for the frame of all Hermitian matrices, a nullspace on either certified or counted
     and solved by _realified_basis.  ``spectral_metric`` is the unit-norm ``V^{-dag}
-    V^{-1}`` of ``H = V diag(lambda) V^{-1}``, or None when V is singular.
+    V^{-1}`` of ``H = V diag(lambda) V^{-1}``, or None when V is singular; the solve measures
+    it with the basis, in the same stack: ``spectral_residual = residual(H, spectral_metric)``
+    and ``spectral_classification = classify_metric(spectral_metric, tol)``, None without it.
     """
 
     H: np.ndarray
@@ -282,6 +284,8 @@ class MetricBasis(NamedTuple):
     classifications: list[MetricClass]
     solver: str
     spectral_metric: np.ndarray | None
+    spectral_residual: float | None
+    spectral_classification: MetricClass | None
     tol: float
 
     @property
@@ -428,24 +432,32 @@ def _spectral_basis(W: np.ndarray, linked: np.ndarray) -> tuple[np.ndarray, int]
     i, j = np.nonzero(np.triu(linked))
     outer = W.T[i][:, :, None] * W.T[j].conj()[:, None, :]  # w_i w_j^dag
     outer_h = outer.conj().transpose(0, 2, 1)
-    pairs = np.stack((outer + outer_h, 1j * (outer - outer_h)), axis=1)
-    # i (w_i w_i^dag - w_i w_i^dag) = 0: a self-link gives one element.
-    elements = pairs[np.stack((np.full(i.size, True), i != j), axis=1)]
+    # i (w_i w_i^dag - w_i w_i^dag) = 0: a self-link gives one element, at slot[p] for pair p
+    two = i != j
+    slot = np.cumsum(1 + two) - 1 - two
+    elements = np.empty((i.size + np.count_nonzero(two), n, n), dtype=complex)
+    elements[slot] = outer + outer_h
+    elements[slot[two] + 1] = 1j * (outer[two] - outer_h[two])
     q, _ = np.linalg.qr((elements.real + elements.imag).reshape(-1, n * n).T)
     # each candidate's two eigenvalues in order, flattened (candidate c at 2c and 2c + 1):
     # eigenvalue e enters at the first candidate that holds it
-    entered, first = np.unique(np.repeat(np.stack((i, j), 1), 1 + (i != j), 0), return_index=True)
+    entered, first = np.unique(np.repeat(np.stack((i, j), 1), 1 + two, 0), return_index=True)
     singular = first.max() // 2 if len(entered) == n else len(elements)
     return _unpack(q.T.reshape(-1, n, n)), int(singular)
 
 
-def _measured(H: np.ndarray, stack: np.ndarray, tol: float,
-              singular: int = 0) -> tuple[np.ndarray, list, list]:
-    """The stack with each element's sign fixed (norms and residuals stay), and _measure of it;
-    the first ``singular`` elements are singular by structure (see _classify)."""
+def _measured(H: np.ndarray, stack: np.ndarray, tol: float, spectral: np.ndarray | None,
+              singular: int = 0) -> tuple:
+    """The stack with each element's sign fixed (norms and residuals stay), its residuals and
+    classifications by _measure, then the spectral metric's (sign kept), measured after it in the
+    same stack, or None and None for none; the first ``singular`` elements are singular by
+    structure (see _classify)."""
     signed = _fix_sign(stack)
-    return (signed, *_measure(H, signed, lambda chunk, norms, start: _classify(
-        chunk, tol, norms, min(max(singular - start, 0), len(chunk)))))
+    both = signed if spectral is None else np.concatenate((signed, spectral[None]))
+    residuals, classes = _measure(H, both, lambda chunk, norms, start: _classify(
+        chunk, tol, norms, min(max(singular - start, 0), len(chunk))))
+    k = len(signed)
+    return signed, residuals[:k], classes[:k], *(residuals[k:] + classes[k:] or [None, None])
 
 
 @contextmanager
@@ -467,11 +479,12 @@ def _within_memory(size: int, message: str):
 # that).  A bound about 12% above the largest reading refuses what beyond the physical memory
 # would get the process killed, not a MemoryError.
 _FRAME_BYTES_PER_N4 = 45
-# The spectral solve's peak RSS grew by at most 124.5 k n^2 bytes for k candidates at n = 64..192
-# (one BLAS thread): 121-124.5 on the quasi family, whose self-links each take a (2, n, n) slot
-# of the pair stack, 105-108 on the pseudo family and on near pairs that the candidates' nullspace
-# resolves.  The bound is again about 12% above the largest reading.
-_SPECTRAL_BYTES_PER_KN2 = 140
+# The spectral solve's peak RSS grew by at most 102.5 k n^2 bytes for k candidates at n = 64..192
+# (fresh processes, one BLAS thread): 89-99.9 on the quasi family, 81-91.5 on the pseudo family
+# and 89-102.5 on a near pair (d_1 = d_0 + 1e-6) that the candidates' nullspace resolves (up to
+# n = 160; at 192 it falls to the frame), each largest at n = 64.  The bound is about 12% above
+# the largest reading.
+_SPECTRAL_BYTES_PER_KN2 = 115
 
 
 def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
@@ -496,10 +509,11 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
     elements than the links give: a numerically defective cluster, such as a Jordan block.
     The frame takes up to about 40 n^4 bytes; InputError names n when _FRAME_BYTES_PER_N4 n^4
     (45 n^4) bytes exceed the physical memory (by os.sysconf, where it exists) or fail to allocate.
-    So does the spectral attempt on k candidates for _SPECTRAL_BYTES_PER_KN2 k n^2 (140 k n^2).
+    So does the spectral attempt on k candidates for _SPECTRAL_BYTES_PER_KN2 k n^2 (115 k n^2).
 
     The sign of each element's first significant entry is made positive, and an element singular
-    by structure (_spectral_basis) takes no eigvalsh.  Dimension 0 means no Hermitian metric.
+    by structure (_spectral_basis) takes no eigvalsh.  The spectral metric is measured with the
+    basis, after its elements in the same stack (_measured).  Dimension 0 means no Hermitian metric.
     """
     H = as_matrix(H, "H")
     check_tol(tol)
@@ -508,7 +522,14 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
     order = np.lexsort((lam.imag, lam.real))
     lam, V = lam[order], V[:, order]
     u, s, xh = np.linalg.svd(V)
-    measured = None
+    # V^{-dag} V^{-1} = U diag(1/s^2) U^dag, scaled by s_min^2 so that nothing
+    # is inverted and nothing overflows.
+    spectral = None
+    if s[-1] > 0:
+        spectral = (u * (s[-1] / s) ** 2) @ adjoint(u)
+        spectral = spectral + adjoint(spectral)
+        spectral = spectral / frobenius(spectral)
+    measure, measured = partial(_measured, unit, tol=tol, spectral=spectral), None
     # max(tol, eps) cond(V) < 1: the candidates carry rounding of about eps cond(V), and below
     # it W = V^{-dag} can overflow
     if max(tol, 2.0 ** -52) * s[0] < s[-1]:
@@ -524,35 +545,29 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
                             f"H: the spectral solve at n = {len(H)} needs more memory than this "
                             "machine has (its arrays grow as n^2 per candidate)"):
             stack, singular = _spectral_basis(W, window)
-            measured = _measured(unit, stack, tol, singular) if len(stack) == need else None
+            measured = measure(stack, singular=singular) if len(stack) == need else None
             if measured is None or max(measured[1], default=0.0) > tol:
                 members = _realified_basis(unit, stack, tol, need)
-                measured = _measured(unit, members, tol) if len(members) >= need else None
+                measured = measure(members) if len(members) >= need else None
     solver = "realified" if measured is None else "spectral"
     if measured is None:
         with _within_memory(_FRAME_BYTES_PER_N4 * len(H) ** 4,
                             f"H: the realified solve at n = {len(H)} needs more memory than "
                             "this machine has (its arrays grow as n^4)"):
-            measured = _measured(unit, _realified_basis(unit, None, tol), tol)
-    stack, residuals, classifications = measured
-    # V^{-dag} V^{-1} = U diag(1/s^2) U^dag, scaled by s_min^2 so that nothing
-    # is inverted and nothing overflows.
-    spectral = None
-    if s[-1] > 0:
-        spectral = (u * (s[-1] / s) ** 2) @ adjoint(u)
-        spectral = spectral + adjoint(spectral)
-        spectral = spectral / frobenius(spectral)
+            measured = measure(_realified_basis(unit, None, tol))
+    stack, residuals, classifications, spectral_residual, spectral_classification = measured
     return MetricBasis(H=H, dimension=len(stack), basis=list(stack),
-                       residuals=residuals, classifications=classifications,
-                       solver=solver, spectral_metric=spectral, tol=tol)
+                       residuals=residuals, classifications=classifications, solver=solver,
+                       spectral_metric=spectral, spectral_residual=spectral_residual,
+                       spectral_classification=spectral_classification, tol=tol)
 
 
 def _metric_candidates(basis: MetricBasis):
     """The candidates of find_metric, each with its classification when the solve
     already made it (else None), in order, each computed when reached."""
     yield from zip(basis.basis, basis.classifications)
-    if basis.spectral_metric is not None and residual(basis.H, basis.spectral_metric) <= basis.tol:
-        yield basis.spectral_metric, None
+    if basis.spectral_metric is not None and basis.spectral_residual <= basis.tol:
+        yield basis.spectral_metric, basis.spectral_classification
     # Distinct weights make the combination generic: unit weights cancel on
     # structured bases and miss invertible members that exist.
     weights = np.sqrt(np.arange(basis.dimension) + 2.0)
@@ -566,9 +581,10 @@ def find_metric(basis: MetricBasis, want_positive: bool = False) -> np.ndarray |
     Every verdict is taken at the tol of the solve, ``basis.tol``.  Candidates,
     in order: each basis element, with the classification the solve made; the
     solve's spectral metric ``V^{-dag} V^{-1}`` when its residual is at most
-    tol; the fixed combination ``sum_k sqrt(k + 2) b_k``.  Returns the first
-    one classified as wanted, a unit-Frobenius-norm Hermitian matrix, or None;
-    None is a result, not an error.
+    tol, with the residual and classification the solve measured with the basis;
+    the fixed combination ``sum_k sqrt(k + 2) b_k``, the one candidate classified
+    here.  Returns the first one classified as wanted, a unit-Frobenius-norm
+    Hermitian matrix, or None; None is a result, not an error.
     """
     if basis.dimension == 0:
         return None

@@ -110,6 +110,24 @@ class TestVerify:
         assert code == 2
         assert report["status"] == "input_error"
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["verify", "--eta", "eta"], "--hamiltonian"),
+        (["verify", "--hamiltonian", "H"], "--eta"),
+        (["chain", "--hamiltonian", "H"], "--eta0"),
+        (["perturb", "--hamiltonian", "H", "--eta", "eta", "--poly", "0,1"], "--k"),
+        (["weyl"], "--spec"),
+    ])
+    def test_undecodable_file_is_input_error(self, tmp_path, fixtures, capsys, argv, flag):
+        # a file that is not UTF-8, or nests beyond the recursion limit, is named in an
+        # input_error (exit 2), not an internal_error; fixture names stand for their files
+        argv = [argv[0], *(fixtures.get(a, a) for a in argv[1:])]
+        for name, content in [("latin.json", b"\xff\xfe{}"), ("deep.json", b"[" * 100_000)]:
+            bad = tmp_path / name
+            bad.write_bytes(content)
+            code, report = run_cli(capsys, *argv, flag, bad)
+            assert (code, report["status"]) == (2, "input_error")
+            assert report["error"].startswith(f"{bad}: malformed JSON (")
+
 
     def test_small_norm_is_relative(self, tmp_path, capsys):
         # the same pair at unit scale has residual 1.0

@@ -63,6 +63,13 @@ class TestMatrixFiles:
         with pytest.raises(InputError, match="malformed"):
             parse_matrix(path)
 
+    def test_integer_beyond_the_digit_limit_is_malformed(self, tmp_path):
+        # int() refuses more than 4300 digits by default, with a ValueError
+        path = tmp_path / "long.json"
+        path.write_text('{"n": ' + "1" * 5000 + "}")
+        with pytest.raises(InputError, match="malformed"):
+            parse_matrix(path)
+
     def test_non_finite_rejected(self, tmp_path):
         path = dump(tmp_path, "h.json", {"n": 1, "entries": [[[1e999, 0]]]})
         with pytest.raises(InputError):

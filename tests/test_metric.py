@@ -1306,7 +1306,8 @@ _JORDAN_BLOCKS = st.lists(st.tuples(st.sampled_from(_JORDAN_EIGENVALUES), st.int
 
 class TestStacks:
     """solve_metric_space measures its basis in stacks of at most 2^15 complex entries,
-    as chains do (tests/test_chain.py::TestStacks): 8 stacks of 8 elements at n = 64."""
+    as chains do (tests/test_chain.py::TestStacks): 8 stacks of 8 elements at n = 64, then
+    the spectral metric, measured after the elements, alone in a ninth."""
 
     @staticmethod
     def family_basis(seed=1, n=64):
@@ -1316,7 +1317,8 @@ class TestStacks:
 
     def test_each_element_classified_once_in_bounded_stacks(self, monkeypatch):
         # a simple real spectrum: the last eigenvalue enters at element 63, so 63 elements are
-        # singular by structure and eigvalsh sees the last one alone, in the eighth stack
+        # singular by structure and eigvalsh sees the last one alone, in the eighth stack, and
+        # then the spectral metric, in the ninth
         stacks, measured = [], []
         eigvalsh, measure = np.linalg.eigvalsh, metric._measure
 
@@ -1331,11 +1333,12 @@ class TestStacks:
         monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
         monkeypatch.setattr(metric, "_measure", chunked)
         basis = self.family_basis()
-        assert (basis.solver, basis.dimension, len(stacks)) == ("spectral", 64, 1)
-        assert measured == [8] * 8 and all(a.size <= 2 ** 15 for a in stacks)
+        assert (basis.solver, basis.dimension, len(stacks)) == ("spectral", 64, 2)
+        assert measured == [8] * 8 + [1] and all(a.size <= 2 ** 15 for a in stacks)
         unmeasured = [c.min_abs_eigenvalue_of_hermitian_part is None for c in basis.classifications]
         assert unmeasured == [True] * 63 + [False]
-        elements = np.array(basis.basis[63:])
+        assert None not in basis.spectral_classification
+        elements = np.array(basis.basis[63:] + [basis.spectral_metric])
         assert np.array_equal(np.concatenate(stacks), (elements + adjoint(elements)) / 2)
 
     def test_measures_match_the_per_element_oracles(self):
@@ -1407,7 +1410,8 @@ class TestSingularByStructure:
     @staticmethod
     def check(basis, stacks):
         """The leading elements without values have eigvalsh's flags and defect on the element
-        itself; the rest have values, and the last stacks eigvalsh saw are theirs."""
+        itself; the rest have values, and the last stacks eigvalsh saw are theirs, then the
+        spectral metric's, which the solve measures after the elements."""
         lead = sum(c.min_abs_eigenvalue_of_hermitian_part is None for c in basis.classifications)
         assert all(c.min_abs_eigenvalue_of_hermitian_part is None
                    for c in basis.classifications[:lead])
@@ -1418,7 +1422,8 @@ class TestSingularByStructure:
             assert not oracle.invertible
             assert c == oracle._replace(min_abs_eigenvalue_of_hermitian_part=None,
                                         min_eigenvalue_of_hermitian_part=None)
-        rest = np.reshape(basis.basis[lead:], (-1,) + basis.H.shape)
+        spectral = [] if basis.spectral_metric is None else [basis.spectral_metric]
+        rest = np.reshape(basis.basis[lead:] + spectral, (-1,) + basis.H.shape)
         seen = np.concatenate([np.zeros((0,) + basis.H.shape)] + stacks)
         assert np.array_equal(seen[len(seen) - len(rest):], (rest + adjoint(rest)) / 2)
         return lead
@@ -1440,15 +1445,16 @@ class TestSingularByStructure:
         basis, stacks = self.solve_recorded(_spectral_family(kind, 64, np.random.default_rng(64)))
         assert (basis.solver, basis.dimension) == ("spectral", 64)
         assert self.check(basis, stacks) == lead
-        assert sum(map(len, stacks)) == 64 - lead
+        assert sum(map(len, stacks)) == 64 - lead + 1  # and the spectral metric
 
     def test_unpaired_eigenvalue_makes_every_element_singular(self):
         # 1 + i has no partner 1 - i: its row of M is zero in every element, so the one element
-        # (from the eigenvalue 2) is singular by structure and nothing reaches eigvalsh
+        # (from the eigenvalue 2) is singular by structure and only the spectral metric, measured
+        # after it, reaches eigvalsh
         J = jordan_matrix([(1 + 1j, 1), (2, 1)])
         S, S_inv = unimodular(2, np.random.default_rng(0), 2)
         basis, stacks = self.solve_recorded(S @ J @ S_inv)
-        assert (basis.solver, basis.dimension, stacks) == ("spectral", 1, [])
+        assert (basis.solver, basis.dimension, len(stacks), len(stacks[0])) == ("spectral", 1, 1, 1)
         assert self.check(basis, stacks) == 1
         assert tuple(basis.classifications[0])[:5] == (True, False, False, None, None)
 
@@ -1655,13 +1661,14 @@ class TestFindMetric:
         assert classify_metric(find_metric(basis)).invertible
 
     def test_reuses_the_solve(self, monkeypatch):
-        # no second eig, and no basis element classified again: find_metric takes the
-        # solve's tol, whatever it is, and the solve's classifications
+        # no second eig, and neither a basis element nor the spectral metric measured again:
+        # find_metric takes the solve's tol, whatever it is, and the solve's residuals and
+        # classifications, and returns the spectral metric, no element being positive
         n = 8
         S = np.random.default_rng(3).standard_normal((n, n))
         H = S @ np.diag(np.arange(1.0, n + 1)) @ np.linalg.inv(S)
         basis, other = solve_metric_space(H), solve_metric_space(H, tol=1e-9)
-        calls = {"eig": 0, "classify": 0}
+        calls = {"eig": 0, "classify": 0, "residual": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -1671,10 +1678,37 @@ class TestFindMetric:
 
         monkeypatch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
         monkeypatch.setattr(metric, "classify_metric", counted("classify", metric.classify_metric))
-        assert find_metric(basis, want_positive=True) is not None
-        assert calls == {"eig": 0, "classify": 1}
-        assert find_metric(other, want_positive=True) is not None
-        assert calls == {"eig": 0, "classify": 2}
+        monkeypatch.setattr(metric, "residual", counted("residual", metric.residual))
+        for solved in (basis, other):
+            assert not any(c.positive for c in solved.classifications)
+            assert find_metric(solved, want_positive=True) is solved.spectral_metric
+        assert calls == {"eig": 0, "classify": 0, "residual": 0}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["quasi", "pseudo", "conjugate-pair", "near-pair"]),
+           st.integers(2, 16), st.integers(0, 2 ** 32 - 1))
+    def test_the_solve_measures_the_spectral_metric(self, kind, n, seed):
+        # measured with the basis, in its stack: the public residual and classification, bit
+        # for bit, and None for both without a spectral metric
+        H = _spectral_family(kind, n, np.random.default_rng(seed))
+        try:
+            basis = solve_metric_space(H)
+        except InputError:  # a near pair whose nullspace is not resolved: ROADMAP item 24
+            assert kind == "near-pair"
+            return
+        measured = (basis.spectral_residual, basis.spectral_classification)
+        if basis.spectral_metric is None:
+            assert measured == (None, None)
+            return
+        assert _bits(measured[:1] + tuple(measured[1])) == _bits(
+            (residual(H, basis.spectral_metric), *classify_metric(basis.spectral_metric, basis.tol)))
+
+    def test_no_spectral_metric_no_measurement(self):
+        # J_3(0): eig's eigenvectors are parallel, V is exactly singular, the frame solves
+        basis = solve_metric_space(jordan_matrix([(0.0, 3)]))
+        assert basis.spectral_metric is None and basis.solver == "realified"
+        assert (basis.spectral_residual, basis.spectral_classification) == (None, None)
+        assert classify_metric(find_metric(basis)).invertible
 
     def test_deterministic(self, osc2):
         basis = solve_metric_space(osc2[0])

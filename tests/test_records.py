@@ -29,8 +29,9 @@ RECORDS = {
                      "min_eigenvalue_of_hermitian_part", "hermiticity_defect"), CLASS,
                     {"hermiticity_defect": 1e-3}),
     "MetricBasis": (("H", "dimension", "basis", "residuals", "classifications", "solver",
-                     "spectral_metric", "tol"),
-                    (H, 1, [ETA], [0.0], [CLASS], "spectral", ETA, 1e-10), {"dimension": 2}),
+                     "spectral_metric", "spectral_residual", "spectral_classification", "tol"),
+                    (H, 1, [ETA], [0.0], [CLASS], "spectral", ETA, 0.0, CLASS, 1e-10),
+                    {"dimension": 2}),
     "InducedForm": (("eta", "sqrt_eta", "inv_sqrt_eta"), FORM, None),
     "QuasiHermitian": (("eta_classification", "residual", "checks", "form", "hamiltonian",
                         "eigenvalues"), (CLASS, 0.0, (CHECK,), FORM, H, np.ones(2)),

@@ -125,7 +125,10 @@ def basis(b):
     out = [b.dimension, b.solver, b.spectral_metric is None, *checks(b.checks)]
     for element, r, cls in zip(b.basis, b.residuals, b.classifications):
         out += [Value(element, 0), ratio(r), *classification(cls, 0, 1.0)]
-    return out + ([] if b.spectral_metric is None else [Value(b.spectral_metric, 0)])
+    if b.spectral_metric is None:
+        return out + [b.spectral_residual, b.spectral_classification]
+    return out + [Value(b.spectral_metric, 0), ratio(b.spectral_residual),
+                  *classification(b.spectral_classification, 0, 1.0)]
 
 
 def _found(metric):
