@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import Check, InputError, _Record, check_tol
+from .errors import Check, InputError, _Record, _finite_real, check_tol
 from .metric import (
     _STACK_ENTRIES,
     DEFAULT_TOL,
@@ -103,18 +103,18 @@ def _real_rank(etas: np.ndarray, tol: float) -> int:
     return int(np.sum(svals > tol * norm))
 
 
-def _validate_start(H, eta0, k_max: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """H and eta0 as matrices, after InputError checks of tol, sizes, k_max and eta0 vs H."""
+def _validate_start(H, eta0, k_max: int, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """H and eta0 as matrices and k_max as an int, after InputError checks of each and of tol."""
     check_tol(tol)
     H, eta0 = same_size(H, eta0, ("H", "eta0"))
-    if k_max < 0 or int(k_max) != k_max:
+    if _finite_real(k_max, "k_max") < 0 or int(k_max) != k_max:
         raise InputError("k_max must be a nonnegative integer")
     for check, measure, value in (("hermiticity", "defect", hermiticity_defect(eta0)),
                                   ("intertwining", "residual", residual(H, eta0))):
         if value > tol:
             raise InputError(f"eta0 failed the {check} check: {measure} {value:.3e} "
                              f"exceeds tolerance {tol:.3e}")
-    return H, eta0
+    return H, eta0, int(k_max)
 
 
 def _unit_product(Gd: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, int]:
@@ -129,9 +129,9 @@ def _chain(H: np.ndarray, G: np.ndarray, eta0: np.ndarray, k_max: int,
     """The chain ``(G^dag)^k eta0`` for ``G = H + alpha I``, measured once against H by chunks
     as they are generated.  Each ``G^dag eta_k`` of the stored eta_k goes to a chunk buffer;
     for alpha = 0 it is ``H^dag eta_k``, reused where metric._bilinear_ratio rescales neither."""
-    with _within_memory(16 * H.size * (int(k_max) + 1), f"k_max = {k_max}: {int(k_max) + 1} "
-                        f"elements at n = {len(H)} need more memory than this machine has"):
-        Gd, etas = adjoint(G), np.empty((int(k_max) + 1,) + H.shape, dtype=complex)
+    with _within_memory(16 * H.size * (k_max + 1), f"k_max = {k_max}: {k_max + 1} elements "
+                        f"at n = {len(H)} need more memory than this machine has"):
+        Gd, etas = adjoint(G), np.empty((k_max + 1,) + H.shape, dtype=complex)
     size = max(1, _STACK_ENTRIES // H.size)
     products = np.empty((min(size, len(etas)),) + H.shape, dtype=complex)
     residuals, defects = [], []
@@ -169,23 +169,23 @@ def build_chain(H, eta0, k_max: int, normalize: bool = False,
     Parameters
     ----------
     H, eta0 : array_like
-        Hamiltonian and a verified starting metric.  eta0 must be Hermitian
-        and intertwine H within ``tol``; violations raise InputError naming
-        the failed check.
+        Hamiltonian and a verified starting metric.  eta0 must be Hermitian and intertwine H
+        within ``tol``; violations raise InputError naming the failed check.
     k_max : int
-        Largest power; k_max + 1 elements, an InputError if they exceed the physical memory.
+        Largest power, a nonnegative whole number under the rule of _finite_real (3, 3.0 or
+        np.int64(3); a bool, nan or str is an InputError); k_max + 1 elements, an InputError if
+        they exceed the physical memory.
     normalize : bool
         Rescale every element to unit Frobenius norm.  The scaling is a
         positive real, so Hermiticity, invertibility, positivity and the
         intertwining relation are unaffected.
 
-    Unnormalized chains satisfy ``etas[k+1] == H^dag @ etas[k]`` exactly;
-    normalized ones up to a positive scalar.  Flags follow from eta_0 and eta_1
-    (see EtaChain): from k = 1 on none is invertible when H^dag is singular.  A
-    nonzero unnormalized element whose norm is infinite or below the smallest
-    normal number raises InputError.
+    Unnormalized chains satisfy ``etas[k+1] == H^dag @ etas[k]`` exactly; normalized ones up to a
+    positive scalar.  Flags follow from eta_0 and eta_1 (see EtaChain): from k = 1 on none is
+    invertible when H^dag is singular.  A nonzero unnormalized element whose norm is infinite or
+    below the smallest normal number raises InputError.
     """
-    H, eta0 = _validate_start(H, eta0, k_max, tol)
+    H, eta0, k_max = _validate_start(H, eta0, k_max, tol)
     return _chain(H, H, eta0, k_max, normalize, tol, 0.0)
 
 
@@ -216,6 +216,6 @@ def chain_via_shift(H, eta0, k_max: int, normalize: bool = False,
     chain generated for the shifted, invertible Hamiltonian works for H.
     eta0 is checked, and residuals computed, against H alone; flags as in build_chain.
     """
-    H, eta0 = _validate_start(H, eta0, k_max, tol)
+    H, eta0, k_max = _validate_start(H, eta0, k_max, tol)
     alpha, shifted = shift_for_invertibility(H, tol)
     return _chain(H, shifted, eta0, k_max, normalize, tol, alpha)

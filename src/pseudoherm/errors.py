@@ -26,8 +26,12 @@ DEFAULT_TOL = 1e-10
 
 
 def check_tol(tol: float) -> float:
-    """tol, if positive and finite; InputError for any other tolerance (nan included)."""
-    if not 0 < tol < inf:
+    """tol, if positive and a finite real number by the rule of _finite_real; else InputError."""
+    try:
+        number = _finite_real(tol, "tol")
+    except InputError:  # one message for every refused tolerance: bool, str, array, 10**400 ...
+        number = 0.0
+    if not 0 < number < inf:
         raise InputError("tol must be positive and finite")
     return tol
 

@@ -291,8 +291,7 @@ class MetricBasis(NamedTuple):
     @property
     def checks(self) -> tuple[Check, ...]:
         """``basis_residual_max``: the largest element residual, held to tol."""
-        worst = max(self.residuals, default=0.0)
-        return (Check.at_most("basis_residual_max", worst, self.tol),)
+        return (Check.at_most("basis_residual_max", max(self.residuals, default=0.0), self.tol),)
 
 
 def _unpack(P: np.ndarray) -> np.ndarray:
@@ -446,18 +445,19 @@ def _spectral_basis(W: np.ndarray, linked: np.ndarray) -> tuple[np.ndarray, int]
     return _unpack(q.T.reshape(-1, n, n)), int(singular)
 
 
-def _measured(H: np.ndarray, stack: np.ndarray, tol: float, spectral: np.ndarray | None,
-              singular: int = 0) -> tuple:
-    """The stack with each element's sign fixed (norms and residuals stay), its residuals and
-    classifications by _measure, then the spectral metric's (sign kept), measured after it in the
-    same stack, or None and None for none; the first ``singular`` elements are singular by
-    structure (see _classify)."""
+def _measured(H: np.ndarray, unit: np.ndarray, stack: np.ndarray, solver: str, tol: float,
+              spectral: np.ndarray | None, singular: int = 0) -> MetricBasis:
+    """The MetricBasis of H from solver's stack, measured against unit (H exactly scaled): each
+    element's sign fixed (norms and residuals stay), its residuals and classifications by
+    _measure, then the spectral metric's (sign kept), measured after it in the same stack, or
+    None and None for none; the first ``singular`` elements are singular by structure."""
     signed = _fix_sign(stack)
     both = signed if spectral is None else np.concatenate((signed, spectral[None]))
-    residuals, classes = _measure(H, both, lambda chunk, norms, start: _classify(
+    residuals, classes = _measure(unit, both, lambda chunk, norms, start: _classify(
         chunk, tol, norms, min(max(singular - start, 0), len(chunk))))
     k = len(signed)
-    return signed, residuals[:k], classes[:k], *(residuals[k:] + classes[k:] or [None, None])
+    return MetricBasis(H, k, list(signed), residuals[:k], classes[:k], solver, spectral,
+                       *(residuals[k:] + classes[k:] or [None, None]), tol)
 
 
 @contextmanager
@@ -500,13 +500,13 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
     pairs give the candidates (_spectral_basis), over the eigenvalues sorted by
     real, then imaginary part.
 
-    The basis is the nullspace of the intertwining map on the candidates' span, smallest
-    singular value first (_realified_basis: Ritz values and a Cholesky gap test, or else
-    singular values, give its dimension), or the candidates as they are when every window
-    pair is linked and every residual is at most tol: ``solver`` is ``"spectral"``.  The
-    candidates are the frame of all n^2 Hermitian matrices instead, and ``solver`` is
-    ``"realified"``, when ``max(tol, 2^-52) cond(V) >= 1`` or when that nullspace has fewer
-    elements than the links give: a numerically defective cluster, such as a Jordan block.
+    The candidates as they are form the basis, ``solver`` ``"spectral"``, when every window pair
+    is linked and their record (_measured) passes its ``basis_residual_max`` check (a NaN residual
+    fails it); else, also ``"spectral"``, the nullspace of the intertwining map on their span,
+    smallest singular value first (_realified_basis: Ritz values and a Cholesky gap test, or else
+    singular values, give its dimension), when it has as many elements as the links give.  Else,
+    or when ``max(tol, 2^-52) cond(V) >= 1``, the frame of all n^2 Hermitian matrices takes their
+    place, ``solver`` ``"realified"``: a numerically defective cluster, such as a Jordan block.
     The frame takes up to about 40 n^4 bytes; InputError names n when _FRAME_BYTES_PER_N4 n^4
     (45 n^4) bytes exceed the physical memory (by os.sysconf, where it exists) or fail to allocate.
     So does the spectral attempt on k candidates for _SPECTRAL_BYTES_PER_KN2 k n^2 (115 k n^2).
@@ -529,7 +529,7 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
         spectral = (u * (s[-1] / s) ** 2) @ adjoint(u)
         spectral = spectral + adjoint(spectral)
         spectral = spectral / frobenius(spectral)
-    measure, measured = partial(_measured, unit, tol=tol, spectral=spectral), None
+    measure = partial(_measured, H, unit, tol=tol, spectral=spectral)
     # max(tol, eps) cond(V) < 1: the candidates carry rounding of about eps cond(V), and below
     # it W = V^{-dag} can overflow
     if max(tol, 2.0 ** -52) * s[0] < s[-1]:
@@ -545,21 +545,17 @@ def solve_metric_space(H, tol: float = DEFAULT_TOL) -> MetricBasis:
                             f"H: the spectral solve at n = {len(H)} needs more memory than this "
                             "machine has (its arrays grow as n^2 per candidate)"):
             stack, singular = _spectral_basis(W, window)
-            measured = measure(stack, singular=singular) if len(stack) == need else None
-            if measured is None or max(measured[1], default=0.0) > tol:
-                members = _realified_basis(unit, stack, tol, need)
-                measured = measure(members) if len(members) >= need else None
-    solver = "realified" if measured is None else "spectral"
-    if measured is None:
-        with _within_memory(_FRAME_BYTES_PER_N4 * len(H) ** 4,
-                            f"H: the realified solve at n = {len(H)} needs more memory than "
-                            "this machine has (its arrays grow as n^4)"):
-            measured = measure(_realified_basis(unit, None, tol))
-    stack, residuals, classifications, spectral_residual, spectral_classification = measured
-    return MetricBasis(H=H, dimension=len(stack), basis=list(stack),
-                       residuals=residuals, classifications=classifications, solver=solver,
-                       spectral_metric=spectral, spectral_residual=spectral_residual,
-                       spectral_classification=spectral_classification, tol=tol)
+            if len(stack) == need:
+                basis = measure(stack, "spectral", singular=singular)
+                if basis.checks[0].passed:  # basis_residual_max
+                    return basis
+            members = _realified_basis(unit, stack, tol, need)
+            if len(members) >= need:
+                return measure(members, "spectral")
+    with _within_memory(_FRAME_BYTES_PER_N4 * len(H) ** 4,
+                        f"H: the realified solve at n = {len(H)} needs more memory than "
+                        "this machine has (its arrays grow as n^4)"):
+        return measure(_realified_basis(unit, None, tol), "realified")
 
 
 def _metric_candidates(basis: MetricBasis):

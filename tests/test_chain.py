@@ -2,6 +2,7 @@ import os
 import tracemalloc
 import warnings
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -234,6 +235,28 @@ class TestBuildChain:
         H, eta0 = osc2
         with pytest.raises(InputError):
             build_chain(H, eta0, k_max=-1)
+
+    # the rule of _finite_real (a bool, nan, inf, a str, None and 10**5000, beyond the double
+    # range, whose 5001 digits the memory guard would fail to format), then a whole number >= 0
+    @pytest.mark.parametrize("k_max", [2.5, np.nan, np.inf, "3", None, True,
+                                       pytest.param(10 ** 5000, id="10**5000")])
+    @pytest.mark.parametrize("builder", [build_chain, chain_via_shift])
+    def test_refused_k_max_is_input_error(self, osc2, builder, k_max):
+        with pytest.raises(InputError, match="^k_max must be"):
+            builder(*osc2, k_max=k_max)
+
+    @pytest.mark.parametrize("k_max", [3.0, np.int64(3), Fraction(6, 2)],
+                             ids=["float", "int64", "Fraction"])
+    @pytest.mark.parametrize("builder", [build_chain, chain_via_shift])
+    def test_whole_k_max_of_any_real_type(self, osc2, builder, k_max):
+        chain, reference = builder(*osc2, k_max=k_max), builder(*osc2, k_max=3)
+        assert len(chain) == 4 and np.array_equal(chain.etas, reference.etas)
+        assert (chain.residuals, chain.classes) == (reference.residuals, reference.classes)
+
+    @pytest.mark.parametrize("builder", [build_chain, chain_via_shift])
+    def test_whole_k_max_beyond_memory_meets_the_memory_guard(self, osc2, builder):
+        with pytest.raises(InputError, match=f"^k_max = {10 ** 30}: {10 ** 30 + 1} elements "):
+            builder(*osc2, k_max=10 ** 30)
 
     @pytest.mark.parametrize("builder", [build_chain, chain_via_shift])
     def test_stack_beyond_physical_memory_is_input_error(self, osc2, builder, monkeypatch):

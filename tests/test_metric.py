@@ -628,11 +628,24 @@ class TestTolGuard:
         "quasi_hermitian": lambda tol: quasi_hermitian(np.eye(2), np.eye(2), tol),
     }
 
-    @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1e-10])
+    # beyond nan, inf, zero and negatives, what the rule of _finite_real refuses: a bool, a str,
+    # None, a complex, an array and an int beyond the double range, each with the one message
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1e-10, True, "1e-10", None, 1j,
+                                     pytest.param(np.array([1e-10, 1e-10]), id="array"),
+                                     pytest.param(10 ** 400, id="10**400")])
     @pytest.mark.parametrize("name", sorted(CALLS))
     def test_rejected(self, name, tol):
         with pytest.raises(InputError, match="^tol must be positive and finite$"):
             self.CALLS[name](tol)
+
+    @pytest.mark.parametrize("tol", [np.float32(1e-10), Fraction(1, 10 ** 10)],
+                             ids=["float32", "Fraction"])
+    def test_any_real_type_accepted(self, tol):
+        # any numbers.Real but a bool: the verdicts at 1e-10
+        assert classify_metric(self.ETA, tol) == classify_metric(self.ETA)
+        assert solve_metric_space(self.H, tol).dimension == solve_metric_space(self.H).dimension
+        chain = build_chain(self.H, self.ETA, 2, tol=tol)
+        assert chain.classes == build_chain(self.H, self.ETA, 2).classes
 
 
 def loop_frame(n):
@@ -1702,6 +1715,24 @@ class TestFindMetric:
             return
         assert _bits(measured[:1] + tuple(measured[1])) == _bits(
             (residual(H, basis.spectral_metric), *classify_metric(basis.spectral_metric, basis.tol)))
+
+    def test_frame_solve_of_a_near_pair_takes_the_spectral_metric(self):
+        # H = S diag(d) S^-1 with d_1 = d_0 + 1e-9: on most draws the spectral attempt falls to
+        # the frame, none of whose elements is positive; V^-dag V^-1 is, and find_metric picks it
+        n, frame = 4, 0
+        for seed in range(20):
+            rng = np.random.default_rng([seed, n, 7])
+            S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            d = rng.uniform(-2, 2, n).astype(complex)
+            d[1] = d[0] + 1e-9
+            try:
+                basis = solve_metric_space(S @ np.diag(d) @ np.linalg.inv(S))
+            except InputError:  # the nullspace is not resolved: ROADMAP item 24
+                continue
+            frame += basis.solver == "realified"
+            if basis.solver == "realified" and not any(c.positive for c in basis.classifications):
+                assert find_metric(basis, want_positive=True) is basis.spectral_metric
+        assert frame >= 1
 
     def test_no_spectral_metric_no_measurement(self):
         # J_3(0): eig's eigenvectors are parallel, V is exactly singular, the frame solves
