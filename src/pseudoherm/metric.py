@@ -155,6 +155,12 @@ def _intertwining(h: np.ndarray, e: np.ndarray, product: np.ndarray | None = Non
     return out
 
 
+# (m + m^dag) / 2 of a matrix or stack, exactly Hermitian: at (a, b) and (b, a) the real parts
+# are one sum and the imaginary parts opposite differences; m itself for such an m.
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    return (m + adjoint(m)) * 0.5
+
+
 def hermiticity_defect(m) -> float:
     """Relative deviation from Hermiticity, ``|m - m^dag|_F / |m|_F`` (0 for m = 0)."""
     m = as_matrix(m, "m")
@@ -185,7 +191,8 @@ class MetricClass(NamedTuple):
     The boolean flags are consistent by construction: positive implies invertible implies
     hermitian.  The two values are the smallest |eigenvalue| and the smallest eigenvalue of
     ``(eta + eta^dag) / 2``, None where not measured: chain elements k >= 2, classified by
-    congruence, and spectral basis elements singular by structure (see _spectral_basis).
+    congruence, and spectral basis elements singular by structure (see _spectral_basis).  The
+    defect is 0.0 by construction, not measured, for the exactly Hermitian matrices of a solve.
     """
 
     hermitian: bool
@@ -211,15 +218,18 @@ def classify_metric(eta, tol: float = DEFAULT_TOL) -> MetricClass:
     return _classify(eta[None], tol, _norms(eta[None]))[0]
 
 
-def _classify(stack: np.ndarray, tol: float, norms: np.ndarray,
-              singular: int = 0) -> list[MetricClass]:
+def _classify(stack: np.ndarray, tol: float, norms: np.ndarray, singular: int = 0,
+              exact: bool = False) -> list[MetricClass]:
     """classify_metric of each matrix of a (k, n, n) stack with Frobenius norms ``norms``, by one
     ``eigvalsh``, on the stack windowed once for both kernels; the first ``singular`` elements,
-    singular by structure, skip it and get None for both values."""
-    stack, norms, shift = _windowed(stack, norms, 1.0)
-    defects, rest = np.array(_defects(stack, norms)), stack[singular:]
+    singular by structure, skip it and get None for both values.  ``exact``, passed by _measured
+    alone, states that every element is exactly Hermitian: each defect is then the 0.0 that
+    _defects would measure, and eigvalsh takes the elements, their own Hermitian parts."""
+    stack, norms, shift = _windowed(stack, norms, 1.0)  # exact scaling: Hermitian stays so
+    defects = np.zeros(len(stack)) if exact else np.array(_defects(stack, norms))
     hermitian, norms, shift = defects <= tol, norms[singular:], shift[singular:]
-    eigs = np.linalg.eigvalsh((rest + adjoint(rest)) * 0.5) if len(rest) else np.zeros((0, 1))
+    rest = stack[singular:] if exact else _hermitian_part(stack[singular:])
+    eigs = np.linalg.eigvalsh(rest) if len(rest) else np.zeros((0, 1))
     min_abs, min_eig = np.min(np.abs(eigs), axis=1), eigs[:, 0]
     invertible = hermitian[singular:] & (min_abs > tol * norms)
     positive = invertible & (min_eig > tol * norms)
@@ -265,13 +275,14 @@ def _measure(H: np.ndarray, stack: np.ndarray, kernel, products=None) -> tuple[l
 class MetricBasis(NamedTuple):
     """Real-linear basis of the Hermitian solutions of ``eta H = H^dag eta``.
 
-    Basis elements are Hermitian, have unit Frobenius norm and are pairwise orthogonal under
-    the real inner product ``Re tr(A^dag B)``.  Element k has ``residuals[k] = residual(H, b)``
-    and ``classifications[k] = classify_metric(b, tol)``, both values None where it is singular
-    by structure.  ``solver`` names the candidates of the basis
-    (see solve_metric_space): ``"spectral"`` for eigenvector products, ``"realified"``
-    for the frame of all Hermitian matrices, a nullspace on either certified or counted
-    and solved by _realified_basis.  ``spectral_metric`` is the unit-norm ``V^{-dag}
+    Basis elements and the spectral metric are exactly Hermitian, ``b == b^dag`` bit for bit,
+    and of unit Frobenius norm; the elements are pairwise orthogonal under ``Re tr(A^dag B)``.
+    Element k has ``residuals[k] = residual(H, b)`` and ``classifications[k] =
+    classify_metric(b, tol)`` bit for bit, its defect the 0.0 of an exactly Hermitian b, not
+    measured, and both values None where it is singular by structure.  ``solver`` names the
+    candidates (see solve_metric_space): ``"spectral"`` for eigenvector products,
+    ``"realified"`` for the frame of all Hermitian matrices, a nullspace on either certified or
+    counted and solved by _realified_basis.  ``spectral_metric`` is the unit-norm ``V^{-dag}
     V^{-1}`` of ``H = V diag(lambda) V^{-1}``, or None when V is singular; the solve measures
     it with the basis, in the same stack: ``spectral_residual = residual(H, spectral_metric)``
     and ``spectral_classification = classify_metric(spectral_metric, tol)``, None without it.
@@ -318,12 +329,13 @@ def _frame_map(H: np.ndarray) -> np.ndarray:
 
 
 def _fix_sign(stack: np.ndarray) -> np.ndarray:
-    """The (k, n, n) stack with each element negated whose first entry above 1e-12 in magnitude
-    (row-major, real part before imaginary part) is negative; one with none keeps its sign."""
-    # the (k, 2 n^2) real parts, row-major as the rule reads them, also for k = 0
+    """The (k, n, n) stack, each element negated in place whose first entry above 1e-12 in
+    magnitude (row-major, real part before imaginary part) is negative; one with none keeps it."""
+    # the (k, 2 n^2) real parts, row-major as the rule reads them, also for k = 0, and the first
+    # part above 1e-12 of each (the first part where no part is that large)
     parts = np.ascontiguousarray(stack).reshape(-1, stack.shape[-1] ** 2).view(float)
-    first = np.argmax(np.abs(parts) > 1e-12, axis=1)[:, None]  # 0 where no part is that large
-    return np.where((np.take_along_axis(parts, first, 1) < -1e-12)[..., None], -stack, stack)
+    first = np.take_along_axis(parts, np.argmax(np.abs(parts) > 1e-12, axis=1)[:, None], 1)
+    return np.negative(stack, out=stack, where=(first < -1e-12)[..., None])
 
 
 def _inverse_step(R: np.ndarray, p: int, perturbed: bool = False) -> tuple[np.ndarray, ...]:
@@ -392,7 +404,9 @@ def _realified_basis(H: np.ndarray, candidates: np.ndarray | None, tol: float,
     else:
         images = (candidates.reshape(-1, n) @ H).reshape(-1, n, n)  # F H in one product
         images = (images - adjoint(images)).reshape(len(candidates), n * n)
-        A, lift = (images.real + images.imag).T, partial(np.tensordot, b=candidates, axes=1)
+        # a combination's (a, b) and (b, a) entries can round apart: its Hermitian part is exact
+        A, lift = (images.real + images.imag).T, lambda c: _hermitian_part(
+            np.tensordot(c, candidates, axes=1))
     k, threshold = A.shape[1], tol * frobenius(H)
     R = A if k == n * n else np.linalg.qr(A, mode="r")  # A's singular values, right vectors
     with suppress(np.linalg.LinAlgError):  # a singular R + eps C: the nullspace is unresolved
@@ -450,23 +464,25 @@ def _measured(H: np.ndarray, unit: np.ndarray, stack: np.ndarray, solver: str, t
     """The MetricBasis of H from solver's stack, measured against unit (H exactly scaled): each
     element's sign fixed (norms and residuals stay), its residuals and classifications by
     _measure, then the spectral metric's (sign kept), measured after it in the same stack, or
-    None and None for none; the first ``singular`` elements are singular by structure."""
-    signed = _fix_sign(stack)
-    both = signed if spectral is None else np.concatenate((signed, spectral[None]))
+    None and None for none; the first ``singular`` elements are singular by structure.  Both are
+    exactly Hermitian (_unpack, _realified_basis's lift, ``X + X^dag``): _classify is told so."""
+    k = len(stack)  # one copy: stack, then the spectral metric, signs fixed in place
+    both = np.concatenate((stack, stack[:0] if spectral is None else spectral[None]))
+    _fix_sign(both[:k])
     residuals, classes = _measure(unit, both, lambda chunk, norms, start: _classify(
-        chunk, tol, norms, min(max(singular - start, 0), len(chunk))))
-    k = len(signed)
-    return MetricBasis(H, k, list(signed), residuals[:k], classes[:k], solver, spectral,
+        chunk, tol, norms, min(max(singular - start, 0), len(chunk)), exact=True))
+    return MetricBasis(H, k, list(both[:k]), residuals[:k], classes[:k], solver, spectral,
                        *(residuals[k:] + classes[k:] or [None, None]), tol)
 
 
 @contextmanager
 def _within_memory(size: int, message: str):
     """InputError(message) for size bytes beyond the physical memory, or numpy's MemoryError."""
-    try:
-        if hasattr(os, "sysconf") and size > (
-                os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")):
-            raise MemoryError
+    try:  # no bound where os.sysconf is missing, fails, or gives a page count or size below 1
+        with suppress(AttributeError, ValueError, OSError):
+            pages, page = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+            if min(pages, page) > 0 and size > pages * page:
+                raise MemoryError
         yield
     except MemoryError:
         raise InputError(message) from None

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -49,3 +51,29 @@ def svd_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     return calls
+
+
+def _unknown_name(name):
+    raise ValueError("unrecognized configuration name")
+
+
+def _failed_call(name):
+    raise OSError(22, "Invalid argument")
+
+
+# os.sysconf where the physical memory is not known: an indeterminate page count or page size
+# (-1), a count of 0, a name the platform does not define, a call that fails
+_NO_MEMORY_FIGURE = {
+    "pages-indeterminate": {"SC_PHYS_PAGES": -1, "SC_PAGE_SIZE": 4096}.__getitem__,
+    "page-size-indeterminate": {"SC_PHYS_PAGES": 2 ** 20, "SC_PAGE_SIZE": -1}.__getitem__,
+    "both-indeterminate": {"SC_PHYS_PAGES": -1, "SC_PAGE_SIZE": -1}.__getitem__,
+    "no-pages": {"SC_PHYS_PAGES": 0, "SC_PAGE_SIZE": 4096}.__getitem__,
+    "unknown-name": _unknown_name,
+    "failed-call": _failed_call,
+}
+
+
+@pytest.fixture(params=sorted(_NO_MEMORY_FIGURE))
+def no_memory_figure(request, monkeypatch):
+    """os.sysconf replaced by one that gives no physical memory figure: no bound applies."""
+    monkeypatch.setattr(os, "sysconf", _NO_MEMORY_FIGURE[request.param])

@@ -288,6 +288,11 @@ class TestBuildChain:
         else:
             assert len(build_chain(*osc2, k_max=8)) == 9
 
+    def test_no_memory_figure_is_no_bound(self, no_memory_figure):
+        # a page count or size below 1 or a failed os.sysconf: the chain is built unbounded
+        chain = build_chain(np.diag([1.0, 2.0]), np.eye(2), 3)
+        assert len(chain) == 4 and all(c.passed for c in chain.checks)
+
     def test_checks_of_a_passing_chain(self, osc2):
         H, eta0 = osc2
         chain = build_chain(H, eta0, k_max=4, tol=1e-9)

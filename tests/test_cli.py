@@ -248,6 +248,13 @@ class TestSolve:
         assert report["error"] == ("H: the spectral solve at n = 3 needs more memory than this "
                                    "machine has (its arrays grow as n^2 per candidate)")
 
+    def test_no_memory_figure_is_no_bound(self, tmp_path, capsys, no_memory_figure):
+        # os.sysconf gives no physical memory figure: the solve runs unbounded (a ValueError
+        # from an unknown name once left the CLI with exit 3)
+        write_matrix(tmp_path / "h.json", np.diag([1.0, 2.0]))
+        code, report = run_cli(capsys, "solve", "--hamiltonian", tmp_path / "h.json")
+        assert (code, report["status"], report["results"]["dimension"]) == (0, "pass", 2)
+
     def test_unresolved_nullspace_is_input_error(self, tmp_path, capsys, monkeypatch):
         # every Ritz value of each inverse-iteration step, the perturbed retry's too,
         # raised above tol |H|_F

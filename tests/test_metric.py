@@ -1046,10 +1046,11 @@ class TestSolveMetricSpace:
             assert first > 0
         # an element with no significant entry keeps its sign, in a stack with elements whose
         # first significant part is a negative real or imaginary part, or follows a tiny one;
-        # an empty stack stays empty
+        # an empty stack stays empty; the signs are fixed in place
         tiny, sy = np.array([[1e-13, -1e-13j], [1e-13j, -1e-13]]), np.array([[0, -1j], [1j, 0]])
         stack = np.array([tiny, -tiny, -SX, sy, SX, -tiny - SX])
-        assert np.array_equal(_fix_sign(stack), [tiny, -tiny, SX, -sy, SX, tiny + SX])
+        assert _fix_sign(stack) is stack
+        assert np.array_equal(stack, [tiny, -tiny, SX, -sy, SX, tiny + SX])
         assert _fix_sign(np.zeros((0, 2, 2), dtype=complex)).shape == (0, 2, 2)
 
     @pytest.mark.parametrize("case", range(8))
@@ -1218,6 +1219,14 @@ class TestSolveMetricSpace:
         monkeypatch.delattr(os, "sysconf")
         assert solve_metric_space(J[:4, :4]).solver == "realified"
 
+    def test_no_memory_figure_is_no_bound(self, no_memory_figure):
+        # a page count or size below 1 or a failed os.sysconf bounds neither attempt: the -1 of
+        # an indeterminate count once refused every spectral solve
+        basis = solve_metric_space(np.diag([1.0, 2.0]))
+        assert (basis.solver, basis.dimension) == ("spectral", 2)
+        basis = solve_metric_space(jordan_matrix([(1.0, 4)]))
+        assert (basis.solver, basis.dimension) == ("realified", jordan_dimension([(1.0, 4)]))
+
     @pytest.mark.parametrize("n", [32, 64])
     def test_large_quasi_hermitian_is_spectral(self, n):
         rng = np.random.default_rng(n)
@@ -1351,19 +1360,34 @@ class TestStacks:
         unmeasured = [c.min_abs_eigenvalue_of_hermitian_part is None for c in basis.classifications]
         assert unmeasured == [True] * 63 + [False]
         assert None not in basis.spectral_classification
-        elements = np.array(basis.basis[63:] + [basis.spectral_metric])
-        assert np.array_equal(np.concatenate(stacks), (elements + adjoint(elements)) / 2)
+        # the elements themselves, exactly Hermitian, not a symmetrized copy
+        assert np.array_equal(np.concatenate(stacks), basis.basis[63:] + [basis.spectral_metric])
 
-    def test_measures_match_the_per_element_oracles(self):
-        # the elements singular by structure have the oracle's flags and defect, and no values
-        basis = self.family_basis()
-        assert _bits(basis.residuals) == _bits(residual_of_one(basis.H, b) for b in basis.basis)
-        oracle = [classification_of_one(b, basis.tol) for b in basis.basis]
-        oracle = [c._replace(min_abs_eigenvalue_of_hermitian_part=None,
-                             min_eigenvalue_of_hermitian_part=None) if k < 63 else c
-                  for k, c in enumerate(oracle)]
-        assert ([_bits(tuple(c)) for c in basis.classifications]
-                == [_bits(tuple(c)) for c in oracle])
+    @pytest.mark.parametrize("kind, lead, nullspaces", [
+        ("spectral", 63, []),  # the n = 64 family basis, 63 elements singular by structure
+        ("frame", 0, [256]),  # a dense-solve-style S J_16 S^-1
+        ("re-solve", 0, [18]),  # a near pair at n = 16: 18 candidates, 16 members
+    ], ids=["spectral", "frame", "re-solve"])
+    def test_measures_match_the_per_element_oracles(self, kind, lead, nullspaces,
+                                                    nullspace_sizes):
+        # each element's residual and classification are the public functions' and the
+        # oracles', bit for bit; the elements singular by structure have no values
+        basis = {"spectral": self.family_basis,
+                 "frame": lambda: solve_metric_space(_dense_solve_jordan(16, 0)),
+                 "re-solve": lambda: solve_metric_space(
+                     _spectral_family("near-pair", 16, np.random.default_rng(0)))}[kind]()
+        assert nullspace_sizes == nullspaces
+        assert basis.solver == ("realified" if kind == "frame" else "spectral")
+        residuals = _bits(basis.residuals)
+        assert residuals == _bits(residual(basis.H, b) for b in basis.basis)
+        assert residuals == _bits(residual_of_one(basis.H, b) for b in basis.basis)
+        for classify in (classify_metric, classification_of_one):
+            expected = [classify(b, basis.tol) for b in basis.basis]
+            expected = [c._replace(min_abs_eigenvalue_of_hermitian_part=None,
+                                   min_eigenvalue_of_hermitian_part=None) if k < lead else c
+                        for k, c in enumerate(expected)]
+            assert ([_bits(tuple(c)) for c in basis.classifications]
+                    == [_bits(tuple(c)) for c in expected])
 
 
 class TestSpectralBasis:
@@ -1423,8 +1447,8 @@ class TestSingularByStructure:
     @staticmethod
     def check(basis, stacks):
         """The leading elements without values have eigvalsh's flags and defect on the element
-        itself; the rest have values, and the last stacks eigvalsh saw are theirs, then the
-        spectral metric's, which the solve measures after the elements."""
+        itself; the rest have values, and the last stacks eigvalsh saw are those elements, then
+        the spectral metric, which the solve measures after the elements."""
         lead = sum(c.min_abs_eigenvalue_of_hermitian_part is None for c in basis.classifications)
         assert all(c.min_abs_eigenvalue_of_hermitian_part is None
                    for c in basis.classifications[:lead])
@@ -1438,7 +1462,7 @@ class TestSingularByStructure:
         spectral = [] if basis.spectral_metric is None else [basis.spectral_metric]
         rest = np.reshape(basis.basis[lead:] + spectral, (-1,) + basis.H.shape)
         seen = np.concatenate([np.zeros((0,) + basis.H.shape)] + stacks)
-        assert np.array_equal(seen[len(seen) - len(rest):], (rest + adjoint(rest)) / 2)
+        assert np.array_equal(seen[len(seen) - len(rest):], rest)  # exactly Hermitian
         return lead
 
     @settings(max_examples=60, deadline=None)
@@ -1491,6 +1515,60 @@ class TestSingularByStructure:
         assert singular == lead
         assert [classification_of_one(b, 1e-10).invertible for b in stack[:lead]] == [False] * lead
         assert lead == len(stack) or classification_of_one(stack[lead], 1e-10).invertible
+
+
+class TestExactlyHermitian:
+    """Every matrix solve_metric_space measures is exactly Hermitian, ``m == m^dag`` bit for
+    bit, on each of its three attempts: the spectral candidates as they are, the re-solve on
+    their span and the frame.  So its stacks are classified without the _defects pass, which
+    chains and classify_metric, whose inputs are not exactly Hermitian, still run."""
+
+    @staticmethod
+    def family(kind, n, seed):
+        if kind == "J_2":
+            return _j2_family(n, seed)
+        if kind == "jordan":
+            return _dense_solve_jordan(n, seed)
+        return _spectral_family(kind, n, np.random.default_rng(seed))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["quasi", "pseudo", "conjugate-pair", "near-pair", "J_2", "jordan"]),
+           st.integers(2, 16), st.integers(0, 2 ** 32 - 1), st.none())
+    @example("quasi", 4, 0, "as-is")
+    @example("near-pair", 4, 0, "re-solve")
+    @example("near-pair", 4, 1, "frame")
+    @example("J_2", 4, 0, "frame")
+    def test_every_attempt_is_exactly_hermitian(self, kind, n, seed, path):
+        # path: the attempt an explicit example ends on, so that each is seen; None for a draw
+        attempts, paths, defects = [], [], []
+        nullspace, measured, measure_defects = (metric._realified_basis, metric._measured,
+                                                metric._defects)
+
+        def checked(*args, **kwargs):
+            basis = measured(*args, **kwargs)
+            paths.append(attempts[-1] if attempts else "as-is")
+            spectral = [] if basis.spectral_metric is None else [basis.spectral_metric]
+            assert all(np.array_equal(m, m.conj().T) for m in basis.basis + spectral)
+            assert all(c.hermiticity_defect == 0.0 for c in basis.classifications)
+            return basis
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metric, "_realified_basis", lambda H, candidates, *rest: attempts.append(
+                "frame" if candidates is None else "re-solve") or nullspace(H, candidates, *rest))
+            patch.setattr(metric, "_measured", checked)
+            patch.setattr(metric, "_defects", lambda stack, norms: defects.append(len(stack))
+                          or measure_defects(stack, norms))
+            try:
+                basis = solve_metric_space(self.family(kind, n, seed))
+            except InputError:  # a near pair whose nullspace is not resolved: ROADMAP item 24
+                assert kind == "near-pair" and path is None
+                return
+            assert paths and defects == []
+            assert path is None or paths[-1] == path
+            classify_metric(basis.basis[-1], basis.tol)
+            assert defects == [1]
+            build_chain(basis.H, basis.basis[-1], 1, tol=1e-6)
+            assert len(defects) > 1
 
 
 class TestJordanDimension:

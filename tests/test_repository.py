@@ -169,3 +169,26 @@ def test_the_tolerance_rule_is_written_once():
         found += [(path.name, owner.get(node, "<module>")) for node in ast.walk(tree)
                   if positive_and_finite(node)]
     assert found == [("errors.py", "check_tol")]
+
+
+def test_only_the_solve_classifies_without_measuring_defects():
+    # _classify's ``exact`` (every defect 0.0, unmeasured) is passed by metric._measured
+    # alone, whose stacks are exactly Hermitian: a chain, classify_metric or any other caller
+    # measures the defects it reports
+    def passes_exact(node):
+        if not (isinstance(node, ast.Call) and "_classify" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None))):
+            return False
+        return len(node.args) > 4 or any(
+            isinstance(arg, ast.Starred) for arg in node.args) or any(
+            keyword.arg in ("exact", None) for keyword in node.keywords)
+
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree, owner = ast.parse(path.read_text(encoding="utf-8")), {}
+        for function in ast.walk(tree):  # outer functions first: the innermost one wins
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(function), function.name))
+        found += [(path.name, owner.get(node, "<module>")) for node in ast.walk(tree)
+                  if passes_exact(node)]
+    assert found == [("metric.py", "_measured")]
