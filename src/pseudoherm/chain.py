@@ -134,7 +134,7 @@ def _chain(H: np.ndarray, G: np.ndarray, eta0: np.ndarray, k_max: int,
         Gd, etas = adjoint(G), np.empty((k_max + 1,) + H.shape, dtype=complex)
     size = max(1, _STACK_ENTRIES // H.size)
     products = np.empty((min(size, len(etas)),) + H.shape, dtype=complex)
-    residuals, defects = [], []
+    residuals, defects, norms = [], [], np.empty(len(etas))
     for k in range(len(etas)):
         e = products[(k - 1) % size] if k else eta0
         norm = frobenius(e)
@@ -149,11 +149,10 @@ def _chain(H: np.ndarray, G: np.ndarray, eta0: np.ndarray, k_max: int,
             with np.errstate(over="ignore", invalid="ignore"):
                 np.matmul(Gd, etas[k], out=products[k % size])
         if k % size == size - 1 or k == k_max:  # the chunk is whole: measure it
-            chunk = etas[k - k % size:k + 1]
-            r, d = _measure(H, chunk, lambda c, norms, _: _defects(c, norms),
-                            None if alpha else products[:len(chunk)])
-            residuals, defects = residuals + r, defects + d
-    classes = _classify(etas[:2], tol, _norms(etas[:2]))
+            chunk, part = etas[k - k % size:k + 1], slice(k - k % size, k + 1)
+            r, norms[part] = _measure(H, chunk, None if alpha else products[:len(chunk)])
+            residuals, defects = residuals + r, defects + _defects(chunk, norms[part])
+    classes = _classify(etas[:2], tol, norms[:2], np.array(defects[:2]))
     held = all(c.invertible for c in classes)  # the theorem's hypothesis
     classes[1:] = [c._replace(invertible=held, positive=held and c.positive) for c in classes[1:]]
     classes += [MetricClass(classes[k % 2].hermitian, held, held and classes[k % 2].positive,

@@ -191,8 +191,8 @@ class MetricClass(NamedTuple):
     The boolean flags are consistent by construction: positive implies invertible implies
     hermitian.  The two values are the smallest |eigenvalue| and the smallest eigenvalue of
     ``(eta + eta^dag) / 2``, None where not measured: chain elements k >= 2, classified by
-    congruence, and spectral basis elements singular by structure (see _spectral_basis).  The
-    defect is 0.0 by construction, not measured, for the exactly Hermitian matrices of a solve.
+    congruence, and spectral basis elements singular by structure (see _spectral_basis), set
+    hermitian and not invertible.  The defect of a solve's exactly Hermitian matrix is 0.0, given.
     """
 
     hermitian: bool
@@ -218,30 +218,26 @@ def classify_metric(eta, tol: float = DEFAULT_TOL) -> MetricClass:
     return _classify(eta[None], tol, _norms(eta[None]))[0]
 
 
-def _classify(stack: np.ndarray, tol: float, norms: np.ndarray, singular: int = 0,
-              exact: bool = False) -> list[MetricClass]:
+def _classify(stack: np.ndarray, tol: float, norms: np.ndarray,
+              defects: np.ndarray | None = None) -> list[MetricClass]:
     """classify_metric of each matrix of a (k, n, n) stack with Frobenius norms ``norms``, by one
-    ``eigvalsh``, on the stack windowed once for both kernels; the first ``singular`` elements,
-    singular by structure, skip it and get None for both values.  ``exact``, passed by _measured
-    alone, states that every element is exactly Hermitian: each defect is then the 0.0 that
-    _defects would measure, and eigvalsh takes the elements, their own Hermitian parts."""
+    ``eigvalsh``, on the stack windowed once: its hermiticity_defects are the caller's
+    ``defects`` or, for None, measured there.  Where every defect is 0.0 the elements are
+    exactly Hermitian, their own Hermitian parts, and eigvalsh takes them without a copy."""
     stack, norms, shift = _windowed(stack, norms, 1.0)  # exact scaling: Hermitian stays so
-    defects = np.zeros(len(stack)) if exact else np.array(_defects(stack, norms))
-    hermitian, norms, shift = defects <= tol, norms[singular:], shift[singular:]
-    rest = stack[singular:] if exact else _hermitian_part(stack[singular:])
-    eigs = np.linalg.eigvalsh(rest) if len(rest) else np.zeros((0, 1))
+    defects = np.array(_defects(stack, norms)) if defects is None else defects
+    hermitian = defects <= tol
+    eigs = np.linalg.eigvalsh(_hermitian_part(stack) if defects.any() else stack)  # k = 0 too
     min_abs, min_eig = np.min(np.abs(eigs), axis=1), eigs[:, 0]
-    invertible = hermitian[singular:] & (min_abs > tol * norms)
+    invertible = hermitian & (min_abs > tol * norms)
     positive = invertible & (min_eig > tol * norms)
     with np.errstate(over="ignore"):
         # + 0.0 turns the -0.0 that an eigenvalue of a subnormal element can round to into 0.0
         min_abs, min_eig = np.ldexp(min_abs, shift) + 0.0, np.ldexp(min_eig, shift) + 0.0
     if np.isinf(min_eig).any():  # min_abs <= |min_eig|
         raise InputError("eta: an eigenvalue of its Hermitian part is beyond the double range")
-    no, none = [False] * singular, [None] * singular  # singular by structure, not measured
-    return list(map(MetricClass, hermitian.tolist(), no + invertible.tolist(),
-                    no + positive.tolist(), none + min_abs.tolist(), none + min_eig.tolist(),
-                    defects.tolist()))
+    return list(map(MetricClass, hermitian.tolist(), invertible.tolist(), positive.tolist(),
+                    min_abs.tolist(), min_eig.tolist(), defects.tolist()))
 
 
 # Stacks are measured in chunks of at most 2^15 complex entries (512 KiB, 8
@@ -252,24 +248,23 @@ def _classify(stack: np.ndarray, tol: float, norms: np.ndarray, singular: int = 
 # in three more runs of 8 against 16), 1.32x as fast as chunks of 32 and 1.26x
 # as fast as whole 65-element stacks, with bit-identical values.  A chain's
 # traced peak is 5.5 MB with chunks of 8, 6.6 MB with 16 and 13.0 MB with
-# whole stacks.
+# whole stacks.  Two readers: _measure cuts a stack into chunks by it, and chain._chain
+# sizes its buffer of G^dag eta_k products by it and measures each chunk as it closes.
 _STACK_ENTRIES = 2 ** 15
 
 
-def _measure(H: np.ndarray, stack: np.ndarray, kernel, products=None) -> tuple[list, list]:
-    """Residuals against H of a (k, n, n) stack and kernel(chunk, norms, start) (a list), by
-    chunks, start the index of the chunk's first element.  Given ``products = H^dag @ stack``,
-    each chunk's go to _bilinear_ratio, which reuses them where it rescales neither H nor an
-    element of the chunk."""
-    residuals, measured = [], []
+def _measure(H: np.ndarray, stack: np.ndarray, products=None) -> tuple[list, np.ndarray]:
+    """Residuals against H of a (k, n, n) stack, by chunks, and the Frobenius norms of its
+    elements.  Given ``products = H^dag @ stack``, each chunk's go to _bilinear_ratio, which
+    reuses them where it rescales neither H nor an element of the chunk."""
+    residuals, norms = [], np.empty(len(stack))
     size = max(1, _STACK_ENTRIES // H.size)
     for start in range(0, len(stack), size):
-        chunk = stack[start:start + size]
-        norms = _norms(chunk)  # shared by both kernels
-        product = None if products is None else products[start:start + size]
-        residuals += _bilinear_ratio(_intertwining, H, chunk, norms, product).tolist()
-        measured += kernel(chunk, norms, start)
-    return residuals, measured
+        chunk, part = stack[start:start + size], slice(start, start + size)
+        norms[part] = _norms(chunk)
+        product = None if products is None else products[part]
+        residuals += _bilinear_ratio(_intertwining, H, chunk, norms[part], product).tolist()
+    return residuals, norms
 
 
 class MetricBasis(NamedTuple):
@@ -278,8 +273,8 @@ class MetricBasis(NamedTuple):
     Basis elements and the spectral metric are exactly Hermitian, ``b == b^dag`` bit for bit,
     and of unit Frobenius norm; the elements are pairwise orthogonal under ``Re tr(A^dag B)``.
     Element k has ``residuals[k] = residual(H, b)`` and ``classifications[k] =
-    classify_metric(b, tol)`` bit for bit, its defect the 0.0 of an exactly Hermitian b, not
-    measured, and both values None where it is singular by structure.  ``solver`` names the
+    classify_metric(b, tol)`` bit for bit, its defect the 0.0 of an exactly Hermitian b, given,
+    not measured, and both values None where it is singular by structure.  ``solver`` names the
     candidates (see solve_metric_space): ``"spectral"`` for eigenvector products,
     ``"realified"`` for the frame of all Hermitian matrices, a nullspace on either certified or
     counted and solved by _realified_basis.  ``spectral_metric`` is the unit-norm ``V^{-dag}
@@ -462,15 +457,16 @@ def _spectral_basis(W: np.ndarray, linked: np.ndarray) -> tuple[np.ndarray, int]
 def _measured(H: np.ndarray, unit: np.ndarray, stack: np.ndarray, solver: str, tol: float,
               spectral: np.ndarray | None, singular: int = 0) -> MetricBasis:
     """The MetricBasis of H from solver's stack, measured against unit (H exactly scaled): each
-    element's sign fixed (norms and residuals stay), its residuals and classifications by
-    _measure, then the spectral metric's (sign kept), measured after it in the same stack, or
-    None and None for none; the first ``singular`` elements are singular by structure.  Both are
-    exactly Hermitian (_unpack, _realified_basis's lift, ``X + X^dag``): _classify is told so."""
+    element's sign fixed (norms and residuals stay), its residuals by _measure, then the spectral
+    metric's (sign kept), measured after it in the same stack, or None and None for none.  The
+    first ``singular`` elements are singular by structure; _classify takes the rest with defects
+    0.0, as all are exactly Hermitian (_unpack, _realified_basis's lift, ``X + X^dag``)."""
     k = len(stack)  # one copy: stack, then the spectral metric, signs fixed in place
     both = np.concatenate((stack, stack[:0] if spectral is None else spectral[None]))
     _fix_sign(both[:k])
-    residuals, classes = _measure(unit, both, lambda chunk, norms, start: _classify(
-        chunk, tol, norms, min(max(singular - start, 0), len(chunk)), exact=True))
+    residuals, norms = _measure(unit, both)
+    classes = [MetricClass(True, False, False, None, None, 0.0)] * singular + _classify(
+        both[singular:], tol, norms[singular:], np.zeros(len(both) - singular))
     return MetricBasis(H, k, list(both[:k]), residuals[:k], classes[:k], solver, spectral,
                        *(residuals[k:] + classes[k:] or [None, None]), tol)
 

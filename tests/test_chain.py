@@ -462,6 +462,27 @@ class TestStacks:
             assert np.array_equal(np.concatenate(products[1:]), adjoint(chain.H) @ etas)
             assert len(generated) + formed == k_max + 1
 
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_each_defect_measured_once(self, monkeypatch, shifted):
+        # eta0's hypothesis check, then each of the k_max + 1 elements once, chunk by chunk:
+        # eta_0 and eta_1 are classified with the defects their chunk measured
+        n, k_max, seen = 64, 20, []
+        H, eta0 = _similar_pair(n, 2, singular=shifted)
+        defects = metric._defects
+
+        def recorded(stack, norms):
+            seen.append(stack.copy())  # a chunk of the chain's own stack
+            return defects(stack, norms)
+
+        monkeypatch.setattr(metric, "_defects", recorded)
+        monkeypatch.setattr(chain_module, "_defects", recorded)
+        chain = (chain_via_shift if shifted else build_chain)(H, eta0, k_max)
+        assert (chain.shift_alpha != 0.0) == shifted
+        assert [len(s) for s in seen] == [1, 8, 8, 5]
+        assert np.array_equal(np.concatenate(seen), [eta0] + chain.etas)
+        assert [c.hermiticity_defect for c in chain.classes] == [
+            hermiticity_defect(eta) for eta in chain.etas]
+
     def test_peak_memory_near_the_elements(self):
         # beyond the elements: one chunk's product buffer and its measuring temporaries
         n, k_max = 64, 64

@@ -353,6 +353,29 @@ class TestClassify:
             assert not cls.positive or cls.invertible
             assert not cls.invertible or cls.hermitian
 
+    @pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300])
+    @pytest.mark.parametrize("kind", ["hermitian", "positive", "general"])
+    def test_eigvalsh_takes_the_hermitian_part_only_of_a_defect(self, monkeypatch, kind, scale):
+        # an exactly Hermitian eta (defect 0.0) is its own Hermitian part, and eigvalsh takes it
+        # as it is (scaled exactly to a unit peak outside the window); any other eta, its
+        # Hermitian part
+        eta = scale * _element(kind, 4, np.random.default_rng(9))
+        seen, eigvalsh = [], np.linalg.eigvalsh
+
+        def recorded(a, *args, **kwargs):
+            seen.append(a)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        cls = classify_metric(eta, 1e-10)
+        windowed = eta if scale == 1.0 else metric._unit_peak(eta)[0]
+        assert len(seen) == 1 and seen[0].shape == (1, 4, 4)
+        assert np.array_equal(seen[0][0], windowed if kind != "general"
+                              else (windowed + windowed.conj().T) / 2)
+        assert (kind != "general") == (cls.hermiticity_defect == 0.0)
+        assert np.shares_memory(seen[0], eta) == (kind != "general" and scale == 1.0)
+        assert _bits(tuple(cls)) == _bits(tuple(classification_of_one(eta, 1e-10)))
+
 
 def _element(kind, n, rng):
     """An n x n matrix of the given kind with its largest real or imaginary part in [0.5, 1)."""
@@ -1327,9 +1350,10 @@ _JORDAN_BLOCKS = st.lists(st.tuples(st.sampled_from(_JORDAN_EIGENVALUES), st.int
 
 
 class TestStacks:
-    """solve_metric_space measures its basis in stacks of at most 2^15 complex entries,
+    """solve_metric_space measures its residuals in stacks of at most 2^15 complex entries,
     as chains do (tests/test_chain.py::TestStacks): 8 stacks of 8 elements at n = 64, then
-    the spectral metric, measured after the elements, alone in a ninth."""
+    the spectral metric, measured after the elements, alone in a ninth.  It classifies the
+    elements not singular by structure and the spectral metric in one stack."""
 
     @staticmethod
     def family_basis(seed=1, n=64):
@@ -1339,29 +1363,31 @@ class TestStacks:
 
     def test_each_element_classified_once_in_bounded_stacks(self, monkeypatch):
         # a simple real spectrum: the last eigenvalue enters at element 63, so 63 elements are
-        # singular by structure and eigvalsh sees the last one alone, in the eighth stack, and
-        # then the spectral metric, in the ninth
+        # singular by structure and eigvalsh sees the last one and the spectral metric, in one
+        # stack
         stacks, measured = [], []
-        eigvalsh, measure = np.linalg.eigvalsh, metric._measure
+        eigvalsh, kernel = np.linalg.eigvalsh, metric._bilinear_ratio
 
         def recorded(a, *args, **kwargs):
             stacks.append(a)
             return eigvalsh(a, *args, **kwargs)
 
-        def chunked(H, stack, kernel, products=None):
-            return measure(H, stack, lambda c, norms, start: measured.append(len(c))
-                           or kernel(c, norms, start), products)
+        def counted(form, A, B, norms, product=None):
+            measured.append(B)
+            return kernel(form, A, B, norms, product)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
-        monkeypatch.setattr(metric, "_measure", chunked)
+        monkeypatch.setattr(metric, "_bilinear_ratio", counted)
         basis = self.family_basis()
-        assert (basis.solver, basis.dimension, len(stacks)) == ("spectral", 64, 2)
-        assert measured == [8] * 8 + [1] and all(a.size <= 2 ** 15 for a in stacks)
+        assert (basis.solver, basis.dimension, len(stacks)) == ("spectral", 64, 1)
+        assert [len(b) for b in measured] == [8] * 8 + [1]
+        assert all(b.size <= 2 ** 15 for b in measured)
+        assert np.array_equal(np.concatenate(measured), basis.basis + [basis.spectral_metric])
         unmeasured = [c.min_abs_eigenvalue_of_hermitian_part is None for c in basis.classifications]
         assert unmeasured == [True] * 63 + [False]
         assert None not in basis.spectral_classification
         # the elements themselves, exactly Hermitian, not a symmetrized copy
-        assert np.array_equal(np.concatenate(stacks), basis.basis[63:] + [basis.spectral_metric])
+        assert np.array_equal(stacks[0], basis.basis[63:] + [basis.spectral_metric])
 
     @pytest.mark.parametrize("kind, lead, nullspaces", [
         ("spectral", 63, []),  # the n = 64 family basis, 63 elements singular by structure

@@ -124,6 +124,16 @@ def test_readme_names_every_cli_option():
     assert named == options
 
 
+def test_readme_quick_start_runs(capsys):
+    # README's "Library quick start" block, run as it is written: its code cannot drift from
+    # the API
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Library quick start"):]
+    start = section.index("```python\n") + len("```python\n")
+    exec(compile(section[start:section.index("```\n", start)], "README.md", "exec"), {})
+    assert capsys.readouterr().out == "[0.0, 0.0, 0.0, 0.0, 0.0] [] 2\n"
+
+
 def test_no_check_writes_the_at_most_rule_inline():
     # a check held to at most its threshold is built by Check.at_most, the rule's one place
     inline = [f"{path.name}: {match}" for path in sorted((ROOT / "src").rglob("*.py"))
@@ -172,23 +182,52 @@ def test_the_tolerance_rule_is_written_once():
 
 
 def test_only_the_solve_classifies_without_measuring_defects():
-    # _classify's ``exact`` (every defect 0.0, unmeasured) is passed by metric._measured
-    # alone, whose stacks are exactly Hermitian: a chain, classify_metric or any other caller
-    # measures the defects it reports
-    def passes_exact(node):
-        if not (isinstance(node, ast.Call) and "_classify" in (
-                getattr(node.func, "id", None), getattr(node.func, "attr", None))):
-            return False
-        return len(node.args) > 4 or any(
-            isinstance(arg, ast.Starred) for arg in node.args) or any(
-            keyword.arg in ("exact", None) for keyword in node.keywords)
+    # _classify measures the defects of its stack unless its caller passes them.  Two callers
+    # do: metric._measured passes zeros for its exactly Hermitian stacks, and chain._chain a
+    # slice of the defects that its own _defects pass measured.  classify_metric and every
+    # other caller let _classify measure the defects it reports
+    def calls(function, name):
+        return [node for node in ast.walk(function) if isinstance(node, ast.Call)
+                and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+    def measured_names(function):
+        # the names that an assignment in function binds to a value that calls _defects
+        pairs = []
+        for node in ast.walk(function):
+            if not isinstance(node, (ast.Assign, ast.AugAssign)):
+                continue
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs += zip(target.elts, node.value.elts)
+                else:
+                    pairs.append((target, node.value))
+        return {target.id for target, value in pairs
+                if isinstance(target, ast.Name) and calls(value, "_defects")}
+
+    def passed(call, function):
+        # what a _classify call passes for defects: None, "zeros", "measured" or its source
+        given = call.args[3:] + [keyword.value for keyword in call.keywords
+                                 if keyword.arg in ("defects", None)]
+        if any(isinstance(arg, ast.Starred) for arg in call.args) or len(given) > 1:
+            return "unread"
+        if not given:
+            return None
+        if calls(given[0], "zeros") == [given[0]]:
+            return "zeros"
+        sliced = {node.value.id for node in ast.walk(given[0]) if isinstance(node, ast.Subscript)
+                  and isinstance(node.value, ast.Name)}
+        return "measured" if sliced and sliced <= measured_names(function) else ast.unparse(
+            given[0])
 
     found = []
     for path in sorted((ROOT / "src").rglob("*.py")):
         tree, owner = ast.parse(path.read_text(encoding="utf-8")), {}
         for function in ast.walk(tree):  # outer functions first: the innermost one wins
             if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner.update(dict.fromkeys(ast.walk(function), function.name))
-        found += [(path.name, owner.get(node, "<module>")) for node in ast.walk(tree)
-                  if passes_exact(node)]
-    assert found == [("metric.py", "_measured")]
+                owner.update(dict.fromkeys(ast.walk(function), function))
+        for call in calls(tree, "_classify"):
+            function = owner.get(call, tree)
+            found.append((path.name, getattr(function, "name", "<module>"), passed(call, function)))
+    assert ("metric.py", "classify_metric", None) in found
+    assert [call for call in found if call[2] is not None] == [
+        ("chain.py", "_chain", "measured"), ("metric.py", "_measured", "zeros")]
