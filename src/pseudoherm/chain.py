@@ -1,12 +1,12 @@
 """Metric chains: eta_k = (H^dag)^k eta_0, with a spectrum-shift fallback.
 
-Starting from one metric eta_0 for H, left-multiplying by H^dag produces
-further Hermitian intertwiners, each a metric when eta_0 is and H^dag is
-invertible (the paper's theorem).  For G = H + alpha I, alpha real, the
-congruences ``eta_2m = (G^dag)^m eta_0 G^m`` and ``eta_2m+1 = (G^dag)^m eta_1 G^m``
-give every element the inertia of eta_{k mod 2} (Sylvester), so only eta_0 and
-eta_1 are classified.  For singular H the shift with alpha = 2 |H|_F is
-invertible and has the same intertwiners, so its chain is validated against H.
+Starting from one metric eta_0 for H, left-multiplying by H^dag produces further Hermitian
+intertwiners, each a metric when eta_0 is and H^dag is invertible (the paper's theorem).  For
+G = H + alpha I, alpha real, the congruences ``eta_2m = (G^dag)^m eta_0 G^m`` and ``eta_2m+1 =
+(G^dag)^m eta_1 G^m`` give every element the inertia of eta_{k mod 2} (Sylvester), so only eta_0
+and eta_1 are classified.  For singular H the shift with alpha = 2 |H|_F is invertible and has
+the same intertwiners, so its chain is validated against H.  Either chain forms one product
+per element, ``H^dag eta_k``; the shifted one adds alpha eta_k to it.
 """
 
 from __future__ import annotations
@@ -42,15 +42,15 @@ class EtaChain(_Record):
     """A sequence eta_0 .. eta_K of intertwiners for H with per-element diagnostics.
 
     ``residuals[k]`` is ``residual(H, eta_k)`` for the original, unshifted H, measured as the
-    chain is generated, and ``classes`` the classifications at ``tol``.  An
-    eta_k with k >= 2 has the flags of eta_{k mod 2} (see degenerate_indices when
-    eta_0 or eta_1 is singular), its own measured hermiticity defect, whose drift
-    sets no flag, and None for the eigenvalues, which are not measured.
-    ``rank`` (computed on first read, then cached; no check reads it) is the real-linear
-    rank of the elements as vectors, which shows periodicity up to scalars, up to rounding
-    in the band ``max_k delta_k |stack|_F`` around its threshold (see _real_rank): chain
-    71 of dense-certify seed 1 has a singular value at 1.00016x the threshold, inside
-    that band.  ``shift_alpha`` is 0 unless chain_via_shift shifted H.  An exact zero
+    chain is generated, and ``classes`` the classifications at ``tol``.  An eta_k with k >= 2
+    has the flags of eta_{k mod 2} (see degenerate_indices when eta_0 or eta_1 is singular),
+    its own measured hermiticity defect, whose drift sets no flag, and None for the
+    eigenvalues, which are not measured.  ``rank`` (computed on first read, then cached; no
+    check reads it) is the real-linear rank of the elements as vectors, which shows
+    periodicity up to scalars, up to rounding in the band ``max_k delta_k |stack|_F`` around
+    its threshold (see _real_rank): chain 71 of dense-certify seed 1 has a singular value at
+    1.00016x the threshold, inside that band.  ``shift_alpha`` is 0 unless chain_via_shift
+    shifted H, and eta_k+1 is then formed as ``H^dag eta_k + alpha eta_k``.  An exact zero
     from a singular H^dag is kept, flagged; an underflow raises.
     """
 
@@ -117,40 +117,40 @@ def _validate_start(H, eta0, k_max: int, tol: float) -> tuple[np.ndarray, np.nda
     return H, eta0, int(k_max)
 
 
-def _unit_product(Gd: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, int]:
-    """(m, k) with ``Gd @ eta = 2^k m`` and m of unit peak, exactly, from unit peaks."""
-    (g, i), (e, j) = _unit_peak(Gd), _unit_peak(eta)
-    m, k = _unit_peak(g @ e)
+def _unit_product(Hd: np.ndarray, eta: np.ndarray, alpha: float) -> tuple[np.ndarray, int]:
+    """(m, k) with ``Hd @ eta + alpha eta = 2^k m`` and m of unit peak, exactly, from unit peaks."""
+    (h, i), (e, j) = _unit_peak(Hd), _unit_peak(eta)  # alpha 2^-i lies in [1, 3n]
+    m, k = _unit_peak(h @ e + np.ldexp(alpha, -i) * e if alpha else h @ e)
     return m, i + j + k
 
 
-def _chain(H: np.ndarray, G: np.ndarray, eta0: np.ndarray, k_max: int,
-           normalize: bool, tol: float, alpha: float) -> EtaChain:
-    """The chain ``(G^dag)^k eta0`` for ``G = H + alpha I``, measured once against H by chunks
-    as they are generated.  Each ``G^dag eta_k`` of the stored eta_k goes to a chunk buffer;
-    for alpha = 0 it is ``H^dag eta_k``, reused where metric._bilinear_ratio rescales neither."""
+def _chain(H: np.ndarray, eta0: np.ndarray, k_max: int, normalize: bool, tol: float,
+           alpha: float) -> EtaChain:
+    """The chain ``(G^dag)^k eta0``, ``G = H + alpha I``, measured against H by chunks as it is
+    generated.  Each stored eta_k's one product ``H^dag eta_k`` goes to a chunk buffer, reused by
+    its residual (see metric._bilinear_ratio) and in ``eta_k+1 = H^dag eta_k + alpha eta_k``."""
     with _within_memory(16 * H.size * (k_max + 1), f"k_max = {k_max}: {k_max + 1} elements "
                         f"at n = {len(H)} need more memory than this machine has"):
-        Gd, etas = adjoint(G), np.empty((k_max + 1,) + H.shape, dtype=complex)
+        Hd, etas = adjoint(H), np.empty((k_max + 1,) + H.shape, dtype=complex)
     size = max(1, _STACK_ENTRIES // H.size)
     products = np.empty((min(size, len(etas)),) + H.shape, dtype=complex)
     residuals, defects, norms = [], [], np.empty(len(etas))
+    e = eta0  # each element as formed, before any normalization
     for k in range(len(etas)):
-        e = products[(k - 1) % size] if k else eta0
         norm = frobenius(e)
         if not _in_window(norm):
-            m, shift = _unit_product(Gd, etas[k - 1]) if k else _unit_peak(eta0)
+            m, shift = _unit_product(Hd, etas[k - 1], alpha) if k else _unit_peak(eta0)
             e, norm = (m, frobenius(m)) if normalize else _scaled(m, shift, f"eta_{k}")
         if normalize and norm > 0.0:  # numpy's complex / real, without its division loop
             np.multiply(np.ascontiguousarray(e).view(float), 1.0 / norm, out=etas[k].view(float))
         else:
             etas[k] = e
-        if k < k_max or not alpha:  # a shifted chain never reads G^dag eta_k_max
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.matmul(Gd, etas[k], out=products[k % size])
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = np.matmul(Hd, etas[k], out=products[k % size])
+            e = e + alpha * etas[k] if alpha else e
         if k % size == size - 1 or k == k_max:  # the chunk is whole: measure it
             chunk, part = etas[k - k % size:k + 1], slice(k - k % size, k + 1)
-            r, norms[part] = _measure(H, chunk, None if alpha else products[:len(chunk)])
+            r, norms[part] = _measure(H, chunk, products[:len(chunk)])
             residuals, defects = residuals + r, defects + _defects(chunk, norms[part])
     classes = _classify(etas[:2], tol, norms[:2], np.array(defects[:2]))
     held = all(c.invertible for c in classes)  # the theorem's hypothesis
@@ -185,7 +185,7 @@ def build_chain(H, eta0, k_max: int, normalize: bool = False,
     below the smallest normal number raises InputError.
     """
     H, eta0, k_max = _validate_start(H, eta0, k_max, tol)
-    return _chain(H, H, eta0, k_max, normalize, tol, 0.0)
+    return _chain(H, eta0, k_max, normalize, tol, 0.0)
 
 
 def shift_for_invertibility(H, tol: float = DEFAULT_TOL) -> tuple[float, np.ndarray]:
@@ -210,11 +210,11 @@ def chain_via_shift(H, eta0, k_max: int, normalize: bool = False,
                     tol: float = DEFAULT_TOL) -> EtaChain:
     """Build a chain on ``H + alpha I`` and validate it against the original H.
 
-    eta intertwines H exactly when it intertwines H + alpha I for real
-    alpha (the shift is Hermitian and commutes with everything), so the
-    chain generated for the shifted, invertible Hamiltonian works for H.
-    eta0 is checked, and residuals computed, against H alone; flags as in build_chain.
+    eta intertwines H exactly when it intertwines H + alpha I for real alpha (the shift is
+    Hermitian and commutes with everything), so the chain generated for the shifted, invertible
+    Hamiltonian works for H.  eta0 is checked, and residuals computed, against H alone; flags as
+    in build_chain.  Unnormalized chains satisfy ``etas[k+1] == H^dag @ etas[k] + alpha *
+    etas[k]`` exactly: no product with the rounded diagonal of H + alpha I (see README).
     """
     H, eta0, k_max = _validate_start(H, eta0, k_max, tol)
-    alpha, shifted = shift_for_invertibility(H, tol)
-    return _chain(H, shifted, eta0, k_max, normalize, tol, alpha)
+    return _chain(H, eta0, k_max, normalize, tol, shift_for_invertibility(H, tol)[0])

@@ -249,7 +249,7 @@ def _classify(stack: np.ndarray, tol: float, norms: np.ndarray,
 # as fast as whole 65-element stacks, with bit-identical values.  A chain's
 # traced peak is 5.5 MB with chunks of 8, 6.6 MB with 16 and 13.0 MB with
 # whole stacks.  Two readers: _measure cuts a stack into chunks by it, and chain._chain
-# sizes its buffer of G^dag eta_k products by it and measures each chunk as it closes.
+# sizes its buffer of H^dag eta_k products by it and measures each chunk as it closes.
 _STACK_ENTRIES = 2 ** 15
 
 

@@ -24,6 +24,7 @@ from pseudoherm import (
     build_chain,
     catalog_two_point,
     chain_via_shift,
+    classify_metric,
     hermiticity_defect,
     residual,
     shift_for_invertibility,
@@ -450,17 +451,11 @@ class TestStacks:
         assert all(b.size <= 2 ** 15 for b in measured[1:])
         assert np.array_equal(np.concatenate(measured[1:]), etas)
         assert len(products) == len(measured)
-        # products X^dag eta_k of the chain: G^dag eta_k generating it, and H^dag eta_k
-        # where a residual forms its own; eta_{k_max + 1} is never needed
-        formed = sum(len(b) for b, p in zip(measured[1:], products[1:]) if p is None)
-        if shifted:  # each residual forms H^dag eta_k; G^dag eta_k_max is not formed
-            assert all(p is None for p in products)
-            assert len(generated) + formed == 2 * (k_max + 1) - 1
-            assert np.array_equal(np.array(generated), etas[:-1])
-        else:  # alpha = 0: each chunk's H^dag eta_k is the generation's product
-            assert all(p is not None for p in products[1:])
-            assert np.array_equal(np.concatenate(products[1:]), adjoint(chain.H) @ etas)
-            assert len(generated) + formed == k_max + 1
+        # k_max + 1 products, H^dag eta_k, shifted or not: each generates eta_k+1 (adding
+        # alpha eta_k for alpha != 0) and each chunk's residuals reuse them, forming none
+        assert np.array_equal(np.array(generated), etas)
+        assert all(p is not None for p in products[1:])
+        assert np.array_equal(np.concatenate(products[1:]), adjoint(chain.H) @ etas)
 
     @pytest.mark.parametrize("shifted", [False, True])
     def test_each_defect_measured_once(self, monkeypatch, shifted):
@@ -498,7 +493,8 @@ class TestStacks:
 
 class TestResidualOracle:
     """Every chain residual is residual(H, eta_k) bit for bit: the reused generation
-    product is H^dag eta_k exactly, and a windowed or shifted chunk forms it again."""
+    product is H^dag eta_k exactly, in shifted chains too, and a windowed chunk forms it
+    again."""
 
     # unnormalized elements grow like 2^(j k): k_max keeps them in the double range
     K_MAX = {-1000: 1, -300: 3, 0: 40, 300: 3, 1000: 1}
@@ -541,9 +537,10 @@ class TestResidualOracle:
 
 
 class TestNormalization:
-    """A normalized element is ``p / |p|_F`` for ``p = G^dag eta_k-1``, as numpy's complex
-    division computes it, value for value: _chain multiplies the real and imaginary parts
-    by the reciprocal of the norm, which is what that division does for a real divisor."""
+    """A normalized element is ``p / |p|_F`` for ``p = H^dag eta_k-1 + alpha eta_k-1`` (just
+    ``H^dag eta_k-1`` unshifted), as numpy's complex division computes it, value for value:
+    _chain multiplies the real and imaginary parts by the reciprocal of the norm, which is
+    what that division does for a real divisor."""
 
     @pytest.mark.parametrize("j", sorted(TestResidualOracle.K_MAX))
     @pytest.mark.parametrize("singular", [False, True])
@@ -552,10 +549,11 @@ class TestNormalization:
         H, eta0 = _similar_pair(64, 2, singular)
         H = np.ldexp(H.view(float), j).view(complex)  # 2^j H, exactly
         chain = builder(H, eta0, 40, normalize=True)
-        G = shift_for_invertibility(H)[1] if chain.shift_alpha else H
         divided = 0
         for k in range(1, len(chain)):
-            p = adjoint(G) @ chain.etas[k - 1]
+            p = adjoint(H) @ chain.etas[k - 1]
+            if chain.shift_alpha:
+                p = p + chain.shift_alpha * chain.etas[k - 1]
             norm = frobenius(p)
             if metric._in_window(norm):  # else _chain forms p again from unit peaks
                 assert np.array_equal(chain.etas[k], p / norm)
@@ -786,6 +784,42 @@ class TestChainViaShift:
         assert calls[0][2] == 1  # eta0, before the chain is built
         assert all(form is metric._intertwining and np.array_equal(A, H)
                    for form, A, _ in calls)
+
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_elements_are_the_product_plus_alpha_eta(self, seed):
+        # G = H + alpha I is never multiplied: eta_k+1 is H^dag eta_k + alpha eta_k, bit for bit
+        H, eta0 = _similar_pair(64, seed, singular=True)
+        chain = chain_via_shift(H, eta0, 8)
+        alpha = chain.shift_alpha
+        assert alpha == 2.0 * frobenius(H)
+        for k in range(8):
+            expected = adjoint(H) @ chain.etas[k] + alpha * chain.etas[k]
+            assert chain.etas[k + 1].tobytes() == expected.tobytes()
+
+    def test_less_drift_than_a_product_with_the_formed_shift(self):
+        # The formed H + alpha I carries a rounded real diagonal D, and each product with it
+        # adds the non-Hermitian D eta_k; alpha eta_k is as Hermitian as eta_k.  On these fixed
+        # singular pairs the verdicts and rank are those of the G^dag eta_k chain, built here,
+        # and the largest hermiticity defect is lower in the median.
+        ratios = []
+        for seed in range(8):
+            H, eta0 = _similar_pair(64, seed, singular=True)
+            chain = chain_via_shift(H, eta0, 64, normalize=True)
+            Gd = adjoint(shift_for_invertibility(H)[1])
+            formed = [eta0 / frobenius(eta0)]
+            for _ in range(64):
+                p = Gd @ formed[-1]
+                formed.append(p / frobenius(p))
+            classes = [classify_metric(eta, chain.tol) for eta in formed[:2]]
+            held = all(c.invertible for c in classes)
+            defect = max(hermiticity_defect(eta) for eta in formed)
+            assert [c.passed for c in chain.checks] == [
+                max(residual(H, eta) for eta in formed) <= chain.tol, defect <= chain.tol, held]
+            assert [(c.invertible, c.positive) for c in chain.classes[:2]] == [
+                (c.invertible, c.positive) for c in classes]
+            assert chain.rank == _real_rank(np.stack(formed), chain.tol)
+            ratios.append(max(c.hermiticity_defect for c in chain.classes) / defect)
+        assert np.median(ratios) < 1.0
 
     def test_k_max_checked_before_the_shift_ladder(self, nilpotent, monkeypatch):
         def fail(*args, **kwargs):
